@@ -16,7 +16,7 @@ from .grid_spectral import (
     SpectralVectorField,
     inner_product,
 )
-from .leray import Viscosity, ns_rhs
+from .leray import Viscosity, ns_rhs, viscosity_value
 
 SERIES_CSV_HEADER = "t,energy,enstrophy,div_max,balance_residual,order_used,dt"
 
@@ -58,7 +58,7 @@ def enstrophy_norm(v: SpectralVectorField) -> float:
 def dissipativity_residual(v: SpectralVectorField, nu: Viscosity | float) -> float:
     """<F(v), v> + nu * enstrophy_norm(v); vanishes identically for dealiased
     divergence-free fields, so its size measures aliasing or projection bugs."""
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
     return inner_product(ns_rhs(v, nu_val), v) + nu_val * enstrophy_norm(v)
 
 
@@ -92,7 +92,7 @@ def _interior_residuals(
 def energy_balance(series: Sequence[TimeSeriesRecord], nu: Viscosity | float) -> float:
     """Maximum relative residual of dE/dt = -nu * enstrophy over the series;
     needs at least 3 records with strictly increasing t."""
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
     if len(series) < 3:
         raise ValueError("energy balance needs at least 3 records")
     return float(np.max(_interior_residuals(series, nu_val)))
@@ -103,7 +103,7 @@ def balance_residuals(
 ) -> list[float]:
     """Pointwise balance residuals for CSV emission: interior records carry
     the relative residual, endpoints (and too-short series) carry 0."""
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
     out = [0.0] * len(series)
     if len(series) < 3:
         return out

@@ -16,10 +16,14 @@ Conventions
   j <= n/2 and j-n above, so the Nyquist index n/2 carries the positive sign.
 * Differentiation multiplies by i*k and zeroes the Nyquist mode, keeping
   derivatives of real fields real.
+* The half spectrum of a real field is what ``rfftn`` returns: every grid
+  axis but the last is complete, the last keeps indices 0..n/2. The other
+  modes are the conjugates of their reflections (``complete_hermitian``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -51,6 +55,23 @@ def fft_worker_count() -> int:
         except ValueError:
             pass
     return avail
+
+
+@dataclass(frozen=True, eq=False)
+class HalfSpectrum:
+    """Wavenumber tables of the half spectrum, shaped like ``Grid``'s full
+    tables with the last grid axis cut to indices 0..n/2.
+
+    ``weight`` is the number of full-spectrum modes each stored mode stands
+    for (1 on the self-conjugate planes j = 0 and j = n/2 of the last axis, 2
+    elsewhere), so weighted sums over the half spectrum are Parseval sums.
+    """
+
+    k_deriv: tuple[np.ndarray, ...]
+    ksq: np.ndarray
+    inv_ksq: np.ndarray
+    dealias_keep: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,6 +163,20 @@ class Grid:
         return keep
 
     @cached_property
+    def half(self) -> HalfSpectrum:
+        """The tables above restricted to the half spectrum."""
+        cut = (Ellipsis, slice(0, self.n // 2 + 1))
+        weight = np.full(self.n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        return HalfSpectrum(
+            k_deriv=(*self.k_deriv[:-1], self.k_deriv[-1][cut]),
+            ksq=np.ascontiguousarray(self.ksq[cut]),
+            inv_ksq=np.ascontiguousarray(self.inv_ksq[cut]),
+            dealias_keep=np.ascontiguousarray(self.dealias_keep[cut]),
+            weight=weight,
+        )
+
+    @cached_property
     def k_magnitude(self) -> np.ndarray:
         """|k| per mode (Nyquist included at its full magnitude), for shell binning."""
         out = np.zeros(self.shape)
@@ -184,12 +219,56 @@ def ifftn_real(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     ).real
 
 
+def rfftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Forward transform of real values to their half spectrum, 1/n^dim
+    normalization (the stored modes equal those of ``fftn_forward``)."""
+    return _sfft.rfftn(
+        values, axes=_grid_axes(grid, values), norm="forward", workers=fft_worker_count()
+    )
+
+
+def irfftn_real(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Unnormalized inverse transform of a half spectrum to real values."""
+    return _sfft.irfftn(
+        half, s=grid.shape, axes=_grid_axes(grid, half), norm="forward",
+        workers=fft_worker_count(),
+    )
+
+
+def half_spectrum(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
+    """View of the modes of a full spectrum that the half spectrum keeps."""
+    return coefficients[..., : grid.n // 2 + 1]
+
+
 def reflect_modes(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     """Return the array re-indexed k -> -k on every grid axis."""
     out = coefficients
     for ax in _grid_axes(grid, coefficients):
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return out
+
+
+def complete_hermitian(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full spectrum of a real field from its half spectrum: the mode at k
+    with last-axis index above n/2 is the conjugate of the mode at -k."""
+    n = grid.n
+    full = np.empty((*half.shape[:-1], n), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    mirror = half[..., n // 2 - 1 : 0 : -1]
+    # On every other grid axis, -k sits at index 0 for index 0 and at n - i
+    # for index i >= 1: two blocks per axis, each a strided view.
+    same, reflected = (slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))
+    for blocks in itertools.product((same, reflected), repeat=grid.dim - 1):
+        dst = (..., *(d for d, _ in blocks), slice(n // 2 + 1, None))
+        src = (..., *(s for _, s in blocks), slice(None))
+        np.conjugate(mirror[src], out=full[dst])
+    return full
+
+
+def half_l2_norm(grid: Grid, half: np.ndarray) -> float:
+    """L2 norm of a real field from its half spectrum (weighted Parseval)."""
+    power = half.real**2 + half.imag**2
+    return math.sqrt(grid.volume * float(np.sum(power * grid.half.weight)))
 
 
 # ---------------------------------------------------------------------------

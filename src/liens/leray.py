@@ -4,11 +4,21 @@ The pressure Poisson equation is solved spectrally (division by -|k|^2 with a
 zero-mean gauge), the Leray projector removes the gradient part of a field,
 and ``ns_rhs`` evaluates
 
-    F(v) = nu * lap(v) - P[(v.grad) v]
+    F(v) = nu * lap(v) - P[div(v v)]
 
-which coincides with nu*lap(v) - (v.grad)v - grad(p_v); both evaluation paths
-are exposed so tests can assert their agreement. Quadratic products are formed
-pointwise in physical space and dealiased immediately.
+which coincides with nu*lap(v) - (v.grad)v - grad(p_v) for divergence-free
+v; both evaluation paths are exposed so tests can assert their agreement.
+
+The quadratic term is computed in divergence form by one kernel, shared with
+the series recursion of ``lie_propagator``. The caller forms the symmetric
+product tensor T_ij = v_i v_j pointwise in physical space (components i <= j
+only: 3 in 2-D, 6 in 3-D); the kernel transforms it once to its half
+spectrum with a real-to-complex FFT and applies the 2/3-rule mask, and both
+i k_j T_ij (the advection term, then Leray-projected) and the pressure
+-k_i k_j T_ij / |k|^2 are read off that transform. With the 2/3 rule the
+divergence and advective forms agree to round-off on dealiased solenoidal
+fields; the advective form is kept in ``reference_oracles`` as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -23,14 +33,22 @@ from .grid_spectral import (
     Grid,
     SpectralScalarField,
     SpectralVectorField,
+    complete_hermitian,
     dealias_defect,
-    fftn_forward,
-    ifftn_real,
+    half_spectrum,
+    irfftn_real,
     relative_divergence,
+    rfftn_forward,
 )
 
 DIV_FREE_RTOL = 1e-8
 DEALIASED_RTOL = 1e-10
+
+# Stored components (i, j), i <= j, of a symmetric tensor: diagonal first.
+TENSOR_INDEX = {
+    2: ((0, 0), (1, 1), (0, 1)),
+    3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -44,13 +62,17 @@ class Viscosity:
             raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
 
 
-def _require_solenoidal(v: SpectralVectorField, where: str) -> None:
+def viscosity_value(nu: Viscosity | float) -> float:
+    """The viscosity as a float, from a ``Viscosity`` or a plain number."""
+    return nu.nu if isinstance(nu, Viscosity) else float(nu)
+
+
+def _require_admissible(v: SpectralVectorField, where: str) -> None:
+    """Reject a velocity that is not divergence-free to DIV_FREE_RTOL or not
+    dealiased to DEALIASED_RTOL; the nonlinear operators assume both."""
     div = relative_divergence(v)
     if div > DIV_FREE_RTOL:
         raise SolenoidalError(f"{where} requires a divergence-free field", div)
-
-
-def _require_dealiased(v: SpectralVectorField, where: str) -> None:
     defect = dealias_defect(v)
     if defect > DEALIASED_RTOL:
         raise FieldError(
@@ -58,33 +80,80 @@ def _require_dealiased(v: SpectralVectorField, where: str) -> None:
         )
 
 
-def _velocity_gradients(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
-    """Physical-space gradients g[i, j] = d v_i / d x_j, shape (dim, dim, ...)."""
-    dim = grid.dim
-    grads = np.empty((dim, dim, *grid.shape), dtype=np.complex128)
-    for j in range(dim):
-        grads[:, j] = v_hat * (1j * grid.k_deriv[j])
-    return ifftn_real(grid, grads)
+# ---------------------------------------------------------------------------
+# the nonlinear kernel (half spectra throughout)
+# ---------------------------------------------------------------------------
 
 
-def _advection_hat(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
-    """Dealiased spectral coefficients of the convective term (v.grad)v."""
-    v_phys = ifftn_real(grid, v_hat)
-    grads = _velocity_gradients(grid, v_hat)
-    adv = np.einsum("j...,ij...->i...", v_phys, grads)
-    return fftn_forward(grid, adv) * grid.dealias_keep
+def _component(dim: int, i: int, j: int) -> int:
+    """Index of T_ij among the stored components."""
+    return TENSOR_INDEX[dim].index((min(i, j), max(i, j)))
 
 
-def _project(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
-    """Leray projection of raw coefficients: w - k (k.w)/|k|^2, k=0 untouched."""
-    k_dot_w = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dim):
-        k_dot_w += grid.k_deriv[a] * w_hat[a]
-    k_dot_w *= grid.inv_ksq
-    out = w_hat.copy()
-    for a in range(grid.dim):
-        out[a] -= grid.k_deriv[a] * k_dot_w
+def _product_tensor(v: np.ndarray) -> np.ndarray:
+    """Stored components of v_i v_j for a physical velocity v."""
+    index = TENSOR_INDEX[len(v)]
+    out = np.empty((len(index), *v.shape[1:]))
+    for c, (i, j) in enumerate(index):
+        np.multiply(v[i], v[j], out=out[c])
     return out
+
+
+def _velocity_tensor(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
+    """Physical v_i v_j of the field with full spectrum ``v_hat``."""
+    return _product_tensor(irfftn_real(grid, half_spectrum(grid, v_hat)))
+
+
+def _tensor_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
+    """Dealiased half spectrum of a physical symmetric tensor."""
+    t_hat = rfftn_forward(grid, tensor)
+    t_hat *= grid.half.dealias_keep
+    return t_hat
+
+
+def _divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
+    """Half spectrum of (div T)_i = i k_j T_ij."""
+    k = grid.half.k_deriv
+    out = np.empty((grid.dim, *t_hat.shape[1:]), dtype=np.complex128)
+    for i in range(grid.dim):
+        out[i] = sum(k[j] * t_hat[_component(grid.dim, i, j)] for j in range(grid.dim))
+    out *= 1j
+    return out
+
+
+def _pressure_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
+    """Half spectrum of the zero-mean pressure -k_i k_j T_ij / |k|^2."""
+    k = grid.half.k_deriv
+    acc = np.zeros(t_hat.shape[1:], dtype=np.complex128)
+    for c, (i, j) in enumerate(TENSOR_INDEX[grid.dim]):
+        acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat[c]
+    return -acc * grid.half.inv_ksq
+
+
+def _project(tables, w_hat: np.ndarray) -> np.ndarray:
+    """Leray projection of raw coefficients: w - k (k.w)/|k|^2, k=0 untouched.
+
+    ``tables`` is a ``Grid`` for full spectra or its ``half`` for half spectra.
+    """
+    k_dot_w = np.zeros(w_hat.shape[1:], dtype=np.complex128)
+    for a, k in enumerate(tables.k_deriv):
+        k_dot_w += k * w_hat[a]
+    k_dot_w *= tables.inv_ksq
+    out = w_hat.copy()
+    for a, k in enumerate(tables.k_deriv):
+        out[a] -= k * k_dot_w
+    return out
+
+
+def nonlinear_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
+    """The kernel: half spectrum of P[div T] for a physical symmetric tensor
+    T (stored components), dealiased."""
+    return _project(grid.half, _divergence_hat(grid, _tensor_hat(grid, tensor)))
+
+
+# ---------------------------------------------------------------------------
+# public operations
+# ---------------------------------------------------------------------------
 
 
 def leray_project(w: SpectralVectorField) -> SpectralVectorField:
@@ -93,60 +162,46 @@ def leray_project(w: SpectralVectorField) -> SpectralVectorField:
 
 
 def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
-    """Solve lap(p) = -sum_ij d_i v_j d_j v_i spectrally, zero-mean gauge.
+    """Solve lap(p) = -d_i d_j (v_i v_j) spectrally, zero-mean gauge.
 
     The input must be dealiased and divergence-free (the Poisson equation is
     derived from the divergence of the momentum equation under that
     constraint).
     """
-    _require_solenoidal(v, "compute_pressure")
-    _require_dealiased(v, "compute_pressure")
+    _require_admissible(v, "compute_pressure")
     grid = v.grid
-    grads = _velocity_gradients(grid, v.data)  # grads[i, j] = d_j v_i
-    source = np.einsum("ij...,ji...->...", grads, grads)
-    source_hat = fftn_forward(grid, source) * grid.dealias_keep
-    p_hat = source_hat * grid.inv_ksq
-    return SpectralScalarField(grid, p_hat)
+    p_hat = _pressure_hat(grid, _tensor_hat(grid, _velocity_tensor(grid, v.data)))
+    return SpectralScalarField(grid, complete_hermitian(grid, p_hat))
 
 
-def ns_rhs(
-    v: SpectralVectorField,
-    nu: Viscosity | float,
-    *,
-    _pressure_sign: float = 1.0,
-) -> SpectralVectorField:
-    """Navier-Stokes right-hand side nu*lap(v) - P[(v.grad)v].
+def ns_rhs(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
+    """Navier-Stokes right-hand side nu*lap(v) - P[div(v v)].
 
-    Output is divergence-free and dealiased whenever the input is. The
-    ``_pressure_sign`` keyword exists only for negative-control tests: it
-    flips the sign of the pressure-gradient part of the projection, which
-    must break the dissipativity identity.
+    Output is divergence-free and dealiased whenever the input is.
     """
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
     if nu_val < 0.0:
         raise ValueError("viscosity must be nonnegative")
-    _require_solenoidal(v, "ns_rhs")
-    _require_dealiased(v, "ns_rhs")
+    _require_admissible(v, "ns_rhs")
     grid = v.grid
-    adv_hat = _advection_hat(grid, v.data)
-    if _pressure_sign == 1.0:
-        nonlinear = _project(grid, adv_hat)
-    else:
-        projected = _project(grid, adv_hat)
-        nonlinear = adv_hat + _pressure_sign * (projected - adv_hat)
-    rhs = -nu_val * grid.ksq * v.data - nonlinear
-    return SpectralVectorField(grid, rhs)
+    nonlinear = nonlinear_hat(grid, _velocity_tensor(grid, v.data))
+    return SpectralVectorField(
+        grid, -nu_val * grid.ksq * v.data - complete_hermitian(grid, nonlinear)
+    )
 
 
 def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
     """Same right-hand side through the explicit pressure gradient,
-    nu*lap(v) - (v.grad)v - grad(p_v); kept as the second evaluation path
+    nu*lap(v) - div(v v) - grad(p_v); kept as the second evaluation path
     for the gauge-consistency checks."""
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
+    _require_admissible(v, "ns_rhs_via_pressure")
     grid = v.grid
-    adv_hat = _advection_hat(grid, v.data)
-    p_hat = compute_pressure(v).data
-    rhs = -nu_val * grid.ksq * v.data - adv_hat
-    for a in range(grid.dim):
-        rhs[a] -= 1j * grid.k_deriv[a] * p_hat
-    return SpectralVectorField(grid, rhs)
+    t_hat = _tensor_hat(grid, _velocity_tensor(grid, v.data))
+    forcing = _divergence_hat(grid, t_hat)
+    p_hat = _pressure_hat(grid, t_hat)
+    for a, k in enumerate(grid.half.k_deriv):
+        forcing[a] += 1j * k * p_hat
+    return SpectralVectorField(
+        grid, -nu_val * grid.ksq * v.data - complete_hermitian(grid, forcing)
+    )

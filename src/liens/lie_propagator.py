@@ -4,14 +4,25 @@ The solution of dv/dt = F(v) with F(v) = nu*lap(v) - P[(v.grad)v] is advanced
 by its time-Taylor expansion around the current state,
 
     v(t0 + t) = sum_n c_n t^n,      c_0 = u,
-    (n+1) c_{n+1} = nu * lap(c_n) - sum_{m=0}^{n} P[(c_m.grad) c_{n-m}],
+    (n+1) c_{n+1} = nu * lap(c_n) - P[div T_n],   T_n = sum_{m=0}^{n} c_m c_{n-m},
 
-with every quadratic product dealiased as it is formed. The expansion is used
-as a one-step integrator: the step accepts a dt once the last retained term
-satisfies ||c_N|| dt^N <= tol ||u|| and dt stays within half the empirical
-convergence-radius estimate, halving dt otherwise (at most 20 times). n! c_n
-reproduces the n-th generator power applied to u, which is what the symbolic
-calculus cross-checks in one dimension.
+which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
+c_m is divergence-free. T_n is symmetric in its indices and in m <-> n-m, so
+each pair of coefficients is multiplied once, pointwise in physical space,
+and ``leray``'s kernel turns T_n into P[div T_n] with one real-to-complex FFT
+and the 2/3-rule mask.
+
+Coefficients are held as half spectra (``rfftn`` layout) together with their
+physical velocities, and nothing else: no gradients. Norms come from the
+weighted Parseval sum over the half spectrum. A step evaluates the series on
+half spectra and completes the full spectrum once; ``taylor_coefficients``
+completes every coefficient for the public ``TaylorExpansion``.
+
+The expansion is used as a one-step integrator: the step accepts a dt once
+the last retained term satisfies ||c_N|| dt^N <= tol ||u|| and dt stays
+within half the empirical convergence-radius estimate, halving dt otherwise
+(at most 20 times). n! c_n reproduces the n-th generator power applied to u,
+which is what the symbolic calculus cross-checks in one dimension.
 """
 
 from __future__ import annotations
@@ -22,16 +33,23 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FieldError, RadiusCollapseError, SolenoidalError
+from .errors import RadiusCollapseError
 from .grid_spectral import (
     Grid,
     SpectralVectorField,
-    dealias_defect,
-    fftn_forward,
-    ifftn_real,
-    relative_divergence,
+    complete_hermitian,
+    half_l2_norm,
+    half_spectrum,
+    irfftn_real,
 )
-from .leray import DIV_FREE_RTOL, Viscosity, _project
+from .leray import (
+    TENSOR_INDEX,
+    Viscosity,
+    _product_tensor,
+    _require_admissible,
+    nonlinear_hat,
+    viscosity_value,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -76,11 +94,12 @@ class StepStats:
 
 
 class _SeriesBuilder:
-    """Incrementally grows the coefficient list; caches physical-space values.
+    """Incrementally grows the coefficient list on half spectra.
 
-    For each known coefficient we keep its spectral array, its physical
-    components, and its physical velocity gradients, so producing c_{n+1}
-    needs only the new pairwise products plus one forward transform.
+    For each known coefficient we keep its half spectrum, its norm and its
+    physical velocity, so producing c_{n+1} needs only the product tensor
+    sum_m c_m c_{n-m} (each m <-> n-m pair formed once), one kernel call and
+    one inverse transform.
     """
 
     def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float):
@@ -88,34 +107,48 @@ class _SeriesBuilder:
         self.nu = nu
         self.coeffs: list[np.ndarray] = []
         self._phys: list[np.ndarray] = []
-        self._grads: list[np.ndarray] = []
         self.norms: list[float] = []
-        self._append(u_hat)
+        self._append(half_spectrum(grid, u_hat))
 
     def _append(self, c_hat: np.ndarray) -> None:
-        grid = self.grid
         self.coeffs.append(c_hat)
-        self.norms.append(math.sqrt(grid.volume * float(np.sum(np.abs(c_hat) ** 2))))
-        self._phys.append(ifftn_real(grid, c_hat))
-        grads = np.empty((grid.dim, grid.dim, *grid.shape), dtype=np.complex128)
-        for j in range(grid.dim):
-            grads[:, j] = c_hat * (1j * grid.k_deriv[j])
-        self._grads.append(ifftn_real(grid, grads))
+        self.norms.append(half_l2_norm(self.grid, c_hat))
+        self._phys.append(irfftn_real(self.grid, c_hat))
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion."""
         grid = self.grid
         n = len(self.coeffs) - 1
-        adv = np.zeros((grid.dim, *grid.shape))
-        for m in range(n + 1):
-            adv += np.einsum("j...,ij...->i...", self._phys[m], self._grads[n - m])
-        adv_hat = fftn_forward(grid, adv) * grid.dealias_keep
-        new = (-self.nu * grid.ksq * self.coeffs[n] - _project(grid, adv_hat)) / (n + 1)
-        self._append(new)
+        index = TENSOR_INDEX[grid.dim]
+        tensor = np.zeros((len(index), *grid.shape))
+        for m in range((n + 1) // 2):
+            a, b = self._phys[m], self._phys[n - m]
+            for c, (i, j) in enumerate(index):
+                tensor[c] += a[i] * b[j]
+                if i != j:
+                    tensor[c] += a[j] * b[i]
+        tensor[: grid.dim] *= 2.0  # the pairs added each diagonal a_i b_i once
+        if n % 2 == 0:
+            tensor += _product_tensor(self._phys[n // 2])
+        new = -self.nu * grid.half.ksq * self.coeffs[n] - nonlinear_hat(grid, tensor)
+        self._append(new / (n + 1))
+
+    def evaluate(self, order: int, t: float) -> SpectralVectorField:
+        """The series truncated after c_order, evaluated at t."""
+        return SpectralVectorField(
+            self.grid, complete_hermitian(self.grid, _horner(self.coeffs[: order + 1], t))
+        )
 
     def expansion(self, base_time: float = 0.0) -> TaylorExpansion:
-        fields = tuple(SpectralVectorField(self.grid, c) for c in self.coeffs)
-        return TaylorExpansion(base_time=base_time, coefficients=fields)
+        """Every coefficient completed to its full spectrum. Releases the
+        cache as it goes, so the builder is spent afterwards."""
+        halves = self.coeffs[::-1]
+        self.coeffs, self._phys = [], []
+        fields = []
+        while halves:
+            full = complete_hermitian(self.grid, halves.pop())
+            fields.append(SpectralVectorField(self.grid, full))
+        return TaylorExpansion(base_time=base_time, coefficients=tuple(fields))
 
     def radius_estimate(self) -> float:
         return _radius_from_norms(self.norms)
@@ -132,26 +165,14 @@ def _radius_from_norms(norms: list[float]) -> float:
     return min(ratios)
 
 
-def _validate_initial(u: SpectralVectorField, where: str) -> None:
-    div = relative_divergence(u)
-    if div > DIV_FREE_RTOL:
-        raise SolenoidalError(f"{where} requires divergence-free initial data", div)
-    defect = dealias_defect(u)
-    if defect > 1e-10:
-        raise FieldError(
-            f"{where} requires dealiased initial data (relative defect {defect:.3e})"
-        )
-
-
 def taylor_coefficients(
     u: SpectralVectorField, nu: Viscosity | float, order: int
 ) -> TaylorExpansion:
     """Coefficients c_0..c_order of the series around the state ``u``."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
-    _validate_initial(u, "taylor_coefficients")
-    builder = _SeriesBuilder(u.grid, np.array(u.data), nu_val)
+    _require_admissible(u, "taylor_coefficients")
+    builder = _SeriesBuilder(u.grid, u.data, viscosity_value(nu))
     for _ in range(order):
         builder.grow()
     return builder.expansion()
@@ -161,11 +182,15 @@ def evaluate(e: TaylorExpansion, t: float) -> SpectralVectorField:
     """Horner evaluation sum_n c_n t^n; t = 0 returns c_0 unchanged."""
     if t == 0.0:
         return e.coefficients[0]
-    acc = np.array(e.coefficients[-1].data)
-    for c in reversed(e.coefficients[:-1]):
+    return SpectralVectorField(e.grid, _horner([c.data for c in e.coefficients], t))
+
+
+def _horner(coeffs: list[np.ndarray], t: float) -> np.ndarray:
+    acc = np.array(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc *= t
-        acc += c.data
-    return SpectralVectorField(e.grid, acc)
+        acc += c
+    return acc
 
 
 def estimate_radius(e: TaylorExpansion) -> float:
@@ -198,15 +223,14 @@ def step(
         raise ValueError("tol must be positive")
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
-    _validate_initial(u, "step")
+    _require_admissible(u, "step")
     u_norm = u.l2_norm()
     if u_norm == 0.0:
         return u, StepStats(
             order_used=0, dt=dt, truncation_estimate=0.0, radius_estimate=math.inf
         )
 
-    builder = _SeriesBuilder(u.grid, np.array(u.data), nu_val)
+    builder = _SeriesBuilder(u.grid, u.data, viscosity_value(nu))
     bound = tol * u_norm
     dt_try = dt
     for _ in range(MAX_HALVINGS + 1):
@@ -228,12 +252,7 @@ def step(
                     continue
             else:
                 radius = math.inf
-            expansion = builder.expansion()
-            truncated = TaylorExpansion(
-                base_time=expansion.base_time,
-                coefficients=expansion.coefficients[: order_used + 1],
-            )
-            result = evaluate(truncated, dt_try)
+            result = builder.evaluate(order_used, dt_try)
             stats = StepStats(
                 order_used=order_used,
                 dt=dt_try,

@@ -1,10 +1,12 @@
 """Independent ground truth: closed-form decaying flows, a classical RK4
-pseudospectral integrator, and a reproducible random divergence-free field
-generator.
+pseudospectral integrator, a reproducible random divergence-free field
+generator, and the convective term in advective form.
 
 The RK4 path shares only the right-hand side with the series propagator; its
 time integration is entirely separate, which is what makes the two usable as
-mutual oracles.
+mutual oracles. ``advection_hat`` computes (a.grad)b from physical velocity
+gradients with full complex FFTs, independently of the divergence-form kernel
+in ``leray``; tests compare the two.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from .grid_spectral import (
     TWO_PI,
     Grid,
     SpectralVectorField,
+    fftn_forward,
+    ifftn_real,
     reflect_modes,
     relative_divergence,
 )
-from .leray import DIV_FREE_RTOL, Viscosity, leray_project, ns_rhs
+from .leray import DIV_FREE_RTOL, Viscosity, leray_project, ns_rhs, viscosity_value
 
 TAYLOR_GREEN_2D = "taylor_green_2d"
 TAYLOR_GREEN_3D_EMBEDDED = "taylor_green_3d_embedded"
@@ -102,7 +106,7 @@ def analytic_field(
     flow: AnalyticFlow, t: float, nu: Viscosity | float, grid: Grid
 ) -> SpectralVectorField:
     """Spectral coefficients of the flow at time ``t``, written mode-exactly."""
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
     if grid.dim != flow.dim:
         raise ValueError(
             f"flow kind {flow.kind!r} needs a {flow.dim}-D grid, got {grid.dim}-D"
@@ -111,6 +115,19 @@ def analytic_field(
         raise ValueError("analytic flows are defined on the 2*pi periodic box")
     decay = math.exp(-flow.decay_rate(nu_val) * t)
     return SpectralVectorField(grid, _flow_coefficients(flow, grid) * decay)
+
+
+def advection_hat(
+    grid: Grid, a_hat: np.ndarray, b_hat: np.ndarray | None = None
+) -> np.ndarray:
+    """Dealiased full spectrum of the convective term (a.grad)b (b = a by
+    default), formed in advective form from physical gradients d_j b_i."""
+    b_hat = a_hat if b_hat is None else b_hat
+    grads = np.empty((grid.dim, grid.dim, *grid.shape), dtype=np.complex128)
+    for j in range(grid.dim):
+        grads[:, j] = b_hat * (1j * grid.k_deriv[j])
+    adv = np.einsum("j...,ij...->i...", ifftn_real(grid, a_hat), ifftn_real(grid, grads))
+    return fftn_forward(grid, adv) * grid.dealias_keep
 
 
 def rk4_step(
@@ -133,7 +150,7 @@ def rk4_propagate(
     Enforces the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0 and
     rejects non-solenoidal initial data.
     """
-    nu_val = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    nu_val = viscosity_value(nu)
     if dt <= 0.0:
         raise ValueError("rk4 step size must be positive")
     if t_end < 0.0:

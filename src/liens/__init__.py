@@ -41,6 +41,7 @@ from .lie_propagator import (
     evaluate,
     propagate,
     step,
+    steps,
     taylor_coefficients,
 )
 from .operator_calculus import (
@@ -104,6 +105,7 @@ __all__ = [
     "rk4_propagate",
     "shell_spectrum",
     "step",
+    "steps",
     "taylor_coefficients",
     "to_physical",
     "to_spectral",

@@ -1,7 +1,7 @@
 """1-D viscous Burgers bench: the scalar specialization of the series
 propagator (no projection) plus an independent RK4 reference.
 
-Used to cross-check the symbolic generator powers against the numeric
+``cross_check`` compares the symbolic generator powers with the numeric
 Taylor recursion: n! * c_n of dv/dt = nu*v_xx - v*v_x must equal the n-fold
 generator action on u evaluated on the grid. Products are formed pointwise
 without dealiasing, so both routes discretize the same n-dimensional ODE
@@ -10,9 +10,16 @@ system; under-resolution shows up as honest disagreement.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from .errors import FieldError
+from .lie_propagator import StepStats, fixed_step, steps
+from .operator_calculus import DiffPoly, a_power_u, eval_diffpoly
+
+CROSS_CHECK_NU = 0.1
 
 
 def _spectral_derivative_table(n: int) -> np.ndarray:
@@ -76,14 +83,40 @@ def rk4_burgers(u0: np.ndarray, nu: float, t_end: float, dt: float) -> np.ndarra
     """Classical RK4 on the same pseudospectral Burgers system."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u = _check_samples(u0).copy()
-    remaining = t_end
-    while remaining > 0.0:
-        h = dt if remaining >= dt else remaining
+
+    def advance(u: np.ndarray, remaining: float):
+        h = fixed_step(dt, remaining)
         k1 = burgers_rhs(u, nu)
         k2 = burgers_rhs(u + 0.5 * h * k1, nu)
         k3 = burgers_rhs(u + 0.5 * h * k2, nu)
         k4 = burgers_rhs(u + h * k3, nu)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        remaining -= h
+        u_next = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return u_next, StepStats(order_used=4, dt=h)
+
+    u = _check_samples(u0).copy()
+    for _, u, _ in steps(u, t_end, advance):
+        pass
     return u
+
+
+def cross_check(order: int, n: int) -> tuple[list[float], list[float]]:
+    """For u0 = sin x + 0.3 cos 2x on n points: relative errors of the
+    symbolic A^k u against k! c_k, k = 0..order (0 where c_k vanishes), and at
+    t = 0.1 of the series cut after c_N, N = 2..10, against RK4 (dt 1e-4)."""
+    x = 2.0 * math.pi * np.arange(n) / n
+    u0 = np.sin(x) + 0.3 * np.cos(2 * x)
+    f = DiffPoly.u(2) * Fraction(1, 10) - DiffPoly.u(0) * DiffPoly.u(1)  # nu = 1/10
+    coeffs = taylor_coefficients_burgers(u0, CROSS_CHECK_NU, max(order, 10))
+    symbolic = []
+    for k in range(order + 1):
+        numeric = math.factorial(k) * coeffs[k]
+        denom = float(np.linalg.norm(numeric))
+        diff = float(np.linalg.norm(eval_diffpoly(a_power_u(f, k), u0) - numeric))
+        symbolic.append(diff / denom if denom else 0.0)
+    reference = rk4_burgers(u0, CROSS_CHECK_NU, 0.1, dt=1e-4)
+    truncation = [
+        float(np.linalg.norm(evaluate_series(coeffs[: trunc + 1], 0.1) - reference)
+              / np.linalg.norm(reference))
+        for trunc in range(2, 11)
+    ]
+    return symbolic, truncation

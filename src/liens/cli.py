@@ -48,9 +48,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .burgers1d import evaluate_series, rk4_burgers, taylor_coefficients_burgers
+from .burgers1d import CROSS_CHECK_NU, cross_check
 from .diagnostics import (
     TimeSeriesRecord,
     balance_residuals,
@@ -60,7 +58,7 @@ from .diagnostics import (
     shell_spectrum,
     write_series_csv,
 )
-from .errors import ConfigError, LiensError, RadiusCollapseError
+from .errors import ConfigError, LiensError, RadiusCollapseError, StabilityError
 from .grid_spectral import (
     TWO_PI,
     Grid,
@@ -73,9 +71,8 @@ from .grid_spectral import (
     write_snapshot,
 )
 from .leray import leray_project
-from .lie_propagator import step as lie_step
-from .operator_calculus import DiffPoly, a_power_u, eval_diffpoly
-from .reference_oracles import AnalyticFlow, analytic_field, random_divfree, rk4_step
+from .lie_propagator import step as lie_step, steps
+from .reference_oracles import AnalyticFlow, analytic_field, random_divfree, rk4_advance
 from .verification import format_table, run_acceptance
 
 _ANALYTIC_KINDS = ("taylor_green_2d", "taylor_green_3d_embedded", "beltrami_abc")
@@ -333,6 +330,15 @@ def cmd_simulate(config_path: Path) -> int:
         config = load_config(config_path)
         grid = Grid(dim=config.dim, n=config.n, length=config.l)
         u_raw = _initial_field(config, grid)
+        if config.integrator == "lie":
+            def advance(v, remaining):
+                return lie_step(v, config.nu, remaining, tol=config.tol,
+                                max_order=config.max_order)
+        else:
+            advance = rk4_advance(grid, config.nu, config.rk4_dt)
+    except StabilityError as exc:
+        print(f"config error: run.rk4_dt: {exc}", file=sys.stderr)
+        return 2
     except LiensError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -346,52 +352,15 @@ def cmd_simulate(config_path: Path) -> int:
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     records = [_record(0.0, u, 0, 0.0)]
-    snapshot_index = 0
+    cadence = config.snapshot_cadence
     current = u
-    t = 0.0
-
-    def maybe_snapshot(step_number: int, field: SpectralVectorField) -> None:
-        nonlocal snapshot_index
-        if config.snapshot_cadence and step_number % config.snapshot_cadence == 0:
-            snapshot_index += 1
-            write_snapshot(
-                config.output_dir / f"snapshot_{snapshot_index:06d}.liens", field
-            )
-
     try:
-        if config.integrator == "lie":
-            remaining = config.t_end
-            step_number = 0
-            while remaining > 0.0:
-                current, stats = lie_step(
-                    current, config.nu, remaining, tol=config.tol,
-                    max_order=config.max_order,
+        for number, (t, current, stats) in enumerate(steps(u, config.t_end, advance), 1):
+            records.append(_record(t, current, stats.order_used, stats.dt))
+            if cadence and number % cadence == 0:
+                write_snapshot(
+                    config.output_dir / f"snapshot_{number // cadence:06d}.liens", current
                 )
-                remaining -= stats.dt
-                t = config.t_end - remaining
-                step_number += 1
-                records.append(_record(t, current, stats.order_used, stats.dt))
-                maybe_snapshot(step_number, current)
-        else:
-            remaining = config.t_end
-            step_number = 0
-            if config.nu > 0:
-                bound = 0.5 * grid.spacing**2 / config.nu
-                if config.rk4_dt > bound:
-                    print(
-                        f"config error: run.rk4_dt exceeds the stability bound "
-                        f"{format_float(bound)}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            while remaining > 0.0:
-                h = config.rk4_dt if remaining >= config.rk4_dt else remaining
-                current = rk4_step(current, config.nu, h)
-                remaining -= h
-                t = config.t_end - remaining
-                step_number += 1
-                records.append(_record(t, current, 4, h))
-                maybe_snapshot(step_number, current)
     except RadiusCollapseError as exc:
         print(f"propagation failure: {exc}", file=sys.stderr)
         write_snapshot(config.output_dir / "field_last.liens", current)
@@ -426,41 +395,26 @@ def cmd_burgers_check(order: int, n: int) -> int:
     if n < 8 or (n & (n - 1)) != 0:
         print("burgers-check: --n must be a power of two >= 8", file=sys.stderr)
         return 2
-    from fractions import Fraction
-
-    nu = 0.1
-    x = TWO_PI * np.arange(n) / n
-    u0 = np.sin(x) + 0.3 * np.cos(2 * x)
-    f = DiffPoly.u(2) * Fraction(1, 10) - DiffPoly.u(0) * DiffPoly.u(1)
-    coeffs = taylor_coefficients_burgers(u0, nu, max(order, 10))
+    symbolic, truncation = cross_check(order, n)
 
     ok = True
-    print(f"symbolic generator powers vs series recursion (n={n}, nu={nu})")
+    print(f"symbolic generator powers vs series recursion (n={n}, nu={CROSS_CHECK_NU})")
     print(f"{'n':>2}  {'rel error':>12}  bound      status")
-    for k in range(order + 1):
-        symbolic = eval_diffpoly(a_power_u(f, k), u0)
-        numeric = math.factorial(k) * coeffs[k]
-        denom = float(np.linalg.norm(numeric))
-        rel = float(np.linalg.norm(symbolic - numeric)) / denom if denom else 0.0
+    for k, rel in enumerate(symbolic):
         passed = rel <= 1e-8
         ok &= passed
         print(f"{k:>2}  {rel:>12.3e}  1.0e-08    {'PASS' if passed else 'FAIL'}")
 
-    reference = rk4_burgers(u0, nu, 0.1, dt=1e-4)
     print("truncated series vs rk4 at t=0.1")
     print(f"{'N':>2}  {'rel error':>12}  monotone")
     prev = None
     monotone = True
-    final = None
-    for trunc in range(2, 11):
-        approx = evaluate_series(coeffs[: trunc + 1], 0.1)
-        err = float(np.linalg.norm(approx - reference) / np.linalg.norm(reference))
+    for trunc, err in enumerate(truncation, 2):
         mono = prev is None or err < prev
         monotone &= mono
         print(f"{trunc:>2}  {err:>12.3e}  {'yes' if mono else 'NO'}")
         prev = err
-        final = err
-    ok &= monotone and final <= 1e-8
+    ok &= monotone and truncation[-1] <= 1e-8
 
     if not ok:
         if 2 * (order + 1) + 2 > n // 2:

@@ -58,13 +58,16 @@ class Viscosity:
     nu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu >= 0.0):
-            raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
+        viscosity_value(self.nu)
 
 
 def viscosity_value(nu: Viscosity | float) -> float:
-    """The viscosity as a float, from a ``Viscosity`` or a plain number."""
-    return nu.nu if isinstance(nu, Viscosity) else float(nu)
+    """The viscosity as a float, from a ``Viscosity`` or a plain number;
+    rejects a value that is not finite and nonnegative."""
+    value = nu.nu if isinstance(nu, Viscosity) else float(nu)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"viscosity must be finite and nonnegative, got {value}")
+    return value
 
 
 def _require_admissible(v: SpectralVectorField, where: str) -> None:
@@ -180,8 +183,6 @@ def ns_rhs(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField
     Output is divergence-free and dealiased whenever the input is.
     """
     nu_val = viscosity_value(nu)
-    if nu_val < 0.0:
-        raise ValueError("viscosity must be nonnegative")
     _require_admissible(v, "ns_rhs")
     grid = v.grid
     nonlinear = nonlinear_hat(grid, _velocity_tensor(grid, v.data))

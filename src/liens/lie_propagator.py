@@ -22,14 +22,15 @@ The expansion is used as a one-step integrator: the step accepts a dt once
 the last retained term satisfies ||c_N|| dt^N <= tol ||u|| and dt stays
 within half the empirical convergence-radius estimate, halving dt otherwise
 (at most 20 times). n! c_n reproduces the n-th generator power applied to u,
-which is what the symbolic calculus cross-checks in one dimension.
+which is what the symbolic calculus cross-checks in one dimension. ``steps``
+composes steps, T(t_end) = T(dt_k)...T(dt_1), for this and every integrator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -56,6 +57,7 @@ DEFAULT_MAX_ORDER = 30
 MAX_HALVINGS = 20
 RADIUS_SAFETY = 0.5
 
+State = TypeVar("State")  # what ``steps`` advances: a field, or 1-D samples
 
 @dataclass(frozen=True)
 class TaylorExpansion:
@@ -79,12 +81,13 @@ class TaylorExpansion:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Bookkeeping for one accepted series step."""
+    """Bookkeeping for one accepted step. RK4 reports order 4 and leaves the
+    truncation and radius estimates NaN: it does not estimate them."""
 
     order_used: int
     dt: float
-    truncation_estimate: float
-    radius_estimate: float
+    truncation_estimate: float = math.nan
+    radius_estimate: float = math.nan
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -223,6 +226,7 @@ def step(
         raise ValueError("tol must be positive")
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
+    nu_val = viscosity_value(nu)
     _require_admissible(u, "step")
     u_norm = u.l2_norm()
     if u_norm == 0.0:
@@ -230,7 +234,7 @@ def step(
             order_used=0, dt=dt, truncation_estimate=0.0, radius_estimate=math.inf
         )
 
-    builder = _SeriesBuilder(u.grid, u.data, viscosity_value(nu))
+    builder = _SeriesBuilder(u.grid, u.data, nu_val)
     bound = tol * u_norm
     dt_try = dt
     for _ in range(MAX_HALVINGS + 1):
@@ -270,6 +274,29 @@ def step(
     )
 
 
+def fixed_step(dt: float, remaining: float) -> float:
+    """The step a fixed-dt integrator takes with ``remaining`` time left: dt,
+    or the whole remainder once it exceeds dt by no more than bookkeeping
+    round-off (1e-6 relative), so the run ends without a sliver step."""
+    return remaining if remaining <= dt * (1.0 + 1e-6) else dt
+
+
+def steps(
+    u: State, t_end: float, advance: Callable[[State, float], tuple[State, StepStats]]
+) -> Iterator[tuple[float, State, StepStats]]:
+    """Step from ``u`` to exactly ``t_end``, yielding (t, field, stats) after
+    every step; ``advance(v, remaining) -> (v_next, stats)`` takes one step
+    of at most ``remaining``."""
+    if t_end < 0.0:
+        raise ValueError("t_end must be nonnegative")
+    v = u
+    remaining = t_end
+    while remaining > 0.0:
+        v, stats = advance(v, remaining)
+        remaining -= stats.dt
+        yield t_end - remaining, v, stats
+
+
 def propagate(
     u: SpectralVectorField,
     nu: Viscosity | float,
@@ -284,13 +311,10 @@ def propagate(
     shrink it; the observer is invoked after every accepted step with the
     reached time, the new field, and the step statistics.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
     v = u
-    remaining = t_end
-    while remaining > 0.0:
-        v, stats = step(v, nu, remaining, tol=tol, max_order=max_order)
-        remaining -= stats.dt
+    for t, v, stats in steps(
+        u, t_end, lambda w, dt: step(w, nu, dt, tol=tol, max_order=max_order)
+    ):
         if observer is not None:
-            observer(t_end - remaining, v, stats)
+            observer(t, v, stats)
     return v

@@ -2,10 +2,10 @@
 pseudospectral integrator, a reproducible random divergence-free field
 generator, and the convective term in advective form.
 
-The RK4 path shares only the right-hand side with the series propagator; its
-time integration is entirely separate, which is what makes the two usable as
-mutual oracles. ``advection_hat`` computes (a.grad)b from physical velocity
-gradients with full complex FFTs, independently of the divergence-form kernel
+The RK4 path shares the right-hand side and the step loop ``steps`` with the
+series propagator; its time-stepping scheme is entirely separate, which is
+what makes the two usable as mutual oracles. ``advection_hat`` computes
+(a.grad)b from physical velocity gradients with full complex FFTs, independently of the divergence-form kernel
 in ``leray``; tests compare the two.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolenoidalError, StabilityError
+from .errors import StabilityError
 from .grid_spectral import (
     TWO_PI,
     Grid,
@@ -24,9 +24,9 @@ from .grid_spectral import (
     fftn_forward,
     ifftn_real,
     reflect_modes,
-    relative_divergence,
 )
-from .leray import DIV_FREE_RTOL, Viscosity, leray_project, ns_rhs, viscosity_value
+from .leray import Viscosity, _require_admissible, leray_project, ns_rhs, viscosity_value
+from .lie_propagator import StepStats, fixed_step, steps
 
 TAYLOR_GREEN_2D = "taylor_green_2d"
 TAYLOR_GREEN_3D_EMBEDDED = "taylor_green_3d_embedded"
@@ -142,32 +142,34 @@ def rk4_step(
     return leray_project(out)
 
 
-def rk4_propagate(
-    u: SpectralVectorField, nu: Viscosity | float, t_end: float, dt: float
-) -> SpectralVectorField:
-    """Advance ``u`` to ``t_end`` with fixed-step RK4 (final step shortened).
-
-    Enforces the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0 and
-    rejects non-solenoidal initial data.
-    """
+def rk4_advance(grid: Grid, nu: Viscosity | float, dt: float):
+    """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``. Enforces
+    the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0."""
     nu_val = viscosity_value(nu)
     if dt <= 0.0:
         raise ValueError("rk4 step size must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
     if nu_val > 0.0:
-        dt_max = 0.5 * u.grid.spacing**2 / nu_val
+        dt_max = 0.5 * grid.spacing**2 / nu_val
         if dt > dt_max:
             raise StabilityError("rk4 step exceeds the explicit stability bound", dt_max)
-    div = relative_divergence(u)
-    if div > DIV_FREE_RTOL:
-        raise SolenoidalError("rk4_propagate requires divergence-free initial data", div)
+
+    def advance(v: SpectralVectorField, remaining: float):
+        h = fixed_step(dt, remaining)
+        return rk4_step(v, nu_val, h), StepStats(order_used=4, dt=h)
+
+    return advance
+
+
+def rk4_propagate(
+    u: SpectralVectorField, nu: Viscosity | float, t_end: float, dt: float
+) -> SpectralVectorField:
+    """Advance ``u`` to ``t_end`` with fixed-step RK4 (see ``rk4_advance``);
+    rejects initial data that is not divergence-free and dealiased."""
+    advance = rk4_advance(u.grid, nu, dt)
+    _require_admissible(u, "rk4_propagate")
     v = u
-    remaining = t_end
-    while remaining > 0.0:
-        h = dt if remaining >= dt else remaining
-        v = rk4_step(v, nu_val, h)
-        remaining -= h
+    for _, v, _ in steps(u, t_end, advance):
+        pass
     return v
 
 

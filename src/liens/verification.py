@@ -8,14 +8,13 @@ level runs the 2-D subset; full adds the 32^3 cases.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .burgers1d import evaluate_series, rk4_burgers, taylor_coefficients_burgers
+from .burgers1d import cross_check
 from .diagnostics import energy, enstrophy_norm
 from .grid_spectral import (
     Grid,
@@ -32,8 +31,15 @@ from .leray import (
     ns_rhs,
     viscosity_value,
 )
-from .lie_propagator import StepStats, estimate_radius, evaluate, step, taylor_coefficients
-from .operator_calculus import DiffPoly, a_power_u, apply_A, derivation_check, eval_diffpoly
+from .lie_propagator import (
+    StepStats,
+    estimate_radius,
+    evaluate,
+    step,
+    steps,
+    taylor_coefficients,
+)
+from .operator_calculus import DiffPoly, apply_A, derivation_check
 from .reference_oracles import AnalyticFlow, analytic_field, random_divfree, rk4_propagate
 
 QUICK = "quick"
@@ -59,30 +65,15 @@ class CheckResult:
         )
 
 
-@dataclass
-class _TrackedRun:
-    """One series-propagated trajectory with everything later checks need."""
-
-    nu: float
-    steps: list[tuple[SpectralVectorField, SpectralVectorField, StepStats]] = field(
-        default_factory=list
-    )
-    energies: list[float] = field(default_factory=list)
-    final: SpectralVectorField | None = None
-
-
-def _tracked_propagate(u, nu, t_end, tol=1e-10, max_order=30) -> _TrackedRun:
-    run = _TrackedRun(nu=nu)
-    run.energies.append(energy(u))
-    current = u
-    remaining = t_end
-    while remaining > 0.0:
-        out, stats = step(current, nu, remaining, tol=tol, max_order=max_order)
-        run.steps.append((current, out, stats))
-        run.energies.append(energy(out))
-        remaining -= stats.dt
-        current = out
-    run.final = current
+def _tracked_propagate(
+    u: SpectralVectorField, nu: float, t_end: float
+) -> list[tuple[SpectralVectorField, SpectralVectorField, StepStats]]:
+    """(start, out, stats) of every accepted series step (tol 1e-10) of the
+    run from ``u`` to ``t_end``; later checks re-read the steps."""
+    run, start = [], u
+    for _, out, stats in steps(u, t_end, lambda v, dt: step(v, nu, dt, tol=1e-10)):
+        run.append((start, out, stats))
+        start = out
     return run
 
 
@@ -102,10 +93,10 @@ def criterion_1_taylor_green(context) -> list[CheckResult]:
     flow = AnalyticFlow("taylor_green_2d")
     u = analytic_field(flow, 0.0, nu, grid)
     t0 = time.perf_counter()
-    run = _tracked_propagate(u, nu, 1.0, tol=1e-10)
+    run = _tracked_propagate(u, nu, 1.0)
     runtime = time.perf_counter() - t0
-    err = _rel_l2(run.final, analytic_field(flow, 1.0, nu, grid))
-    context["run1"] = run
+    err = _rel_l2(run[-1][1], analytic_field(flow, 1.0, nu, grid))
+    context["run1"] = (nu, run)
     return [
         CheckResult("1", "taylor-green 2d relative L2 error", err, 1e-8),
         CheckResult("1", "taylor-green 2d runtime [s]", runtime, 5.0),
@@ -118,10 +109,10 @@ def criterion_2_beltrami(context) -> list[CheckResult]:
     flow = AnalyticFlow("beltrami_abc")
     u = analytic_field(flow, 0.0, nu, grid)
     t0 = time.perf_counter()
-    run = _tracked_propagate(u, nu, 0.5, tol=1e-10)
+    run = _tracked_propagate(u, nu, 0.5)
     runtime = time.perf_counter() - t0
-    err = _rel_l2(run.final, analytic_field(flow, 0.5, nu, grid))
-    context["run2"] = run
+    err = _rel_l2(run[-1][1], analytic_field(flow, 0.5, nu, grid))
+    context["run2"] = (nu, run)
     return [
         CheckResult("2", "beltrami abc 3d relative L2 error", err, 1e-7),
         CheckResult("2", "beltrami abc 3d runtime [s]", runtime, 120.0),
@@ -175,11 +166,9 @@ def criterion_3_dissipativity(level: str, pressure_sign: float = 1.0) -> list[Ch
 def criterion_4_divergence_preservation(context) -> list[CheckResult]:
     worst = 0.0
     for key in ("run1", "run2"):
-        run = context.get(key)
-        if run is None:
-            continue
-        for start, out, stats in run.steps:
-            expansion = taylor_coefficients(start, run.nu, stats.order_used)
+        nu, run = context.get(key, (None, []))
+        for start, out, stats in run:
+            expansion = taylor_coefficients(start, nu, stats.order_used)
             for c in expansion.coefficients:
                 worst = max(worst, relative_divergence(c))
             worst = max(worst, relative_divergence(out))
@@ -190,14 +179,14 @@ def criterion_5_oracle_agreement(context) -> list[CheckResult]:
     grid = Grid(dim=3, n=32)
     nu = 0.02
     u = random_divfree(seed=7, grid=grid, peak_k=3, amplitude=1.0)
-    run = _tracked_propagate(u, nu, 0.5, tol=1e-10)
+    run = _tracked_propagate(u, nu, 0.5)
     reference = rk4_propagate(u, nu, 0.5, dt=1e-3)
-    context["run5"] = run
+    context["run5"] = (nu, run)
     context["u5"] = u
     context["nu5"] = nu
     return [
         CheckResult(
-            "5", "lie vs rk4 relative L2 distance", _rel_l2(run.final, reference), 1e-6
+            "5", "lie vs rk4 relative L2 distance", _rel_l2(run[-1][1], reference), 1e-6
         )
     ]
 
@@ -247,29 +236,10 @@ def criterion_7_convergence_order() -> list[CheckResult]:
 
 
 def criterion_8_linear_representation() -> list[CheckResult]:
-    n = 64
-    x = 2.0 * math.pi * np.arange(n) / n
-    u0 = np.sin(x) + 0.3 * np.cos(2 * x)
-    nu = 0.1
-    f = DiffPoly.u(2) * Fraction(1, 10) - DiffPoly.u(0) * DiffPoly.u(1)
-    coeffs = taylor_coefficients_burgers(u0, nu, 10)
-
-    worst_sym = 0.0
-    for k in range(6):
-        symbolic = eval_diffpoly(a_power_u(f, k), u0)
-        numeric = math.factorial(k) * coeffs[k]
-        denom = float(np.linalg.norm(numeric))
-        if denom:
-            worst_sym = max(worst_sym, float(np.linalg.norm(symbolic - numeric)) / denom)
-
-    reference = rk4_burgers(u0, nu, 0.1, dt=1e-4)
-    errors = []
-    for order in range(2, 11):
-        approx = evaluate_series(coeffs[: order + 1], 0.1)
-        errors.append(float(np.linalg.norm(approx - reference) / np.linalg.norm(reference)))
+    symbolic, errors = cross_check(5, 64)
     worst_ratio = max(b / a for a, b in zip(errors, errors[1:]))
     return [
-        CheckResult("8", "symbolic vs numeric coefficients n<=5", worst_sym, 1e-8),
+        CheckResult("8", "symbolic vs numeric coefficients n<=5", max(symbolic), 1e-8),
         CheckResult("8", "series error monotone (max ratio)", worst_ratio, 1.0),
         CheckResult("8", "series error at order 10", errors[-1], 1e-8),
     ]
@@ -306,10 +276,9 @@ def criterion_9_exact_laws() -> list[CheckResult]:
 def criterion_10_energy_monotonicity(context) -> list[CheckResult]:
     worst = 0.0
     for key in ("run1", "run2", "run5"):
-        run = context.get(key)
-        if run is None:
-            continue
-        for before, after in zip(run.energies, run.energies[1:]):
+        _, run = context.get(key, (None, []))
+        for start, out, _ in run:
+            before, after = energy(start), energy(out)
             if before > 0:
                 worst = max(worst, (after - before) / before)
     return [CheckResult("10", "max relative energy increase", worst, 1e-12)]

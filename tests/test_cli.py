@@ -5,6 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from liens import (
+    AnalyticFlow,
+    Grid,
+    analytic_field,
+    dealias,
+    leray_project,
+    propagate,
+    random_divfree,
+    rk4_propagate,
+)
 from liens.cli import cmd_simulate, load_config, main, parse_config
 from liens.diagnostics import read_series_csv
 from liens.errors import ConfigError
@@ -144,8 +154,6 @@ class TestSimulate:
         rows = read_series_csv(tmp_path / "out0" / "series.csv")
         assert len(rows) == 1 and rows[0].t == 0.0
         final = read_snapshot(tmp_path / "out0" / "field_final.liens")
-        from liens import AnalyticFlow, Grid, analytic_field
-
         u = analytic_field(AnalyticFlow("taylor_green_2d"), 0.0, 0.1, Grid(2, 32))
         assert np.max(np.abs(final.data - u.data)) < 1e-14
 
@@ -170,18 +178,54 @@ class TestSimulate:
         last = read_snapshot(snapshots[-1])
         assert np.array_equal(final.data, last.data)
 
-    def test_determinism_byte_identical(self, tmp_path):
-        cfg_a = write_cfg(
-            tmp_path, RANDOM_RK4_CONFIG.format(out=tmp_path / "a"), name="a.cfg"
+    @pytest.mark.parametrize(
+        "text,snapshots",
+        [
+            pytest.param(
+                TG_CONFIG.format(n=32, t_end=1.0, out="{out}", cadence=1), True, id="lie"
+            ),
+            pytest.param(RANDOM_RK4_CONFIG, False, id="rk4"),
+        ],
+    )
+    def test_determinism_byte_identical(self, tmp_path, text, snapshots):
+        for name in ("a", "b"):
+            cfg = write_cfg(tmp_path, text.format(out=tmp_path / name), name=f"{name}.cfg")
+            assert cmd_simulate(cfg) == 0
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert {"series.csv", "spectrum_final.csv", "field_final.liens"} <= set(files)
+        assert any(f.startswith("snapshot_") for f in files) == snapshots
+        for f in files:
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+
+    @pytest.mark.parametrize("integrator", ["lie", "rk4"])
+    def test_final_field_equals_library_propagation(self, tmp_path, integrator):
+        grid = Grid(dim=2, n=32)
+        if integrator == "lie":
+            text = TG_CONFIG.format(n=32, t_end=1.0, out=tmp_path / "o", cadence=0)
+            u = analytic_field(AnalyticFlow("taylor_green_2d"), 0.0, 0.1, grid)
+        else:
+            text = RANDOM_RK4_CONFIG.format(out=tmp_path / "o")
+            u = random_divfree(seed=5, grid=grid, peak_k=3, amplitude=1.0)
+        assert cmd_simulate(write_cfg(tmp_path, text)) == 0
+        u = leray_project(dealias(u))  # what simulate starts from
+        if integrator == "lie":
+            want = propagate(u, 0.1, 1.0, tol=1e-10)
+        else:
+            want = rk4_propagate(u, 0.05, 0.05, dt=1e-3)
+        got = read_snapshot(tmp_path / "o" / "field_final.liens")
+        assert np.array_equal(got.data, want.data)
+
+    def test_rk4_last_step_absorbs_roundoff(self, tmp_path):
+        # Seven steps of 0.1 leave 2.8e-17 of t_end = 0.7 by float subtraction.
+        text = TG_CONFIG.format(n=16, t_end=0.7, out=tmp_path / "o", cadence=0).replace(
+            "integrator = lie\ntol = 1e-10", "integrator = rk4\nrk4_dt = 0.1"
         )
-        cfg_b = write_cfg(
-            tmp_path, RANDOM_RK4_CONFIG.format(out=tmp_path / "b"), name="b.cfg"
-        )
-        assert cmd_simulate(cfg_a) == 0
-        assert cmd_simulate(cfg_b) == 0
-        assert (tmp_path / "a" / "series.csv").read_bytes() == (
-            tmp_path / "b" / "series.csv"
-        ).read_bytes()
+        assert cmd_simulate(write_cfg(tmp_path, text)) == 0
+        rows = read_series_csv(tmp_path / "o" / "series.csv")
+        assert len(rows) == 8
+        assert rows[-1].t == 0.7
+        assert (tmp_path / "o" / "field_final.liens").exists()
 
     def test_snapshot_initial_condition(self, tmp_path):
         base = write_cfg(
@@ -207,6 +251,10 @@ class TestSimulate:
         assert "propagation failure" in capsys.readouterr().err
         assert (tmp_path / "fail" / "field_last.liens").exists()
         assert (tmp_path / "fail" / "series.csv").exists()
+        # the first step fails, so the last accepted field is the projected start
+        u = random_divfree(seed=3, grid=Grid(dim=2, n=32), peak_k=3, amplitude=1.0)
+        last = read_snapshot(tmp_path / "fail" / "field_last.liens")
+        assert np.array_equal(last.data, leray_project(dealias(u)).data)
 
     def test_rk4_stability_guard(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out=tmp_path / "stab").replace(

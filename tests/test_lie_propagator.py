@@ -16,11 +16,12 @@ from liens import (
     evaluate,
     propagate,
     step,
+    steps,
     taylor_coefficients,
 )
 from liens.errors import RadiusCollapseError, SolenoidalError
 from liens.grid_spectral import relative_divergence, zero_vector_field
-from liens.lie_propagator import TaylorExpansion
+from liens.lie_propagator import StepStats, TaylorExpansion, fixed_step
 from liens.reference_oracles import random_divfree, rk4_step
 
 from conftest import random_real_field
@@ -270,6 +271,37 @@ class TestPropagate:
         propagate(u, 0.1, t_end=0.7, tol=1e-10,
                   observer=lambda t, v, s: seen.append(s.dt))
         assert sum(seen) == pytest.approx(0.7, abs=1e-15)
+
+
+class TestSteps:
+    def test_negative_horizon_rejected(self, random_divfree_2d):
+        with pytest.raises(ValueError, match="t_end"):
+            next(steps(random_divfree_2d, -1.0, lambda v, dt: step(v, 0.1, dt)))
+
+    @pytest.mark.parametrize("t_end,dt,count", [(0.7, 0.1, 7), (1.0, 1e-4, 10000)])
+    def test_fixed_step_run_ends_without_sliver(self, t_end, dt, count):
+        # Subtracting dt count times leaves 2.8e-17 (9.4e-14) of t_end to go;
+        # the last step absorbs it instead of taking a sliver step.
+        def advance(v, remaining):
+            return v, StepStats(order_used=4, dt=fixed_step(dt, remaining))
+
+        times = [t for t, _, _ in steps(0.0, t_end, advance)]
+        assert len(times) == count
+        assert times[-1] == t_end
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: step(u, -0.1, 0.1),
+        lambda u: propagate(u, -0.1, 0.1),
+        lambda u: taylor_coefficients(u, -0.1, 4),
+    ],
+    ids=["step", "propagate", "taylor_coefficients"],
+)
+def test_negative_viscosity_rejected(call):
+    with pytest.raises(ValueError, match="viscosity must be finite and nonnegative"):
+        call(tg_field(Grid(dim=2, n=32)))
 
 
 class TestTaylorExpansionType:

@@ -11,11 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid_spectral import (
-    RealVectorField,
-    SpectralVectorField,
-    inner_product,
-)
+from .grid_spectral import RealVectorField, SpectralVectorField, inner_product, parseval_sum
 from .leray import Viscosity, ns_rhs, viscosity_value
 
 SERIES_CSV_HEADER = "t,energy,enstrophy,div_max,balance_residual,order_used,dt"
@@ -46,13 +42,13 @@ def energy(v: SpectralVectorField | RealVectorField) -> float:
     """Kinetic energy (1/2) <v, v>; spectral fields use Parseval directly."""
     if isinstance(v, RealVectorField):
         return 0.5 * v.grid.cell_volume * float(np.sum(v.data**2))
-    return 0.5 * v.grid.volume * float(np.sum(np.abs(v.data) ** 2))
+    return 0.5 * parseval_sum(v.grid, np.abs(v.data) ** 2)
 
 
 def enstrophy_norm(v: SpectralVectorField) -> float:
     """Gradient-square integral sum_ij int (d_j v_i)^2 dx."""
     grid = v.grid
-    return grid.volume * float(np.sum(grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0)))
+    return parseval_sum(grid, grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0))
 
 
 def dissipativity_residual(v: SpectralVectorField, nu: Viscosity | float) -> float:
@@ -116,7 +112,7 @@ def shell_spectrum(v: SpectralVectorField) -> list[tuple[int, float]]:
     """Energy binned by integer |k| shells (|k| rounded to nearest, ties to
     even via ``np.rint``). The shell energies partition the total exactly."""
     grid = v.grid
-    mode_energy = 0.5 * grid.volume * np.sum(np.abs(v.data) ** 2, axis=0)
+    mode_energy = 0.5 * grid.volume * grid.weight * np.sum(np.abs(v.data) ** 2, axis=0)
     shells = np.rint(grid.k_magnitude).astype(int)
     totals = np.bincount(shells.ravel(), weights=mode_energy.ravel())
     return [(int(s), float(totals[s])) for s in range(len(totals))]

@@ -14,11 +14,18 @@ Conventions
   (``sin x`` has coefficient -i/2 at k=(1,0,...)).
 * The integer mode index j runs 0..n-1; the signed index is j for
   j <= n/2 and j-n above, so the Nyquist index n/2 carries the positive sign.
+* Every spectral array is a half spectrum, the layout ``rfftn`` returns:
+  every grid axis but the last is complete, the last keeps indices 0..n/2
+  only. A negative index on the last axis therefore counts back from n/2
+  (index -1 is the Nyquist column), not to mode -1. The omitted modes are the
+  conjugates of their reflections k -> -k, so every spectral field is the
+  spectrum of a real field by construction, except on the two self-conjugate
+  planes (last-axis index 0 and n/2), whose symmetry ``to_physical`` checks.
+* ``Grid``'s wavenumber tables have the half-spectrum shape. ``Grid.weight``
+  counts the full-spectrum modes each stored mode stands for, and
+  ``parseval_sum`` turns a per-mode density into the integral over the box.
 * Differentiation multiplies by i*k and zeroes the Nyquist mode, keeping
   derivatives of real fields real.
-* The half spectrum of a real field is what ``rfftn`` returns: every grid
-  axis but the last is complete, the last keeps indices 0..n/2. The other
-  modes are the conjugates of their reflections (``complete_hermitian``).
 """
 
 from __future__ import annotations
@@ -39,9 +46,8 @@ TWO_PI = 2.0 * math.pi
 
 SNAPSHOT_MAGIC = "LIENS1"
 
-# Relative tolerances fixed by the field contracts.
+# Relative tolerance of the Hermitian symmetry checks.
 HERMITIAN_RTOL = 1e-10
-IMAG_RESIDUE_RTOL = 1e-12
 
 
 def fft_worker_count() -> int:
@@ -55,23 +61,6 @@ def fft_worker_count() -> int:
         except ValueError:
             pass
     return avail
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpectrum:
-    """Wavenumber tables of the half spectrum, shaped like ``Grid``'s full
-    tables with the last grid axis cut to indices 0..n/2.
-
-    ``weight`` is the number of full-spectrum modes each stored mode stands
-    for (1 on the self-conjugate planes j = 0 and j = n/2 of the last axis, 2
-    elsewhere), so weighted sums over the half spectrum are Parseval sums.
-    """
-
-    k_deriv: tuple[np.ndarray, ...]
-    ksq: np.ndarray
-    inv_ksq: np.ndarray
-    dealias_keep: np.ndarray
-    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,6 +86,11 @@ class Grid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of a half spectrum: the last grid axis keeps indices 0..n/2."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     @property
     def spacing(self) -> float:
@@ -129,9 +123,12 @@ class Grid:
         return k
 
     def _axis_view(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Reshape a per-axis 1-D table so it broadcasts along grid axis ``axis``."""
+        """Reshape a per-axis 1-D table so it broadcasts along spectral axis
+        ``axis`` of a half spectrum (the last axis keeps indices 0..n/2)."""
+        if axis == self.dim - 1:
+            values = values[: self.n // 2 + 1]
         shape = [1] * self.dim
-        shape[axis] = self.n
+        shape[axis] = len(values)
         return values.reshape(shape)
 
     @cached_property
@@ -141,8 +138,8 @@ class Grid:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        """|k|^2 built from the differentiation wavenumbers (full grid array)."""
-        out = np.zeros(self.shape)
+        """|k|^2 built from the differentiation wavenumbers."""
+        out = np.zeros(self.spectral_shape)
         for a in range(self.dim):
             out = out + self.k_deriv[a] ** 2
         return out
@@ -156,30 +153,24 @@ class Grid:
     @cached_property
     def dealias_keep(self) -> np.ndarray:
         """Boolean mask of surviving modes: every axis index satisfies 3|j| <= n."""
-        keep = np.ones(self.shape, dtype=bool)
+        keep = np.ones(self.spectral_shape, dtype=bool)
         j = self.mode_index_1d
         for a in range(self.dim):
             keep &= self._axis_view(3 * np.abs(j) <= self.n, a)
         return keep
 
     @cached_property
-    def half(self) -> HalfSpectrum:
-        """The tables above restricted to the half spectrum."""
-        cut = (Ellipsis, slice(0, self.n // 2 + 1))
+    def weight(self) -> np.ndarray:
+        """Full-spectrum modes each stored mode stands for, along the last
+        axis: 1 on the self-conjugate planes j = 0 and j = n/2, 2 elsewhere."""
         weight = np.full(self.n // 2 + 1, 2.0)
-        weight[[0, -1]] = 1.0
-        return HalfSpectrum(
-            k_deriv=(*self.k_deriv[:-1], self.k_deriv[-1][cut]),
-            ksq=np.ascontiguousarray(self.ksq[cut]),
-            inv_ksq=np.ascontiguousarray(self.inv_ksq[cut]),
-            dealias_keep=np.ascontiguousarray(self.dealias_keep[cut]),
-            weight=weight,
-        )
+        weight[[0, self.n // 2]] = 1.0
+        return weight
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:
         """|k| per mode (Nyquist included at its full magnitude), for shell binning."""
-        out = np.zeros(self.shape)
+        out = np.zeros(self.spectral_shape)
         for a in range(self.dim):
             out = out + self._axis_view(self.k_1d, a) ** 2
         return np.sqrt(out)
@@ -203,45 +194,31 @@ def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
 
 
 def fftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transform of the trailing grid axes, 1/n^dim normalization."""
-    return _sfft.fftn(
-        values, axes=_grid_axes(grid, values), norm="forward", workers=fft_worker_count()
-    )
-
-
-def ifftn_real(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
-    """Unnormalized inverse transform of the trailing grid axes, real part only."""
-    return _sfft.ifftn(
-        coefficients,
-        axes=_grid_axes(grid, coefficients),
-        norm="forward",
-        workers=fft_worker_count(),
-    ).real
-
-
-def rfftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Forward transform of real values to their half spectrum, 1/n^dim
-    normalization (the stored modes equal those of ``fftn_forward``)."""
+    """Half spectrum of real values on the trailing grid axes, 1/n^dim
+    normalization."""
     return _sfft.rfftn(
         values, axes=_grid_axes(grid, values), norm="forward", workers=fft_worker_count()
     )
 
 
-def irfftn_real(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Unnormalized inverse transform of a half spectrum to real values."""
+def ifftn_real(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
+    """Real values of a half spectrum on the trailing grid axes, the
+    unnormalized inverse sum."""
     return _sfft.irfftn(
-        half, s=grid.shape, axes=_grid_axes(grid, half), norm="forward",
+        coefficients,
+        s=grid.shape,
+        axes=_grid_axes(grid, coefficients),
+        norm="forward",
         workers=fft_worker_count(),
     )
 
 
-def half_spectrum(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
-    """View of the modes of a full spectrum that the half spectrum keeps."""
-    return coefficients[..., : grid.n // 2 + 1]
-
-
 def reflect_modes(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
-    """Return the array re-indexed k -> -k on every grid axis."""
+    """Return the full-spectrum array re-indexed k -> -k on every grid axis.
+
+    On the self-conjugate planes of a half spectrum, ``data[..., ::n // 2]``,
+    it reflects the plane: their two last-axis indices 0 and n/2 are their
+    own reflections."""
     out = coefficients
     for ax in _grid_axes(grid, coefficients):
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
@@ -265,10 +242,19 @@ def complete_hermitian(grid: Grid, half: np.ndarray) -> np.ndarray:
     return full
 
 
-def half_l2_norm(grid: Grid, half: np.ndarray) -> float:
-    """L2 norm of a real field from its half spectrum (weighted Parseval)."""
-    power = half.real**2 + half.imag**2
-    return math.sqrt(grid.volume * float(np.sum(power * grid.half.weight)))
+def _conjugate_mismatch(grid: Grid, coefficients: np.ndarray) -> float:
+    """sqrt(sum |c_k - conj(c_-k)|^2) over a full spectrum or a set of
+    self-conjugate planes."""
+    defect = coefficients - np.conj(reflect_modes(grid, coefficients))
+    return math.sqrt(float(np.sum(np.abs(defect) ** 2)))
+
+
+def parseval_sum(grid: Grid, density: np.ndarray) -> float:
+    """The integral over the box that a per-mode density on the half spectrum
+    stands for (|c_k|^2 gives the squared L2 norm, Re conj(a_k) b_k the inner
+    product): volume times the full-spectrum sum, which counts every stored
+    mode ``Grid.weight`` times."""
+    return grid.volume * float(np.sum(density * grid.weight))
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +315,17 @@ class _SpectralArithmetic:
         return self.with_data(-self.data)
 
     def l2_norm(self) -> float:
-        return math.sqrt(self.grid.volume * float(np.sum(np.abs(self.data) ** 2)))
+        return math.sqrt(parseval_sum(self.grid, np.abs(self.data) ** 2))
 
 
 @dataclass(frozen=True)
 class SpectralVectorField(_SpectralArithmetic):
-    """Fourier coefficients of a real vector field; data shape (dim, n, ..).
+    """Half-spectrum Fourier coefficients of a real vector field; data shape
+    (dim, *grid.spectral_shape).
 
-    Hermitian symmetry (coefficient at -k equal to the conjugate at k) is an
-    invariant maintained by every operation in this package; ``to_physical``
-    enforces it on entry.
+    The layout holds only one of every conjugate pair k, -k, so Hermitian
+    symmetry holds by construction off the self-conjugate planes (last-axis
+    index 0 and n/2); ``to_physical`` checks those.
     """
 
     grid: Grid
@@ -346,9 +333,10 @@ class SpectralVectorField(_SpectralArithmetic):
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != (self.grid.dim, *self.grid.shape):
+        if arr.shape != (self.grid.dim, *self.grid.spectral_shape):
             raise FieldError(
-                f"spectral field shape {arr.shape} does not match grid {(self.grid.dim, *self.grid.shape)}"
+                f"spectral field shape {arr.shape} does not match grid "
+                f"{(self.grid.dim, *self.grid.spectral_shape)}"
             )
         if not np.isfinite(arr).all():
             raise FieldError("spectral field contains non-finite coefficients")
@@ -357,17 +345,19 @@ class SpectralVectorField(_SpectralArithmetic):
 
 @dataclass(frozen=True)
 class SpectralScalarField(_SpectralArithmetic):
-    """Fourier coefficients of a real scalar field (pressure and friends);
-    the mean (k = 0) coefficient must be real."""
+    """Half-spectrum Fourier coefficients of a real scalar field (pressure
+    and friends), shape ``grid.spectral_shape``; the mean (k = 0) coefficient
+    must be real."""
 
     grid: Grid
     data: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
+        if arr.shape != self.grid.spectral_shape:
             raise FieldError(
-                f"spectral scalar shape {arr.shape} does not match grid {self.grid.shape}"
+                f"spectral scalar shape {arr.shape} does not match grid "
+                f"{self.grid.spectral_shape}"
             )
         if not np.isfinite(arr).all():
             raise FieldError("spectral scalar contains non-finite coefficients")
@@ -389,13 +379,14 @@ SpectralField = SpectralVectorField | SpectralScalarField
 
 
 def hermitian_defect(field: SpectralField) -> float:
-    """Relative size of the Hermitian-symmetry violation, 0 for a clean field."""
-    arr = field.data
-    norm = float(np.sqrt(np.sum(np.abs(arr) ** 2)))
+    """Relative size of the Hermitian-symmetry violation of the full spectrum
+    the field stands for, 0 for a clean field. Only the self-conjugate planes
+    can break it; every other stored mode implies its conjugate partner."""
+    norm = field.l2_norm()
     if norm == 0.0:
         return 0.0
-    defect = arr - np.conj(reflect_modes(field.grid, arr))
-    return float(np.sqrt(np.sum(np.abs(defect) ** 2))) / norm
+    planes = field.data[..., :: field.grid.n // 2]
+    return math.sqrt(field.grid.volume) * _conjugate_mismatch(field.grid, planes) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +400,14 @@ def to_spectral(f: RealVectorField) -> SpectralVectorField:
 
 
 def to_physical(s: SpectralVectorField) -> RealVectorField:
-    """Inverse transform back to physical samples.
-
-    Rejects fields whose Hermitian symmetry is broken beyond 1e-10 relative;
-    the imaginary residue of the inverse transform is checked against
-    1e-12 relative and then discarded.
-    """
+    """Inverse transform back to physical samples. Rejects fields whose
+    self-conjugate planes break Hermitian symmetry beyond 1e-10 relative."""
     defect = hermitian_defect(s)
     if defect > HERMITIAN_RTOL:
         raise FieldError(
             f"spectral field breaks Hermitian symmetry (relative defect {defect:.3e})"
         )
-    phys = _sfft.ifftn(
-        s.data, axes=_grid_axes(s.grid, s.data), norm="forward", workers=fft_worker_count()
-    )
-    scale = float(np.max(np.abs(phys.real)))
-    residue = float(np.max(np.abs(phys.imag)))
-    if residue > IMAG_RESIDUE_RTOL * max(scale, 1e-300):
-        raise FieldError(
-            f"inverse transform left an imaginary residue {residue:.3e} "
-            f"(field scale {scale:.3e})"
-        )
-    return RealVectorField(s.grid, phys.real)
+    return RealVectorField(s.grid, ifftn_real(s.grid, s.data))
 
 
 def derivative(s: SpectralField, axis: int) -> SpectralField:
@@ -448,17 +425,17 @@ def dealias(s: SpectralField) -> SpectralField:
 
 def dealias_defect(s: SpectralField) -> float:
     """Relative energy fraction outside the 2/3 ball (0 for a dealiased field)."""
-    norm = float(np.sqrt(np.sum(np.abs(s.data) ** 2)))
+    norm = s.l2_norm()
     if norm == 0.0:
         return 0.0
     outside = s.data * ~s.grid.dealias_keep
-    return float(np.sqrt(np.sum(np.abs(outside) ** 2))) / norm
+    return math.sqrt(parseval_sum(s.grid, np.abs(outside) ** 2)) / norm
 
 
 def divergence(v: SpectralVectorField) -> SpectralScalarField:
     """div v as a spectral scalar field (derivative conventions as above)."""
     grid = v.grid
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for a in range(grid.dim):
         acc += 1j * grid.k_deriv[a] * v.data[a]
     return SpectralScalarField(grid, acc)
@@ -467,8 +444,7 @@ def divergence(v: SpectralVectorField) -> SpectralScalarField:
 def gradient_l2(v: SpectralVectorField) -> float:
     """L2 norm of the full velocity gradient, sqrt(sum_ij int (d_j v_i)^2 dx)."""
     grid = v.grid
-    total = float(np.sum(grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0)))
-    return math.sqrt(grid.volume * total)
+    return math.sqrt(parseval_sum(grid, grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0)))
 
 
 def relative_divergence(v: SpectralVectorField) -> float:
@@ -488,11 +464,13 @@ def inner_product(a: SpectralVectorField, b: SpectralVectorField) -> float:
     """L2 inner product <a, b> = int a.b dx, evaluated via Parseval."""
     if a.grid != b.grid:
         raise FieldError("inner product requires matching grids")
-    return a.grid.volume * float(np.sum(np.conj(a.data) * b.data).real)
+    return parseval_sum(a.grid, (np.conj(a.data) * b.data).real)
 
 
 def zero_vector_field(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(grid, np.zeros((grid.dim, *grid.shape), dtype=np.complex128))
+    return SpectralVectorField(
+        grid, np.zeros((grid.dim, *grid.spectral_shape), dtype=np.complex128)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +480,20 @@ def zero_vector_field(grid: Grid) -> SpectralVectorField:
 # Layout: one ASCII header line
 #     LIENS1 dim n l component_count kind\n
 # with kind in {physical, spectral}, followed by little-endian float64 data,
-# component-major, x-fastest within a component. Spectral data interleaves
-# real and imaginary parts per coefficient.
+# component-major, x-fastest within a component. Spectral data is the full
+# spectrum (n^dim coefficients per component, interleaving real and imaginary
+# parts): it is completed from the half spectrum on write, and on read its
+# Hermitian symmetry is checked before it is cut back to the half spectrum.
 
 
 def write_snapshot(path: str | Path, field: RealVectorField | SpectralVectorField) -> None:
     grid = field.grid
     kind = "physical" if isinstance(field, RealVectorField) else "spectral"
     header = f"{SNAPSHOT_MAGIC} {grid.dim} {grid.n} {grid.length:.17g} {grid.dim} {kind}\n"
+    data = field.data if kind == "physical" else complete_hermitian(grid, field.data)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for comp in field.data:
+        for comp in data:
             flat = np.ravel(comp, order="F")
             if kind == "spectral":
                 pairs = np.empty(2 * flat.size, dtype="<f8")
@@ -558,6 +539,12 @@ def read_snapshot(path: str | Path) -> RealVectorField | SpectralVectorField:
             flat = flat[0::2] + 1j * flat[1::2]
         comps.append(np.reshape(flat, grid.shape, order="F"))
     data = np.stack(comps)
-    if kind == "spectral":
-        return SpectralVectorField(grid, data)
-    return RealVectorField(grid, data)
+    if kind == "physical":
+        return RealVectorField(grid, data)
+    norm = math.sqrt(float(np.sum(np.abs(data) ** 2)))
+    defect = _conjugate_mismatch(grid, data) / norm if norm else 0.0
+    if defect > HERMITIAN_RTOL:
+        raise SnapshotFormatError(
+            f"spectral snapshot breaks Hermitian symmetry (relative defect {defect:.3e})"
+        )
+    return SpectralVectorField(grid, np.ascontiguousarray(data[..., : n // 2 + 1]))

@@ -9,6 +9,11 @@ and ``ns_rhs`` evaluates
 which coincides with nu*lap(v) - (v.grad)v - grad(p_v) for divergence-free
 v; both evaluation paths are exposed so tests can assert their agreement.
 
+Every field here is a half spectrum (see ``grid_spectral``), and so is every
+output: the projection, the pressure and the right-hand side act mode by
+mode, and k -> -k maps each of them onto its own conjugate, so none needs
+completing.
+
 The quadratic term is computed in divergence form by one kernel, shared with
 the series recursion of ``lie_propagator``. The caller forms the symmetric
 product tensor T_ij = v_i v_j pointwise in physical space (components i <= j
@@ -33,12 +38,10 @@ from .grid_spectral import (
     Grid,
     SpectralScalarField,
     SpectralVectorField,
-    complete_hermitian,
     dealias_defect,
-    half_spectrum,
-    irfftn_real,
+    fftn_forward,
+    ifftn_real,
     relative_divergence,
-    rfftn_forward,
 )
 
 DIV_FREE_RTOL = 1e-8
@@ -84,7 +87,7 @@ def _require_admissible(v: SpectralVectorField, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the nonlinear kernel (half spectra throughout)
+# the nonlinear kernel
 # ---------------------------------------------------------------------------
 
 
@@ -103,20 +106,20 @@ def _product_tensor(v: np.ndarray) -> np.ndarray:
 
 
 def _velocity_tensor(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
-    """Physical v_i v_j of the field with full spectrum ``v_hat``."""
-    return _product_tensor(irfftn_real(grid, half_spectrum(grid, v_hat)))
+    """Physical v_i v_j of the field with spectrum ``v_hat``."""
+    return _product_tensor(ifftn_real(grid, v_hat))
 
 
 def _tensor_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
-    """Dealiased half spectrum of a physical symmetric tensor."""
-    t_hat = rfftn_forward(grid, tensor)
-    t_hat *= grid.half.dealias_keep
+    """Dealiased spectrum of a physical symmetric tensor."""
+    t_hat = fftn_forward(grid, tensor)
+    t_hat *= grid.dealias_keep
     return t_hat
 
 
 def _divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
-    """Half spectrum of (div T)_i = i k_j T_ij."""
-    k = grid.half.k_deriv
+    """Spectrum of (div T)_i = i k_j T_ij."""
+    k = grid.k_deriv
     out = np.empty((grid.dim, *t_hat.shape[1:]), dtype=np.complex128)
     for i in range(grid.dim):
         out[i] = sum(k[j] * t_hat[_component(grid.dim, i, j)] for j in range(grid.dim))
@@ -125,33 +128,30 @@ def _divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
 
 
 def _pressure_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
-    """Half spectrum of the zero-mean pressure -k_i k_j T_ij / |k|^2."""
-    k = grid.half.k_deriv
+    """Spectrum of the zero-mean pressure -k_i k_j T_ij / |k|^2."""
+    k = grid.k_deriv
     acc = np.zeros(t_hat.shape[1:], dtype=np.complex128)
     for c, (i, j) in enumerate(TENSOR_INDEX[grid.dim]):
         acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat[c]
-    return -acc * grid.half.inv_ksq
+    return -acc * grid.inv_ksq
 
 
-def _project(tables, w_hat: np.ndarray) -> np.ndarray:
-    """Leray projection of raw coefficients: w - k (k.w)/|k|^2, k=0 untouched.
-
-    ``tables`` is a ``Grid`` for full spectra or its ``half`` for half spectra.
-    """
+def _project(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
+    """Leray projection of raw coefficients: w - k (k.w)/|k|^2, k=0 untouched."""
     k_dot_w = np.zeros(w_hat.shape[1:], dtype=np.complex128)
-    for a, k in enumerate(tables.k_deriv):
+    for a, k in enumerate(grid.k_deriv):
         k_dot_w += k * w_hat[a]
-    k_dot_w *= tables.inv_ksq
+    k_dot_w *= grid.inv_ksq
     out = w_hat.copy()
-    for a, k in enumerate(tables.k_deriv):
+    for a, k in enumerate(grid.k_deriv):
         out[a] -= k * k_dot_w
     return out
 
 
 def nonlinear_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
-    """The kernel: half spectrum of P[div T] for a physical symmetric tensor
-    T (stored components), dealiased."""
-    return _project(grid.half, _divergence_hat(grid, _tensor_hat(grid, tensor)))
+    """The kernel: spectrum of P[div T] for a physical symmetric tensor T
+    (stored components), dealiased."""
+    return _project(grid, _divergence_hat(grid, _tensor_hat(grid, tensor)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,13 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     _require_admissible(v, "compute_pressure")
     grid = v.grid
     p_hat = _pressure_hat(grid, _tensor_hat(grid, _velocity_tensor(grid, v.data)))
-    return SpectralScalarField(grid, complete_hermitian(grid, p_hat))
+    return SpectralScalarField(grid, p_hat)
+
+
+def rhs_hat(grid: Grid, v_hat: np.ndarray, nu: float) -> np.ndarray:
+    """``ns_rhs`` on raw coefficients, without its checks: for callers whose
+    input is admissible by construction."""
+    return -nu * grid.ksq * v_hat - nonlinear_hat(grid, _velocity_tensor(grid, v_hat))
 
 
 def ns_rhs(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
@@ -184,11 +190,7 @@ def ns_rhs(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField
     """
     nu_val = viscosity_value(nu)
     _require_admissible(v, "ns_rhs")
-    grid = v.grid
-    nonlinear = nonlinear_hat(grid, _velocity_tensor(grid, v.data))
-    return SpectralVectorField(
-        grid, -nu_val * grid.ksq * v.data - complete_hermitian(grid, nonlinear)
-    )
+    return SpectralVectorField(v.grid, rhs_hat(v.grid, v.data, nu_val))
 
 
 def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
@@ -201,8 +203,6 @@ def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> Spectr
     t_hat = _tensor_hat(grid, _velocity_tensor(grid, v.data))
     forcing = _divergence_hat(grid, t_hat)
     p_hat = _pressure_hat(grid, t_hat)
-    for a, k in enumerate(grid.half.k_deriv):
+    for a, k in enumerate(grid.k_deriv):
         forcing[a] += 1j * k * p_hat
-    return SpectralVectorField(
-        grid, -nu_val * grid.ksq * v.data - complete_hermitian(grid, forcing)
-    )
+    return SpectralVectorField(grid, -nu_val * grid.ksq * v.data - forcing)

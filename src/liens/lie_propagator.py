@@ -12,11 +12,10 @@ each pair of coefficients is multiplied once, pointwise in physical space,
 and ``leray``'s kernel turns T_n into P[div T_n] with one real-to-complex FFT
 and the 2/3-rule mask.
 
-Coefficients are held as half spectra (``rfftn`` layout) together with their
-physical velocities, and nothing else: no gradients. Norms come from the
-weighted Parseval sum over the half spectrum. A step evaluates the series on
-half spectra and completes the full spectrum once; ``taylor_coefficients``
-completes every coefficient for the public ``TaylorExpansion``.
+Coefficients are half spectra like every spectral field (see
+``grid_spectral``), held together with their physical velocities and nothing
+else: no gradients. Norms come from the weighted Parseval sum, and the
+coefficients the builder makes are the ones ``TaylorExpansion`` holds.
 
 The expansion is used as a one-step integrator: the step accepts a dt once
 the last retained term satisfies ||c_N|| dt^N <= tol ||u|| and dt stays
@@ -35,14 +34,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .errors import RadiusCollapseError
-from .grid_spectral import (
-    Grid,
-    SpectralVectorField,
-    complete_hermitian,
-    half_l2_norm,
-    half_spectrum,
-    irfftn_real,
-)
+from .grid_spectral import Grid, SpectralVectorField, ifftn_real, parseval_sum
 from .leray import (
     TENSOR_INDEX,
     Viscosity,
@@ -97,7 +89,7 @@ class StepStats:
 
 
 class _SeriesBuilder:
-    """Incrementally grows the coefficient list on half spectra.
+    """Incrementally grows the coefficient list.
 
     For each known coefficient we keep its half spectrum, its norm and its
     physical velocity, so producing c_{n+1} needs only the product tensor
@@ -111,12 +103,12 @@ class _SeriesBuilder:
         self.coeffs: list[np.ndarray] = []
         self._phys: list[np.ndarray] = []
         self.norms: list[float] = []
-        self._append(half_spectrum(grid, u_hat))
+        self._append(u_hat)
 
     def _append(self, c_hat: np.ndarray) -> None:
         self.coeffs.append(c_hat)
-        self.norms.append(half_l2_norm(self.grid, c_hat))
-        self._phys.append(irfftn_real(self.grid, c_hat))
+        self.norms.append(math.sqrt(parseval_sum(self.grid, np.abs(c_hat) ** 2)))
+        self._phys.append(ifftn_real(self.grid, c_hat))
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion."""
@@ -133,25 +125,23 @@ class _SeriesBuilder:
         tensor[: grid.dim] *= 2.0  # the pairs added each diagonal a_i b_i once
         if n % 2 == 0:
             tensor += _product_tensor(self._phys[n // 2])
-        new = -self.nu * grid.half.ksq * self.coeffs[n] - nonlinear_hat(grid, tensor)
+        new = -self.nu * grid.ksq * self.coeffs[n] - nonlinear_hat(grid, tensor)
         self._append(new / (n + 1))
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:
-        """The series truncated after c_order, evaluated at t."""
-        return SpectralVectorField(
-            self.grid, complete_hermitian(self.grid, _horner(self.coeffs[: order + 1], t))
-        )
+        """The series truncated after c_order, evaluated at t. The sum is
+        formed in the storage of the last coefficient grown (c_0 is the
+        caller's), so no array is allocated and the builder is spent."""
+        last = self.coeffs[-1]
+        acc = last if len(self.coeffs) > 1 else np.empty_like(last)
+        return SpectralVectorField(self.grid, _horner(self.coeffs[: order + 1], t, acc))
 
     def expansion(self, base_time: float = 0.0) -> TaylorExpansion:
-        """Every coefficient completed to its full spectrum. Releases the
-        cache as it goes, so the builder is spent afterwards."""
-        halves = self.coeffs[::-1]
+        """Every coefficient as a field. Releases the physical velocities,
+        so the builder is spent afterwards."""
+        fields = tuple(SpectralVectorField(self.grid, c) for c in self.coeffs)
         self.coeffs, self._phys = [], []
-        fields = []
-        while halves:
-            full = complete_hermitian(self.grid, halves.pop())
-            fields.append(SpectralVectorField(self.grid, full))
-        return TaylorExpansion(base_time=base_time, coefficients=tuple(fields))
+        return TaylorExpansion(base_time=base_time, coefficients=fields)
 
     def radius_estimate(self) -> float:
         return _radius_from_norms(self.norms)
@@ -185,11 +175,14 @@ def evaluate(e: TaylorExpansion, t: float) -> SpectralVectorField:
     """Horner evaluation sum_n c_n t^n; t = 0 returns c_0 unchanged."""
     if t == 0.0:
         return e.coefficients[0]
-    return SpectralVectorField(e.grid, _horner([c.data for c in e.coefficients], t))
+    coeffs = [c.data for c in e.coefficients]
+    return SpectralVectorField(e.grid, _horner(coeffs, t, np.empty_like(coeffs[-1])))
 
 
-def _horner(coeffs: list[np.ndarray], t: float) -> np.ndarray:
-    acc = np.array(coeffs[-1])
+def _horner(coeffs: list[np.ndarray], t: float, acc: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] t^n, accumulated in ``acc`` (coeffs[-1] itself or an
+    array not among the coefficients)."""
+    acc[...] = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc *= t
         acc += c

@@ -5,8 +5,9 @@ generator, and the convective term in advective form.
 The RK4 path shares the right-hand side and the step loop ``steps`` with the
 series propagator; its time-stepping scheme is entirely separate, which is
 what makes the two usable as mutual oracles. ``advection_hat`` computes
-(a.grad)b from physical velocity gradients with full complex FFTs, independently of the divergence-form kernel
-in ``leray``; tests compare the two.
+(a.grad)b from physical velocity gradients with plain complex FFTs of the
+completed spectra, independently of the divergence-form kernel in ``leray``
+and of its real-to-complex transforms; tests compare the two.
 """
 
 from __future__ import annotations
@@ -15,17 +16,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as _sfft
 
 from .errors import StabilityError
 from .grid_spectral import (
     TWO_PI,
     Grid,
     SpectralVectorField,
-    fftn_forward,
-    ifftn_real,
+    complete_hermitian,
     reflect_modes,
 )
-from .leray import Viscosity, _require_admissible, leray_project, ns_rhs, viscosity_value
+from .leray import (
+    Viscosity,
+    _require_admissible,
+    leray_project,
+    ns_rhs,
+    rhs_hat,
+    viscosity_value,
+)
 from .lie_propagator import StepStats, fixed_step, steps
 
 TAYLOR_GREEN_2D = "taylor_green_2d"
@@ -67,20 +75,20 @@ def _taylor_green_modes(coef: np.ndarray, amplitude: float, zero_pad: bool) -> N
     # cos(x) sin(y) has modes -i/4 at (1,+-1)... with signs fixed by the
     # sin factor; writing them exactly keeps the field free of the sampling
     # noise that the viscous series term would amplify like (nu k^2)^n / n!.
-    a = amplitude
     tail = (0,) if zero_pad else ()
-    coef[(0, 1, 1) + tail] = -0.25j * a
-    coef[(0, 1, -1) + tail] = +0.25j * a
-    coef[(0, -1, 1) + tail] = -0.25j * a
-    coef[(0, -1, -1) + tail] = +0.25j * a
-    coef[(1, 1, 1) + tail] = +0.25j * a
-    coef[(1, 1, -1) + tail] = +0.25j * a
-    coef[(1, -1, 1) + tail] = -0.25j * a
-    coef[(1, -1, -1) + tail] = -0.25j * a
+    for component, kx, ky, value in (
+        (0, 1, 1, -0.25j), (0, 1, -1, +0.25j), (0, -1, 1, -0.25j), (0, -1, -1, +0.25j),
+        (1, 1, 1, +0.25j), (1, 1, -1, +0.25j), (1, -1, 1, -0.25j), (1, -1, -1, -0.25j),
+    ):
+        mode = (kx, ky) + tail
+        if mode[-1] >= 0:  # a mode with a negative last index is not stored
+            coef[(component, *mode)] = value * amplitude
 
 
 def _flow_coefficients(flow: AnalyticFlow, grid: Grid) -> np.ndarray:
-    coef = np.zeros((grid.dim, *grid.shape), dtype=np.complex128)
+    """Half spectrum of the flow at t = 0: the modes with a negative last
+    index are the conjugates of the ones written."""
+    coef = np.zeros((grid.dim, *grid.spectral_shape), dtype=np.complex128)
     if flow.kind == TAYLOR_GREEN_2D:
         _taylor_green_modes(coef, flow.amplitude, zero_pad=False)
     elif flow.kind == TAYLOR_GREEN_3D_EMBEDDED:
@@ -89,12 +97,11 @@ def _flow_coefficients(flow: AnalyticFlow, grid: Grid) -> np.ndarray:
         a, b, c = flow.abc
         # v1 = a sin z + c cos y
         coef[0, 0, 0, 1] = -0.5j * a
-        coef[0, 0, 0, -1] = +0.5j * a
         coef[0, 0, 1, 0] = coef[0, 0, -1, 0] = 0.5 * c
         # v2 = b sin x + a cos z
         coef[1, 1, 0, 0] = -0.5j * b
         coef[1, -1, 0, 0] = +0.5j * b
-        coef[1, 0, 0, 1] = coef[1, 0, 0, -1] = 0.5 * a
+        coef[1, 0, 0, 1] = 0.5 * a
         # v3 = c sin y + b cos x
         coef[2, 0, 1, 0] = -0.5j * c
         coef[2, 0, -1, 0] = +0.5j * c
@@ -120,26 +127,37 @@ def analytic_field(
 def advection_hat(
     grid: Grid, a_hat: np.ndarray, b_hat: np.ndarray | None = None
 ) -> np.ndarray:
-    """Dealiased full spectrum of the convective term (a.grad)b (b = a by
+    """Dealiased spectrum of the convective term (a.grad)b (b = a by
     default), formed in advective form from physical gradients d_j b_i."""
     b_hat = a_hat if b_hat is None else b_hat
-    grads = np.empty((grid.dim, grid.dim, *grid.shape), dtype=np.complex128)
-    for j in range(grid.dim):
-        grads[:, j] = b_hat * (1j * grid.k_deriv[j])
-    adv = np.einsum("j...,ij...->i...", ifftn_real(grid, a_hat), ifftn_real(grid, grads))
-    return fftn_forward(grid, adv) * grid.dealias_keep
+    grads = np.stack([b_hat * (1j * grid.k_deriv[j]) for j in range(grid.dim)], axis=1)
+    axes = tuple(range(-grid.dim, 0))
+
+    def physical(half: np.ndarray) -> np.ndarray:
+        full = complete_hermitian(grid, half)
+        return _sfft.ifftn(full, axes=axes, norm="forward").real
+
+    adv = np.einsum("j...,ij...->i...", physical(a_hat), physical(grads))
+    adv_hat = _sfft.fftn(adv, axes=axes, norm="forward")
+    return adv_hat[..., : grid.n // 2 + 1] * grid.dealias_keep
 
 
 def rk4_step(
     v: SpectralVectorField, nu: Viscosity | float, dt: float
 ) -> SpectralVectorField:
-    """One classical 4-stage Runge-Kutta step of ``ns_rhs``, re-projected."""
-    k1 = ns_rhs(v, nu)
-    k2 = ns_rhs(v + (0.5 * dt) * k1, nu)
-    k3 = ns_rhs(v + (0.5 * dt) * k2, nu)
-    k4 = ns_rhs(v + dt * k3, nu)
-    out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return leray_project(out)
+    """One classical 4-stage Runge-Kutta step of ``ns_rhs``, re-projected.
+
+    ``ns_rhs`` checks v once. The later stages start from linear combinations
+    of v and of right-hand sides, which are projected and dealiased, so they
+    are admissible by construction and skip the check."""
+    nu_val = viscosity_value(nu)
+    grid, u = v.grid, v.data
+    k1 = ns_rhs(v, nu_val).data
+    k2 = rhs_hat(grid, u + (0.5 * dt) * k1, nu_val)
+    k3 = rhs_hat(grid, u + (0.5 * dt) * k2, nu_val)
+    k4 = rhs_hat(grid, u + dt * k3, nu_val)
+    out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return leray_project(SpectralVectorField(grid, out))
 
 
 def rk4_advance(grid: Grid, nu: Viscosity | float, dt: float):
@@ -192,11 +210,13 @@ def random_divfree(
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (grid.dim, *grid.shape)
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # The draws fill the full grid; their Hermitian part is the spectrum of a
+    # real field, which the half spectrum then holds.
+    coef = 0.5 * (coef + np.conj(reflect_modes(grid, coef)))
+    coef = coef[..., : grid.n // 2 + 1]
     weight = grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / peak_k) ** 2))
     coef *= weight * grid.dealias_keep
     coef[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean
-    # Hermitian part, then projection (both preserve the other's property).
-    coef = 0.5 * (coef + np.conj(reflect_modes(grid, coef)))
     field = leray_project(SpectralVectorField(grid, coef))
     norm = field.l2_norm()
     if norm == 0.0:

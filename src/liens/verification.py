@@ -16,13 +16,7 @@ import numpy as np
 
 from .burgers1d import cross_check
 from .diagnostics import energy, enstrophy_norm
-from .grid_spectral import (
-    Grid,
-    SpectralVectorField,
-    complete_hermitian,
-    inner_product,
-    relative_divergence,
-)
+from .grid_spectral import Grid, SpectralVectorField, inner_product, relative_divergence
 from .leray import (
     _divergence_hat,
     _project,
@@ -127,9 +121,8 @@ def ns_rhs_with_pressure_sign(
     from the kernel's unprojected and projected advection terms."""
     grid = v.grid
     adv = _divergence_hat(grid, _tensor_hat(grid, _velocity_tensor(grid, v.data)))
-    nonlinear = adv + pressure_sign * (_project(grid.half, adv) - adv)
-    rhs = -viscosity_value(nu) * grid.ksq * v.data - complete_hermitian(grid, nonlinear)
-    return SpectralVectorField(grid, rhs)
+    nonlinear = adv + pressure_sign * (_project(grid, adv) - adv)
+    return SpectralVectorField(grid, -viscosity_value(nu) * grid.ksq * v.data - nonlinear)
 
 
 def criterion_3_dissipativity(level: str, pressure_sign: float = 1.0) -> list[CheckResult]:

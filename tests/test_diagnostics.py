@@ -77,7 +77,7 @@ class TestEnstrophy:
     def test_single_mode_eigenrelation(self):
         # |k| = 1 mode: enstrophy = |k|^2 * 2 * energy.
         g = Grid(dim=2, n=32)
-        data = np.zeros((2, *g.shape), dtype=complex)
+        data = np.zeros((2, *g.spectral_shape), dtype=complex)
         data[1, 1, 0] = -0.5j
         data[1, -1, 0] = +0.5j
         v = SpectralVectorField(g, data)
@@ -168,8 +168,8 @@ class TestEnergyBalance:
 class TestShellSpectrum:
     def test_single_mode(self):
         g = Grid(dim=2, n=32)
-        data = np.zeros((2, *g.shape), dtype=complex)
-        data[0, 0, 1] = data[0, 0, -1] = 0.5
+        data = np.zeros((2, *g.spectral_shape), dtype=complex)
+        data[0, 0, 1] = 0.5  # cos y: the mode (0, -1) is its conjugate
         v = SpectralVectorField(g, data)
         shells = dict(shell_spectrum(v))
         assert shells[1] == pytest.approx(energy(v), rel=1e-14)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liens import Grid, RealVectorField, SpectralVectorField, dealias, derivative, to_physical, to_spectral
 from liens.errors import FieldError, SnapshotFormatError
 from liens.grid_spectral import (
+    complete_hermitian,
     dealias_defect,
     divergence,
     hermitian_defect,
@@ -63,6 +65,17 @@ class TestGrid:
         assert not keep[6, 0]
         assert not keep[8, 0]
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_spectral_tables_are_half_spectra(self, dim):
+        g = Grid(dim=dim, n=16)
+        assert g.spectral_shape == (16,) * (dim - 1) + (9,)
+        for table in (g.ksq, g.inv_ksq, g.dealias_keep, g.k_magnitude):
+            assert table.shape == g.spectral_shape
+        # the stored modes stand for every mode of the full spectrum once
+        assert np.sum(np.ones(g.spectral_shape) * g.weight) == 16**dim
+        assert g.weight[0] == g.weight[8] == 1.0
+        assert np.all(g.weight[1:8] == 2.0)
+
 
 class TestTransforms:
     def test_sine_coefficients(self):
@@ -99,8 +112,10 @@ class TestTransforms:
             (-1, -1): +0.25j,
         }
         for (kx, ky), want in expected.items():
-            assert s.data[0, kx, ky] == pytest.approx(want, abs=1e-14)
-            assert abs(s.data[0, kx, ky]) == pytest.approx(0.25, abs=1e-14)
+            # a mode with ky < 0 is the conjugate of the stored mode at -k
+            got = s.data[0, kx, ky] if ky >= 0 else np.conj(s.data[0, -kx, -ky])
+            assert got == pytest.approx(want, abs=1e-14)
+            assert abs(got) == pytest.approx(0.25, abs=1e-14)
 
     def test_roundtrip_random(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
@@ -109,12 +124,12 @@ class TestTransforms:
         assert np.max(np.abs(back.data - f.data)) <= 1e-12 * scale
 
     def test_zero_spectral_to_physical(self, grid2d):
-        s = SpectralVectorField(grid2d, np.zeros((2, *grid2d.shape), dtype=complex))
+        s = SpectralVectorField(grid2d, np.zeros((2, *grid2d.spectral_shape), dtype=complex))
         assert np.all(to_physical(s).data == 0.0)
 
     def test_single_mode_inverse(self):
         g = Grid(dim=3, n=16)
-        data = np.zeros((3, *g.shape), dtype=complex)
+        data = np.zeros((3, *g.spectral_shape), dtype=complex)
         data[0, 1, 0, 0] = -0.5j
         data[0, -1, 0, 0] = +0.5j
         f = to_physical(SpectralVectorField(g, data))
@@ -129,8 +144,8 @@ class TestTransforms:
             RealVectorField(grid2d, data)
 
     def test_broken_symmetry_rejected(self, grid2d):
-        data = np.zeros((2, *grid2d.shape), dtype=complex)
-        data[0, 1, 0] = 1.0  # no conjugate partner
+        data = np.zeros((2, *grid2d.spectral_shape), dtype=complex)
+        data[0, 1, 0] = 1.0  # no conjugate partner in the j = 0 plane
         with pytest.raises(FieldError, match="Hermitian"):
             to_physical(SpectralVectorField(grid2d, data))
 
@@ -138,7 +153,7 @@ class TestTransforms:
         f = random_real_field(grid2d, rng)
         s = to_spectral(f)
         phys = float(np.sum(f.data**2)) / grid2d.n**grid2d.dim
-        spec = float(np.sum(np.abs(s.data) ** 2))
+        spec = float(np.sum(grid2d.weight * np.abs(s.data) ** 2))
         assert phys == pytest.approx(spec, rel=1e-12)
 
     def test_inner_product_matches_quadrature(self, grid2d, rng):
@@ -189,17 +204,17 @@ class TestDerivative:
 class TestDealias:
     def test_low_modes_unchanged(self):
         g = Grid(dim=2, n=32)
-        data = np.zeros((2, *g.shape), dtype=complex)
+        data = np.zeros((2, *g.spectral_shape), dtype=complex)
         data[0, 3, 0] = -0.5j
         data[0, -3, 0] = +0.5j
-        data[1, 0, 2] = data[1, 0, -2] = 0.5
+        data[1, 0, 2] = 0.5
         s = SpectralVectorField(g, data)
         d = dealias(s)
         assert np.array_equal(d.data, s.data)
 
     def test_nyquist_mode_removed(self):
         g = Grid(dim=2, n=16)
-        data = np.zeros((2, *g.shape), dtype=complex)
+        data = np.zeros((2, *g.spectral_shape), dtype=complex)
         data[0, 8, 0] = 1.0
         d = dealias(SpectralVectorField(g, data))
         assert np.max(np.abs(d.data)) == 0.0
@@ -209,7 +224,7 @@ class TestDealias:
         assert dealias(s).l2_norm() <= s.l2_norm() + 1e-15
 
     def test_dealias_defect(self, grid2d):
-        data = np.zeros((2, *grid2d.shape), dtype=complex)
+        data = np.zeros((2, *grid2d.spectral_shape), dtype=complex)
         data[0, grid2d.n // 2, 0] = 1.0
         assert dealias_defect(SpectralVectorField(grid2d, data)) == pytest.approx(1.0)
         assert dealias_defect(dealias(SpectralVectorField(grid2d, data))) == 0.0
@@ -217,9 +232,9 @@ class TestDealias:
 
 class TestHermitianHelpers:
     def test_reflect_modes_involution(self, grid2d, rng):
-        s = to_spectral(random_real_field(grid2d, rng))
-        twice = reflect_modes(grid2d, reflect_modes(grid2d, s.data))
-        assert np.array_equal(twice, s.data)
+        full = complete_hermitian(grid2d, to_spectral(random_real_field(grid2d, rng)).data)
+        twice = reflect_modes(grid2d, reflect_modes(grid2d, full))
+        assert np.array_equal(twice, full)
 
     def test_real_field_has_zero_defect(self, grid2d, rng):
         s = to_spectral(random_real_field(grid2d, rng))
@@ -272,6 +287,37 @@ class TestSnapshots:
         assert float(parts[3]) == pytest.approx(2 * math.pi)
         assert parts[4] == "2"
         assert parts[5] == "physical"
+
+    def test_full_spectrum_on_disk(self, grid3d, rng, tmp_path):
+        # The payload holds the full spectrum, as the complex FFT gives it, and
+        # a payload written from the complex FFT loads as the half spectrum.
+        f = random_real_field(grid3d, rng)
+        full = scipy.fft.fftn(f.data, axes=(1, 2, 3), norm="forward")
+        path = tmp_path / "field.liens"
+        write_snapshot(path, to_spectral(f))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(payload, dtype="<f8")
+        coeffs = np.split(values[0::2] + 1j * values[1::2], 3)
+        on_disk = np.stack([np.reshape(c, grid3d.shape, order="F") for c in coeffs])
+        assert np.max(np.abs(on_disk - full)) <= 1e-15 * np.max(np.abs(full))
+        flat = np.concatenate([np.ravel(c, order="F") for c in full])
+        values = np.empty(2 * flat.size, dtype="<f8")
+        values[0::2], values[1::2] = flat.real, flat.imag
+        path.write_bytes(header + b"\n" + values.tobytes())
+        back = read_snapshot(path)
+        assert np.array_equal(back.data, full[..., : grid3d.n // 2 + 1])
+
+    def test_broken_symmetry_payload_rejected(self, grid2d, rng, tmp_path):
+        path = tmp_path / "field.liens"
+        write_snapshot(path, to_spectral(random_real_field(grid2d, rng)))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        # component 0, mode (ix, iy) = (1, 20): its last-axis index lies in
+        # the mirrored half, beyond n/2 = 16
+        values[2 * (1 + grid2d.n * 20)] += 0.5
+        path.write_bytes(header + b"\n" + values.tobytes())
+        with pytest.raises(SnapshotFormatError, match="Hermitian"):
+            read_snapshot(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.liens"

@@ -84,7 +84,7 @@ class TestComputePressure:
         residual = adv.copy()
         for a in range(g.dim):
             residual[a] += 1j * g.k_deriv[a] * p.data
-        norm = np.sqrt(g.volume * np.sum(np.abs(residual) ** 2))
+        norm = np.sqrt(g.volume * np.sum(g.weight * np.abs(residual) ** 2))
         assert norm < 1e-10
 
     def test_zero_mean_gauge(self, random_divfree_2d):

@@ -7,10 +7,12 @@ import pytest
 from liens import (
     AnalyticFlow,
     Grid,
+    RealVectorField,
     analytic_field,
     energy,
     ns_rhs,
     rk4_propagate,
+    to_spectral,
 )
 from liens.errors import StabilityError
 from liens.grid_spectral import relative_divergence, zero_vector_field
@@ -53,6 +55,28 @@ class TestAnalyticFields:
             rhs = ns_rhs(v, nu)
             residual = (rhs - (-rate) * v).l2_norm()
             assert residual <= 1e-10
+
+    @pytest.mark.parametrize(
+        "kind", ["taylor_green_2d", "taylor_green_3d_embedded", "beltrami_abc"]
+    )
+    def test_matches_sampled_closed_form(self, kind):
+        flow = AnalyticFlow(kind, amplitude=1.3, abc=(0.7, 1.1, 0.4))
+        g = Grid(dim=flow.dim, n=16)
+        mesh = g.mesh()
+        x, y = mesh[0], mesh[1]
+        if kind == "beltrami_abc":
+            a, b, c = flow.abc
+            z = mesh[2]
+            closed = (a * np.sin(z) + c * np.cos(y), b * np.sin(x) + a * np.cos(z),
+                      c * np.sin(y) + b * np.cos(x))
+        else:
+            a = flow.amplitude
+            closed = (a * np.cos(x) * np.sin(y), -a * np.sin(x) * np.cos(y))
+            if kind == "taylor_green_3d_embedded":
+                closed += (np.zeros(g.shape),)
+        want = to_spectral(RealVectorField(g, np.stack(closed)))
+        got = analytic_field(flow, 0.0, 0.1, g)
+        assert rel_l2(got, want) <= 1e-14
 
     def test_dimension_mismatch_rejected(self):
         g = Grid(dim=2, n=16)
@@ -119,6 +143,18 @@ class TestRandomDivfree:
         assert energy(v) == pytest.approx(2.0**2 / 2.0, rel=1e-12)
         mean = v.data[(slice(None),) + (0,) * grid3d.dim]
         assert np.max(np.abs(mean)) == 0.0
+
+    def test_matches_recorded_coefficients(self):
+        # Recorded from the full-spectrum implementation: the Philox draws
+        # and the field they make do not depend on the spectral layout.
+        v = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
+        recorded = {
+            (0, 1, 2, 3): 0.00137935363036876 - 0.0008820737245221659j,
+            (1, -2, 1, 0): -8.276688780004633e-05 + 0.00010399246609150871j,
+            (2, 3, -1, 2): -0.00020779479494980417 + 0.0016323594973326697j,
+        }
+        for index, want in recorded.items():
+            assert abs(v.data[index] - want) <= 1e-14 * abs(want)
 
     def test_determinism(self, grid2d):
         a = random_divfree(seed=5, grid=grid2d, peak_k=4, amplitude=1.0)

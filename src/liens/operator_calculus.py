@@ -8,8 +8,19 @@ central operation is the evolutionary vector-field action
 
 the generator induced by the flow du/dt = F: it is linear, satisfies the
 Leibniz law, sends u to F, and its powers applied to u are exactly the scaled
-time-Taylor coefficients of the flow, n! c_n. All arithmetic here is exact
-(``fractions.Fraction``); floats appear only in grid evaluation.
+time-Taylor coefficients of the flow, n! c_n. All arithmetic here is exact;
+floats appear only in grid evaluation, and ``DiffPoly`` refuses float
+coefficients (pass an ``int`` or ``Fraction``).
+
+Every operation runs on one set of private kernels over the raw term dicts
+``{powers key: coefficient}``: a key merge, a multiply-accumulate, a one-pass
+D_x and all partials dg/du_k in one pass over g. Keys they build are
+canonical already, so intermediate results skip the public constructor's
+normalization. The ring methods and ``apply_A`` run them on ``Fraction``
+coefficients. ``a_power_u(f, n)`` scales f by the lcm D of its coefficient
+denominators and iterates on Python ints (the action is linear in f, so
+A_f^n u = A_{Df}^n u / D^n), then divides by D^n once; the result is the
+exact ``Fraction`` polynomial that n ``apply_A`` calls give.
 
 A plain-text syntax (``u_k``, ``+``, ``-``, ``*``, ``^``, rationals ``p/q``)
 round-trips through ``parse_diffpoly`` / ``str``.
@@ -17,6 +28,7 @@ round-trips through ``parse_diffpoly`` / ``str``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,15 +42,89 @@ PowersKey = tuple[tuple[int, int], ...]
 
 RationalLike = Fraction | int
 
+# Raw terms {powers key: coefficient}: the form every operation below works
+# on. The kernels take and give canonical keys, so nothing they build is
+# normalized again; they are exact for any rational coefficient type: Fraction
+# in the ring methods, int in ``a_power_u``'s scaled recursion.
+Terms = dict[PowersKey, RationalLike]
+
 
 def _normalize_powers(powers: Mapping[int, int] | Iterable[tuple[int, int]]) -> PowersKey:
-    items = dict(powers)
+    pairs = list(powers.items() if isinstance(powers, Mapping) else powers)
+    items = dict(pairs)
+    if len(items) != len(pairs):
+        raise ValueError(f"each derivative order may appear once in a key, got {pairs}")
     for order, exp in items.items():
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         if exp <= 0:
             raise ValueError(f"exponents must be positive, got u_{order}^{exp}")
     return tuple(sorted(items.items()))
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return {key: c for key, c in terms.items() if c}
+
+
+def _merge(ka: PowersKey, kb: PowersKey) -> PowersKey:
+    """Canonical key of the product of two monomials."""
+    if not ka or not kb:
+        return ka or kb
+    if ka[-1][0] < kb[0][0]:
+        return ka + kb
+    if kb[-1][0] < ka[0][0]:
+        return kb + ka
+    merged = dict(ka)
+    for order, exp in kb:
+        merged[order] = merged.get(order, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def _mul_acc(out: Terms, a: Terms, b: Terms) -> None:
+    """out += a * b; coefficients in out may cancel to zero."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = _merge(ka, kb)
+            out[key] = out.get(key, 0) + ca * cb
+
+
+def _dx(terms: Terms) -> Terms:
+    """Total x-derivative, one pass: D_x(u_k^e) = e u_k^(e-1) u_{k+1}."""
+    out: Terms = {}
+    for key, c in terms.items():
+        last = len(key) - 1
+        for i, (order, exp) in enumerate(key):
+            head = key[:i] + ((order, exp - 1),) if exp > 1 else key[:i]
+            if i < last and key[i + 1][0] == order + 1:
+                tail = ((order + 1, key[i + 1][1] + 1),) + key[i + 2:]
+            else:
+                tail = ((order + 1, 1),) + key[i + 1:]
+            new = head + tail
+            out[new] = out.get(new, 0) + c * exp
+    return _nonzero(out)
+
+
+def _partials(terms: Terms) -> dict[int, Terms]:
+    """Every nonzero dg/du_k in one pass over g, keyed by k. Distinct keys of
+    g stay distinct in each partial, so no coefficient merges or cancels."""
+    out: dict[int, Terms] = {}
+    for key, c in terms.items():
+        for i, (order, exp) in enumerate(key):
+            rest = key[i + 1:]
+            new = key[:i] + ((order, exp - 1),) + rest if exp > 1 else key[:i] + rest
+            out.setdefault(order, {})[new] = c * exp
+    return out
+
+
+def _act(dxf: list[Terms], g: Terms) -> Terms:
+    """Generator action on raw terms, sum_k D_x^k(f) * dg/du_k. ``dxf`` holds
+    f, D_x f, D_x^2 f, ... and grows in place as higher orders are needed."""
+    out: Terms = {}
+    for order, pg in _partials(g).items():
+        while len(dxf) <= order:
+            dxf.append(_dx(dxf[-1]))
+        _mul_acc(out, dxf[order], pg)
+    return _nonzero(out)
 
 
 @dataclass(frozen=True)
@@ -59,12 +145,23 @@ class DiffPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[PowersKey, RationalLike] | None = None):
-        clean: dict[PowersKey, Fraction] = {}
+        clean: Terms = {}
         for key, coeff in (terms or {}).items():
-            frac = Fraction(coeff)
-            if frac != 0:
-                clean[_normalize_powers(key)] = frac
-        object.__setattr__(self, "_terms", clean)
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(
+                    f"coefficients must be exact rationals: pass an int or Fraction,"
+                    f" not {type(coeff).__name__} {coeff!r}"
+                )
+            key = _normalize_powers(key)
+            clean[key] = clean.get(key, 0) + Fraction(coeff)
+        object.__setattr__(self, "_terms", _nonzero(clean))
+
+    @staticmethod
+    def _of(terms: Terms) -> "DiffPoly":
+        """Wrap raw terms that are already canonical, with Fraction values."""
+        poly = object.__new__(DiffPoly)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -111,11 +208,11 @@ class DiffPoly:
             return NotImplemented
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return DiffPoly(terms)
+            terms[key] = terms.get(key, 0) + coeff
+        return DiffPoly._of(_nonzero(terms))
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({k: -c for k, c in self._terms.items()})
+        return DiffPoly._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
@@ -124,18 +221,12 @@ class DiffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return DiffPoly({k: c * other for k, c in self._terms.items()})
+            return DiffPoly._of(_nonzero({k: c * other for k, c in self._terms.items()}))
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        terms: dict[PowersKey, Fraction] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                merged = dict(ka)
-                for order, exp in kb:
-                    merged[order] = merged.get(order, 0) + exp
-                key = tuple(sorted(merged.items()))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return DiffPoly(terms)
+        terms: Terms = {}
+        _mul_acc(terms, self._terms, other._terms)
+        return DiffPoly._of(_nonzero(terms))
 
     __rmul__ = __mul__
 
@@ -157,35 +248,11 @@ class DiffPoly:
 
     def partial(self, order: int) -> "DiffPoly":
         """Partial derivative with respect to the jet variable u_order."""
-        terms: dict[PowersKey, Fraction] = {}
-        for key, coeff in self._terms.items():
-            powers = dict(key)
-            if order not in powers:
-                continue
-            exp = powers[order]
-            new = dict(powers)
-            if exp == 1:
-                del new[order]
-            else:
-                new[order] = exp - 1
-            nkey = tuple(sorted(new.items()))
-            terms[nkey] = terms.get(nkey, Fraction(0)) + coeff * exp
-        return DiffPoly(terms)
+        return DiffPoly._of(_partials(self._terms).get(order, {}))
 
     def total_derivative(self) -> "DiffPoly":
         """Total x-derivative: D_x(u_k) = u_{k+1}, extended by Leibniz."""
-        out = DiffPoly.zero()
-        for key, coeff in self._terms.items():
-            powers = dict(key)
-            for order, exp in key:
-                new = dict(powers)
-                if exp == 1:
-                    del new[order]
-                else:
-                    new[order] = exp - 1
-                new[order + 1] = new.get(order + 1, 0) + 1
-                out = out + DiffPoly({tuple(sorted(new.items())): coeff * exp})
-        return out
+        return DiffPoly._of(_dx(self._terms))
 
     # -- text form ---------------------------------------------------------
 
@@ -218,25 +285,24 @@ class DiffPoly:
 
 def apply_A(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     """Action of the generator of du/dt = f on g: sum_k D_x^k(f) * dg/du_k."""
-    out = DiffPoly.zero()
-    dxk = f
-    for k in range(g.max_order + 1):
-        if k > 0:
-            dxk = dxk.total_derivative()
-        pg = g.partial(k)
-        if not pg.is_zero:
-            out = out + dxk * pg
-    return out
+    return DiffPoly._of(_act([f._terms], g._terms))
 
 
 def a_power_u(f: DiffPoly, n: int) -> DiffPoly:
-    """n-fold generator action starting from g = u (n = 0 gives u itself)."""
+    """n-fold generator action starting from g = u (n = 0 gives u itself).
+
+    The action is linear in f, so A_f^n u = A_{Df}^n u / D^n: with D the lcm
+    of f's denominators the recursion runs on Python ints, and the result is
+    divided by D^n once at the end."""
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
-    g = DiffPoly.u()
+    scale = math.lcm(*(c.denominator for c in f._terms.values()))
+    dxf = [{key: c.numerator * (scale // c.denominator) for key, c in f._terms.items()}]
+    g: Terms = {((0, 1),): 1}
     for _ in range(n):
-        g = apply_A(f, g)
-    return g
+        g = _act(dxf, g)
+    den = scale**n
+    return DiffPoly._of({key: Fraction(c, den) for key, c in g.items()})
 
 
 def derivation_check(
@@ -277,11 +343,15 @@ def eval_diffpoly(p: DiffPoly, u_samples: np.ndarray) -> np.ndarray:
     for k in range(1, p.max_order + 1):
         u_hat = u_hat * (1j * j)
         derivs[k] = np.real(np.fft.ifft(u_hat))
+    powers: dict[tuple[int, int], np.ndarray] = {}
     out = np.zeros(n)
     for mono in p.monomials():
         term = np.full(n, float(mono.coeff))
-        for order, exp in mono.powers:
-            term *= derivs[order] ** exp
+        for factor in mono.powers:
+            if factor not in powers:
+                order, exp = factor
+                powers[factor] = derivs[order] ** exp
+            term *= powers[factor]
         out += term
     return out
 

@@ -4,6 +4,7 @@ The independent oracle here is a little sympy prolongation engine: same
 mathematics, entirely different term representation and arithmetic.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -102,11 +103,29 @@ class TestDiffPoly:
         q = DiffPoly({m.powers: m.coeff for m in p.monomials()})
         assert p == q
 
+    def test_colliding_keys_add_up(self):
+        # Two spellings of u_0*u_1 name one monomial; their coefficients add.
+        p = DiffPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): Fraction(1, 2)})
+        assert p == Fraction(3, 2) * (U(0) * U(1))
+        assert DiffPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): -1}).is_zero
+
+    @pytest.mark.parametrize("coeff", [0.1, 1.0, np.float64(0.5), np.int64(2), "1/2"])
+    def test_rejects_inexact_coefficients(self, coeff):
+        # Fraction(0.1) would silently store 3602879701896397/2^55.
+        with pytest.raises(TypeError, match="int or Fraction"):
+            DiffPoly({((0, 1),): coeff})
+        with pytest.raises(TypeError, match="int or Fraction"):
+            DiffPoly.constant(coeff)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            DiffPoly.monomial(coeff, {1: 2})
+
     def test_rejects_bad_powers(self):
         with pytest.raises(ValueError):
             DiffPoly.monomial(1, {-1: 2})
         with pytest.raises(ValueError):
             DiffPoly.monomial(1, {0: 0})
+        with pytest.raises(ValueError, match="once"):
+            DiffPoly({((0, 1), (0, 1)): 1})  # would otherwise read as u_0
 
     def test_monomial_ordering(self):
         p = U(0) ** 3 + U(2) + U(0) * U(1)
@@ -237,6 +256,118 @@ def test_linearity_random(f, g, h):
        g=diff_polys(max_order=2, max_degree=2, max_terms=2))
 def test_apply_matches_sympy_random(f, g):
     assert_matches_sympy(apply_A(f, g), sympy_apply_A(f, g))
+
+
+def sympy_power_u(f: DiffPoly, n: int):
+    """A^n u by n generator actions on the sympy side."""
+    syms = _sympy_symbols((n + 1) * max(f.max_order, 1) + 2)
+    f_expr, expr = to_sympy(f, syms), syms[0]
+    for _ in range(n):
+        expr = sympy_generator_action(f_expr, expr, syms)
+    return expr
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=diff_polys(max_order=2, max_degree=2, max_terms=2))
+def test_total_derivative_and_partials_match_sympy(f):
+    syms = _sympy_symbols(f.max_order + 2)
+    expr = to_sympy(f, syms)
+    d_expr = sum(sp.diff(expr, syms[k]) * syms[k + 1] for k in range(len(syms) - 1))
+    assert_matches_sympy(f.total_derivative(), d_expr)
+    for k in range(len(syms)):
+        assert_matches_sympy(f.partial(k), sp.diff(expr, syms[k]))
+
+
+# -- the integer kernel of a_power_u ----------------------------------------
+
+def assert_canonical(p: DiffPoly):
+    """Canonical storage: sorted keys of distinct orders, positive exponents,
+    nonzero Fraction coefficients, and the same value and hash as the terms
+    passed through the public constructor."""
+    for mono in p.monomials():
+        assert type(mono.coeff) is Fraction and mono.coeff != 0
+        orders = [order for order, _ in mono.powers]
+        assert orders == sorted(set(orders)) and all(order >= 0 for order in orders)
+        assert all(type(exp) is int and exp > 0 for _, exp in mono.powers)
+    rebuilt = DiffPoly({mono.powers: mono.coeff for mono in p.monomials()})
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+MIXED_COEFFS = (Fraction(1, 10), Fraction(2, 3), Fraction(-7, 4))
+
+
+@st.composite
+def mixed_generators(draw):
+    """Generators whose coefficients mix the denominators 10, 3 and 4."""
+    terms = {}
+    for coeff in draw(st.lists(st.sampled_from(MIXED_COEFFS), min_size=2, max_size=3)):
+        powers: dict[int, int] = {}
+        for order in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)):
+            powers[order] = powers.get(order, 0) + 1
+        key = tuple(sorted(powers.items()))
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return DiffPoly(terms)
+
+
+@settings(max_examples=15, deadline=None)
+@given(f=mixed_generators(), n=st.integers(0, 4))
+def test_a_power_u_matches_sympy_mixed_denominators(f, n):
+    # a_power_u scales f to integers by the lcm of its denominators; the
+    # oracle iterates the action in sympy rationals.
+    assert_matches_sympy(a_power_u(f, n), sympy_power_u(f, n))
+
+
+class TestPowerEdgeCases:
+    def test_zero_generator(self):
+        zero = DiffPoly.zero()
+        assert a_power_u(zero, 0) == U(0)
+        for n in (1, 2, 5):
+            assert a_power_u(zero, n).is_zero
+
+    def test_constant_generator(self):
+        c = DiffPoly.constant(Fraction(-7, 4))
+        assert a_power_u(c, 1) == c
+        for n in (2, 3):
+            assert a_power_u(c, n).is_zero
+
+    def test_terms_cancel_after_one_action(self):
+        # f = 2/3 (u u_2 - u_1^2): in A f the u u_2^2 terms of f df/du and
+        # D_x^2(f) df/du_2 cancel, as do the u_1 u_2 terms inside D_x f.
+        f = Fraction(2, 3) * (U(0) * U(2) - U(1) ** 2)
+        expected = Fraction(4, 9) * (U(1) ** 2 * U(2) - 2 * (U(0) * U(1) * U(3)) + U(0) ** 2 * U(4))
+        assert f.total_derivative() == Fraction(2, 3) * (U(0) * U(3) - U(1) * U(2))
+        assert a_power_u(f, 2) == expected
+        assert_canonical(a_power_u(f, 2))
+        assert_matches_sympy(a_power_u(f, 3), sympy_power_u(f, 3))
+
+
+# SHA-256 of str(a_power_u(f, 11)) for the benchmark's two generators, as
+# stored in perfbench/refs.json: the canonical text is the benchmark's gate.
+BENCHMARK_DIGESTS = {
+    "1/10*u_2 - u_0*u_1": "285cb4bcdb0553b6bab4119ed4c1a83d61c9b0ed8e4efc7f2d84b094d487670b",
+    "u_3 + 6*u_0*u_1": "400678b5b423a59128b1ea776d537238f10554701b2a12a938d6f60e1d835113",
+}
+
+
+@pytest.mark.parametrize("text", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_power_digest(text):
+    p = a_power_u(parse_diffpoly(text), 11)
+    assert hashlib.sha256(str(p).encode("utf-8")).hexdigest() == BENCHMARK_DIGESTS[text]
+    assert_canonical(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=diff_polys(), g=diff_polys(), n=st.integers(0, 3), k=st.integers(0, 4),
+       c=st.sampled_from([0, 1, -3, Fraction(0), Fraction(-5, 2)]))
+def test_every_result_is_canonical(f, g, n, k, c):
+    results = [
+        f + g, f - g, -f, f - f, f * g, c * f, f * c, f**2, f**0,
+        f.partial(k), f.total_derivative(), apply_A(f, g), a_power_u(f, n),
+        parse_diffpoly(str(f)), DiffPoly.zero(), DiffPoly.constant(c),
+        DiffPoly.u(k), DiffPoly.monomial(Fraction(1, 3), {k: 2}),
+    ]
+    for p in results:
+        assert_canonical(p)
 
 
 # -- grid evaluation ---------------------------------------------------------

@@ -16,17 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FieldError
-from .lie_propagator import StepStats, fixed_step, steps
-from .operator_calculus import DiffPoly, apply_A, eval_diffpoly
+from .lie_propagator import StepStats, _horner, fixed_step, steps
+from .operator_calculus import DiffPoly, apply_A, eval_diffpoly, spectral_derivatives
 
 CROSS_CHECK_NU = 0.1
-
-
-def _spectral_derivative_table(n: int) -> np.ndarray:
-    """i*k factors for one derivative, signed index, Nyquist zeroed."""
-    j = np.fft.fftfreq(n, d=1.0 / n)
-    j[n // 2] = 0.0
-    return 1j * j
 
 
 def _check_samples(u: np.ndarray) -> np.ndarray:
@@ -46,36 +39,20 @@ def taylor_coefficients_burgers(
     if order < 0:
         raise ValueError("order must be nonnegative")
     u0 = _check_samples(u0)
-    n = u0.size
-    ik = _spectral_derivative_table(n)
-    coeffs = [u0]
-    firsts = [np.real(np.fft.ifft(ik * np.fft.fft(u0)))]
+    derivs = [spectral_derivatives(u0, 2)]  # [c_m, c_m', c_m''] for each m
     for m in range(order):
-        c_hat = np.fft.fft(coeffs[m])
-        diffusion = nu * np.real(np.fft.ifft(ik**2 * c_hat))
-        advection = np.zeros(n)
-        for p in range(m + 1):
-            advection += coeffs[p] * firsts[m - p]
-        new = (diffusion - advection) / (m + 1)
-        coeffs.append(new)
-        firsts.append(np.real(np.fft.ifft(ik * np.fft.fft(new))))
-    return coeffs
+        advection = sum(derivs[p][0] * derivs[m - p][1] for p in range(m + 1))
+        derivs.append(spectral_derivatives((nu * derivs[m][2] - advection) / (m + 1), 2))
+    return [d[0] for d in derivs]
 
 
 def evaluate_series(coeffs: list[np.ndarray], t: float) -> np.ndarray:
     """Horner evaluation of the truncated series at time t."""
-    acc = coeffs[-1].copy()
-    for c in reversed(coeffs[:-1]):
-        acc *= t
-        acc += c
-    return acc
+    return _horner(coeffs, t, np.empty_like(coeffs[-1]))
 
 
 def burgers_rhs(u: np.ndarray, nu: float) -> np.ndarray:
-    ik = _spectral_derivative_table(u.size)
-    u_hat = np.fft.fft(u)
-    u_x = np.real(np.fft.ifft(ik * u_hat))
-    u_xx = np.real(np.fft.ifft(ik**2 * u_hat))
+    _, u_x, u_xx = spectral_derivatives(u, 2)
     return nu * u_xx - u * u_x
 
 

@@ -38,7 +38,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .errors import FieldError, SnapshotFormatError
 
@@ -49,11 +48,13 @@ SNAPSHOT_MAGIC = "LIENS1"
 # Relative tolerance of the Hermitian symmetry checks.
 HERMITIAN_RTOL = 1e-10
 
+_CPU_COUNT = os.cpu_count() or 1
+
 
 def fft_worker_count() -> int:
     """Number of FFT worker threads: all available cores, capped by the
     LIENS_THREADS environment variable when set."""
-    avail = os.cpu_count() or 1
+    avail = _CPU_COUNT
     cap = os.environ.get("LIENS_THREADS")
     if cap:
         try:
@@ -189,6 +190,14 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
+def _sfft():
+    """``scipy.fft``, imported on first use: it is most of the time that
+    ``import liens`` takes, and the 1-D calculus never needs it."""
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
     return tuple(range(arr.ndim - grid.dim, arr.ndim))
 
@@ -196,7 +205,7 @@ def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
 def fftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half spectrum of real values on the trailing grid axes, 1/n^dim
     normalization."""
-    return _sfft.rfftn(
+    return _sfft().rfftn(
         values, axes=_grid_axes(grid, values), norm="forward", workers=fft_worker_count()
     )
 
@@ -204,7 +213,7 @@ def fftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
 def ifftn_real(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     """Real values of a half spectrum on the trailing grid axes, the
     unnormalized inverse sum."""
-    return _sfft.irfftn(
+    return _sfft().irfftn(
         coefficients,
         s=grid.shape,
         axes=_grid_axes(grid, coefficients),

@@ -7,7 +7,8 @@ and ``ns_rhs`` evaluates
     F(v) = nu * lap(v) - P[div(v v)]
 
 which coincides with nu*lap(v) - (v.grad)v - grad(p_v) for divergence-free
-v; both evaluation paths are exposed so tests can assert their agreement.
+v; ``reference_oracles.ns_rhs_via_pressure`` evaluates the second form so
+tests can assert their agreement.
 
 Every field here is a half spectrum (see ``grid_spectral``), and so is every
 output: the projection, the pressure and the right-hand side act mode by
@@ -192,17 +193,3 @@ def ns_rhs(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField
     _require_admissible(v, "ns_rhs")
     return SpectralVectorField(v.grid, rhs_hat(v.grid, v.data, nu_val))
 
-
-def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
-    """Same right-hand side through the explicit pressure gradient,
-    nu*lap(v) - div(v v) - grad(p_v); kept as the second evaluation path
-    for the gauge-consistency checks."""
-    nu_val = viscosity_value(nu)
-    _require_admissible(v, "ns_rhs_via_pressure")
-    grid = v.grid
-    t_hat = _tensor_hat(grid, _velocity_tensor(grid, v.data))
-    forcing = _divergence_hat(grid, t_hat)
-    p_hat = _pressure_hat(grid, t_hat)
-    for a, k in enumerate(grid.k_deriv):
-        forcing[a] += 1j * k * p_hat
-    return SpectralVectorField(grid, -nu_val * grid.ksq * v.data - forcing)

@@ -323,26 +323,46 @@ def derivation_check(
 # grid evaluation
 # ---------------------------------------------------------------------------
 
+# Multiplier of the round-off floor of ``spectral_derivatives``. Swept over
+# 0.5..1024: the Burgers cross-check at n = 64 and 128 (orders <= 10) agrees
+# to <= 2.1e-15 from 2 up, to 1.4e-10 at 1 and to 7.6e-6 without the floor;
+# 8 sits 4x above the lowest value that works.
+DERIVATIVE_FLOOR = 8.0
+_EPS = float(np.finfo(float).eps)
 
-def eval_diffpoly(p: DiffPoly, u_samples: np.ndarray) -> np.ndarray:
-    """Evaluate ``p`` on 1-D periodic samples of u (spectral derivatives).
+
+def spectral_derivatives(u: np.ndarray, order: int) -> list[np.ndarray]:
+    """[u, u_x, ..., d^order u/dx^order] of periodic samples on [0, 2*pi).
 
     Derivatives use the signed-index wavenumbers with the Nyquist mode
-    zeroed, matching the field-level derivative convention.
+    zeroed, matching the field-level derivative convention. Every mode of
+    the spectrum below DERIVATIVE_FLOOR * eps * max|u_hat| is zeroed first:
+    it is transform round-off, which the k-th derivative would multiply by
+    j^k until it outweighs the signal.
     """
+    n = u.size
+    j = np.fft.fftfreq(n, d=1.0 / n)
+    j[n // 2] = 0.0
+    u_hat = np.fft.fft(u)
+    mag = np.abs(u_hat)
+    u_hat[mag < DERIVATIVE_FLOOR * _EPS * mag.max()] = 0.0
+    out = [u]
+    for _ in range(order):
+        u_hat *= 1j * j
+        out.append(np.real(np.fft.ifft(u_hat)))
+    return out
+
+
+def eval_diffpoly(p: DiffPoly, u_samples: np.ndarray) -> np.ndarray:
+    """Evaluate ``p`` on 1-D periodic samples of u, with the derivatives of
+    ``spectral_derivatives``."""
     u = np.asarray(u_samples, dtype=np.float64)
     if u.ndim != 1:
         raise FieldError(f"expected a 1-D sample array, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise FieldError("sample array contains non-finite values")
     n = u.size
-    j = np.fft.fftfreq(n, d=1.0 / n)
-    j[n // 2] = 0.0
-    derivs: dict[int, np.ndarray] = {0: u}
-    u_hat = np.fft.fft(u)
-    for k in range(1, p.max_order + 1):
-        u_hat = u_hat * (1j * j)
-        derivs[k] = np.real(np.fft.ifft(u_hat))
+    derivs = spectral_derivatives(u, p.max_order)
     powers: dict[tuple[int, int], np.ndarray] = {}
     out = np.zeros(n)
     for mono in p.monomials():

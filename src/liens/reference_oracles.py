@@ -1,6 +1,7 @@
 """Independent ground truth: closed-form decaying flows, a classical RK4
 pseudospectral integrator, a reproducible random divergence-free field
-generator, and the convective term in advective form.
+generator, the convective term in advective form, and the right-hand side
+through the explicit pressure gradient.
 
 The RK4 path shares the right-hand side and the step loop ``steps`` with the
 series propagator; its time-stepping scheme is entirely separate, which is
@@ -16,19 +17,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .errors import StabilityError
 from .grid_spectral import (
     TWO_PI,
     Grid,
     SpectralVectorField,
+    _sfft,
     complete_hermitian,
     reflect_modes,
 )
 from .leray import (
     Viscosity,
+    _divergence_hat,
+    _pressure_hat,
     _require_admissible,
+    _tensor_hat,
+    _velocity_tensor,
     leray_project,
     ns_rhs,
     rhs_hat,
@@ -135,11 +140,26 @@ def advection_hat(
 
     def physical(half: np.ndarray) -> np.ndarray:
         full = complete_hermitian(grid, half)
-        return _sfft.ifftn(full, axes=axes, norm="forward").real
+        return _sfft().ifftn(full, axes=axes, norm="forward").real
 
     adv = np.einsum("j...,ij...->i...", physical(a_hat), physical(grads))
-    adv_hat = _sfft.fftn(adv, axes=axes, norm="forward")
+    adv_hat = _sfft().fftn(adv, axes=axes, norm="forward")
     return adv_hat[..., : grid.n // 2 + 1] * grid.dealias_keep
+
+
+def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
+    """``ns_rhs`` through the explicit pressure gradient,
+    nu*lap(v) - div(v v) - grad(p_v): the second evaluation path of the
+    gauge-consistency checks."""
+    nu_val = viscosity_value(nu)
+    _require_admissible(v, "ns_rhs_via_pressure")
+    grid = v.grid
+    t_hat = _tensor_hat(grid, _velocity_tensor(grid, v.data))
+    forcing = _divergence_hat(grid, t_hat)
+    p_hat = _pressure_hat(grid, t_hat)
+    for a, k in enumerate(grid.k_deriv):
+        forcing[a] += 1j * k * p_hat
+    return SpectralVectorField(grid, -nu_val * grid.ksq * v.data - forcing)
 
 
 def rk4_step(

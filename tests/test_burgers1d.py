@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import liens.operator_calculus as operator_calculus
 from liens.burgers1d import (
     burgers_rhs,
+    cross_check,
     evaluate_series,
     rk4_burgers,
     taylor_coefficients_burgers,
@@ -93,3 +95,23 @@ class TestSeriesVsRk4:
         num = factorial(8) * coeffs[8]
         rel = np.linalg.norm(sym - num) / np.linalg.norm(num)
         assert rel > 1e-8
+
+
+class TestDerivativeFloor:
+    # The symbolic route takes the 2k-th spectral derivative of the samples;
+    # without the floor, round-off at |j| ~ n/2 is multiplied by j^{2k}.
+    def test_high_derivatives_match_closed_form(self, u0):
+        x = 2 * np.pi * np.arange(64) / 64
+        derivs = operator_calculus.spectral_derivatives(u0, 16)
+        for k, got in enumerate(derivs):
+            want = np.sin(x + k * np.pi / 2) + 0.3 * 2**k * np.cos(2 * x + k * np.pi / 2)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_symbolic_powers_agree_to_round_off(self):
+        symbolic, _ = cross_check(10, 64)
+        assert max(symbolic) <= 1e-13
+
+    def test_floor_off_amplifies_noise(self, monkeypatch):
+        monkeypatch.setattr(operator_calculus, "DERIVATIVE_FLOOR", 0.0)
+        symbolic, _ = cross_check(10, 64)
+        assert max(symbolic) > 1e-8

@@ -276,6 +276,10 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "under-resolution" in err
 
+    @pytest.mark.parametrize("order", ["7", "8"])
+    def test_burgers_check_high_orders_pass(self, order, capsys):
+        assert main(["burgers-check", "--order", order]) == 0
+
     def test_burgers_check_order_zero(self, capsys):
         assert main(["burgers-check", "--order", "0"]) == 0
 

@@ -17,8 +17,7 @@ from liens import (
 )
 from liens.errors import SolenoidalError
 from liens.grid_spectral import ifftn_real, inner_product, relative_divergence, zero_vector_field
-from liens.leray import ns_rhs_via_pressure
-from liens.reference_oracles import random_divfree
+from liens.reference_oracles import ns_rhs_via_pressure, random_divfree
 from liens.verification import ns_rhs_with_pressure_sign
 
 from conftest import random_real_field

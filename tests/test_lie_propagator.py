@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import liens.lie_propagator as lie_propagator
 from liens import (
     AnalyticFlow,
     Grid,
@@ -271,6 +272,80 @@ class TestPropagate:
         propagate(u, 0.1, t_end=0.7, tol=1e-10,
                   observer=lambda t, v, s: seen.append(s.dt))
         assert sum(seen) == pytest.approx(0.7, abs=1e-15)
+
+
+def run_observed(u, nu, t_end):
+    """``propagate`` from u to t_end: the result and every (t, field, stats)."""
+    seen = []
+    out = propagate(u, nu, t_end, observer=lambda t, v, s: seen.append((t, v, s)))
+    return out, seen
+
+
+class TestRoundoffFloor:
+    # On an exact eigenflow the projected nonlinear term vanishes; without
+    # the floor its round-off residue grows order by order and sets the
+    # radius estimate, so the run takes many short steps.
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_taylor_green_takes_one_step(self, n):
+        g = Grid(dim=2, n=n)
+        out, seen = run_observed(tg_field(g), 0.1, 0.5)
+        assert len(seen) == 1
+        assert seen[0][2].order_used <= 8
+        assert rel_l2(out, tg_field(g, 0.5, 0.1)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["beltrami_abc", "taylor_green_3d_embedded"])
+    def test_3d_eigenflows_take_one_step(self, kind):
+        g = Grid(dim=3, n=64)
+        flow = AnalyticFlow(kind)
+        out, seen = run_observed(analytic_field(flow, 0.0, 0.05, g), 0.05, 0.5)
+        assert len(seen) == 1
+        assert rel_l2(out, analytic_field(flow, 0.5, 0.05, g)) <= 5e-13
+
+    def test_floor_off_takes_more_steps(self, monkeypatch):
+        monkeypatch.setattr(lie_propagator, "SERIES_FLOOR", 0.0)
+        _, seen = run_observed(tg_field(Grid(dim=2, n=128)), 0.1, 0.5)
+        assert len(seen) > 1
+
+    # The 2-D field's spectrum falls by nine decades inside the dealias
+    # ball, so a floor that cut genuine modes would show there.
+    @pytest.mark.parametrize("dim,n,peak_k", [(3, 32, 3), (2, 64, 4)])
+    def test_genuine_coefficients_unchanged(self, monkeypatch, dim, n, peak_k):
+        u = random_divfree(seed=7, grid=Grid(dim=dim, n=n), peak_k=peak_k, amplitude=1.0)
+        floored = taylor_coefficients(u, 0.02, order=16).coefficients
+        monkeypatch.setattr(lie_propagator, "SERIES_FLOOR", 0.0)
+        plain = taylor_coefficients(u, 0.02, order=16).coefficients
+        for a, b in zip(floored, plain):
+            assert np.max(np.abs(a.data - b.data)) <= 1e-13 * np.max(np.abs(b.data))
+
+
+class TestControllerRobustness:
+    # Each run must end exactly at t_end, stay divergence-free and not gain
+    # energy (1e-12 relative slack per step).
+    @staticmethod
+    def check_run(u, nu, t_end):
+        _, seen = run_observed(u, nu, t_end)
+        assert seen[-1][0] == t_end
+        energies = [energy(u)] + [energy(v) for _, v, _ in seen]
+        for before, after in zip(energies, energies[1:]):
+            assert after <= before * (1 + 1e-12)
+        for _, v, _ in seen:
+            assert relative_divergence(v) <= 1e-10
+        return energies
+
+    def test_inviscid_random_field_conserves_energy(self):
+        u = random_divfree(seed=5, grid=Grid(dim=2, n=32), peak_k=3, amplitude=1.0)
+        energies = self.check_run(u, 0.0, 0.5)
+        assert abs(energies[-1] - energies[0]) <= 1e-12 * energies[0]
+
+    def test_field_at_dealias_edge(self):
+        g = Grid(dim=2, n=32)
+        u = random_divfree(seed=5, grid=g, peak_k=g.n // 3, amplitude=1.0)
+        self.check_run(u, 0.02, 0.5)
+
+    def test_zero_field(self, grid2d):
+        _, seen = run_observed(zero_vector_field(grid2d), 0.1, 0.7)
+        assert seen[-1][0] == 0.7
+        assert all(np.max(np.abs(v.data)) == 0.0 for _, v, _ in seen)
 
 
 class TestSteps:

@@ -15,20 +15,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FieldError
 from .lie_propagator import StepStats, _horner, fixed_step, steps
-from .operator_calculus import DiffPoly, apply_A, eval_diffpoly, spectral_derivatives
+from .operator_calculus import (
+    DiffPoly,
+    _check_samples,
+    apply_A,
+    eval_diffpoly,
+    spectral_derivatives,
+)
 
 CROSS_CHECK_NU = 0.1
-
-
-def _check_samples(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise FieldError(f"expected 1-D samples, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise FieldError("samples contain non-finite values")
-    return u
 
 
 def taylor_coefficients_burgers(

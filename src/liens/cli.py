@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .burgers1d import CROSS_CHECK_NU, cross_check
@@ -211,6 +211,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         flow_dim = 2 if kind == "taylor_green_2d" else 3
         if flow_dim != dim:
             raise ConfigError(f"initial.kind {kind} needs grid.dim = {flow_dim}")
+        if not math.isclose(l, TWO_PI, rel_tol=1e-12):
+            raise ConfigError(f"initial.kind {kind} needs grid.l = 2*pi, got {l}")
     elif kind == "random":
         initial = InitialSpec(
             kind=kind,
@@ -309,13 +311,7 @@ def _record(t: float, v: SpectralVectorField, order_used: int, dt: float) -> Tim
 
 def _finalize_outputs(config: RunConfig, records, final_field) -> None:
     residuals = balance_residuals(records, config.nu)
-    filled = [
-        TimeSeriesRecord(
-            t=r.t, energy=r.energy, enstrophy=r.enstrophy, div_max=r.div_max,
-            balance_residual=res, order_used=r.order_used, dt=r.dt,
-        )
-        for r, res in zip(records, residuals)
-    ]
+    filled = [replace(r, balance_residual=res) for r, res in zip(records, residuals)]
     write_series_csv(config.output_dir / "series.csv", filled)
     lines = ["k,energy"]
     for shell, value in shell_spectrum(final_field):

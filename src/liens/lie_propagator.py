@@ -29,12 +29,14 @@ sets the radius estimate and cuts the step. This is Krasny's filter
 below (Sulem, Sulem & Frisch, J. Comput. Phys. 50, 1983). ``ns_rhs`` and the
 RK4 oracle stay unfloored, so RK4 remains an independent check.
 
-The expansion is used as a one-step integrator: the step accepts a dt once
-the last retained term satisfies ||c_N|| dt^N <= tol ||u|| and dt stays
-within half the empirical convergence-radius estimate, halving dt otherwise
-(at most 20 times). n! c_n reproduces the n-th generator power applied to u,
-which is what the symbolic calculus cross-checks in one dimension. ``steps``
-composes steps, T(t_end) = T(dt_k)...T(dt_1), for this and every integrator.
+The expansion is used as a one-step integrator: ``step`` is one loop over
+attempts, each accepting dt when some order N <= max_order has
+||c_N|| dt^N <= tol ||u|| and dt is within half the ratio-test radius
+estimate, and halving dt otherwise (at most 20 times); the series grows only
+as far as the attempts read it. n! c_n reproduces the n-th generator power
+applied to u, which is what the symbolic calculus cross-checks in one
+dimension. ``steps`` composes steps, T(t_end) = T(dt_k)...T(dt_1), for this
+and every integrator.
 """
 
 from __future__ import annotations
@@ -72,9 +74,8 @@ State = TypeVar("State")  # what ``steps`` advances: a field, or 1-D samples
 
 @dataclass(frozen=True)
 class TaylorExpansion:
-    """Time-Taylor coefficients c_0..c_N of the flow around ``base_time``."""
+    """Time-Taylor coefficients c_0..c_N of the flow around the state c_0."""
 
-    base_time: float
     coefficients: tuple[SpectralVectorField, ...]
 
     def __post_init__(self):
@@ -166,15 +167,29 @@ class _SeriesBuilder:
         acc = last if len(self.coeffs) > 1 else np.empty_like(last)
         return SpectralVectorField(self.grid, _horner(self.coeffs[: order + 1], t, acc))
 
-    def expansion(self, base_time: float = 0.0) -> TaylorExpansion:
+    def expansion(self) -> TaylorExpansion:
         """Every coefficient as a field. Releases the physical velocities,
         so the builder is spent afterwards."""
         fields = tuple(SpectralVectorField(self.grid, c) for c in self.coeffs)
         self.coeffs, self._phys = [], []
-        return TaylorExpansion(base_time=base_time, coefficients=fields)
+        return TaylorExpansion(coefficients=fields)
 
-    def radius_estimate(self) -> float:
-        return _radius_from_norms(self.norms)
+    def order_within(self, bound: float, dt: float, max_order: int) -> int | None:
+        """The first n <= max_order with ||c_n|| dt^n <= bound, growing the
+        series as far as the search reaches; None when there is none."""
+        for n in range(max_order + 1):
+            if n == len(self.norms):
+                self.grow()
+            if self.norms[n] * dt**n <= bound:
+                return n
+        return None
+
+    def radius(self, max_order: int) -> float:
+        """The ratio-test radius once min(4, max_order + 1) coefficients
+        exist; +inf while there are fewer than four."""
+        while len(self.norms) < min(4, max_order + 1):
+            self.grow()
+        return _radius_from_norms(self.norms) if len(self.norms) >= 4 else math.inf
 
 
 def _radius_from_norms(norms: list[float]) -> float:
@@ -237,11 +252,11 @@ def step(
 ) -> tuple[SpectralVectorField, StepStats]:
     """One adaptive series step of at most ``dt``.
 
-    Grows the expansion until ||c_N|| dt^N <= tol ||u|| (or N = max_order) and
-    additionally requires dt <= 0.5 * radius estimate whenever at least four
-    coefficients exist; when either bound is unreachable the step halves dt,
-    at most 20 times, and reports the dt actually used. Raises
-    ``RadiusCollapseError`` once the halving budget is exhausted.
+    An attempt accepts dt when an order N <= max_order has
+    ||c_N|| dt^N <= tol ||u|| and dt <= 0.5 * radius estimate (+inf with
+    fewer than four coefficients); otherwise dt halves, at most 20 times.
+    Reports the dt used; raises ``RadiusCollapseError`` once the halving
+    budget is exhausted.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -251,49 +266,25 @@ def step(
         raise ValueError("max_order must be nonnegative")
     nu_val = viscosity_value(nu)
     _require_admissible(u, "step")
-    u_norm = u.l2_norm()
-    if u_norm == 0.0:
-        return u, StepStats(
-            order_used=0, dt=dt, truncation_estimate=0.0, radius_estimate=math.inf
-        )
-
     builder = _SeriesBuilder(u.grid, u.data, nu_val)
-    bound = tol * u_norm
-    dt_try = dt
+    bound = tol * u.l2_norm()
     for _ in range(MAX_HALVINGS + 1):
-        order_used = None
-        for n in range(max_order + 1):
-            while len(builder.norms) <= n:
-                builder.grow()
-            if builder.norms[n] * dt_try**n <= bound:
-                order_used = n
-                break
-        if order_used is not None:
-            # Radius safety: need at least 4 coefficients for the estimate.
-            while len(builder.norms) < 4 and len(builder.norms) <= max_order:
-                builder.grow()
-            if len(builder.norms) >= 4:
-                radius = builder.radius_estimate()
-                if dt_try > RADIUS_SAFETY * radius:
-                    dt_try *= 0.5
-                    continue
-            else:
-                radius = math.inf
-            result = builder.evaluate(order_used, dt_try)
+        order = builder.order_within(bound, dt, max_order)
+        radius = builder.radius(max_order)
+        if order is not None and dt <= RADIUS_SAFETY * radius:
             stats = StepStats(
-                order_used=order_used,
-                dt=dt_try,
-                truncation_estimate=builder.norms[order_used] * dt_try**order_used,
+                order_used=order,
+                dt=dt,
+                truncation_estimate=builder.norms[order] * dt**order,
                 radius_estimate=radius,
             )
-            return result, stats
-        dt_try *= 0.5
+            return builder.evaluate(order, dt), stats
+        dt *= 0.5
 
-    radius = builder.radius_estimate() if len(builder.norms) >= 4 else math.nan
     raise RadiusCollapseError(
         "series step failed to meet its truncation bound after 20 halvings",
-        radius_estimate=radius,
-        dt_last=dt_try * 2.0,
+        radius_estimate=radius if len(builder.norms) >= 4 else math.nan,
+        dt_last=dt * 2.0,
     )
 
 
@@ -326,18 +317,13 @@ def propagate(
     t_end: float,
     tol: float = DEFAULT_TOL,
     max_order: int = DEFAULT_MAX_ORDER,
-    observer: Callable[[float, SpectralVectorField, StepStats], None] | None = None,
 ) -> SpectralVectorField:
-    """Advance ``u`` to exactly ``t_end`` by repeated series steps.
-
-    Each step attempts the whole remaining interval and lets the step logic
-    shrink it; the observer is invoked after every accepted step with the
-    reached time, the new field, and the step statistics.
-    """
+    """Advance ``u`` to exactly ``t_end`` by repeated series steps, each
+    attempting the whole remaining interval. Iterate ``steps`` with ``step``
+    to see every accepted step."""
     v = u
-    for t, v, stats in steps(
+    for _, v, _ in steps(
         u, t_end, lambda w, dt: step(w, nu, dt, tol=tol, max_order=max_order)
     ):
-        if observer is not None:
-            observer(t, v, stats)
+        pass
     return v

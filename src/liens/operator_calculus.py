@@ -198,9 +198,6 @@ class DiffPoly:
         orders = [k for key in self._terms for k, _ in key]
         return max(orders, default=0)
 
-    def derivative_orders(self) -> set[int]:
-        return {k for key in self._terms for k, _ in key}
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
@@ -331,6 +328,16 @@ DERIVATIVE_FLOOR = 8.0
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_samples(u: np.ndarray) -> np.ndarray:
+    """``u`` as a finite 1-D float64 array; raises ``FieldError`` otherwise."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1:
+        raise FieldError(f"expected 1-D samples, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise FieldError("samples contain non-finite values")
+    return u
+
+
 def spectral_derivatives(u: np.ndarray, order: int) -> list[np.ndarray]:
     """[u, u_x, ..., d^order u/dx^order] of periodic samples on [0, 2*pi).
 
@@ -356,11 +363,7 @@ def spectral_derivatives(u: np.ndarray, order: int) -> list[np.ndarray]:
 def eval_diffpoly(p: DiffPoly, u_samples: np.ndarray) -> np.ndarray:
     """Evaluate ``p`` on 1-D periodic samples of u, with the derivatives of
     ``spectral_derivatives``."""
-    u = np.asarray(u_samples, dtype=np.float64)
-    if u.ndim != 1:
-        raise FieldError(f"expected a 1-D sample array, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise FieldError("sample array contains non-finite values")
+    u = _check_samples(u_samples)
     n = u.size
     derivs = spectral_derivatives(u, p.max_order)
     powers: dict[tuple[int, int], np.ndarray] = {}

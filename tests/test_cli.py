@@ -91,6 +91,7 @@ class TestParseConfig:
             (("t_end = 1.0", "t_end = -1"), "run.t_end"),
             (("integrator = lie", "integrator = euler"), "run.integrator"),
             (("tol = 1e-10", "tol = 0"), "run.tol"),
+            (("n = 64", "n = 64\nl = 3.0"), "grid.l"),
         ],
     )
     def test_invalid_values_name_the_key(self, mutation, needle):

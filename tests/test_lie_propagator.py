@@ -254,10 +254,9 @@ class TestPropagate:
         g = Grid(dim=2, n=32)
         nu = 0.05
         u = random_divfree(seed=2, grid=g, peak_k=3, amplitude=1.0)
-        seen = []
-        propagate(u, nu, t_end=0.5, tol=1e-10,
-                  observer=lambda t, v, s: seen.append((t, energy(v), s)))
-        assert seen, "observer never called"
+        seen = [(t, energy(v), s) for t, v, s in
+                steps(u, 0.5, lambda v, dt: step(v, nu, dt, tol=1e-10))]
+        assert seen, "no step taken"
         times = [t for t, _, _ in seen]
         assert times == sorted(times)
         assert times[-1] == pytest.approx(0.5, abs=1e-14)
@@ -268,17 +267,14 @@ class TestPropagate:
     def test_dt_accounting_is_exact(self):
         g = Grid(dim=2, n=32)
         u = tg_field(g)
-        seen = []
-        propagate(u, 0.1, t_end=0.7, tol=1e-10,
-                  observer=lambda t, v, s: seen.append(s.dt))
+        seen = [s.dt for _, _, s in steps(u, 0.7, lambda v, dt: step(v, 0.1, dt, tol=1e-10))]
         assert sum(seen) == pytest.approx(0.7, abs=1e-15)
 
 
 def run_observed(u, nu, t_end):
-    """``propagate`` from u to t_end: the result and every (t, field, stats)."""
-    seen = []
-    out = propagate(u, nu, t_end, observer=lambda t, v, s: seen.append((t, v, s)))
-    return out, seen
+    """Series steps from u to t_end: the result and every (t, field, stats)."""
+    seen = list(steps(u, t_end, lambda v, dt: step(v, nu, dt)))
+    return seen[-1][1], seen
 
 
 class TestRoundoffFloor:
@@ -348,6 +344,30 @@ class TestControllerRobustness:
         assert all(np.max(np.abs(v.data)) == 0.0 for _, v, _ in seen)
 
 
+class TestControllerDecisions:
+    # The (order_used, dt) that the step controller chooses, recorded before
+    # the attempt loop was restructured; a new step-size rule re-records them.
+    def test_random_run_orders_and_steps(self):
+        u = random_divfree(seed=3, grid=Grid(dim=2, n=64), peak_k=4, amplitude=1.0)
+        _, seen = run_observed(u, 0.01, 2.0)
+        assert [(s.order_used, s.dt) for _, _, s in seen] == [(22, 0.5), (26, 0.75), (21, 0.75)]
+
+    # tol 1e-2 meets its truncation bound at dt 0.78125 and halves once
+    # more for the radius rule.
+    @pytest.mark.parametrize(
+        "kwargs,want",
+        [
+            ({"tol": 1e-2}, (4, 0.390625)),
+            ({"tol": 1e-10}, (18, 0.390625)),
+            ({"tol": 1e-6, "max_order": 6}, (6, 0.09765625)),
+        ],
+    )
+    def test_large_request_is_halved(self, kwargs, want):
+        u = random_divfree(seed=13, grid=Grid(dim=2, n=32), peak_k=3, amplitude=2.0)
+        _, stats = step(u, 0.02, dt=50.0, **kwargs)
+        assert (stats.order_used, stats.dt) == want
+
+
 class TestSteps:
     def test_negative_horizon_rejected(self, random_divfree_2d):
         with pytest.raises(ValueError, match="t_end"):
@@ -382,7 +402,7 @@ def test_negative_viscosity_rejected(call):
 class TestTaylorExpansionType:
     def test_needs_c0(self):
         with pytest.raises(ValueError, match="c_0"):
-            TaylorExpansion(base_time=0.0, coefficients=())
+            TaylorExpansion(coefficients=())
 
     def test_order_property(self, random_divfree_2d):
         exp = taylor_coefficients(random_divfree_2d, 0.1, order=6)

@@ -55,7 +55,7 @@ from .diagnostics import (
     energy,
     enstrophy_norm,
     format_float,
-    shell_spectrum,
+    spectrum_csv,
     write_series_csv,
 )
 from .errors import ConfigError, LiensError, RadiusCollapseError, StabilityError
@@ -71,7 +71,7 @@ from .grid_spectral import (
     write_snapshot,
 )
 from .leray import leray_project
-from .lie_propagator import step as lie_step, steps
+from .lie_propagator import DEFAULT_MAX_ORDER, DEFAULT_TOL, step as lie_step, steps
 from .reference_oracles import AnalyticFlow, analytic_field, random_divfree, rk4_advance
 from .verification import format_table, run_acceptance
 
@@ -202,10 +202,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
                                   check=math.isfinite, describe="must be finite")
         abc = (1.0, 1.0, 1.0)
         if kind == "beltrami_abc":
-            abc = (
-                init_sec.take("abc_a", float, default=1.0),
-                init_sec.take("abc_b", float, default=1.0),
-                init_sec.take("abc_c", float, default=1.0),
+            abc = tuple(
+                init_sec.take(key, float, default=1.0, check=math.isfinite,
+                              describe="must be finite")
+                for key in ("abc_a", "abc_b", "abc_c")
             )
         initial = InitialSpec(kind=kind, amplitude=amplitude, abc=abc)
         flow_dim = 2 if kind == "taylor_green_2d" else 3
@@ -216,13 +216,15 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     elif kind == "random":
         initial = InitialSpec(
             kind=kind,
-            seed=init_sec.take("seed", int),
+            seed=init_sec.take("seed", int, check=lambda v: v >= 0,
+                               describe="must be nonnegative"),
             peak_k=init_sec.take(
                 "peak_k", int, check=lambda v: 1 <= v <= n // 3,
                 describe=f"must lie in 1..{n // 3} (inside the dealias ball)",
             ),
             amplitude=init_sec.take("amplitude", float, default=1.0,
-                                    check=lambda v: v > 0, describe="must be positive"),
+                                    check=lambda v: v > 0 and math.isfinite(v),
+                                    describe="must be positive and finite"),
         )
     else:
         path = Path(init_sec.take("path", str))
@@ -239,10 +241,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     integrator = run_sec.take("integrator", str, check=lambda v: v in ("lie", "rk4"),
                               describe="must be lie or rk4")
     if integrator == "lie":
-        tol = run_sec.take("tol", float, default=1e-10, check=lambda v: v > 0,
+        tol = run_sec.take("tol", float, default=DEFAULT_TOL, check=lambda v: v > 0,
                            describe="must be positive")
-        max_order = run_sec.take("max_order", int, default=30, check=lambda v: v >= 0,
-                                 describe="must be nonnegative")
+        max_order = run_sec.take("max_order", int, default=DEFAULT_MAX_ORDER,
+                                 check=lambda v: v >= 0, describe="must be nonnegative")
         rk4_dt = None
         if "rk4_dt" in run_sec.values:
             raise ConfigError("run.rk4_dt is only valid with integrator = rk4")
@@ -252,7 +254,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         for key in ("tol", "max_order"):
             if key in run_sec.values:
                 raise ConfigError(f"run.{key} is only valid with integrator = lie")
-        tol, max_order = 1e-10, 30
+        tol, max_order = DEFAULT_TOL, DEFAULT_MAX_ORDER
     output_dir = Path(run_sec.take("output_dir", str, default="out"))
     if base_dir is not None and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
@@ -313,10 +315,7 @@ def _finalize_outputs(config: RunConfig, records, final_field) -> None:
     residuals = balance_residuals(records, config.nu)
     filled = [replace(r, balance_residual=res) for r, res in zip(records, residuals)]
     write_series_csv(config.output_dir / "series.csv", filled)
-    lines = ["k,energy"]
-    for shell, value in shell_spectrum(final_field):
-        lines.append(f"{shell},{format_float(value)}")
-    (config.output_dir / "spectrum_final.csv").write_text("\n".join(lines) + "\n",
+    (config.output_dir / "spectrum_final.csv").write_text(spectrum_csv(final_field),
                                                           encoding="ascii")
     write_snapshot(config.output_dir / "field_final.liens", final_field)
 
@@ -440,9 +439,7 @@ def cmd_spectrum(snapshot: Path) -> int:
         return 2
     if isinstance(field, RealVectorField):
         field = to_spectral(field)
-    print("k,energy")
-    for shell, value in shell_spectrum(field):
-        print(f"{shell},{format_float(value)}")
+    print(spectrum_csv(field), end="")
     return 0
 
 

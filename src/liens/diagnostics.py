@@ -5,7 +5,7 @@ used by the command-line front end."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -13,9 +13,6 @@ import numpy as np
 
 from .grid_spectral import RealVectorField, SpectralVectorField, inner_product, parseval_sum
 from .leray import Viscosity, ns_rhs, viscosity_value
-
-SERIES_CSV_HEADER = "t,energy,enstrophy,div_max,balance_residual,order_used,dt"
-
 
 @dataclass(frozen=True)
 class TimeSeriesRecord:
@@ -123,22 +120,24 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# The series CSV columns in record order, each with its (format, parse) pair.
+_SERIES_COLUMNS = [
+    (f.name, (str, int) if f.type == "int" else (format_float, float))
+    for f in fields(TimeSeriesRecord)
+]
+SERIES_CSV_HEADER = ",".join(name for name, _ in _SERIES_COLUMNS)
+
+
+def spectrum_csv(v: SpectralVectorField) -> str:
+    """The shell spectrum of ``v`` as CSV text: a header, then one row per shell."""
+    rows = [f"{shell},{format_float(value)}" for shell, value in shell_spectrum(v)]
+    return "\n".join(["k,energy", *rows]) + "\n"
+
+
 def write_series_csv(path: str | Path, series: Iterable[TimeSeriesRecord]) -> None:
     lines = [SERIES_CSV_HEADER]
     for r in series:
-        lines.append(
-            ",".join(
-                (
-                    format_float(r.t),
-                    format_float(r.energy),
-                    format_float(r.enstrophy),
-                    format_float(r.div_max),
-                    format_float(r.balance_residual),
-                    str(r.order_used),
-                    format_float(r.dt),
-                )
-            )
-        )
+        lines.append(",".join(fmt(getattr(r, name)) for name, (fmt, _) in _SERIES_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -149,17 +148,8 @@ def read_series_csv(path: str | Path) -> list[TimeSeriesRecord]:
     records = []
     for line in text[1:]:
         cols = line.split(",")
-        if len(cols) != 7:
+        if len(cols) != len(_SERIES_COLUMNS):
             raise ValueError(f"bad series CSV row: {line!r}")
-        records.append(
-            TimeSeriesRecord(
-                t=float(cols[0]),
-                energy=float(cols[1]),
-                enstrophy=float(cols[2]),
-                div_max=float(cols[3]),
-                balance_residual=float(cols[4]),
-                order_used=int(cols[5]),
-                dt=float(cols[6]),
-            )
-        )
+        row = {name: parse(col) for (name, (_, parse)), col in zip(_SERIES_COLUMNS, cols)}
+        records.append(TimeSeriesRecord(**row))
     return records

@@ -30,7 +30,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -238,17 +237,9 @@ def complete_hermitian(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full spectrum of a real field from its half spectrum: the mode at k
     with last-axis index above n/2 is the conjugate of the mode at -k."""
     n = grid.n
-    full = np.empty((*half.shape[:-1], n), dtype=np.complex128)
-    full[..., : n // 2 + 1] = half
-    mirror = half[..., n // 2 - 1 : 0 : -1]
-    # On every other grid axis, -k sits at index 0 for index 0 and at n - i
-    # for index i >= 1: two blocks per axis, each a strided view.
-    same, reflected = (slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))
-    for blocks in itertools.product((same, reflected), repeat=grid.dim - 1):
-        dst = (..., *(d for d, _ in blocks), slice(n // 2 + 1, None))
-        src = (..., *(s for _, s in blocks), slice(None))
-        np.conjugate(mirror[src], out=full[dst])
-    return full
+    minus = -np.arange(n) % n  # the index of -k along a complete axis
+    mirror = half[(..., *np.ix_(*[minus] * (grid.dim - 1)), slice(n // 2 - 1, 0, -1))]
+    return np.concatenate((half, np.conj(mirror)), axis=-1)
 
 
 def _conjugate_mismatch(grid: Grid, coefficients: np.ndarray) -> float:
@@ -271,8 +262,17 @@ def parseval_sum(grid: Grid, density: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _coerce(field, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Set ``field.data`` to a frozen ``dtype`` array of ``shape`` with finite
+    entries, or raise ``FieldError`` naming ``what``; return the array."""
+    arr = np.asarray(field.data, dtype=dtype)
+    if arr.shape != shape:
+        raise FieldError(f"{what} shape {arr.shape} does not match grid {shape}")
+    if not np.isfinite(arr).all():
+        entries = "samples" if dtype is np.float64 else "coefficients"
+        raise FieldError(f"{what} contains non-finite {entries}")
     arr.setflags(write=False)
+    object.__setattr__(field, "data", arr)
     return arr
 
 
@@ -284,14 +284,7 @@ class RealVectorField:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != (self.grid.dim, *self.grid.shape):
-            raise FieldError(
-                f"physical field shape {arr.shape} does not match grid {(self.grid.dim, *self.grid.shape)}"
-            )
-        if not np.isfinite(arr).all():
-            raise FieldError("physical field contains non-finite samples")
-        object.__setattr__(self, "data", _freeze(arr))
+        _coerce(self, np.float64, (self.grid.dim, *self.grid.shape), "physical field")
 
     def l2_norm(self) -> float:
         return math.sqrt(self.grid.cell_volume * float(np.sum(self.data**2)))
@@ -341,15 +334,8 @@ class SpectralVectorField(_SpectralArithmetic):
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != (self.grid.dim, *self.grid.spectral_shape):
-            raise FieldError(
-                f"spectral field shape {arr.shape} does not match grid "
-                f"{(self.grid.dim, *self.grid.spectral_shape)}"
-            )
-        if not np.isfinite(arr).all():
-            raise FieldError("spectral field contains non-finite coefficients")
-        object.__setattr__(self, "data", _freeze(arr))
+        shape = (self.grid.dim, *self.grid.spectral_shape)
+        _coerce(self, np.complex128, shape, "spectral field")
 
 
 @dataclass(frozen=True)
@@ -362,14 +348,7 @@ class SpectralScalarField(_SpectralArithmetic):
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.shape != self.grid.spectral_shape:
-            raise FieldError(
-                f"spectral scalar shape {arr.shape} does not match grid "
-                f"{self.grid.spectral_shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise FieldError("spectral scalar contains non-finite coefficients")
+        arr = _coerce(self, np.complex128, self.grid.spectral_shape, "spectral scalar")
         mean = arr[(0,) * self.grid.dim]
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
         if abs(mean.imag) > HERMITIAN_RTOL * max(scale, 1e-300):
@@ -377,7 +356,6 @@ class SpectralScalarField(_SpectralArithmetic):
                 f"mean coefficient of a real scalar field must be real "
                 f"(imag {mean.imag:.3e})"
             )
-        object.__setattr__(self, "data", _freeze(arr))
 
     @property
     def mean_coefficient(self) -> complex:
@@ -488,11 +466,20 @@ def zero_vector_field(grid: Grid) -> SpectralVectorField:
 #
 # Layout: one ASCII header line
 #     LIENS1 dim n l component_count kind\n
-# with kind in {physical, spectral}, followed by little-endian float64 data,
-# component-major, x-fastest within a component. Spectral data is the full
-# spectrum (n^dim coefficients per component, interleaving real and imaginary
-# parts): it is completed from the half spectrum on write, and on read its
-# Hermitian symmetry is checked before it is cut back to the half spectrum.
+# with kind in {physical, spectral}, followed by the payload: one array of
+# the kind's little-endian dtype, component-major, x-fastest within a
+# component. A physical sample is one float64; a spectral coefficient is one
+# complex128, which is the same bytes as the float64 pair (real, imaginary).
+# Spectral data is the full spectrum (n^dim coefficients per component): it
+# is completed from the half spectrum on write, and on read its Hermitian
+# symmetry is checked before it is cut back to the half spectrum.
+
+_SNAPSHOT_DTYPES = {"physical": "<f8", "spectral": "<c16"}
+
+
+def _x_fastest(dim: int) -> tuple[int, ...]:
+    """The payload's axis order, x last; the permutation is its own inverse."""
+    return (0, *range(dim, 0, -1))
 
 
 def write_snapshot(path: str | Path, field: RealVectorField | SpectralVectorField) -> None:
@@ -500,17 +487,10 @@ def write_snapshot(path: str | Path, field: RealVectorField | SpectralVectorFiel
     kind = "physical" if isinstance(field, RealVectorField) else "spectral"
     header = f"{SNAPSHOT_MAGIC} {grid.dim} {grid.n} {grid.length:.17g} {grid.dim} {kind}\n"
     data = field.data if kind == "physical" else complete_hermitian(grid, field.data)
+    payload = np.transpose(data, _x_fastest(grid.dim))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for comp in data:
-            flat = np.ravel(comp, order="F")
-            if kind == "spectral":
-                pairs = np.empty(2 * flat.size, dtype="<f8")
-                pairs[0::2] = flat.real
-                pairs[1::2] = flat.imag
-                fh.write(pairs.tobytes())
-            else:
-                fh.write(flat.astype("<f8", copy=False).tobytes())
+        fh.write(np.ascontiguousarray(payload, _SNAPSHOT_DTYPES[kind]).data)
 
 
 def read_snapshot(path: str | Path) -> RealVectorField | SpectralVectorField:
@@ -526,28 +506,22 @@ def read_snapshot(path: str | Path) -> RealVectorField | SpectralVectorField:
         except ValueError as exc:
             raise SnapshotFormatError(f"unparseable snapshot header: {header!r}") from exc
         kind = parts[5]
-        if kind not in ("physical", "spectral"):
+        if kind not in _SNAPSHOT_DTYPES:
             raise SnapshotFormatError(f"unknown snapshot kind {kind!r}")
         grid = Grid(dim=dim, n=n, length=length)
         if ncomp != dim:
             raise SnapshotFormatError(
                 f"snapshot component count {ncomp} does not match dim {dim}"
             )
-        per_comp = n**dim * (2 if kind == "spectral" else 1)
         raw = fh.read()
-    expected = 8 * per_comp * ncomp
+    dtype = np.dtype(_SNAPSHOT_DTYPES[kind])
+    expected = dtype.itemsize * ncomp * n**dim
     if len(raw) != expected:
         raise SnapshotFormatError(
             f"snapshot payload has {len(raw)} bytes, expected {expected}"
         )
-    values = np.frombuffer(raw, dtype="<f8")
-    comps = []
-    for c in range(ncomp):
-        flat = values[c * per_comp : (c + 1) * per_comp]
-        if kind == "spectral":
-            flat = flat[0::2] + 1j * flat[1::2]
-        comps.append(np.reshape(flat, grid.shape, order="F"))
-    data = np.stack(comps)
+    payload = np.frombuffer(raw, dtype).reshape((ncomp, *grid.shape))
+    data = np.transpose(payload, _x_fastest(dim))
     if kind == "physical":
         return RealVectorField(grid, data)
     norm = math.sqrt(float(np.sum(np.abs(data) ** 2)))

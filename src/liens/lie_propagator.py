@@ -283,7 +283,7 @@ def step(
 
     raise RadiusCollapseError(
         "series step failed to meet its truncation bound after 20 halvings",
-        radius_estimate=radius if len(builder.norms) >= 4 else math.nan,
+        radius_estimate=radius,
         dt_last=dt * 2.0,
     )
 

@@ -61,6 +61,10 @@ rk4_dt = 1e-3
 output_dir = {out}
 """
 
+BELTRAMI_CONFIG = TG_CONFIG.format(n=16, t_end=0.1, out="{out}", cadence=0).replace(
+    "dim = 2", "dim = 3"
+).replace("kind = taylor_green_2d", "kind = beltrami_abc")
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -99,6 +103,21 @@ class TestParseConfig:
         old, new = mutation
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
             parse_config(text.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "text,mutation,needle",
+        [
+            (RANDOM_RK4_CONFIG, ("seed = 5", "seed = -1"), "initial.seed"),
+            (RANDOM_RK4_CONFIG, ("amplitude = 1.0", "amplitude = inf"), "initial.amplitude"),
+            (BELTRAMI_CONFIG, ("kind = beltrami_abc", "kind = beltrami_abc\nabc_a = nan"),
+             "initial.abc_a"),
+        ],
+        ids=["seed", "amplitude", "abc_a"],
+    )
+    def test_invalid_initial_values_name_the_key(self, text, mutation, needle):
+        old, new = mutation
+        with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
+            parse_config(text.format(out="out").replace(old, new))
 
     def test_unknown_key_rejected(self):
         text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)

@@ -200,6 +200,12 @@ class TestSeriesCsv:
         write_series_csv(path, records)
         text = path.read_text()
         assert text.splitlines()[0] == "t,energy,enstrophy,div_max,balance_residual,order_used,dt"
+        # floats with 17 significant digits, order_used as an integer
+        assert text.splitlines()[1:] == [
+            "0,1,2,1.0000000000000001e-15,0,0,0",
+            "0.125,0.5,1,2.0000000000000002e-15,2.9999999999999999e-07,9,0.125",
+        ]
+        assert text.endswith("0.125\n")
         back = read_series_csv(path)
         assert back == records
 

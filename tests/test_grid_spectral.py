@@ -268,12 +268,17 @@ class TestSnapshots:
         assert np.array_equal(back.data, f.data)
 
     def test_spectral_roundtrip_bitexact(self, grid3d, rng, tmp_path):
-        s = to_spectral(random_real_field(grid3d, rng))
+        data = to_spectral(random_real_field(grid3d, rng)).data.copy()
+        data[0, 1, 2, 1] = complex(-0.0, -0.0)  # off the self-conjugate planes
+        s = SpectralVectorField(grid3d, data)
         path = tmp_path / "field.liens"
         write_snapshot(path, s)
         back = read_snapshot(path)
         assert isinstance(back, SpectralVectorField)
         assert np.array_equal(back.data, s.data)
+        # re-written, the file keeps every byte, the signs of zeros included
+        write_snapshot(tmp_path / "again.liens", back)
+        assert (tmp_path / "again.liens").read_bytes() == path.read_bytes()
 
     def test_header_contents(self, grid2d, tmp_path):
         f = RealVectorField(grid2d, np.zeros((2, *grid2d.shape)))
@@ -334,16 +339,20 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="payload"):
             read_snapshot(path)
 
-    def test_x_fastest_ordering(self, tmp_path):
-        g = Grid(dim=2, n=8)
-        data = np.zeros((2, 8, 8))
-        data[0] = np.arange(64).reshape(8, 8)  # data[0][ix, iy] = 8*ix + iy
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+    def test_x_fastest_ordering(self, tmp_path, dim):
+        g = Grid(dim=dim, n=8)
+        # every sample distinct; data[0][ix, iy(, iz)] counts with ix slowest
+        data = np.arange(dim * 8**dim, dtype=float).reshape(dim, *g.shape)
         path = tmp_path / "field.liens"
         write_snapshot(path, RealVectorField(g, data))
         payload = path.read_bytes().split(b"\n", 1)[1]
         first_row = np.frombuffer(payload[: 8 * 8], dtype="<f8")
-        # x varies fastest: the first 8 values walk ix at iy=0
-        assert np.array_equal(first_row, data[0, :, 0])
+        # x varies fastest: the first 8 values walk ix at iy (= iz) = 0
+        assert np.array_equal(first_row, data[(0, slice(None)) + (0,) * (dim - 1)])
+        # then y (then z), one component after another
+        want = np.concatenate([np.ravel(c, order="F") for c in data]).astype("<f8")
+        assert payload == want.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -229,6 +229,9 @@ class TestStep:
         with pytest.raises(RadiusCollapseError) as err:
             step(random_divfree_2d, 0.0, dt=1.0, tol=1e-14, max_order=1)
         assert err.value.dt_last == pytest.approx(2.0**-20)
+        # with fewer than four coefficients the radius is never estimated: +inf,
+        # as StepStats reports it
+        assert err.value.radius_estimate == math.inf
 
     def test_parameter_validation(self, random_divfree_2d):
         with pytest.raises(ValueError, match="dt"):

@@ -33,7 +33,7 @@ from .grid_spectral import (
     to_spectral,
     write_snapshot,
 )
-from .leray import Viscosity, compute_pressure, leray_project, ns_rhs
+from .leray import compute_pressure, leray_project, ns_rhs
 from .lie_propagator import (
     StepStats,
     TaylorExpansion,
@@ -80,7 +80,6 @@ __all__ = [
     "StepStats",
     "TaylorExpansion",
     "TimeSeriesRecord",
-    "Viscosity",
     "a_power_u",
     "analytic_field",
     "apply_A",

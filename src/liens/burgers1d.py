@@ -54,8 +54,8 @@ def burgers_rhs(u: np.ndarray, nu: float) -> np.ndarray:
 
 def rk4_burgers(u0: np.ndarray, nu: float, t_end: float, dt: float) -> np.ndarray:
     """Classical RK4 on the same pseudospectral Burgers system."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     def advance(u: np.ndarray, remaining: float):
         h = fixed_step(dt, remaining)

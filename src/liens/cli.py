@@ -33,9 +33,9 @@ Lines are blank, comments (``# ...``), section headers (``[grid]``), or
           seed, peak_k (random)
           path (snapshot; file must exist)
 [run]     t_end (>= 0), integrator = lie | rk4,
-          tol (> 0, lie only, default 1e-10),
+          tol (finite > 0, lie only, default 1e-10),
           max_order (>= 0, lie only, default 30),
-          rk4_dt (> 0, rk4 only, required),
+          rk4_dt (finite > 0, rk4 only, required),
           output_dir (default "out"), snapshot_cadence (>= 0, default 0;
           0 writes only the final snapshot)
 """
@@ -241,16 +241,17 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     integrator = run_sec.take("integrator", str, check=lambda v: v in ("lie", "rk4"),
                               describe="must be lie or rk4")
     if integrator == "lie":
-        tol = run_sec.take("tol", float, default=DEFAULT_TOL, check=lambda v: v > 0,
-                           describe="must be positive")
+        tol = run_sec.take("tol", float, default=DEFAULT_TOL,
+                           check=lambda v: v > 0 and math.isfinite(v),
+                           describe="must be positive and finite")
         max_order = run_sec.take("max_order", int, default=DEFAULT_MAX_ORDER,
                                  check=lambda v: v >= 0, describe="must be nonnegative")
         rk4_dt = None
         if "rk4_dt" in run_sec.values:
             raise ConfigError("run.rk4_dt is only valid with integrator = rk4")
     else:
-        rk4_dt = run_sec.take("rk4_dt", float, check=lambda v: v > 0,
-                              describe="must be positive")
+        rk4_dt = run_sec.take("rk4_dt", float, check=lambda v: v > 0 and math.isfinite(v),
+                              describe="must be positive and finite")
         for key in ("tol", "max_order"):
             if key in run_sec.values:
                 raise ConfigError(f"run.{key} is only valid with integrator = lie")

@@ -11,8 +11,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid_spectral import RealVectorField, SpectralVectorField, inner_product, parseval_sum
-from .leray import Viscosity, ns_rhs, viscosity_value
+from .grid_spectral import (
+    RealVectorField,
+    SpectralVectorField,
+    enstrophy_norm,
+    inner_product,
+    parseval_sum,
+)
+from .leray import ns_rhs, viscosity_value
 
 @dataclass(frozen=True)
 class TimeSeriesRecord:
@@ -42,13 +48,7 @@ def energy(v: SpectralVectorField | RealVectorField) -> float:
     return 0.5 * parseval_sum(v.grid, np.abs(v.data) ** 2)
 
 
-def enstrophy_norm(v: SpectralVectorField) -> float:
-    """Gradient-square integral sum_ij int (d_j v_i)^2 dx."""
-    grid = v.grid
-    return parseval_sum(grid, grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0))
-
-
-def dissipativity_residual(v: SpectralVectorField, nu: Viscosity | float) -> float:
+def dissipativity_residual(v: SpectralVectorField, nu: float) -> float:
     """<F(v), v> + nu * enstrophy_norm(v); vanishes identically for dealiased
     divergence-free fields, so its size measures aliasing or projection bugs."""
     nu_val = viscosity_value(nu)
@@ -82,7 +82,7 @@ def _interior_residuals(
     return np.abs(dedt + nu_val * ens[1:-1]) / scale
 
 
-def energy_balance(series: Sequence[TimeSeriesRecord], nu: Viscosity | float) -> float:
+def energy_balance(series: Sequence[TimeSeriesRecord], nu: float) -> float:
     """Maximum relative residual of dE/dt = -nu * enstrophy over the series;
     needs at least 3 records with strictly increasing t."""
     nu_val = viscosity_value(nu)
@@ -92,7 +92,7 @@ def energy_balance(series: Sequence[TimeSeriesRecord], nu: Viscosity | float) ->
 
 
 def balance_residuals(
-    series: Sequence[TimeSeriesRecord], nu: Viscosity | float
+    series: Sequence[TimeSeriesRecord], nu: float
 ) -> list[float]:
     """Pointwise balance residuals for CSV emission: interior records carry
     the relative residual, endpoints (and too-short series) carry 0."""

@@ -428,15 +428,16 @@ def divergence(v: SpectralVectorField) -> SpectralScalarField:
     return SpectralScalarField(grid, acc)
 
 
-def gradient_l2(v: SpectralVectorField) -> float:
-    """L2 norm of the full velocity gradient, sqrt(sum_ij int (d_j v_i)^2 dx)."""
+def enstrophy_norm(v: SpectralVectorField) -> float:
+    """Gradient-square integral sum_ij int (d_j v_i)^2 dx."""
     grid = v.grid
-    return math.sqrt(parseval_sum(grid, grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0)))
+    return parseval_sum(grid, grid.ksq * np.sum(np.abs(v.data) ** 2, axis=0))
 
 
 def relative_divergence(v: SpectralVectorField) -> float:
-    """‖div v‖_2 / ‖grad v‖_2; zero for a constant (gradient-free) field."""
-    grad = gradient_l2(v)
+    """‖div v‖_2 / ‖grad v‖_2, with ‖grad v‖_2^2 = ``enstrophy_norm(v)``;
+    zero for a constant (gradient-free) field."""
+    grad = math.sqrt(enstrophy_norm(v))
     if grad == 0.0:
         return 0.0
     return divergence(v).l2_norm() / grad
@@ -508,7 +509,10 @@ def read_snapshot(path: str | Path) -> RealVectorField | SpectralVectorField:
         kind = parts[5]
         if kind not in _SNAPSHOT_DTYPES:
             raise SnapshotFormatError(f"unknown snapshot kind {kind!r}")
-        grid = Grid(dim=dim, n=n, length=length)
+        try:
+            grid = Grid(dim=dim, n=n, length=length)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"bad snapshot header {header!r}: {exc}") from exc
         if ncomp != dim:
             raise SnapshotFormatError(
                 f"snapshot component count {ncomp} does not match dim {dim}"

@@ -30,7 +30,6 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,20 +54,10 @@ TENSOR_INDEX = {
 }
 
 
-@dataclass(frozen=True)
-class Viscosity:
-    """Kinematic viscosity, nu >= 0."""
-
-    nu: float
-
-    def __post_init__(self):
-        viscosity_value(self.nu)
-
-
-def viscosity_value(nu: Viscosity | float) -> float:
-    """The viscosity as a float, from a ``Viscosity`` or a plain number;
-    rejects a value that is not finite and nonnegative."""
-    value = nu.nu if isinstance(nu, Viscosity) else float(nu)
+def viscosity_value(nu: float) -> float:
+    """The kinematic viscosity as a float; rejects a value that is not
+    finite and nonnegative."""
+    value = float(nu)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"viscosity must be finite and nonnegative, got {value}")
     return value
@@ -184,7 +173,7 @@ def rhs_hat(grid: Grid, v_hat: np.ndarray, nu: float) -> np.ndarray:
     return -nu * grid.ksq * v_hat - nonlinear_hat(grid, _velocity_tensor(grid, v_hat))
 
 
-def ns_rhs(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
+def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
     """Navier-Stokes right-hand side nu*lap(v) - P[div(v v)].
 
     Output is divergence-free and dealiased whenever the input is.

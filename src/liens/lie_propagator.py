@@ -51,7 +51,6 @@ from .errors import RadiusCollapseError
 from .grid_spectral import TWO_PI, Grid, SpectralVectorField, ifftn_real, parseval_sum
 from .leray import (
     TENSOR_INDEX,
-    Viscosity,
     _product_tensor,
     _require_admissible,
     nonlinear_hat,
@@ -102,8 +101,8 @@ class StepStats:
     radius_estimate: float = math.nan
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("step dt must be positive")
+        if not self.dt > 0.0:
+            raise ValueError(f"step dt must be positive, got {self.dt}")
         if self.truncation_estimate < 0.0:
             raise ValueError("truncation estimate must be nonnegative")
 
@@ -204,7 +203,7 @@ def _radius_from_norms(norms: list[float]) -> float:
 
 
 def taylor_coefficients(
-    u: SpectralVectorField, nu: Viscosity | float, order: int
+    u: SpectralVectorField, nu: float, order: int
 ) -> TaylorExpansion:
     """Coefficients c_0..c_order of the series around the state ``u``."""
     if order < 0:
@@ -245,7 +244,7 @@ def estimate_radius(e: TaylorExpansion) -> float:
 
 def step(
     u: SpectralVectorField,
-    nu: Viscosity | float,
+    nu: float,
     dt: float,
     tol: float = DEFAULT_TOL,
     max_order: int = DEFAULT_MAX_ORDER,
@@ -258,10 +257,10 @@ def step(
     Reports the dt used; raises ``RadiusCollapseError`` once the halving
     budget is exhausted.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     nu_val = viscosity_value(nu)
@@ -301,8 +300,8 @@ def steps(
     """Step from ``u`` to exactly ``t_end``, yielding (t, field, stats) after
     every step; ``advance(v, remaining) -> (v_next, stats)`` takes one step
     of at most ``remaining``."""
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
     v = u
     remaining = t_end
     while remaining > 0.0:
@@ -313,7 +312,7 @@ def steps(
 
 def propagate(
     u: SpectralVectorField,
-    nu: Viscosity | float,
+    nu: float,
     t_end: float,
     tol: float = DEFAULT_TOL,
     max_order: int = DEFAULT_MAX_ORDER,

@@ -468,8 +468,10 @@ class _Parser:
         kind, text = self.take()
         if kind == "rational":
             if "/" in text:
-                num, den = text.split("/")
-                return DiffPoly.constant(Fraction(int(num), int(den)))
+                num, den = (int(part) for part in text.split("/"))
+                if den == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
+                return DiffPoly.constant(Fraction(num, den))
             return DiffPoly.constant(int(text))
         if kind == "name":
             return DiffPoly.u(int(text[2:]))

@@ -28,7 +28,6 @@ from .grid_spectral import (
     reflect_modes,
 )
 from .leray import (
-    Viscosity,
     _divergence_hat,
     _pressure_hat,
     _require_admissible,
@@ -115,7 +114,7 @@ def _flow_coefficients(flow: AnalyticFlow, grid: Grid) -> np.ndarray:
 
 
 def analytic_field(
-    flow: AnalyticFlow, t: float, nu: Viscosity | float, grid: Grid
+    flow: AnalyticFlow, t: float, nu: float, grid: Grid
 ) -> SpectralVectorField:
     """Spectral coefficients of the flow at time ``t``, written mode-exactly."""
     nu_val = viscosity_value(nu)
@@ -147,7 +146,7 @@ def advection_hat(
     return adv_hat[..., : grid.n // 2 + 1] * grid.dealias_keep
 
 
-def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> SpectralVectorField:
+def ns_rhs_via_pressure(v: SpectralVectorField, nu: float) -> SpectralVectorField:
     """``ns_rhs`` through the explicit pressure gradient,
     nu*lap(v) - div(v v) - grad(p_v): the second evaluation path of the
     gauge-consistency checks."""
@@ -163,7 +162,7 @@ def ns_rhs_via_pressure(v: SpectralVectorField, nu: Viscosity | float) -> Spectr
 
 
 def rk4_step(
-    v: SpectralVectorField, nu: Viscosity | float, dt: float
+    v: SpectralVectorField, nu: float, dt: float
 ) -> SpectralVectorField:
     """One classical 4-stage Runge-Kutta step of ``ns_rhs``, re-projected.
 
@@ -180,12 +179,12 @@ def rk4_step(
     return leray_project(SpectralVectorField(grid, out))
 
 
-def rk4_advance(grid: Grid, nu: Viscosity | float, dt: float):
+def rk4_advance(grid: Grid, nu: float, dt: float):
     """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``. Enforces
     the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0."""
     nu_val = viscosity_value(nu)
-    if dt <= 0.0:
-        raise ValueError("rk4 step size must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"rk4 step size must be positive and finite, got {dt}")
     if nu_val > 0.0:
         dt_max = 0.5 * grid.spacing**2 / nu_val
         if dt > dt_max:
@@ -199,7 +198,7 @@ def rk4_advance(grid: Grid, nu: Viscosity | float, dt: float):
 
 
 def rk4_propagate(
-    u: SpectralVectorField, nu: Viscosity | float, t_end: float, dt: float
+    u: SpectralVectorField, nu: float, t_end: float, dt: float
 ) -> SpectralVectorField:
     """Advance ``u`` to ``t_end`` with fixed-step RK4 (see ``rk4_advance``);
     rejects initial data that is not divergence-free and dealiased."""

@@ -71,6 +71,10 @@ def _tracked_propagate(
     return run
 
 
+# nu and the steps of one tracked run, as criteria 4 and 10 re-read them
+TrackedRun = tuple[float, list[tuple[SpectralVectorField, SpectralVectorField, StepStats]]]
+
+
 def _rel_l2(a: SpectralVectorField, b: SpectralVectorField) -> float:
     denom = b.l2_norm()
     return (a - b).l2_norm() / denom if denom else (a - b).l2_norm()
@@ -81,37 +85,24 @@ def _rel_l2(a: SpectralVectorField, b: SpectralVectorField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_taylor_green(context) -> list[CheckResult]:
-    grid = Grid(dim=2, n=64)
-    nu = 0.1
-    flow = AnalyticFlow("taylor_green_2d")
+def _exact_flow_check(
+    criterion: str, label: str, kind: str, grid: Grid, nu: float, t_end: float,
+    error_bound: float, time_bound: float,
+) -> tuple[list[CheckResult], TrackedRun]:
+    """Criteria 1 and 2: the series run from the closed-form flow ``kind`` at
+    t = 0 ends within ``error_bound`` of the flow at ``t_end`` (relative L2)
+    and within ``time_bound`` seconds. Returns the checks and the run."""
+    flow = AnalyticFlow(kind)
     u = analytic_field(flow, 0.0, nu, grid)
     _sfft()  # the one-time scipy.fft import is not part of the run
     t0 = time.perf_counter()
-    run = _tracked_propagate(u, nu, 1.0)
+    run = _tracked_propagate(u, nu, t_end)
     runtime = time.perf_counter() - t0
-    err = _rel_l2(run[-1][1], analytic_field(flow, 1.0, nu, grid))
-    context["run1"] = (nu, run)
+    err = _rel_l2(run[-1][1], analytic_field(flow, t_end, nu, grid))
     return [
-        CheckResult("1", "taylor-green 2d relative L2 error", err, 1e-8),
-        CheckResult("1", "taylor-green 2d runtime [s]", runtime, 5.0),
-    ]
-
-
-def criterion_2_beltrami(context) -> list[CheckResult]:
-    grid = Grid(dim=3, n=32)
-    nu = 0.05
-    flow = AnalyticFlow("beltrami_abc")
-    u = analytic_field(flow, 0.0, nu, grid)
-    t0 = time.perf_counter()
-    run = _tracked_propagate(u, nu, 0.5)
-    runtime = time.perf_counter() - t0
-    err = _rel_l2(run[-1][1], analytic_field(flow, 0.5, nu, grid))
-    context["run2"] = (nu, run)
-    return [
-        CheckResult("2", "beltrami abc 3d relative L2 error", err, 1e-7),
-        CheckResult("2", "beltrami abc 3d runtime [s]", runtime, 120.0),
-    ]
+        CheckResult(criterion, f"{label} relative L2 error", err, error_bound),
+        CheckResult(criterion, f"{label} runtime [s]", runtime, time_bound),
+    ], (nu, run)
 
 
 def ns_rhs_with_pressure_sign(
@@ -157,10 +148,9 @@ def criterion_3_dissipativity(level: str, pressure_sign: float = 1.0) -> list[Ch
     ]
 
 
-def criterion_4_divergence_preservation(context) -> list[CheckResult]:
+def criterion_4_divergence_preservation(runs: list[TrackedRun]) -> list[CheckResult]:
     worst = 0.0
-    for key in ("run1", "run2"):
-        nu, run = context.get(key, (None, []))
+    for nu, run in runs:
         for start, out, stats in run:
             expansion = taylor_coefficients(start, nu, stats.order_used)
             for c in expansion.coefficients:
@@ -169,24 +159,20 @@ def criterion_4_divergence_preservation(context) -> list[CheckResult]:
     return [CheckResult("4", "divergence of coefficients and steps", worst, 1e-10)]
 
 
-def criterion_5_oracle_agreement(context) -> list[CheckResult]:
+def criterion_5_oracle_agreement() -> tuple[list[CheckResult], TrackedRun]:
     grid = Grid(dim=3, n=32)
     nu = 0.02
     u = random_divfree(seed=7, grid=grid, peak_k=3, amplitude=1.0)
     run = _tracked_propagate(u, nu, 0.5)
     reference = rk4_propagate(u, nu, 0.5, dt=1e-3)
-    context["run5"] = (nu, run)
-    context["u5"] = u
-    context["nu5"] = nu
     return [
         CheckResult(
             "5", "lie vs rk4 relative L2 distance", _rel_l2(run[-1][1], reference), 1e-6
         )
-    ]
+    ], (nu, run)
 
 
-def criterion_6_semigroup(context) -> list[CheckResult]:
-    u, nu = context["u5"], context["nu5"]
+def criterion_6_semigroup(u: SpectralVectorField, nu: float) -> list[CheckResult]:
     tol = 1e-10
     radius = estimate_radius(taylor_coefficients(u, nu, 10))
     dt = radius / 8.0  # the 2*dt step stays within half the radius estimate
@@ -263,10 +249,9 @@ def criterion_9_exact_laws() -> list[CheckResult]:
     return [CheckResult("9", "derivation/linearity failures of 100", float(failures), 0.0)]
 
 
-def criterion_10_energy_monotonicity(context) -> list[CheckResult]:
+def criterion_10_energy_monotonicity(runs: list[TrackedRun]) -> list[CheckResult]:
     worst = 0.0
-    for key in ("run1", "run2", "run5"):
-        _, run = context.get(key, (None, []))
+    for _, run in runs:
         for start, out, _ in run:
             before, after = energy(start), energy(out)
             if before > 0:
@@ -277,20 +262,27 @@ def criterion_10_energy_monotonicity(context) -> list[CheckResult]:
 def run_acceptance(level: str = FULL) -> list[CheckResult]:
     if level not in (QUICK, FULL):
         raise ValueError(f"unknown verify level {level!r}")
-    context: dict = {}
-    results: list[CheckResult] = []
-    results += criterion_1_taylor_green(context)
+    results, run = _exact_flow_check(
+        "1", "taylor-green 2d", "taylor_green_2d", Grid(dim=2, n=64), 0.1, 1.0, 1e-8, 5.0
+    )
+    runs = [run]  # criterion 4 reads the runs of 1 and 2, criterion 10 also 5's
     if level == FULL:
-        results += criterion_2_beltrami(context)
+        rows, run = _exact_flow_check(
+            "2", "beltrami abc 3d", "beltrami_abc", Grid(dim=3, n=32), 0.05, 0.5, 1e-7, 120.0
+        )
+        results += rows
+        runs.append(run)
     results += criterion_3_dissipativity(level)
-    results += criterion_4_divergence_preservation(context)
+    results += criterion_4_divergence_preservation(runs)
     if level == FULL:
-        results += criterion_5_oracle_agreement(context)
-        results += criterion_6_semigroup(context)
+        rows, (nu, run) = criterion_5_oracle_agreement()
+        results += rows
+        runs.append((nu, run))
+        results += criterion_6_semigroup(run[0][0], nu)  # criterion 5's start field
     results += criterion_7_convergence_order()
     results += criterion_8_linear_representation()
     results += criterion_9_exact_laws()
-    results += criterion_10_energy_monotonicity(context)
+    results += criterion_10_energy_monotonicity(runs)
     return results
 
 

@@ -96,6 +96,10 @@ class TestParseConfig:
             (("integrator = lie", "integrator = euler"), "run.integrator"),
             (("tol = 1e-10", "tol = 0"), "run.tol"),
             (("n = 64", "n = 64\nl = 3.0"), "grid.l"),
+            (("tol = 1e-10", "tol = inf"), "run.tol"),
+            (("tol = 1e-10", "tol = nan"), "run.tol"),
+            (("integrator = lie\ntol = 1e-10", "integrator = rk4\nrk4_dt = inf"), "run.rk4_dt"),
+            (("integrator = lie\ntol = 1e-10", "integrator = rk4\nrk4_dt = nan"), "run.rk4_dt"),
         ],
     )
     def test_invalid_values_name_the_key(self, mutation, needle):
@@ -261,6 +265,15 @@ class TestSimulate:
         b = read_snapshot(tmp_path / "seed2" / "field_final.liens")
         assert np.array_equal(a.data, b.data)
 
+    def test_impossible_snapshot_grid_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.liens"
+        bad.write_bytes(b"LIENS1 2 12 6.28 2 physical\n")
+        restart = TG_CONFIG.format(n=32, t_end=0.0, out=tmp_path / "o", cadence=0).replace(
+            "kind = taylor_green_2d", f"kind = snapshot\npath = {bad}"
+        )
+        assert cmd_simulate(write_cfg(tmp_path, restart)) == 2
+        assert "grid n" in capsys.readouterr().err
+
     def test_radius_collapse_exits_3(self, tmp_path, capsys):
         text = TG_CONFIG.format(n=32, t_end=1.0, out=tmp_path / "fail", cadence=0).replace(
             "kind = taylor_green_2d",
@@ -320,3 +333,9 @@ class TestSubcommands:
 
     def test_spectrum_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "none.liens")]) == 2
+
+    def test_spectrum_impossible_grid_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.liens"
+        path.write_bytes(b"LIENS1 4 8 6.28 4 physical\n")
+        assert main(["spectrum", str(path)]) == 2
+        assert "grid dim" in capsys.readouterr().err

@@ -330,6 +330,21 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="header"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "header,needle",
+        [
+            ("LIENS1 2 12 6.28 2 physical", "grid n .*got 12"),
+            ("LIENS1 4 8 6.28 4 physical", "grid dim .*got 4"),
+            ("LIENS1 2 8 nan 2 physical", "grid length .*got nan"),
+        ],
+        ids=["n", "dim", "length"],
+    )
+    def test_impossible_grid_header_rejected(self, tmp_path, header, needle):
+        path = tmp_path / "grid.liens"
+        path.write_bytes(header.encode("ascii") + b"\n")
+        with pytest.raises(SnapshotFormatError, match=needle):
+            read_snapshot(path)
+
     def test_truncated_payload_rejected(self, grid2d, tmp_path):
         f = RealVectorField(grid2d, np.zeros((2, *grid2d.shape)))
         path = tmp_path / "field.liens"

@@ -10,20 +10,21 @@ import liens.lie_propagator as lie_propagator
 from liens import (
     AnalyticFlow,
     Grid,
-    Viscosity,
     analytic_field,
     energy,
     estimate_radius,
     evaluate,
     propagate,
+    rk4_propagate,
     step,
     steps,
     taylor_coefficients,
 )
+from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
 from liens.grid_spectral import relative_divergence, zero_vector_field
 from liens.lie_propagator import StepStats, TaylorExpansion, fixed_step
-from liens.reference_oracles import random_divfree, rk4_step
+from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
 
 from conftest import random_real_field
 
@@ -46,7 +47,7 @@ class TestTaylorCoefficients:
         nu = 0.1
         u = tg_field(g)
         scale = np.max(np.abs(u.data))
-        exp = taylor_coefficients(u, Viscosity(nu), order=10)
+        exp = taylor_coefficients(u, nu, order=10)
         for n, c in enumerate(exp.coefficients):
             want = ((-2.0 * nu) ** n / factorial(n)) * u.data
             assert np.max(np.abs(c.data - want)) <= 1e-10 * scale
@@ -238,6 +239,15 @@ class TestStep:
             step(random_divfree_2d, 0.1, dt=0.0)
         with pytest.raises(ValueError, match="tol"):
             step(random_divfree_2d, 0.1, dt=0.1, tol=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt"):
+                step(random_divfree_2d, 0.1, dt=bad)
+            with pytest.raises(ValueError, match="tol"):
+                step(random_divfree_2d, 0.1, dt=0.1, tol=bad)
+            with pytest.raises(ValueError, match="rk4 step size"):
+                rk4_advance(random_divfree_2d.grid, 0.1, bad)
+            with pytest.raises(ValueError, match="dt"):
+                rk4_burgers(np.sin(np.arange(16.0)), 0.1, 0.1, bad)
 
 
 class TestPropagate:
@@ -375,6 +385,35 @@ class TestSteps:
     def test_negative_horizon_rejected(self, random_divfree_2d):
         with pytest.raises(ValueError, match="t_end"):
             next(steps(random_divfree_2d, -1.0, lambda v, dt: step(v, 0.1, dt)))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda u: propagate(u, 0.1, math.nan),
+            lambda u: rk4_propagate(u, 0.1, math.nan, 1e-3),
+            lambda u: rk4_burgers(np.sin(np.arange(16.0)), 0.1, math.nan, 1e-3),
+        ],
+        ids=["propagate", "rk4_propagate", "rk4_burgers"],
+    )
+    def test_nan_horizon_rejected(self, random_divfree_2d, run):
+        with pytest.raises(ValueError, match="t_end"):
+            run(random_divfree_2d)
+
+    def test_infinite_horizon_rejected(self):
+        calls = []
+
+        def advance(v, remaining):
+            calls.append(remaining)
+            assert len(calls) < 3, "steps kept stepping towards an infinite t_end"
+            return v, StepStats(order_used=4, dt=1e-3)
+
+        with pytest.raises(ValueError, match="t_end"):
+            for _ in steps(0.0, math.inf, advance):
+                pass
+
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            StepStats(order_used=4, dt=math.nan)
 
     @pytest.mark.parametrize("t_end,dt,count", [(0.7, 0.1, 7), (1.0, 1e-4, 10000)])
     def test_fixed_step_run_ends_without_sliver(self, t_end, dt, count):

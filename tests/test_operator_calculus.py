@@ -433,7 +433,8 @@ class TestTextSyntax:
 
     @pytest.mark.parametrize(
         "text",
-        ["u_0 +", "2 ** u_1", "u_", "(u_0", "u_0 ^ 1/2", "3//4", "u_0 u_1"],
+        ["u_0 +", "2 ** u_1", "u_", "(u_0", "u_0 ^ 1/2", "3//4", "u_0 u_1", "1/0",
+         "u_1*3/0"],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):

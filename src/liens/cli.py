@@ -15,24 +15,26 @@ Commands
 ``liens spectrum <snapshot>``
     Print the shell-averaged energy spectrum of a stored field as CSV.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 propagation failure (analyticity-margin collapse; the last valid field is
-flushed before exiting).
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(including an ``output_dir`` that cannot be created), 3 propagation failure
+(analyticity-margin collapse or a state that stops being finite; the last
+field with a finite record is flushed before exiting).
 
 Config grammar
 --------------
 Lines are blank, comments (``# ...``), section headers (``[grid]``), or
 ``key = value`` pairs. Unknown sections or keys are rejected. Sections:
 
-[grid]    dim (2|3), n (power of two >= 8), l (box length, default 2*pi)
-[fluid]   nu (>= 0)
+[grid]    dim (2|3), n (power of two >= 8), l (finite box length > 0,
+          default 2*pi)
+[fluid]   nu (finite, >= 0)
 [initial] kind = taylor_green_2d | taylor_green_3d_embedded | beltrami_abc
                  | random | snapshot
           amplitude (analytic/random kinds, default 1.0)
           abc_a, abc_b, abc_c (beltrami, default 1.0)
           seed, peak_k (random)
           path (snapshot; file must exist)
-[run]     t_end (>= 0), integrator = lie | rk4,
+[run]     t_end (finite, >= 0), integrator = lie | rk4,
           tol (finite > 0, lie only, default 1e-10),
           max_order (>= 0, lie only, default 30),
           rk4_dt (finite > 0, rk4 only, required),
@@ -58,7 +60,7 @@ from .diagnostics import (
     spectrum_csv,
     write_series_csv,
 )
-from .errors import ConfigError, LiensError, RadiusCollapseError, StabilityError
+from .errors import ConfigError, LiensError, StabilityError
 from .grid_spectral import (
     TWO_PI,
     Grid,
@@ -179,14 +181,14 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     )
     l = grid_sec.take(
         "l", float, default=TWO_PI, check=lambda v: v > 0 and math.isfinite(v),
-        describe="must be positive",
+        describe="must be positive and finite",
     )
     grid_sec.finish()
 
     fluid_sec = _SectionReader("fluid", sections["fluid"])
     nu = fluid_sec.take(
         "nu", float, check=lambda v: v >= 0 and math.isfinite(v),
-        describe="must be nonnegative",
+        describe="must be finite and nonnegative",
     )
     fluid_sec.finish()
 
@@ -237,7 +239,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
 
     run_sec = _SectionReader("run", sections["run"])
     t_end = run_sec.take("t_end", float, check=lambda v: v >= 0 and math.isfinite(v),
-                         describe="must be nonnegative")
+                         describe="must be finite and nonnegative")
     integrator = run_sec.take("integrator", str, check=lambda v: v in ("lie", "rk4"),
                               describe="must be lie or rk4")
     if integrator == "lie":
@@ -332,6 +334,10 @@ def cmd_simulate(config_path: Path) -> int:
                                 max_order=config.max_order)
         else:
             advance = rk4_advance(grid, config.nu, config.rk4_dt)
+        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"run.output_dir: {exc}") from exc
     except StabilityError as exc:
         print(f"config error: run.rk4_dt: {exc}", file=sys.stderr)
         return 2
@@ -346,18 +352,18 @@ def cmd_simulate(config_path: Path) -> int:
     delta = (u - u_raw).l2_norm() / raw_norm if raw_norm else 0.0
     print(f"initial projection delta: {format_float(delta)}")
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     records = [_record(0.0, u, 0, 0.0)]
     cadence = config.snapshot_cadence
-    current = u
+    current = u  # the last field with a record
     try:
-        for number, (t, current, stats) in enumerate(steps(u, config.t_end, advance), 1):
-            records.append(_record(t, current, stats.order_used, stats.dt))
+        for number, (t, v, stats) in enumerate(steps(u, config.t_end, advance), 1):
+            records.append(_record(t, v, stats.order_used, stats.dt))
+            current = v
             if cadence and number % cadence == 0:
                 write_snapshot(
                     config.output_dir / f"snapshot_{number // cadence:06d}.liens", current
                 )
-    except RadiusCollapseError as exc:
+    except LiensError as exc:
         print(f"propagation failure: {exc}", file=sys.stderr)
         write_snapshot(config.output_dir / "field_last.liens", current)
         _finalize_outputs(config, records, current)

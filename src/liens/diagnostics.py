@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import FieldError
 from .grid_spectral import (
     RealVectorField,
     SpectralVectorField,
@@ -36,9 +37,9 @@ class TimeSeriesRecord:
         values = (self.t, self.energy, self.enstrophy, self.div_max,
                   self.balance_residual, self.dt)
         if not all(math.isfinite(x) for x in values):
-            raise ValueError("time-series record contains non-finite values")
+            raise FieldError("time-series record contains non-finite values")
         if self.energy < 0.0 or self.enstrophy < 0.0:
-            raise ValueError("energy and enstrophy must be nonnegative")
+            raise FieldError("energy and enstrophy must be nonnegative")
 
 
 def energy(v: SpectralVectorField | RealVectorField) -> float:

@@ -16,20 +16,22 @@ mode, and k -> -k maps each of them onto its own conjugate, so none needs
 completing.
 
 The quadratic term is computed in divergence form by one kernel, shared with
-the series recursion of ``lie_propagator``. The caller forms the symmetric
-product tensor T_ij = v_i v_j pointwise in physical space (components i <= j
-only: 3 in 2-D, 6 in 3-D); the kernel transforms it once to its half
-spectrum with a real-to-complex FFT and applies the 2/3-rule mask, and both
-i k_j T_ij (the advection term, then Leray-projected) and the pressure
--k_i k_j T_ij / |k|^2 are read off that transform. With the 2/3 rule the
-divergence and advective forms agree to round-off on dealiased solenoidal
-fields; the advective form is kept in ``reference_oracles`` as the test
-oracle.
+the series recursion of ``lie_propagator``, and this module alone knows its
+layout. It forms every symmetric product tensor T_ij pointwise in physical
+space (components i <= j only: 3 in 2-D, 6 in 3-D): v_i v_j for ``ns_rhs``
+and the pressure, and the series' Cauchy sum sum_m (c_m)_i (c_{n-m})_j in
+``cauchy_tensor``. The kernel transforms T once to its half spectrum with a
+real-to-complex FFT and applies the 2/3-rule mask, and both i k_j T_ij (the
+advection term, then Leray-projected) and the pressure -k_i k_j T_ij / |k|^2
+are read off that transform. With the 2/3 rule the divergence and advective
+forms agree to round-off on dealiased solenoidal fields; the advective form
+is kept in ``reference_oracles`` as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -81,11 +83,6 @@ def _require_admissible(v: SpectralVectorField, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _component(dim: int, i: int, j: int) -> int:
-    """Index of T_ij among the stored components."""
-    return TENSOR_INDEX[dim].index((min(i, j), max(i, j)))
-
-
 def _product_tensor(v: np.ndarray) -> np.ndarray:
     """Stored components of v_i v_j for a physical velocity v."""
     index = TENSOR_INDEX[len(v)]
@@ -93,6 +90,25 @@ def _product_tensor(v: np.ndarray) -> np.ndarray:
     for c, (i, j) in enumerate(index):
         np.multiply(v[i], v[j], out=out[c])
     return out
+
+
+def cauchy_tensor(velocities: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Stored components of T_n = sum_{m=0}^{n} v_m v_{n-m} for physical
+    velocities v_0..v_n: each m <-> n-m pair is multiplied once, then the
+    middle term v_{n/2} v_{n/2} is added when n is even."""
+    dim = len(velocities[0])
+    index = TENSOR_INDEX[dim]
+    tensor = np.zeros((len(index), *velocities[0].shape[1:]))
+    for m in range((n + 1) // 2):
+        a, b = velocities[m], velocities[n - m]
+        for c, (i, j) in enumerate(index):
+            tensor[c] += a[i] * b[j]
+            if i != j:
+                tensor[c] += a[j] * b[i]
+    tensor[:dim] *= 2.0  # the pairs added each diagonal a_i b_i once
+    if n % 2 == 0:
+        tensor += _product_tensor(velocities[n // 2])
+    return tensor
 
 
 def _velocity_tensor(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
@@ -105,25 +121,6 @@ def _tensor_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     t_hat = fftn_forward(grid, tensor)
     t_hat *= grid.dealias_keep
     return t_hat
-
-
-def _divergence_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
-    """Spectrum of (div T)_i = i k_j T_ij."""
-    k = grid.k_deriv
-    out = np.empty((grid.dim, *t_hat.shape[1:]), dtype=np.complex128)
-    for i in range(grid.dim):
-        out[i] = sum(k[j] * t_hat[_component(grid.dim, i, j)] for j in range(grid.dim))
-    out *= 1j
-    return out
-
-
-def _pressure_hat(grid: Grid, t_hat: np.ndarray) -> np.ndarray:
-    """Spectrum of the zero-mean pressure -k_i k_j T_ij / |k|^2."""
-    k = grid.k_deriv
-    acc = np.zeros(t_hat.shape[1:], dtype=np.complex128)
-    for c, (i, j) in enumerate(TENSOR_INDEX[grid.dim]):
-        acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat[c]
-    return -acc * grid.inv_ksq
 
 
 def _project(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
@@ -140,8 +137,17 @@ def _project(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
 
 def nonlinear_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """The kernel: spectrum of P[div T] for a physical symmetric tensor T
-    (stored components), dealiased."""
-    return _project(grid, _divergence_hat(grid, _tensor_hat(grid, tensor)))
+    (stored components), dealiased; (div T)_i = i k_j T_ij."""
+    t_hat = _tensor_hat(grid, tensor)
+    k, index = grid.k_deriv, TENSOR_INDEX[grid.dim]
+    div = np.empty((grid.dim, *t_hat.shape[1:]), dtype=np.complex128)
+    for i in range(grid.dim):
+        div[i] = sum(
+            k[j] * t_hat[index.index((min(i, j), max(i, j)))] for j in range(grid.dim)
+        )
+    del t_hat  # freed before the projection allocates its output
+    div *= 1j
+    return _project(grid, div)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +169,12 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     """
     _require_admissible(v, "compute_pressure")
     grid = v.grid
-    p_hat = _pressure_hat(grid, _tensor_hat(grid, _velocity_tensor(grid, v.data)))
-    return SpectralScalarField(grid, p_hat)
+    t_hat = _tensor_hat(grid, _velocity_tensor(grid, v.data))
+    k = grid.k_deriv
+    acc = np.zeros(t_hat.shape[1:], dtype=np.complex128)
+    for c, (i, j) in enumerate(TENSOR_INDEX[grid.dim]):
+        acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat[c]
+    return SpectralScalarField(grid, -acc * grid.inv_ksq)
 
 
 def rhs_hat(grid: Grid, v_hat: np.ndarray, nu: float) -> np.ndarray:

@@ -8,9 +8,9 @@ by its time-Taylor expansion around the current state,
 
 which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
 c_m is divergence-free. T_n is symmetric in its indices and in m <-> n-m, so
-each pair of coefficients is multiplied once, pointwise in physical space,
-and ``leray``'s kernel turns T_n into P[div T_n] with one real-to-complex FFT
-and the 2/3-rule mask.
+``leray.cauchy_tensor`` multiplies each pair of coefficients once, pointwise
+in physical space, and ``leray``'s kernel turns T_n into P[div T_n] with one
+real-to-complex FFT and the 2/3-rule mask.
 
 Coefficients are half spectra like every spectral field (see
 ``grid_spectral``), held together with their physical velocities and nothing
@@ -49,13 +49,7 @@ import numpy as np
 
 from .errors import RadiusCollapseError
 from .grid_spectral import TWO_PI, Grid, SpectralVectorField, ifftn_real, parseval_sum
-from .leray import (
-    TENSOR_INDEX,
-    _product_tensor,
-    _require_admissible,
-    nonlinear_hat,
-    viscosity_value,
-)
+from .leray import _require_admissible, cauchy_tensor, nonlinear_hat, viscosity_value
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -111,9 +105,8 @@ class _SeriesBuilder:
     """Incrementally grows the coefficient list.
 
     For each known coefficient we keep its half spectrum, its norm and its
-    physical velocity, so producing c_{n+1} needs only the product tensor
-    sum_m c_m c_{n-m} (each m <-> n-m pair formed once), one kernel call and
-    one inverse transform.
+    physical velocity, so producing c_{n+1} needs only ``leray``'s product
+    tensor sum_m c_m c_{n-m}, one kernel call and one inverse transform.
     """
 
     def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float):
@@ -142,17 +135,7 @@ class _SeriesBuilder:
         """Compute the next coefficient from the recursion."""
         grid = self.grid
         n = len(self.coeffs) - 1
-        index = TENSOR_INDEX[grid.dim]
-        tensor = np.zeros((len(index), *grid.shape))
-        for m in range((n + 1) // 2):
-            a, b = self._phys[m], self._phys[n - m]
-            for c, (i, j) in enumerate(index):
-                tensor[c] += a[i] * b[j]
-                if i != j:
-                    tensor[c] += a[j] * b[i]
-        tensor[: grid.dim] *= 2.0  # the pairs added each diagonal a_i b_i once
-        if n % 2 == 0:
-            tensor += _product_tensor(self._phys[n // 2])
+        tensor = cauchy_tensor(self._phys, n)
         new = -self.nu * grid.ksq * self.coeffs[n] - nonlinear_hat(grid, tensor)
         new /= n + 1
         scale = max(tensor.max(), -tensor.min())

@@ -1,15 +1,21 @@
 """Config parsing, the simulate pipeline, and the auxiliary subcommands."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liens
 from liens import (
     AnalyticFlow,
     Grid,
     analytic_field,
     dealias,
+    energy,
     leray_project,
     propagate,
     random_divfree,
@@ -61,6 +67,49 @@ rk4_dt = 1e-3
 output_dir = {out}
 """
 
+# Inviscid RK4 far past its CFL limit: the energy overflows at the second step.
+BLOW_UP_CONFIG = """
+[grid]
+dim = 2
+n = 32
+
+[fluid]
+nu = 0
+
+[initial]
+kind = random
+seed = 3
+peak_k = 4
+amplitude = 50
+
+[run]
+t_end = 2
+integrator = rk4
+rk4_dt = 0.5
+output_dir = {out}
+"""
+
+# So large that the series overflows: the first lie step halves 20 times.
+LARGE_AMPLITUDE_CONFIG = """
+[grid]
+dim = 2
+n = 32
+
+[fluid]
+nu = 0.01
+
+[initial]
+kind = random
+seed = 3
+peak_k = 3
+amplitude = 1e7
+
+[run]
+t_end = 1
+integrator = lie
+output_dir = {out}
+"""
+
 BELTRAMI_CONFIG = TG_CONFIG.format(n=16, t_end=0.1, out="{out}", cadence=0).replace(
     "dim = 2", "dim = 3"
 ).replace("kind = taylor_green_2d", "kind = beltrami_abc")
@@ -100,6 +149,9 @@ class TestParseConfig:
             (("tol = 1e-10", "tol = nan"), "run.tol"),
             (("integrator = lie\ntol = 1e-10", "integrator = rk4\nrk4_dt = inf"), "run.rk4_dt"),
             (("integrator = lie\ntol = 1e-10", "integrator = rk4\nrk4_dt = nan"), "run.rk4_dt"),
+            (("nu = 0.1", "nu = nan"), "fluid.nu must be finite and nonnegative"),
+            (("t_end = 1.0", "t_end = inf"), "run.t_end must be finite and nonnegative"),
+            (("n = 64", "n = 64\nl = inf"), "grid.l must be positive and finite"),
         ],
     )
     def test_invalid_values_name_the_key(self, mutation, needle):
@@ -289,6 +341,36 @@ class TestSimulate:
         last = read_snapshot(tmp_path / "fail" / "field_last.liens")
         assert np.array_equal(last.data, leray_project(dealias(u)).data)
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"], ids=["file", "below-file"])
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "afile").write_text("")
+        text = TG_CONFIG.format(n=16, t_end=0.1, out=tmp_path / target, cadence=0)
+        cfg = write_cfg(tmp_path, text)
+        assert cmd_simulate(cfg) == 2
+        assert "config error: run.output_dir:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+        assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+        assert cmd_simulate(write_cfg(tmp_path, BLOW_UP_CONFIG.format(out=tmp_path / "o"))) == 3
+        err = capsys.readouterr().err
+        assert "propagation failure" in err and "non-finite" in err
+        rows = read_series_csv(tmp_path / "o" / "series.csv")
+        assert [r.t for r in rows] == [0.0, 0.5]
+        last = read_snapshot(tmp_path / "o" / "field_last.liens")
+        assert energy(last) == rows[-1].energy
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_large_amplitude_radius_collapse_exits_3(self, tmp_path, capsys):
+        assert cmd_simulate(write_cfg(tmp_path, LARGE_AMPLITUDE_CONFIG.format(out=tmp_path / "o"))) == 3
+        err = capsys.readouterr().err
+        assert "propagation failure" in err and "last radius estimate nan" in err
+        u = random_divfree(seed=3, grid=Grid(dim=2, n=32), peak_k=3, amplitude=1e7)
+        last = read_snapshot(tmp_path / "o" / "field_last.liens")
+        assert np.array_equal(last.data, leray_project(dealias(u)).data)
+        assert len(read_series_csv(tmp_path / "o" / "series.csv")) == 1
+
     def test_rk4_stability_guard(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out=tmp_path / "stab").replace(
             "rk4_dt = 1e-3", "rk4_dt = 1.0"
@@ -339,3 +421,36 @@ class TestSubcommands:
         path.write_bytes(b"LIENS1 4 8 6.28 4 physical\n")
         assert main(["spectrum", str(path)]) == 2
         assert "grid dim" in capsys.readouterr().err
+
+
+TINY_TG = TG_CONFIG.format(n=16, t_end=0.1, out="{out}", cadence=0)
+
+EXIT_CASES = [
+    pytest.param(0, ["simulate"], TINY_TG, id="0-taylor-green"),
+    pytest.param(1, ["burgers-check", "--order", "8", "--n", "32"], None, id="1-burgers-check"),
+    pytest.param(2, ["simulate"], TINY_TG.replace("n = 16", "n = 10"), id="2-bad-config"),
+    pytest.param(2, ["simulate"], TINY_TG.replace("{out}", "afile"), id="2-output-dir"),
+    pytest.param(3, ["simulate"], LARGE_AMPLITUDE_CONFIG, id="3-radius-collapse"),
+    pytest.param(3, ["simulate"], BLOW_UP_CONFIG, id="3-rk4-blow-up"),
+]
+
+
+class TestExitCodes:
+    """Every documented exit code of ``python -m liens.cli``, as a user sees
+    it: the code, and no traceback on stderr."""
+
+    @pytest.mark.parametrize("code,args,config", EXIT_CASES)
+    def test_exit_code(self, tmp_path, code, args, config):
+        if config is not None:
+            (tmp_path / "afile").write_text("")
+            (tmp_path / "run.cfg").write_text(config.format(out=tmp_path / "out"))
+            args = args + [str(tmp_path / "run.cfg")]
+        env = dict(os.environ)
+        src = str(Path(liens.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "liens.cli", *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr

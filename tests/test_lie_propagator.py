@@ -356,6 +356,16 @@ class TestControllerRobustness:
         assert seen[-1][0] == 0.7
         assert all(np.max(np.abs(v.data)) == 0.0 for _, v, _ in seen)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_large_amplitude_collapses(self):
+        # The coefficients overflow, so no order meets the bound and the
+        # radius estimate is nan at every attempt.
+        u = random_divfree(seed=3, grid=Grid(dim=2, n=32), peak_k=3, amplitude=1e7)
+        with pytest.raises(RadiusCollapseError) as err:
+            step(u, 0.01, 1.0)
+        assert math.isnan(err.value.radius_estimate)
+        assert err.value.dt_last == 2.0**-20
+
 
 class TestControllerDecisions:
     # The (order_used, dt) that the step controller chooses, recorded before

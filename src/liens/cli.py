@@ -17,15 +17,17 @@ Commands
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (including an ``output_dir`` that cannot be created), 3 propagation failure
-(analyticity-margin collapse or a state that stops being finite; the last
-field with a finite record is flushed before exiting).
+(analyticity-margin collapse or a state, the initial one included, that
+stops being finite; the last field with a finite record, or the start, is
+flushed before exiting, and the failure message is all that stderr shows).
 
 Config grammar
 --------------
 Lines are blank, comments (``# ...``), section headers (``[grid]``), or
 ``key = value`` pairs. Unknown sections or keys are rejected. Sections:
 
-[grid]    dim (2|3), n (power of two >= 8), l (finite box length > 0,
+[grid]    dim (2|3), n (power of two >= 8, with dim * n^dim float64 values
+          representable as one array), l (finite box length > 0,
           default 2*pi)
 [fluid]   nu (finite, >= 0)
 [initial] kind = taylor_green_2d | taylor_green_3d_embedded | beltrami_abc
@@ -49,6 +51,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .burgers1d import CROSS_CHECK_NU, cross_check
 from .diagnostics import (
@@ -179,6 +183,11 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         check=lambda v: v >= 8 and (v & (v - 1)) == 0,
         describe="must be a power of two >= 8",
     )
+    if dim * n**dim * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"grid.n = {n} is too large: a {dim}-D velocity field of {n}^{dim} "
+            "float64 values cannot be represented as one array"
+        )
     l = grid_sec.take(
         "l", float, default=TWO_PI, check=lambda v: v > 0 and math.isfinite(v),
         describe="must be positive and finite",
@@ -323,6 +332,9 @@ def _finalize_outputs(config: RunConfig, records, final_field) -> None:
     write_snapshot(config.output_dir / "field_final.liens", final_field)
 
 
+# numpy's overflow warnings would name source files; an overflowing state is
+# reported once, by the record or step check that rejects it.
+@np.errstate(all="ignore")
 def cmd_simulate(config_path: Path) -> int:
     try:
         config = load_config(config_path)
@@ -352,10 +364,11 @@ def cmd_simulate(config_path: Path) -> int:
     delta = (u - u_raw).l2_norm() / raw_norm if raw_norm else 0.0
     print(f"initial projection delta: {format_float(delta)}")
 
-    records = [_record(0.0, u, 0, 0.0)]
+    records = []
     cadence = config.snapshot_cadence
-    current = u  # the last field with a record
+    current = u  # the last field with a record, or the start
     try:
+        records.append(_record(0.0, u, 0, 0.0))
         for number, (t, v, stats) in enumerate(steps(u, config.t_end, advance), 1):
             records.append(_record(t, v, stats.order_used, stats.dt))
             current = v

@@ -7,15 +7,19 @@ by its time-Taylor expansion around the current state,
     (n+1) c_{n+1} = nu * lap(c_n) - P[div T_n],   T_n = sum_{m=0}^{n} c_m c_{n-m},
 
 which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
-c_m is divergence-free. T_n is symmetric in its indices and in m <-> n-m, so
-``leray.cauchy_tensor`` multiplies each pair of coefficients once, pointwise
-in physical space, and ``leray``'s kernel turns T_n into P[div T_n] with one
+c_m is divergence-free. ``leray.cauchy_tensor`` forms each stored component
+of the symmetric T_n as one contraction over m of the stacked physical
+velocities, and ``leray``'s kernel turns T_n into P[div T_n] with one
 real-to-complex FFT and the 2/3-rule mask.
 
-Coefficients are half spectra like every spectral field (see
-``grid_spectral``), held together with their physical velocities and nothing
-else: no gradients. Norms come from the weighted Parseval sum, and the
-coefficients the builder makes are the ones ``TaylorExpansion`` holds.
+While a step grows the series it keeps one physical velocity per
+coefficient, in one preallocated stack, and of the half spectra (see
+``grid_spectral``) only the caller's c_0 and the last one, which the
+recursion's viscous term needs; norms come from the weighted Parseval sum.
+The step sums the series by Horner on the physical velocities and
+transforms the sum once. ``taylor_coefficients`` collects each half
+spectrum as it is made; those are the coefficients ``TaylorExpansion``
+holds.
 
 Round-off floor: every mode of a new coefficient c_{n+1} of magnitude below
 SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is zeroed (eps the float64
@@ -43,12 +47,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import RadiusCollapseError
-from .grid_spectral import TWO_PI, Grid, SpectralVectorField, ifftn_real, parseval_sum
+from .grid_spectral import (
+    TWO_PI,
+    Grid,
+    SpectralVectorField,
+    fftn_forward,
+    ifftn_real,
+    parseval_sum,
+)
 from .leray import _require_admissible, cauchy_tensor, nonlinear_hat, viscosity_value
 
 DEFAULT_TOL = 1e-10
@@ -102,20 +113,28 @@ class StepStats:
 
 
 class _SeriesBuilder:
-    """Incrementally grows the coefficient list.
+    """Incrementally grows the series.
 
-    For each known coefficient we keep its half spectrum, its norm and its
-    physical velocity, so producing c_{n+1} needs only ``leray``'s product
-    tensor sum_m c_m c_{n-m}, one kernel call and one inverse transform.
+    The physical velocities of the known coefficients sit in one stack,
+    shaped (capacity, dim, *grid.shape); beside it the builder keeps only the
+    caller's ``u_hat``, the half spectrum of the last coefficient and the
+    norms. Producing c_{n+1} needs ``leray``'s Cauchy sum over the stack, one
+    kernel call and one inverse transform into the next slot.
+
+    The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
+    max_order + 1, only if a step grows past it; ``np.empty`` commits pages
+    as slots are written, so a low-order step touches only what it uses.
     """
 
-    def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float):
+    def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float, max_order: int):
         self.grid = grid
         self.nu = nu
+        self.max_order = max_order
         self.k_max = (TWO_PI / grid.length) * (grid.n // 3)  # the dealias radius
-        self.coeffs: list[np.ndarray] = []
-        self._phys: list[np.ndarray] = []
+        self.u_hat = u_hat
         self.norms: list[float] = []
+        capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
+        self.stack = np.empty((capacity, grid.dim, *grid.shape))
         self._append(u_hat)
 
     def _append(self, c_hat: np.ndarray, floor: float = 0.0) -> None:
@@ -127,49 +146,52 @@ class _SeriesBuilder:
             below = sq < floor * floor
             c_hat[below] = 0.0
             sq[below] = 0.0
-        self.coeffs.append(c_hat)
+        n = len(self.norms)
+        if n == len(self.stack):
+            grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]))
+            grown[:n] = self.stack
+            self.stack = grown
+        self.stack[n] = ifftn_real(self.grid, c_hat)
         self.norms.append(math.sqrt(parseval_sum(self.grid, sq)))
-        self._phys.append(ifftn_real(self.grid, c_hat))
+        self.last = c_hat
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion."""
         grid = self.grid
-        n = len(self.coeffs) - 1
-        tensor = cauchy_tensor(self._phys, n)
-        new = -self.nu * grid.ksq * self.coeffs[n] - nonlinear_hat(grid, tensor)
+        n = len(self.norms) - 1
+        tensor = cauchy_tensor(self.stack, n)
+        new = -self.nu * grid.ksq * self.last - nonlinear_hat(grid, tensor)
         new /= n + 1
         scale = max(tensor.max(), -tensor.min())
         self._append(new, SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1))
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:
-        """The series truncated after c_order, evaluated at t. The sum is
-        formed in the storage of the last coefficient grown (c_0 is the
-        caller's), so no array is allocated and the builder is spent."""
-        last = self.coeffs[-1]
-        acc = last if len(self.coeffs) > 1 else np.empty_like(last)
-        return SpectralVectorField(self.grid, _horner(self.coeffs[: order + 1], t, acc))
+        """The series truncated after c_order, evaluated at t: Horner on the
+        physical velocities, accumulated in ``stack[order]`` (the builder is
+        spent afterwards), then one forward transform, masked so that every
+        mode outside the 2/3 ball is exactly zero. Order 0 returns a copy of
+        ``u_hat``."""
+        if order == 0:
+            return SpectralVectorField(self.grid, self.u_hat.copy())
+        v = _horner(self.stack[: order + 1], t, self.stack[order])
+        out = fftn_forward(self.grid, v)
+        out *= self.grid.dealias_keep
+        return SpectralVectorField(self.grid, out)
 
-    def expansion(self) -> TaylorExpansion:
-        """Every coefficient as a field. Releases the physical velocities,
-        so the builder is spent afterwards."""
-        fields = tuple(SpectralVectorField(self.grid, c) for c in self.coeffs)
-        self.coeffs, self._phys = [], []
-        return TaylorExpansion(coefficients=fields)
-
-    def order_within(self, bound: float, dt: float, max_order: int) -> int | None:
+    def order_within(self, bound: float, dt: float) -> int | None:
         """The first n <= max_order with ||c_n|| dt^n <= bound, growing the
         series as far as the search reaches; None when there is none."""
-        for n in range(max_order + 1):
+        for n in range(self.max_order + 1):
             if n == len(self.norms):
                 self.grow()
             if self.norms[n] * dt**n <= bound:
                 return n
         return None
 
-    def radius(self, max_order: int) -> float:
+    def radius(self) -> float:
         """The ratio-test radius once min(4, max_order + 1) coefficients
         exist; +inf while there are fewer than four."""
-        while len(self.norms) < min(4, max_order + 1):
+        while len(self.norms) < min(4, self.max_order + 1):
             self.grow()
         return _radius_from_norms(self.norms) if len(self.norms) >= 4 else math.inf
 
@@ -192,10 +214,12 @@ def taylor_coefficients(
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     _require_admissible(u, "taylor_coefficients")
-    builder = _SeriesBuilder(u.grid, u.data, viscosity_value(nu))
+    builder = _SeriesBuilder(u.grid, u.data, viscosity_value(nu), order)
+    coefficients = [u]
     for _ in range(order):
         builder.grow()
-    return builder.expansion()
+        coefficients.append(SpectralVectorField(u.grid, builder.last))
+    return TaylorExpansion(coefficients=tuple(coefficients))
 
 
 def evaluate(e: TaylorExpansion, t: float) -> SpectralVectorField:
@@ -206,7 +230,7 @@ def evaluate(e: TaylorExpansion, t: float) -> SpectralVectorField:
     return SpectralVectorField(e.grid, _horner(coeffs, t, np.empty_like(coeffs[-1])))
 
 
-def _horner(coeffs: list[np.ndarray], t: float, acc: np.ndarray) -> np.ndarray:
+def _horner(coeffs: Sequence[np.ndarray], t: float, acc: np.ndarray) -> np.ndarray:
     """sum_n coeffs[n] t^n, accumulated in ``acc`` (coeffs[-1] itself or an
     array not among the coefficients)."""
     acc[...] = coeffs[-1]
@@ -248,11 +272,11 @@ def step(
         raise ValueError("max_order must be nonnegative")
     nu_val = viscosity_value(nu)
     _require_admissible(u, "step")
-    builder = _SeriesBuilder(u.grid, u.data, nu_val)
+    builder = _SeriesBuilder(u.grid, u.data, nu_val, max_order)
     bound = tol * u.l2_norm()
     for _ in range(MAX_HALVINGS + 1):
-        order = builder.order_within(bound, dt, max_order)
-        radius = builder.radius(max_order)
+        order = builder.order_within(bound, dt)
+        radius = builder.radius()
         if order is not None and dt <= RADIUS_SAFETY * radius:
             stats = StepStats(
                 order_used=order,

@@ -115,6 +115,10 @@ BELTRAMI_CONFIG = TG_CONFIG.format(n=16, t_end=0.1, out="{out}", cadence=0).repl
 ).replace("kind = taylor_green_2d", "kind = beltrami_abc")
 
 
+# So large that the energy of the initial field overflows.
+INITIAL_OVERFLOW_CONFIG = LARGE_AMPLITUDE_CONFIG.replace("amplitude = 1e7", "amplitude = 1e160")
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -174,6 +178,13 @@ class TestParseConfig:
         old, new = mutation
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
             parse_config(text.format(out="out").replace(old, new))
+
+    def test_largest_representable_grid(self):
+        # 2 * n^2 float64 values fit in a numpy array up to n = 2^29.
+        text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
+        assert parse_config(text.replace("n = 64", f"n = {2**29}")).n == 2**29
+        with pytest.raises(ConfigError, match=r"grid\.n"):
+            parse_config(text.replace("n = 64", f"n = {2**30}"))
 
     def test_unknown_key_rejected(self):
         text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
@@ -432,7 +443,25 @@ EXIT_CASES = [
     pytest.param(2, ["simulate"], TINY_TG.replace("{out}", "afile"), id="2-output-dir"),
     pytest.param(3, ["simulate"], LARGE_AMPLITUDE_CONFIG, id="3-radius-collapse"),
     pytest.param(3, ["simulate"], BLOW_UP_CONFIG, id="3-rk4-blow-up"),
+    pytest.param(2, ["simulate"], TINY_TG.replace("n = 16", "n = 1099511627776"),
+                 id="2-grid-too-large"),
 ]
+
+
+def run_cli(tmp_path, args, config):
+    """``python -m liens.cli`` with ``args`` (and a config written from
+    ``config``, when given) in ``tmp_path``."""
+    if config is not None:
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "run.cfg").write_text(config.format(out=tmp_path / "out"))
+        args = args + [str(tmp_path / "run.cfg")]
+    env = dict(os.environ)
+    src = str(Path(liens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "liens.cli", *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
 
 
 class TestExitCodes:
@@ -441,16 +470,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("code,args,config", EXIT_CASES)
     def test_exit_code(self, tmp_path, code, args, config):
-        if config is not None:
-            (tmp_path / "afile").write_text("")
-            (tmp_path / "run.cfg").write_text(config.format(out=tmp_path / "out"))
-            args = args + [str(tmp_path / "run.cfg")]
-        env = dict(os.environ)
-        src = str(Path(liens.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "liens.cli", *args],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-        )
+        done = run_cli(tmp_path, args, config)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
+
+    # numpy's overflow warnings name source files; only the typed message
+    # may reach the user.
+    @pytest.mark.parametrize(
+        "config",
+        [LARGE_AMPLITUDE_CONFIG, INITIAL_OVERFLOW_CONFIG, BLOW_UP_CONFIG],
+        ids=["radius-collapse", "initial-overflow", "rk4-blow-up"],
+    )
+    def test_failure_message_alone_on_stderr(self, tmp_path, config):
+        done = run_cli(tmp_path, ["simulate"], config)
+        assert done.returncode == 3
+        assert done.stderr.startswith("propagation failure:"), done.stderr
+        assert done.stderr.count("\n") == 1
+        assert "Warning" not in done.stderr and ".py" not in done.stderr

@@ -16,7 +16,7 @@ from liens import (
 )
 from liens.errors import SolenoidalError
 from liens.grid_spectral import ifftn_real, inner_product, relative_divergence, zero_vector_field
-from liens.leray import viscosity_value
+from liens.leray import CAUCHY_CHUNK, TENSOR_INDEX, cauchy_tensor, viscosity_value
 from liens.reference_oracles import ns_rhs_via_pressure, random_divfree
 
 from conftest import random_real_field
@@ -223,3 +223,29 @@ class TestDissipativity:
         bad = ns_rhs_via_pressure(v, nu, pressure_sign=-1.0)
         assert relative_divergence(good) <= 1e-12
         assert relative_divergence(bad) > 1e-3
+
+
+class TestCauchyTensor:
+    @staticmethod
+    def direct(stack, n):
+        """sum_m sum_(i, j) (v_m)_i (v_{n-m})_j, one product at a time."""
+        index = TENSOR_INDEX[stack.shape[1]]
+        want = np.zeros((len(index), *stack.shape[2:]))
+        for m in range(n + 1):
+            for c, (i, j) in enumerate(index):
+                want[c] += stack[m, i] * stack[n - m, j]
+        return want
+
+    # 8^2 and 8^3 points fit in one chunk; 96^2 and 24^3 take two, the last
+    # one partial.
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (2, 96, 96), (3, 8, 8, 8), (3, 24, 24, 24)])
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_matches_direct_sum(self, shape, n):
+        assert (np.prod(shape[1:]) > CAUCHY_CHUNK) == (shape[1] > 8)
+        rng = np.random.default_rng(n)
+        # a spare slot beyond v_n, which the sum must not read
+        stack = rng.standard_normal((n + 2, *shape))
+        want = self.direct(stack, n)
+        got = cauchy_tensor(stack, n)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

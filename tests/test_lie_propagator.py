@@ -367,6 +367,40 @@ class TestControllerRobustness:
         assert err.value.dt_last == 2.0**-20
 
 
+class TestSeriesWorkspace:
+    def test_output_outside_dealias_ball_is_zero(self, random_divfree_3d):
+        v, stats = step(random_divfree_3d, 0.02, 0.5)
+        assert stats.order_used > 0
+        assert np.all(v.data[:, ~v.grid.dealias_keep] == 0.0)
+
+    # tol 2 accepts order 0 at once; with the default max_order the radius
+    # rule has grown four coefficients and halves dt first.
+    @pytest.mark.parametrize("max_order", [0, 30])
+    def test_order_zero_step_returns_input(self, random_divfree_2d, max_order):
+        v, stats = step(random_divfree_2d, 0.02, 0.5, tol=2.0, max_order=max_order)
+        assert stats.order_used == 0
+        assert np.array_equal(v.data, random_divfree_2d.data)
+
+    # The stack holds min(max_order, DEFAULT_MAX_ORDER) + 1 velocities, so a
+    # huge max_order allocates nothing more and changes no bit of a step that
+    # stops below order 30.
+    def test_huge_max_order_changes_nothing(self):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=16), peak_k=3, amplitude=1.0)
+        want, stats = step(u, 0.02, 1.0, max_order=30)
+        assert stats.dt == 1.0 and stats.order_used <= 30
+        got, huge_stats = step(u, 0.02, 1.0, max_order=10**7)
+        assert huge_stats == stats
+        assert np.array_equal(got.data, want.data)
+
+    def test_stack_growth_keeps_coefficients(self, monkeypatch):
+        u = random_divfree(seed=7, grid=Grid(dim=2, n=16), peak_k=3, amplitude=1.0)
+        grown = taylor_coefficients(u, 0.02, order=40).coefficients
+        monkeypatch.setattr(lie_propagator, "DEFAULT_MAX_ORDER", 40)
+        preallocated = taylor_coefficients(u, 0.02, order=40).coefficients
+        for a, b in zip(grown, preallocated, strict=True):
+            assert np.array_equal(a.data, b.data)
+
+
 class TestControllerDecisions:
     # The (order_used, dt) that the step controller chooses, recorded before
     # the attempt loop was restructured; a new step-size rule re-records them.

@@ -1,0 +1,90 @@
+"""Paired parent/change runs of the benchmark, written to one BENCH_*.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
+
+``DIR`` is a checkout of each commit, e.g. ``git archive REV | tar -x -C DIR``.
+For every workload of ``BENCHMARK.json``, pair k = 0..PAIRS-1 runs
+``perfbench/run.py --workload W --seed k+1 --seconds S``, S being its
+``run_seconds``, in both checkouts, the parent first when k is even and the
+change first when k is odd. The output holds every run's result line, its environment and its
+executions, and per metric the medians and quartiles of each side and the
+pairs the change won and lost (ties count for neither), in the direction
+``BENCHMARK.json`` gives the metric.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# The fewest pairs that can show a gain won in nine of ten.
+PAIRS = 10
+EXECUTION_KEYS = ("name", "exit", "cpu_s", "wall_s", "peak_rss_mb", "problems")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    detail_line, result_line = done.stdout.strip().splitlines()[-2:]
+    detail = json.loads(detail_line)["detail"]
+    return {
+        "seed": seed,
+        "result": json.loads(result_line),
+        "environment": detail["environment"],
+        "executions": [{k: e.get(k) for k in EXECUTION_KEYS} for e in detail["executions"]],
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
+        sign = 1.0 if direction == "lower" else -1.0
+        won = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
+        lost = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
+        out[name] = {"better": direction, "parent": quartiles(parent),
+                     "change": quartiles(change), "change_won": won, "change_lost": lost}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    report = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
+    for workload in (w["name"] for w in bench["workloads"]):
+        pairs = []
+        for k in range(PAIRS):
+            sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"first": sides[0]}
+            for side in sides:
+                pair[side] = run_once(getattr(args, side), workload, k + 1, seconds)
+            pairs.append(pair)
+            print(f"{workload} pair {k + 1}/{PAIRS}", file=sys.stderr)
+        report["workloads"][workload] = {"summary": summarize(pairs, better), "runs": pairs}
+        args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="ascii")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,11 +42,6 @@ def taylor_coefficients_burgers(
     return [d[0] for d in derivs]
 
 
-def evaluate_series(coeffs: list[np.ndarray], t: float) -> np.ndarray:
-    """Horner evaluation of the truncated series at time t."""
-    return _horner(coeffs, t, np.empty_like(coeffs[-1]))
-
-
 def burgers_rhs(u: np.ndarray, nu: float) -> np.ndarray:
     _, u_x, u_xx = spectral_derivatives(u, 2)
     return nu * u_xx - u * u_x
@@ -91,7 +86,7 @@ def cross_check(order: int, n: int) -> tuple[list[float], list[float]]:
         symbolic.append(diff / denom if denom else 0.0)
     reference = rk4_burgers(u0, CROSS_CHECK_NU, 0.1, dt=1e-4)
     truncation = [
-        float(np.linalg.norm(evaluate_series(coeffs[: trunc + 1], 0.1) - reference)
+        float(np.linalg.norm(_horner(coeffs[: trunc + 1], 0.1, np.empty_like(u0)) - reference)
               / np.linalg.norm(reference))
         for trunc in range(2, 11)
     ]

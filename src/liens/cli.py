@@ -16,7 +16,8 @@ Commands
     Print the shell-averaged energy spectrum of a stored field as CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(including an ``output_dir`` that cannot be created), 3 propagation failure
+(including an ``output_dir`` that cannot be created and a grid whose
+initial field cannot be allocated), 3 propagation failure
 (analyticity-margin collapse or a state, the initial one included, that
 stops being finite; the last field with a finite record, or the start, is
 flushed before exiting, and the failure message is all that stderr shows).
@@ -339,7 +340,12 @@ def cmd_simulate(config_path: Path) -> int:
     try:
         config = load_config(config_path)
         grid = Grid(dim=config.dim, n=config.n, length=config.l)
-        u_raw = _initial_field(config, grid)
+        try:
+            u_raw = _initial_field(config, grid)
+        except MemoryError as exc:
+            raise ConfigError(
+                f"grid.n: cannot allocate the initial field at n = {config.n}: {exc}"
+            ) from exc
         if config.integrator == "lie":
             def advance(v, remaining):
                 return lie_step(v, config.nu, remaining, tol=config.tol,
@@ -363,6 +369,7 @@ def cmd_simulate(config_path: Path) -> int:
     raw_norm = u_raw.l2_norm()
     delta = (u - u_raw).l2_norm() / raw_norm if raw_norm else 0.0
     print(f"initial projection delta: {format_float(delta)}")
+    del u_raw  # a whole field, not needed again
 
     records = []
     cadence = config.snapshot_cadence

@@ -15,24 +15,37 @@ output: the projection, the pressure and the right-hand side act mode by
 mode, and k -> -k maps each of them onto its own conjugate, so none needs
 completing.
 
-The quadratic term is computed in divergence form by one kernel, shared with
-the series recursion of ``lie_propagator``, and this module alone knows its
-layout. It forms every symmetric product tensor T_ij pointwise in physical
-space (components i <= j only: 3 in 2-D, 6 in 3-D): v_i v_j for ``ns_rhs``
-and the pressure, and the series' Cauchy sum sum_m (c_m)_i (c_{n-m})_j in
-``cauchy_tensor``, one contraction over m per component of a stack of
-physical velocities shaped (orders, dim, *grid shape). The kernel transforms
-T once to its half spectrum with a real-to-complex FFT and applies the
-2/3-rule mask, and both i k_j T_ij (the advection term, then
-Leray-projected) and the pressure -k_i k_j T_ij / |k|^2 are read off that
-transform. With the 2/3 rule the divergence and advective
-forms agree to round-off on dealiased solenoidal fields; the advective form
-is kept in ``reference_oracles`` as the test oracle.
+The quadratic term is computed in divergence form by one kernel,
+``nonlinear_rhs``, shared with the series recursion of ``lie_propagator``,
+and this module alone knows its layout. The kernel streams the symmetric
+product tensor T (components i <= j only: 3 in 2-D, 6 in 3-D) one stored
+component at a time. A producer forms T_ij pointwise in physical space in
+one reused buffer: v_i v_j for ``ns_rhs`` and the pressure, and the series'
+Cauchy sum sum_m (c_m)_i (c_{n-m})_j in ``cauchy_component``, one
+contraction over m of a stack of physical velocities shaped (orders, dim,
+*grid shape). One real-to-complex FFT and the 2/3-rule mask give the
+component's half spectrum, which is folded at once into the divergence
+i k_j T_ij (the advection term, then Leray-projected in place) or into the
+pressure -k_i k_j T_ij / |k|^2, and dropped. So at most one component of T
+exists at a time, in either space.
+
+The stream order, TENSOR_INDEX, is (0,0), (0,1), (1,1), (0,2), (1,2), (2,2):
+(i, j) comes after every (i', j') with j' < j. Each (div T)_i therefore
+sums its terms k_j T_ij in order j = 0, 1, 2, starting from zero, exactly as
+a transform of the whole tensor followed by the sum over j does; each
+transform, mask and product acts on one component either way, so every
+result is bit for bit the same as that of the whole-tensor form. (The
+pressure sums its six terms in the stream order too.)
+
+With the 2/3 rule the divergence and advective forms agree to round-off on
+dealiased solenoidal fields; the advective form is kept in
+``reference_oracles`` as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,16 +62,20 @@ from .grid_spectral import (
 
 DIV_FREE_RTOL = 1e-8
 DEALIASED_RTOL = 1e-10
-# Points per pass of ``cauchy_tensor``; the fastest of 2048..65536 for the
+# Points per pass of ``cauchy_component``; the fastest of 2048..65536 for the
 # 28 grows of an order-28 step at 64^3 on a 2-core x86 VM with 2 MiB of L2
 # per core (0.91 s against 1.96 s for the pair loop it replaced).
 CAUCHY_CHUNK = 8192
 
-# Stored components (i, j), i <= j, of a symmetric tensor: diagonal first.
+# Stored components (i, j), i <= j, of a symmetric tensor, in the order the
+# kernel streams them: (i, j) comes after every (i', j') with j' < j.
 TENSOR_INDEX = {
-    2: ((0, 0), (1, 1), (0, 1)),
-    3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)),
+    2: ((0, 0), (0, 1), (1, 1)),
+    3: ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)),
 }
+
+# ``produce(i, j, out)`` writes component (i, j) of a physical tensor into out.
+Producer = Callable[[int, int, np.ndarray], object]
 
 
 def viscosity_value(nu: float) -> float:
@@ -88,72 +105,93 @@ def _require_admissible(v: SpectralVectorField, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _product_tensor(v: np.ndarray) -> np.ndarray:
-    """Stored components of v_i v_j for a physical velocity v."""
-    index = TENSOR_INDEX[len(v)]
-    out = np.empty((len(index), *v.shape[1:]))
-    for c, (i, j) in enumerate(index):
-        np.multiply(v[i], v[j], out=out[c])
-    return out
+class KernelBuffers:
+    """The buffers the kernel reuses on one grid: one physical tensor
+    component, and two half-spectrum scalars, one for a product k_j X and one
+    for k.w. ``np.empty`` commits their pages only as they are written."""
+
+    def __init__(self, grid: Grid):
+        self.component = np.empty(grid.shape)
+        self.term = np.empty(grid.spectral_shape, dtype=np.complex128)
+        self.k_dot_w = np.empty(grid.spectral_shape, dtype=np.complex128)
 
 
-def cauchy_tensor(stack: np.ndarray, n: int) -> np.ndarray:
-    """Stored components of T_n = sum_{m=0}^{n} v_m v_{n-m} for the physical
-    velocities v_0..v_n in ``stack[:n+1]`` (shape (>= n+1, dim, *grid
-    shape)). The full m range holds both orders of every pair, so each
-    component is one contraction over m, taken CAUCHY_CHUNK points at a time
-    so that its operands stay in cache."""
-    dim, shape = stack.shape[1], stack.shape[2:]
-    points = math.prod(shape)
-    flat = stack.reshape(len(stack), dim, points)
-    a, b = flat[: n + 1], flat[n::-1]
-    index = TENSOR_INDEX[dim]
-    tensor = np.empty((len(index), *shape))
-    out = tensor.reshape(len(index), points)
+def cauchy_component(stack: np.ndarray, n: int, i: int, j: int, out: np.ndarray) -> None:
+    """Component (i, j) of T_n = sum_{m=0}^{n} v_m v_{n-m}, written into
+    ``out`` (grid shape), for the physical velocities v_0..v_n in
+    ``stack[:n+1]`` (shape (>= n+1, dim, *grid shape)). The full m range
+    holds both orders of every pair, so the component is one contraction
+    over m, taken CAUCHY_CHUNK points at a time so that its operands stay in
+    cache."""
+    points = out.size
+    flat = stack.reshape(len(stack), stack.shape[1], points)
+    a, b = flat[: n + 1, i], flat[n::-1, j]
+    dest = out.reshape(points)
     for start in range(0, points, CAUCHY_CHUNK):
         s = slice(start, start + CAUCHY_CHUNK)
-        for c, (i, j) in enumerate(index):
-            np.einsum("mp,mp->p", a[:, i, s], b[:, j, s], out=out[c, s])
-    return tensor
+        np.einsum("mp,mp->p", a[:, s], b[:, s], out=dest[s])
 
 
-def _velocity_tensor(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
-    """Physical v_i v_j of the field with spectrum ``v_hat``."""
-    return _product_tensor(ifftn_real(grid, v_hat))
+def _velocity_product(v: np.ndarray) -> Producer:
+    """The producer of v_i v_j for a physical velocity v."""
+    return lambda i, j, out: np.multiply(v[i], v[j], out=out)
 
 
-def _tensor_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
-    """Dealiased spectrum of a physical symmetric tensor."""
-    t_hat = fftn_forward(grid, tensor)
-    t_hat *= grid.dealias_keep
-    return t_hat
+def _component_spectra(
+    grid: Grid, produce: Producer, work: KernelBuffers
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The stream: (i, j, dealiased half spectrum of T_ij) for every stored
+    component in TENSOR_INDEX order, each formed by ``produce`` in
+    ``work.component`` and transformed there."""
+    for i, j in TENSOR_INDEX[grid.dim]:
+        produce(i, j, work.component)
+        t_hat = fftn_forward(grid, work.component)
+        t_hat *= grid.dealias_keep
+        yield i, j, t_hat
 
 
-def _project(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
-    """Leray projection of raw coefficients: w - k (k.w)/|k|^2, k=0 untouched."""
-    k_dot_w = np.zeros(w_hat.shape[1:], dtype=np.complex128)
+def _project(grid: Grid, w_hat: np.ndarray, work: KernelBuffers) -> None:
+    """Leray projection of raw coefficients in place: w - k (k.w)/|k|^2,
+    k=0 untouched."""
+    k_dot_w, term = work.k_dot_w, work.term
+    k_dot_w.fill(0.0)
     for a, k in enumerate(grid.k_deriv):
-        k_dot_w += k * w_hat[a]
+        np.add(k_dot_w, np.multiply(k, w_hat[a], out=term), out=k_dot_w)
     k_dot_w *= grid.inv_ksq
-    out = w_hat.copy()
     for a, k in enumerate(grid.k_deriv):
-        out[a] -= k * k_dot_w
-    return out
+        np.subtract(w_hat[a], np.multiply(k, k_dot_w, out=term), out=w_hat[a])
 
 
-def nonlinear_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
-    """The kernel: spectrum of P[div T] for a physical symmetric tensor T
-    (stored components), dealiased; (div T)_i = i k_j T_ij."""
-    t_hat = _tensor_hat(grid, tensor)
-    k, index = grid.k_deriv, TENSOR_INDEX[grid.dim]
-    div = np.empty((grid.dim, *t_hat.shape[1:]), dtype=np.complex128)
-    for i in range(grid.dim):
-        div[i] = sum(
-            k[j] * t_hat[index.index((min(i, j), max(i, j)))] for j in range(grid.dim)
-        )
-    del t_hat  # freed before the projection allocates its output
-    div *= 1j
-    return _project(grid, div)
+def nonlinear_rhs(
+    grid: Grid,
+    produce: Producer,
+    viscous: np.ndarray,
+    c_hat: np.ndarray,
+    out: np.ndarray,
+    work: KernelBuffers,
+) -> float:
+    """The kernel: ``out`` = viscous * c_hat - P[div T], dealiased, with
+    (div T)_i = i k_j T_ij for the physical symmetric tensor T whose stored
+    component (i, j) ``produce(i, j, buf)`` writes into ``buf``. Returns
+    max|T|. T is streamed one component at a time, in the order the module
+    docstring gives, which keeps every sum that of the whole-tensor form.
+    ``out`` must not be ``c_hat``."""
+    k = grid.k_deriv
+    term = work.term
+    out.fill(0.0)
+    peak = 0.0
+    for i, j, t_hat in _component_spectra(grid, produce, work):
+        # work.component still holds T_ij; max|T| is the largest peak of any
+        # component, and np.max passes a NaN on
+        peak = np.max((peak, work.component.max(), -work.component.min()))
+        np.add(out[i], np.multiply(k[j], t_hat, out=term), out=out[i])
+        if i != j:
+            np.add(out[j], np.multiply(k[i], t_hat, out=term), out=out[j])
+    out *= 1j
+    _project(grid, out, work)
+    for a in range(grid.dim):
+        np.subtract(np.multiply(viscous, c_hat[a], out=term), out[a], out=out[a])
+    return float(peak)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +201,9 @@ def nonlinear_hat(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 
 def leray_project(w: SpectralVectorField) -> SpectralVectorField:
     """Orthogonal projection onto divergence-free fields; annihilates gradients."""
-    return SpectralVectorField(w.grid, _project(w.grid, w.data))
+    out = w.data.copy()
+    _project(w.grid, out, KernelBuffers(w.grid))
+    return SpectralVectorField(w.grid, out)
 
 
 def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
@@ -175,18 +215,23 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     """
     _require_admissible(v, "compute_pressure")
     grid = v.grid
-    t_hat = _tensor_hat(grid, _velocity_tensor(grid, v.data))
     k = grid.k_deriv
-    acc = np.zeros(t_hat.shape[1:], dtype=np.complex128)
-    for c, (i, j) in enumerate(TENSOR_INDEX[grid.dim]):
-        acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat[c]
+    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    product = _velocity_product(ifftn_real(grid, v.data))
+    for i, j, t_hat in _component_spectra(grid, product, KernelBuffers(grid)):
+        acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat
     return SpectralScalarField(grid, -acc * grid.inv_ksq)
 
 
-def rhs_hat(grid: Grid, v_hat: np.ndarray, nu: float) -> np.ndarray:
-    """``ns_rhs`` on raw coefficients, without its checks: for callers whose
-    input is admissible by construction."""
-    return -nu * grid.ksq * v_hat - nonlinear_hat(grid, _velocity_tensor(grid, v_hat))
+def rhs_hat(
+    grid: Grid, v_hat: np.ndarray, nu: float, out: np.ndarray, work: KernelBuffers
+) -> np.ndarray:
+    """``ns_rhs`` on raw coefficients, written into ``out`` (not ``v_hat``)
+    and returned, without its checks: for callers whose input is admissible
+    by construction."""
+    product = _velocity_product(ifftn_real(grid, v_hat))
+    nonlinear_rhs(grid, product, -nu * grid.ksq, v_hat, out, work)
+    return out
 
 
 def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
@@ -196,5 +241,6 @@ def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
     """
     nu_val = viscosity_value(nu)
     _require_admissible(v, "ns_rhs")
-    return SpectralVectorField(v.grid, rhs_hat(v.grid, v.data, nu_val))
-
+    grid = v.grid
+    out = rhs_hat(grid, v.data, nu_val, np.empty_like(v.data), KernelBuffers(grid))
+    return SpectralVectorField(grid, out)

@@ -7,10 +7,11 @@ by its time-Taylor expansion around the current state,
     (n+1) c_{n+1} = nu * lap(c_n) - P[div T_n],   T_n = sum_{m=0}^{n} c_m c_{n-m},
 
 which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
-c_m is divergence-free. ``leray.cauchy_tensor`` forms each stored component
-of the symmetric T_n as one contraction over m of the stacked physical
-velocities, and ``leray``'s kernel turns T_n into P[div T_n] with one
-real-to-complex FFT and the 2/3-rule mask.
+c_m is divergence-free. ``leray.cauchy_component`` forms each stored
+component of the symmetric T_n as one contraction over m of the stacked
+physical velocities, and ``leray``'s kernel streams those components, one at
+a time, into P[div T_n], each through one real-to-complex FFT and the
+2/3-rule mask.
 
 While a step grows the series it keeps one physical velocity per
 coefficient, in one preallocated stack, and of the half spectra (see
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -60,7 +62,13 @@ from .grid_spectral import (
     ifftn_real,
     parseval_sum,
 )
-from .leray import _require_admissible, cauchy_tensor, nonlinear_hat, viscosity_value
+from .leray import (
+    KernelBuffers,
+    _require_admissible,
+    cauchy_component,
+    nonlinear_rhs,
+    viscosity_value,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -117,9 +125,12 @@ class _SeriesBuilder:
 
     The physical velocities of the known coefficients sit in one stack,
     shaped (capacity, dim, *grid.shape); beside it the builder keeps only the
-    caller's ``u_hat``, the half spectrum of the last coefficient and the
-    norms. Producing c_{n+1} needs ``leray``'s Cauchy sum over the stack, one
-    kernel call and one inverse transform into the next slot.
+    caller's ``u_hat``, the half spectrum of the last coefficient, the
+    norms, the viscous factor -nu |k|^2 and the kernel's reusable buffers.
+    Producing c_{n+1} is one kernel call, which streams ``leray``'s Cauchy
+    sum over the stack component by component, and one inverse transform
+    into the next slot. Every coefficient's half spectrum is a fresh array:
+    ``taylor_coefficients`` keeps each one.
 
     The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
     max_order + 1, only if a step grows past it; ``np.empty`` commits pages
@@ -128,11 +139,12 @@ class _SeriesBuilder:
 
     def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float, max_order: int):
         self.grid = grid
-        self.nu = nu
         self.max_order = max_order
         self.k_max = (TWO_PI / grid.length) * (grid.n // 3)  # the dealias radius
         self.u_hat = u_hat
         self.norms: list[float] = []
+        self.viscous = -nu * grid.ksq
+        self.work = KernelBuffers(grid)
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
         self.stack = np.empty((capacity, grid.dim, *grid.shape))
         self._append(u_hat)
@@ -146,23 +158,24 @@ class _SeriesBuilder:
             below = sq < floor * floor
             c_hat[below] = 0.0
             sq[below] = 0.0
+        norm = math.sqrt(parseval_sum(self.grid, sq))
+        del sq  # freed before the inverse transform allocates
         n = len(self.norms)
         if n == len(self.stack):
             grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]))
             grown[:n] = self.stack
             self.stack = grown
         self.stack[n] = ifftn_real(self.grid, c_hat)
-        self.norms.append(math.sqrt(parseval_sum(self.grid, sq)))
+        self.norms.append(norm)
         self.last = c_hat
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion."""
-        grid = self.grid
         n = len(self.norms) - 1
-        tensor = cauchy_tensor(self.stack, n)
-        new = -self.nu * grid.ksq * self.last - nonlinear_hat(grid, tensor)
+        new = np.empty_like(self.last)
+        product = partial(cauchy_component, self.stack, n)
+        scale = nonlinear_rhs(self.grid, product, self.viscous, self.last, new, self.work)
         new /= n + 1
-        scale = max(tensor.max(), -tensor.min())
         self._append(new, SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1))
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:

@@ -445,6 +445,11 @@ EXIT_CASES = [
     pytest.param(3, ["simulate"], BLOW_UP_CONFIG, id="3-rk4-blow-up"),
     pytest.param(2, ["simulate"], TINY_TG.replace("n = 16", "n = 1099511627776"),
                  id="2-grid-too-large"),
+    # 6 PiB for the random draws: representable, but beyond what a process
+    # can map, so the allocation fails at once.
+    pytest.param(2, ["simulate"],
+                 RANDOM_RK4_CONFIG.replace("dim = 2\nn = 32", "dim = 3\nn = 65536"),
+                 id="2-grid-unallocatable"),
 ]
 
 

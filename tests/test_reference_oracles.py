@@ -16,7 +16,7 @@ from liens import (
 )
 from liens.errors import StabilityError
 from liens.grid_spectral import relative_divergence, zero_vector_field
-from liens.reference_oracles import random_divfree, rk4_step
+from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
 
 
 def rel_l2(a, b):
@@ -130,6 +130,16 @@ class TestRk4:
         errors = [rel_l2(rk4_propagate(u, nu, t_end, dt=dt), reference) for dt in dts]
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         assert abs(slope - 4.0) <= 0.3
+
+    # rk4_advance reuses its stage buffers from step to step; a value left
+    # in one from the step before would show here.
+    def test_advance_reuses_buffers_exactly(self, random_divfree_3d):
+        advance = rk4_advance(random_divfree_3d.grid, 0.02, 1e-3)
+        fresh = reused = random_divfree_3d
+        for _ in range(3):
+            fresh = rk4_step(fresh, 0.02, 1e-3)
+            reused, _ = advance(reused, 1.0)
+            assert np.array_equal(reused.data, fresh.data)
 
     def test_step_preserves_divergence(self, random_divfree_3d):
         out = rk4_step(random_divfree_3d, 0.02, 1e-3)

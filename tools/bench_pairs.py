@@ -9,7 +9,9 @@ For every workload of ``BENCHMARK.json``, pair k = 0..PAIRS-1 runs
 change first when k is odd. The output holds every run's result line, its environment and its
 executions, and per metric the medians and quartiles of each side and the
 pairs the change won and lost (ties count for neither), in the direction
-``BENCHMARK.json`` gives the metric.
+``BENCHMARK.json`` gives the metric. Per workload, ``outputs_identical``
+says whether the output digests of the parent's and the change's ``rep0``
+execution agree on every seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # The fewest pairs that can show a gain won in nine of ten.
 PAIRS = 10
-EXECUTION_KEYS = ("name", "exit", "cpu_s", "wall_s", "peak_rss_mb", "problems")
+EXECUTION_KEYS = ("name", "exit", "cpu_s", "wall_s", "peak_rss_mb", "problems", "digest")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -61,6 +63,13 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def outputs_identical(pairs: list[dict]) -> bool:
+    def rep0(run: dict) -> dict:
+        return next(e["digest"] for e in run["executions"] if e["name"] == "rep0")
+
+    return all(rep0(p["parent"]) == rep0(p["change"]) for p in pairs)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -81,7 +90,9 @@ def main(argv: list[str] | None = None) -> int:
                 pair[side] = run_once(getattr(args, side), workload, k + 1, seconds)
             pairs.append(pair)
             print(f"{workload} pair {k + 1}/{PAIRS}", file=sys.stderr)
-        report["workloads"][workload] = {"summary": summarize(pairs, better), "runs": pairs}
+        report["workloads"][workload] = {"summary": summarize(pairs, better),
+                                         "outputs_identical": outputs_identical(pairs),
+                                         "runs": pairs}
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="ascii")
     return 0
 

@@ -26,12 +26,14 @@ Conventions
   ``parseval_sum`` turns a per-mode density into the integral over the box.
 * Differentiation multiplies by i*k and zeroes the Nyquist mode, keeping
   derivatives of real fields real.
+* ``numpy.fft`` is the one FFT backend, on one thread: ``rfftn`` and
+  ``irfftn`` transform the last grid axis real-to-complex (``rfft``) and then
+  run complex ``fft`` over the other grid axes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -47,20 +49,10 @@ SNAPSHOT_MAGIC = "LIENS1"
 # Relative tolerance of the Hermitian symmetry checks.
 HERMITIAN_RTOL = 1e-10
 
-_CPU_COUNT = os.cpu_count() or 1
-
-
 def fft_worker_count() -> int:
-    """Number of FFT worker threads: all available cores, capped by the
-    LIENS_THREADS environment variable when set."""
-    avail = _CPU_COUNT
-    cap = os.environ.get("LIENS_THREADS")
-    if cap:
-        try:
-            avail = min(avail, max(1, int(cap)))
-        except ValueError:
-            pass
-    return avail
+    """Number of threads the FFTs run on: always 1 (``numpy.fft`` is
+    single-threaded). Kept so run records can state it."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -189,14 +181,6 @@ class Grid:
 # ---------------------------------------------------------------------------
 
 
-def _sfft():
-    """``scipy.fft``, imported on first use: it is most of the time that
-    ``import liens`` takes, and the 1-D calculus never needs it."""
-    import scipy.fft
-
-    return scipy.fft
-
-
 def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
     return tuple(range(arr.ndim - grid.dim, arr.ndim))
 
@@ -204,20 +188,14 @@ def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
 def fftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half spectrum of real values on the trailing grid axes, 1/n^dim
     normalization."""
-    return _sfft().rfftn(
-        values, axes=_grid_axes(grid, values), norm="forward", workers=fft_worker_count()
-    )
+    return np.fft.rfftn(values, axes=_grid_axes(grid, values), norm="forward")
 
 
 def ifftn_real(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     """Real values of a half spectrum on the trailing grid axes, the
     unnormalized inverse sum."""
-    return _sfft().irfftn(
-        coefficients,
-        s=grid.shape,
-        axes=_grid_axes(grid, coefficients),
-        norm="forward",
-        workers=fft_worker_count(),
+    return np.fft.irfftn(
+        coefficients, s=grid.shape, axes=_grid_axes(grid, coefficients), norm="forward"
     )
 
 

@@ -25,7 +25,6 @@ from .grid_spectral import (
     TWO_PI,
     Grid,
     SpectralVectorField,
-    _sfft,
     complete_hermitian,
     reflect_modes,
 )
@@ -139,10 +138,10 @@ def advection_hat(
 
     def physical(half: np.ndarray) -> np.ndarray:
         full = complete_hermitian(grid, half)
-        return _sfft().ifftn(full, axes=axes, norm="forward").real
+        return np.fft.ifftn(full, axes=axes, norm="forward").real
 
     adv = np.einsum("j...,ij...->i...", physical(a_hat), physical(grads))
-    adv_hat = _sfft().fftn(adv, axes=axes, norm="forward")
+    adv_hat = np.fft.fftn(adv, axes=axes, norm="forward")
     return adv_hat[..., : grid.n // 2 + 1] * grid.dealias_keep
 
 

@@ -460,11 +460,17 @@ def run_cli(tmp_path, args, config):
         (tmp_path / "afile").write_text("")
         (tmp_path / "run.cfg").write_text(config.format(out=tmp_path / "out"))
         args = args + [str(tmp_path / "run.cfg")]
+    return run_python(tmp_path, ["-m", "liens.cli", *args])
+
+
+def run_python(tmp_path, args):
+    """A fresh interpreter with ``args``, run in ``tmp_path``, that imports
+    this ``liens``."""
     env = dict(os.environ)
     src = str(Path(liens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "liens.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
 
@@ -492,3 +498,22 @@ class TestExitCodes:
         assert done.stderr.startswith("propagation failure:"), done.stderr
         assert done.stderr.count("\n") == 1
         assert "Warning" not in done.stderr and ".py" not in done.stderr
+
+
+# Runs both commands in one interpreter, then lists what they imported.
+NO_SCIPY_SCRIPT = """
+import sys
+from liens.cli import main
+assert main(["simulate", sys.argv[1]]) == 0
+assert main(["verify", "--level", "quick"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_simulate_and_verify_never_import_scipy(tmp_path):
+    """numpy.fft is the one FFT backend: a run and the quick acceptance
+    checks load no scipy module."""
+    (tmp_path / "run.cfg").write_text(RANDOM_RK4_CONFIG.format(out=tmp_path / "out"))
+    done = run_python(tmp_path, ["-c", NO_SCIPY_SCRIPT, str(tmp_path / "run.cfg")])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -28,8 +28,9 @@ class StabilityError(LiensError, ValueError):
 
 
 class RadiusCollapseError(LiensError, RuntimeError):
-    """The series step could not meet its truncation bound even after halving
-    the time step 20 times; the analyticity margin has collapsed."""
+    """No series order up to the cap meets the truncation bound with a step of
+    at least 2^-20 of the one requested (20 halvings); the analyticity margin
+    has collapsed."""
 
     def __init__(self, message: str, radius_estimate: float, dt_last: float):
         super().__init__(

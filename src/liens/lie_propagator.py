@@ -34,11 +34,21 @@ sets the radius estimate and cuts the step. This is Krasny's filter
 below (Sulem, Sulem & Frisch, J. Comput. Phys. 50, 1983). ``ns_rhs`` and the
 RK4 oracle stay unfloored, so RK4 remains an independent check.
 
-The expansion is used as a one-step integrator: ``step`` is one loop over
-attempts, each accepting dt when some order N <= max_order has
-||c_N|| dt^N <= tol ||u|| and dt is within half the ratio-test radius
-estimate, and halving dt otherwise (at most 20 times); the series grows only
-as far as the attempts read it. n! c_n reproduces the n-th generator power
+The expansion is used as a one-step integrator. ``step`` gives every order
+N its largest admissible step h_N: within the request, within half the
+ratio-test radius estimate of c_0..c_N, and with both of the last two
+retained terms below the truncation bound, ||c_{N-1}|| h^{N-1} <= tol ||u||
+and ||c_N|| h^N <= tol ||u|| (one term alone can sit low by chance and
+admit too long a step). It takes the N that covers the request for the
+least work, N grows plus N(N+1)/2 Cauchy pair products weighted by
+PAIR_COST, per ceil(dt / h_N) equal steps (Jorba & Zou, Exp. Math. 14,
+2005, choose the step from the last two coefficients the same way). The
+series grows as far as that choice reads it: the four coefficients the
+radius needs, then at most two past the best order so far unless a higher
+order is predicted to do better, and never past an order whose h_N reaches
+the request. A step below COLLAPSE_FLOOR of the request is no step: with
+none left at max_order the analyticity margin has collapsed
+(``RadiusCollapseError``). n! c_n reproduces the n-th generator power
 applied to u, which is what the symbolic calculus cross-checks in one
 dimension. ``steps`` composes steps, T(t_end) = T(dt_k)...T(dt_1), for this
 and every integrator.
@@ -72,8 +82,14 @@ from .leray import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
-MAX_HALVINGS = 20
 RADIUS_SAFETY = 0.5
+# A step shorter than this fraction of the request is a collapse of the
+# analyticity margin (the step 20 halvings would reach).
+COLLAPSE_FLOOR = 2.0**-20
+# Cost of one Cauchy pair product in units of a grow's fixed cost (the
+# transforms and the projection): at 64^3 one grow takes about 60 ms plus
+# 2.2 ms per pair.
+PAIR_COST = 1.0 / 27.0
 # Multiplier of the round-off floor. Swept over 1e-4..256: Taylor-Green 2-D
 # at 128^2 (nu 0.1 to t 0.5) takes one order-7 step from 2^-4 up, but 12 steps
 # at 0.03 and 19 without the floor; the step from the random 64^3 field
@@ -105,13 +121,16 @@ class TaylorExpansion:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Bookkeeping for one accepted step. RK4 reports order 4 and leaves the
-    truncation and radius estimates NaN: it does not estimate them."""
+    """Bookkeeping for one accepted step. ``coefficients_built`` counts the
+    grows the step made, look-ahead included. RK4 reports order 4, builds no
+    coefficient and leaves the truncation and radius estimates NaN: it does
+    not estimate them."""
 
     order_used: int
     dt: float
     truncation_estimate: float = math.nan
     radius_estimate: float = math.nan
+    coefficients_built: int = 0
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -191,22 +210,59 @@ class _SeriesBuilder:
         out *= self.grid.dealias_keep
         return SpectralVectorField(self.grid, out)
 
-    def order_within(self, bound: float, dt: float) -> int | None:
-        """The first n <= max_order with ||c_n|| dt^n <= bound, growing the
-        series as far as the search reaches; None when there is none."""
-        for n in range(self.max_order + 1):
-            if n == len(self.norms):
-                self.grow()
-            if self.norms[n] * dt**n <= bound:
-                return n
-        return None
+    def radius(self, n: int) -> float:
+        """The ratio-test radius of c_0..c_max(n, 3), +inf while there are
+        fewer than four coefficients."""
+        if len(self.norms) < 4:
+            return math.inf
+        return _radius_from_norms(self.norms[: max(n, 3) + 1])
 
-    def radius(self) -> float:
-        """The ratio-test radius once min(4, max_order + 1) coefficients
-        exist; +inf while there are fewer than four."""
-        while len(self.norms) < min(4, self.max_order + 1):
-            self.grow()
-        return _radius_from_norms(self.norms) if len(self.norms) >= 4 else math.inf
+    def reach(self, n: int, bound: float, dt: float) -> float:
+        """h_n: the largest step <= dt and <= RADIUS_SAFETY * radius(n) with
+        ||c_m|| h^m <= bound for m = n - 1 and m = n; 0 when there is none
+        (a NaN radius or norm admits no step)."""
+        radius = self.radius(n)
+        h = min(dt, RADIUS_SAFETY * radius) if radius >= 0.0 else 0.0
+        for m in range(max(n - 1, 0), n + 1):
+            h = min(h, _term_reach(self.norms[m], m, bound))
+        return h
+
+
+def _term_reach(norm: float, m: int, bound: float) -> float:
+    """The largest h with norm * h^m <= bound: +inf or 0 for m = 0, 0 for a
+    NaN or infinite norm."""
+    if m == 0 or norm == 0.0:
+        return math.inf if norm <= bound else 0.0
+    return (bound / norm) ** (1.0 / m) if norm > 0.0 else 0.0
+
+
+def _step_cost(order: int) -> float:
+    """Work of one step of ``order``, in grows: the grows plus their Cauchy
+    pair products at PAIR_COST each."""
+    return order + PAIR_COST * order * (order + 1) / 2
+
+
+def _cover_cost(order: int, h: float, dt: float) -> float:
+    """Work of covering dt with steps of ``order`` no longer than h; +inf
+    when h is below the collapse floor."""
+    if not h >= COLLAPSE_FLOOR * dt:
+        return math.inf
+    return _step_cost(order) * math.ceil(dt / h)
+
+
+def _may_improve(reach: list[float], best_cost: float, dt: float, max_order: int) -> bool:
+    """Whether an order above the last one could still cover dt for less than
+    ``best_cost``, extrapolating h_n linearly from its last two values."""
+    n = len(reach) - 1
+    slope = reach[n] - reach[n - 1]
+    if not slope > 0.0:
+        return False
+    for order in range(n + 1, max_order + 1):
+        if _step_cost(order) >= best_cost:
+            break
+        if _cover_cost(order, min(dt, reach[n] + slope * (order - n)), dt) < best_cost:
+            return True
+    return False
 
 
 def _radius_from_norms(norms: list[float]) -> float:
@@ -271,11 +327,18 @@ def step(
 ) -> tuple[SpectralVectorField, StepStats]:
     """One adaptive series step of at most ``dt``.
 
-    An attempt accepts dt when an order N <= max_order has
-    ||c_N|| dt^N <= tol ||u|| and dt <= 0.5 * radius estimate (+inf with
-    fewer than four coefficients); otherwise dt halves, at most 20 times.
-    Reports the dt used; raises ``RadiusCollapseError`` once the halving
-    budget is exhausted.
+    Every order N <= max_order gets its largest admissible step h_N: at most
+    dt and 0.5 * the ratio-test radius of c_0..c_N (+inf with fewer than
+    four coefficients), with ||c_{N-1}|| h^{N-1} <= tol ||u|| and
+    ||c_N|| h^N <= tol ||u||. The step takes the order that covers dt for
+    the least work, ``_step_cost(N)`` (N grows and N(N+1)/2 pair products
+    weighted by PAIR_COST) times ceil(dt / h_N) steps, and evens its length
+    to dt / ceil(dt / h_N) so that no sliver is left. The series grows the
+    four coefficients the radius needs and then at most two past the best
+    order so far, further only while a linear extrapolation of h_N says a
+    higher order could still do better; it stops as soon as some h_N
+    reaches dt. Steps below COLLAPSE_FLOOR * dt are not admissible: with none
+    left at max_order, ``RadiusCollapseError`` is raised.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -287,24 +350,37 @@ def step(
     _require_admissible(u, "step")
     builder = _SeriesBuilder(u.grid, u.data, nu_val, max_order)
     bound = tol * u.l2_norm()
-    for _ in range(MAX_HALVINGS + 1):
-        order = builder.order_within(bound, dt)
-        radius = builder.radius()
-        if order is not None and dt <= RADIUS_SAFETY * radius:
-            stats = StepStats(
-                order_used=order,
-                dt=dt,
-                truncation_estimate=builder.norms[order] * dt**order,
-                radius_estimate=radius,
-            )
-            return builder.evaluate(order, dt), stats
-        dt *= 0.5
+    while len(builder.norms) < min(4, max_order + 1):
+        builder.grow()
+    reach: list[float] = []
+    best, best_cost = -1, math.inf
+    for n in range(max_order + 1):
+        if n == len(builder.norms):
+            builder.grow()
+        reach.append(builder.reach(n, bound, dt))
+        cost = _cover_cost(n, reach[n], dt)
+        if cost < best_cost:
+            best, best_cost = n, cost
+        if reach[n] >= dt:
+            break
+        if best >= 0 and n >= best + 2 and not _may_improve(reach, best_cost, dt, max_order):
+            break
 
-    raise RadiusCollapseError(
-        "series step failed to meet its truncation bound after 20 halvings",
-        radius_estimate=radius,
-        dt_last=dt * 2.0,
+    if best < 0:
+        raise RadiusCollapseError(
+            "series step failed to meet its truncation bound after 20 halvings",
+            radius_estimate=builder.radius(len(builder.norms) - 1),
+            dt_last=dt * COLLAPSE_FLOOR,
+        )
+    h = dt / math.ceil(dt / reach[best])
+    stats = StepStats(
+        order_used=best,
+        dt=h,
+        truncation_estimate=builder.norms[best] * h**best,
+        radius_estimate=builder.radius(best),
+        coefficients_built=len(builder.norms) - 1,
     )
+    return builder.evaluate(best, h), stats
 
 
 def fixed_step(dt: float, remaining: float) -> float:

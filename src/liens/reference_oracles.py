@@ -26,7 +26,6 @@ from .grid_spectral import (
     Grid,
     SpectralVectorField,
     complete_hermitian,
-    reflect_modes,
 )
 from .leray import (
     KernelBuffers,
@@ -258,11 +257,19 @@ def random_divfree(
         raise ValueError("amplitude must be positive and finite")
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (grid.dim, *grid.shape)
-    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    draws = np.empty(shape, dtype=complex)
+    draws.real = rng.standard_normal(shape)
+    draws.imag = rng.standard_normal(shape)
     # The draws fill the full grid; their Hermitian part is the spectrum of a
-    # real field, which the half spectrum then holds.
-    coef = 0.5 * (coef + np.conj(reflect_modes(grid, coef)))
-    coef = coef[..., : grid.n // 2 + 1]
+    # real field. Only its half spectrum is formed: each mode k averages
+    # draws[k] with the conjugate of draws[-k], gathered by index.
+    n = grid.n
+    minus = -np.arange(n) % n  # the index of -k along a complete axis
+    coef = draws[(slice(None), *np.ix_(*[minus] * (grid.dim - 1), minus[: n // 2 + 1]))]
+    np.conj(coef, out=coef)
+    coef += draws[..., : n // 2 + 1]
+    del draws  # the full grid goes before the weighting allocates
+    coef *= 0.5
     weight = grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / peak_k) ** 2))
     coef *= weight * grid.dealias_keep
     coef[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean

@@ -6,6 +6,7 @@ import pytest
 
 from liens import (
     AnalyticFlow,
+    SpectralVectorField,
     Grid,
     RealVectorField,
     analytic_field,
@@ -15,7 +16,8 @@ from liens import (
     to_spectral,
 )
 from liens.errors import StabilityError
-from liens.grid_spectral import relative_divergence, zero_vector_field
+from liens.grid_spectral import reflect_modes, relative_divergence, zero_vector_field
+from liens.leray import leray_project
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
 
 
@@ -165,6 +167,24 @@ class TestRandomDivfree:
         }
         for index, want in recorded.items():
             assert abs(v.data[index] - want) <= 1e-14 * abs(want)
+
+    # The generator forms the Hermitian average on the half spectrum only; it
+    # must reproduce, bit for bit, the average over the full grid of draws
+    # and their reflection, cut to the half spectrum afterwards.
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 64)])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_full_grid_average_bitwise(self, dim, n, seed):
+        grid = Grid(dim=dim, n=n)
+        rng = np.random.Generator(np.random.Philox(seed))
+        shape = (dim, *grid.shape)
+        full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coef = (0.5 * (full + np.conj(reflect_modes(grid, full))))[..., : n // 2 + 1]
+        coef *= grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / 3) ** 2)) * grid.dealias_keep
+        coef[(slice(None),) + (0,) * dim] = 0.0
+        field = leray_project(SpectralVectorField(grid, coef))
+        want = (1.0 / field.l2_norm()) * field
+        got = random_divfree(seed=seed, grid=grid, peak_k=3, amplitude=1.0)
+        assert np.array_equal(got.data, want.data)
 
     def test_determinism(self, grid2d):
         a = random_divfree(seed=5, grid=grid2d, peak_k=4, amplitude=1.0)

@@ -9,9 +9,17 @@ For every workload of ``BENCHMARK.json``, pair k = 0..PAIRS-1 runs
 change first when k is odd. The output holds every run's result line, its environment and its
 executions, and per metric the medians and quartiles of each side and the
 pairs the change won and lost (ties count for neither), in the direction
-``BENCHMARK.json`` gives the metric. Per workload, ``outputs_identical``
-says whether the output digests of the parent's and the change's ``rep0``
-execution agree on every seed.
+``BENCHMARK.json`` gives the metric, and two verdicts:
+
+- ``claim_met``: the change won at least nine pairs in ten and its median
+  is better than the parent's by more than the parent's interquartile range;
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than the metric's ``BENCHMARK.json`` bound, relative to the parent's
+  median.
+
+Per workload, ``outputs_identical`` says whether the output digests of the
+parent's and the change's ``rep0`` execution agree on every seed. One
+summary row per workload and metric is printed when its pairs are done.
 """
 
 from __future__ import annotations
@@ -50,17 +58,31 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric of ``metrics`` (``BENCHMARK.json``'s end-to-end entries by
+    name): both sides' quartiles, the pairs won and lost, and the verdicts."""
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         won = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0)
         lost = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
-        out[name] = {"better": direction, "parent": quartiles(parent),
-                     "change": quartiles(change), "change_won": won, "change_lost": lost}
+        before, after = quartiles(parent), quartiles(change)
+        gain = sign * (before["median"] - after["median"])
+        out[name] = {"better": metric["better"], "parent": before, "change": after,
+                     "change_won": won, "change_lost": lost,
+                     "claim_met": 10 * won >= 9 * len(pairs) and gain > before["iqr"],
+                     "worse_than_bound": -gain > metric["bound"] * abs(before["median"])}
     return out
+
+
+def summary_rows(workload: str, summary: dict) -> list[str]:
+    return [f"{workload:<16} {name:<12} parent {s['parent']['median']:<10.4g} "
+            f"change {s['change']['median']:<10.4g} won {s['change_won']:>2} "
+            f"lost {s['change_lost']:>2} claim_met {s['claim_met']!s:<5} "
+            f"worse_than_bound {s['worse_than_bound']}"
+            for name, s in summary.items()]
 
 
 def outputs_identical(pairs: list[dict]) -> bool:
@@ -78,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     report = {"pairs": PAIRS, "seconds": seconds, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
@@ -90,10 +112,12 @@ def main(argv: list[str] | None = None) -> int:
                 pair[side] = run_once(getattr(args, side), workload, k + 1, seconds)
             pairs.append(pair)
             print(f"{workload} pair {k + 1}/{PAIRS}", file=sys.stderr)
-        report["workloads"][workload] = {"summary": summarize(pairs, better),
+        summary = summarize(pairs, metrics)
+        report["workloads"][workload] = {"summary": summary,
                                          "outputs_identical": outputs_identical(pairs),
                                          "runs": pairs}
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="ascii")
+        print("\n".join(summary_rows(workload, summary)), flush=True)
     return 0
 
 

@@ -1,5 +1,6 @@
 """1-D viscous Burgers bench: the scalar specialization of the series
-propagator (no projection) plus an independent RK4 reference.
+propagator (no projection) plus an independent RK4 reference, on the same
+update ``rk4_update`` as the Navier-Stokes oracle.
 
 ``cross_check`` compares the symbolic generator powers with the numeric
 Taylor recursion: n! * c_n of dv/dt = nu*v_xx - v*v_x must equal the n-fold
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lie_propagator import StepStats, _horner, fixed_step, steps
+from .lie_propagator import StepStats, _horner, final_state, fixed_step, rk4_update
 from .operator_calculus import (
     DiffPoly,
     _check_samples,
@@ -42,29 +43,26 @@ def taylor_coefficients_burgers(
     return [d[0] for d in derivs]
 
 
-def burgers_rhs(u: np.ndarray, nu: float) -> np.ndarray:
+def burgers_rhs(u: np.ndarray, nu: float, out: np.ndarray | None = None) -> np.ndarray:
     _, u_x, u_xx = spectral_derivatives(u, 2)
-    return nu * u_xx - u * u_x
+    return np.subtract(nu * u_xx, u * u_x, out=out)
 
 
 def rk4_burgers(u0: np.ndarray, nu: float, t_end: float, dt: float) -> np.ndarray:
-    """Classical RK4 on the same pseudospectral Burgers system."""
+    """Classical RK4 (``rk4_update``) on the same pseudospectral Burgers
+    system, through one set of slope buffers for the whole run."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    u = _check_samples(u0).copy()
+    buf = np.empty((4, *u.shape))
 
-    def advance(u: np.ndarray, remaining: float):
+    def advance(v: np.ndarray, remaining: float):
         h = fixed_step(dt, remaining)
-        k1 = burgers_rhs(u, nu)
-        k2 = burgers_rhs(u + 0.5 * h * k1, nu)
-        k3 = burgers_rhs(u + 0.5 * h * k2, nu)
-        k4 = burgers_rhs(u + h * k3, nu)
-        u_next = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = burgers_rhs(v, nu)
+        u_next = rk4_update(v, h, k1, lambda x, out: burgers_rhs(x, nu, out), buf)
         return u_next, StepStats(order_used=4, dt=h)
 
-    u = _check_samples(u0).copy()
-    for _, u, _ in steps(u, t_end, advance):
-        pass
-    return u
+    return final_state(u, t_end, advance)
 
 
 def cross_check(order: int, n: int) -> tuple[list[float], list[float]]:

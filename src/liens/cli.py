@@ -13,7 +13,8 @@ Commands
     Cross-check the symbolic generator powers against the 1-D Burgers
     series recursion and an RK4 reference.
 ``liens spectrum <snapshot>``
-    Print the shell-averaged energy spectrum of a stored field as CSV.
+    Print the shell-averaged energy spectrum of a stored field as CSV; exit
+    2 when the snapshot is unusable or its shell energies overflow.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (including an ``output_dir`` that cannot be created and a grid whose
@@ -62,6 +63,7 @@ from .diagnostics import (
     energy,
     enstrophy_norm,
     format_float,
+    shell_spectrum,
     spectrum_csv,
     write_series_csv,
 )
@@ -458,6 +460,9 @@ def cmd_burgers_check(order: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# As in cmd_simulate: an overflowing field is reported once, by the check
+# below or the reader, not by numpy warnings that name source files.
+@np.errstate(all="ignore")
 def cmd_spectrum(snapshot: Path) -> int:
     try:
         field = read_snapshot(snapshot)
@@ -466,6 +471,9 @@ def cmd_spectrum(snapshot: Path) -> int:
         return 2
     if isinstance(field, RealVectorField):
         field = to_spectral(field)
+    if not all(math.isfinite(e) for _, e in shell_spectrum(field)):
+        print("spectrum: the shell energies overflow float64", file=sys.stderr)
+        return 2
     print(spectrum_csv(field), end="")
     return 0
 

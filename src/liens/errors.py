@@ -28,13 +28,13 @@ class StabilityError(LiensError, ValueError):
 
 
 class RadiusCollapseError(LiensError, RuntimeError):
-    """No series order up to the cap meets the truncation bound with a step of
-    at least 2^-20 of the one requested (20 halvings); the analyticity margin
-    has collapsed."""
+    """No series order up to the cap admits a step of at least 2^-20 of the
+    one requested (``dt_last``, the shortest step that would count); the
+    analyticity margin has collapsed."""
 
     def __init__(self, message: str, radius_estimate: float, dt_last: float):
         super().__init__(
-            f"{message} (last radius estimate {radius_estimate:.6e}, last dt tried {dt_last:.6e})"
+            f"{message} (last radius estimate {radius_estimate:.6e}, step floor {dt_last:.6e})"
         )
         self.radius_estimate = radius_estimate
         self.dt_last = dt_last

@@ -227,6 +227,12 @@ def _conjugate_mismatch(grid: Grid, coefficients: np.ndarray) -> float:
     return math.sqrt(float(np.sum(np.abs(defect) ** 2)))
 
 
+def overflow_note(measure: float) -> str:
+    """What the message of a relative check that fails on a NaN or infinite
+    measure adds: the fields are finite, so their norms overflowed."""
+    return "" if math.isfinite(measure) else "; the field's norms overflow float64"
+
+
 def parseval_sum(grid: Grid, density: np.ndarray) -> float:
     """The integral over the box that a per-mode density on the half spectrum
     stands for (|c_k|^2 gives the squared L2 norm, Re conj(a_k) b_k the inner
@@ -366,11 +372,13 @@ def to_spectral(f: RealVectorField) -> SpectralVectorField:
 
 def to_physical(s: SpectralVectorField) -> RealVectorField:
     """Inverse transform back to physical samples. Rejects fields whose
-    self-conjugate planes break Hermitian symmetry beyond 1e-10 relative."""
+    self-conjugate planes break Hermitian symmetry beyond 1e-10 relative (a
+    NaN defect, from norms that overflow, too)."""
     defect = hermitian_defect(s)
-    if defect > HERMITIAN_RTOL:
+    if not defect <= HERMITIAN_RTOL:
         raise FieldError(
-            f"spectral field breaks Hermitian symmetry (relative defect {defect:.3e})"
+            "spectral field breaks Hermitian symmetry "
+            f"(relative defect {defect:.3e}{overflow_note(defect)})"
         )
     return RealVectorField(s.grid, ifftn_real(s.grid, s.data))
 
@@ -506,10 +514,13 @@ def read_snapshot(path: str | Path) -> RealVectorField | SpectralVectorField:
     data = np.transpose(payload, _x_fastest(dim))
     if kind == "physical":
         return RealVectorField(grid, data)
+    if not np.isfinite(data).all():
+        raise SnapshotFormatError("spectral snapshot contains non-finite coefficients")
     norm = math.sqrt(float(np.sum(np.abs(data) ** 2)))
     defect = _conjugate_mismatch(grid, data) / norm if norm else 0.0
-    if defect > HERMITIAN_RTOL:
+    if not defect <= HERMITIAN_RTOL:
         raise SnapshotFormatError(
-            f"spectral snapshot breaks Hermitian symmetry (relative defect {defect:.3e})"
+            "spectral snapshot breaks Hermitian symmetry "
+            f"(relative defect {defect:.3e}{overflow_note(defect)})"
         )
     return SpectralVectorField(grid, np.ascontiguousarray(data[..., : n // 2 + 1]))

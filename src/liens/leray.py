@@ -57,6 +57,7 @@ from .grid_spectral import (
     dealias_defect,
     fftn_forward,
     ifftn_real,
+    overflow_note,
     relative_divergence,
 )
 
@@ -89,14 +90,18 @@ def viscosity_value(nu: float) -> float:
 
 def _require_admissible(v: SpectralVectorField, where: str) -> None:
     """Reject a velocity that is not divergence-free to DIV_FREE_RTOL or not
-    dealiased to DEALIASED_RTOL; the nonlinear operators assume both."""
+    dealiased to DEALIASED_RTOL (a NaN measure, from norms that overflow,
+    fails); the nonlinear operators assume both."""
     div = relative_divergence(v)
-    if div > DIV_FREE_RTOL:
-        raise SolenoidalError(f"{where} requires a divergence-free field", div)
+    if not div <= DIV_FREE_RTOL:
+        raise SolenoidalError(
+            f"{where} requires a divergence-free field{overflow_note(div)}", div
+        )
     defect = dealias_defect(v)
-    if defect > DEALIASED_RTOL:
+    if not defect <= DEALIASED_RTOL:
         raise FieldError(
-            f"{where} requires a dealiased field (relative defect {defect:.3e})"
+            f"{where} requires a dealiased field "
+            f"(relative defect {defect:.3e}{overflow_note(defect)})"
         )
 
 

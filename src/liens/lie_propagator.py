@@ -84,7 +84,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
 RADIUS_SAFETY = 0.5
 # A step shorter than this fraction of the request is a collapse of the
-# analyticity margin (the step 20 halvings would reach).
+# analyticity margin.
 COLLAPSE_FLOOR = 2.0**-20
 # Cost of one Cauchy pair product in units of a grow's fixed cost (the
 # transforms and the projection): at 64^3 one grow takes about 60 ms plus
@@ -368,7 +368,8 @@ def step(
 
     if best < 0:
         raise RadiusCollapseError(
-            "series step failed to meet its truncation bound after 20 halvings",
+            f"no series order up to max_order {max_order} admits a step of at least 2^-20"
+            f" of the requested dt {dt:.6e}; raise max_order or tol, or shorten the request",
             radius_estimate=builder.radius(len(builder.norms) - 1),
             dt_last=dt * COLLAPSE_FLOOR,
         )
@@ -390,6 +391,24 @@ def fixed_step(dt: float, remaining: float) -> float:
     return remaining if remaining <= dt * (1.0 + 1e-6) else dt
 
 
+def rk4_update(
+    u: np.ndarray, dt: float, k1: np.ndarray, rhs: Callable, buf: np.ndarray
+) -> np.ndarray:
+    """The classical RK4 update u + (dt/6) (k1 + 2 k2 + 2 k3 + k4), a new
+    array, from the slope k1 at u; ``rhs(x, out)`` writes the slope at x into
+    out, and ``buf`` holds (stage, k2, k3, k4). Each operation is the one the
+    formula spells, in its order, with its intermediates written in place."""
+    stage, k2, k3, k4 = buf
+    for k_in, h, k_out in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
+        np.add(u, np.multiply(h, k_in, out=stage), out=stage)
+        rhs(stage, k_out)
+    total = np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+    total += np.multiply(2.0, k3, out=k3)
+    total += k4
+    total *= dt / 6.0
+    return u + total
+
+
 def steps(
     u: State, t_end: float, advance: Callable[[State, float], tuple[State, StepStats]]
 ) -> Iterator[tuple[float, State, StepStats]]:
@@ -406,6 +425,14 @@ def steps(
         yield t_end - remaining, v, stats
 
 
+def final_state(u: State, t_end: float, advance: Callable) -> State:
+    """The state ``steps(u, t_end, advance)`` ends at: ``u`` when t_end is 0."""
+    v = u
+    for _, v, _ in steps(u, t_end, advance):
+        pass
+    return v
+
+
 def propagate(
     u: SpectralVectorField,
     nu: float,
@@ -416,9 +443,4 @@ def propagate(
     """Advance ``u`` to exactly ``t_end`` by repeated series steps, each
     attempting the whole remaining interval. Iterate ``steps`` with ``step``
     to see every accepted step."""
-    v = u
-    for _, v, _ in steps(
-        u, t_end, lambda w, dt: step(w, nu, dt, tol=tol, max_order=max_order)
-    ):
-        pass
-    return v
+    return final_state(u, t_end, lambda w, dt: step(w, nu, dt, tol=tol, max_order=max_order))

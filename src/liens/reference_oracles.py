@@ -6,8 +6,9 @@ gradient of ``leray.compute_pressure``, scaled by a sign whose flip is the
 dissipativity check's negative control.
 
 The RK4 path shares the right-hand side and the step loop ``steps`` with the
-series propagator; its time-stepping scheme is entirely separate, which is
-what makes the two usable as mutual oracles. ``advection_hat`` computes
+series propagator, and the update ``rk4_update`` with the 1-D Burgers bench;
+its time-stepping scheme is entirely separate from the series, which is what
+makes the two usable as mutual oracles. ``advection_hat`` computes
 (a.grad)b from physical velocity gradients with plain complex FFTs of the
 completed spectra, independently of the divergence-form kernel in ``leray``
 and of its real-to-complex transforms; tests compare the two.
@@ -36,7 +37,7 @@ from .leray import (
     rhs_hat,
     viscosity_value,
 )
-from .lie_propagator import StepStats, fixed_step, steps
+from .lie_propagator import StepStats, final_state, fixed_step, rk4_update
 
 TAYLOR_GREEN_2D = "taylor_green_2d"
 TAYLOR_GREEN_3D_EMBEDDED = "taylor_green_3d_embedded"
@@ -162,54 +163,30 @@ def ns_rhs_via_pressure(
     return SpectralVectorField(grid, -nu_val * grid.ksq * v.data - forcing)
 
 
-class _Rk4Stages:
-    """The buffers of RK4 on one grid, reused by every step that gets them:
-    the stage input, k2..k4 and the kernel's buffers. k1 comes from
-    ``ns_rhs`` itself."""
-
-    def __init__(self, grid: Grid):
-        shape = (grid.dim, *grid.spectral_shape)
-        self.stage = np.empty(shape, dtype=np.complex128)
-        self.k = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
-        self.work = KernelBuffers(grid)
-
-
-def _rk4_update(
-    v: SpectralVectorField, nu: float, dt: float, buf: _Rk4Stages
-) -> SpectralVectorField:
-    """One RK4 step of ``ns_rhs`` through the buffers ``buf``; every
-    operation is the one u + (dt/6) (k1 + 2 k2 + 2 k3 + k4) spells, in its
-    order, with its intermediates written in place."""
-    grid, u = v.grid, v.data
-    stage, (k2, k3, k4), work = buf.stage, buf.k, buf.work
-    k1 = ns_rhs(v, nu).data
-    for k_in, h, k_out in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
-        np.add(u, np.multiply(h, k_in, out=stage), out=stage)
-        rhs_hat(grid, stage, nu, k_out, work)
-    k2 *= 2.0
-    k3 *= 2.0
-    total = np.add(k1, k2, out=k2)
-    total += k3
-    total += k4
-    total *= dt / 6.0
-    return leray_project(SpectralVectorField(grid, u + total))
-
-
 def rk4_step(
     v: SpectralVectorField, nu: float, dt: float
 ) -> SpectralVectorField:
     """One classical 4-stage Runge-Kutta step of ``ns_rhs``, re-projected.
 
-    ``ns_rhs`` checks v once. The later stages start from linear combinations
-    of v and of right-hand sides, which are projected and dealiased, so they
-    are admissible by construction and skip the check."""
-    return _rk4_update(v, viscosity_value(nu), dt, _Rk4Stages(v.grid))
+    ``ns_rhs`` gives k1 and checks v once. The later stages start from linear
+    combinations of v and of right-hand sides, which are projected and
+    dealiased, so they are admissible by construction and skip the check."""
+    nu_val = viscosity_value(nu)
+    grid, work = v.grid, KernelBuffers(v.grid)
+    k1 = ns_rhs(v, nu_val).data
+    buf = np.empty((4, *k1.shape), dtype=np.complex128)
+    u_next = rk4_update(v.data, dt, k1, lambda x, out: rhs_hat(grid, x, nu_val, out, work), buf)
+    return leray_project(SpectralVectorField(grid, u_next))
 
 
 def rk4_advance(grid: Grid, nu: float, dt: float):
     """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``, reusing one
-    set of stage buffers for the whole run. Enforces the explicit diffusion
-    bound dt <= 0.5*dx^2/nu for nu > 0."""
+    array of slopes and one set of kernel buffers for the whole run. Enforces
+    the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0.
+
+    ``advance(v, remaining)`` does not check v: v must be divergence-free and
+    dealiased, as ``rk4_propagate`` checks its initial field to be and as
+    every step's projected output is."""
     nu_val = viscosity_value(nu)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"rk4 step size must be positive and finite, got {dt}")
@@ -217,11 +194,16 @@ def rk4_advance(grid: Grid, nu: float, dt: float):
         dt_max = 0.5 * grid.spacing**2 / nu_val
         if dt > dt_max:
             raise StabilityError("rk4 step exceeds the explicit stability bound", dt_max)
-    buf = _Rk4Stages(grid)
+    slopes = np.empty((5, grid.dim, *grid.spectral_shape), dtype=np.complex128)
+    work = KernelBuffers(grid)
+
+    def rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return rhs_hat(grid, x, nu_val, out, work)
 
     def advance(v: SpectralVectorField, remaining: float):
         h = fixed_step(dt, remaining)
-        return _rk4_update(v, nu_val, h, buf), StepStats(order_used=4, dt=h)
+        u_next = rk4_update(v.data, h, rhs(v.data, slopes[0]), rhs, slopes[1:])
+        return leray_project(SpectralVectorField(grid, u_next)), StepStats(order_used=4, dt=h)
 
     return advance
 
@@ -233,10 +215,7 @@ def rk4_propagate(
     rejects initial data that is not divergence-free and dealiased."""
     advance = rk4_advance(u.grid, nu, dt)
     _require_admissible(u, "rk4_propagate")
-    v = u
-    for _, v, _ in steps(u, t_end, advance):
-        pass
-    return v
+    return final_state(u, t_end, advance)
 
 
 def random_divfree(

@@ -1,6 +1,7 @@
 """The verdicts of ``tools/bench_pairs.py`` on synthetic pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,27 @@ def test_one_summary_row_per_metric(bench_pairs):
     rows = bench_pairs.summary_rows("w", bench_pairs.summarize(pairs, metrics))
     assert len(rows) == 2
     assert all(r.startswith("w ") and "claim_met False" in r for r in rows)
+
+
+def test_printed_summary_states_outputs_identical(bench_pairs, monkeypatch, tmp_path, capsys):
+    # Synthetic runs of every BENCHMARK.json workload: the outputs agree
+    # except on one seed of the first workload.
+    bench = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}
+
+    def run_once(checkout, workload, seed, seconds):
+        digest = "b" if (checkout.name, workload, seed) == ("change", names[0], 3) else "a"
+        return {"seed": seed, "result": {"metrics": metrics},
+                "executions": [{"name": "rep0", "digest": digest}]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out)]) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines() if "outputs_identical" in r]
+    want = [[name, "outputs_identical", str(name != names[0])] for name in names]
+    assert rows == want
+    report = json.loads(out.read_text(encoding="ascii"))
+    assert [w["outputs_identical"] for w in report["workloads"].values()] == [
+        name != names[0] for name in names]

@@ -72,6 +72,19 @@ class TestSeriesVsRk4:
         b = rk4_burgers(u0, 0.1, 0.05, dt=5e-4)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-10
 
+    def test_rk4_matches_textbook_rk4(self, u0):
+        # Ten steps of 2^-10: the remaining time stays exact, so every step
+        # is a whole dt.
+        nu, dt = 0.1, 2.0**-10
+        u = u0
+        for _ in range(10):
+            k1 = burgers_rhs(u, nu)
+            k2 = burgers_rhs(u + 0.5 * dt * k1, nu)
+            k3 = burgers_rhs(u + 0.5 * dt * k2, nu)
+            k4 = burgers_rhs(u + dt * k3, nu)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(rk4_burgers(u0, nu, 10 * dt, dt), u)
+
     def test_evaluate_series_horner(self, u0):
         coeffs = taylor_coefficients_burgers(u0, 0.1, 4)
         t = 0.03

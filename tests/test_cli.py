@@ -13,6 +13,7 @@ import liens
 from liens import (
     AnalyticFlow,
     Grid,
+    RealVectorField,
     analytic_field,
     dealias,
     energy,
@@ -20,11 +21,14 @@ from liens import (
     propagate,
     random_divfree,
     rk4_propagate,
+    to_spectral,
 )
 from liens.cli import cmd_simulate, load_config, main, parse_config
 from liens.diagnostics import read_series_csv
 from liens.errors import ConfigError
-from liens.grid_spectral import read_snapshot
+from liens.grid_spectral import read_snapshot, write_snapshot
+
+from conftest import random_real_field
 
 TG_CONFIG = """
 # Taylor-Green decay
@@ -497,6 +501,19 @@ class TestExitCodes:
         assert done.returncode == 3
         assert done.stderr.startswith("propagation failure:"), done.stderr
         assert done.stderr.count("\n") == 1
+        assert "Warning" not in done.stderr and ".py" not in done.stderr
+
+    # A finite snapshot whose shell energies overflow: no inf rows, and no
+    # numpy warning naming a source file.
+    @pytest.mark.parametrize("kind", ["spectral", "physical"])
+    def test_spectrum_overflow_exits_2(self, tmp_path, kind):
+        g = Grid(dim=2, n=16)
+        field = RealVectorField(g, 1e200 * random_real_field(g, np.random.default_rng(1)).data)
+        write_snapshot(tmp_path / "big.liens", field if kind == "physical" else to_spectral(field))
+        done = run_cli(tmp_path, ["spectrum", str(tmp_path / "big.liens")], None)
+        assert done.returncode == 2
+        assert done.stderr.startswith("spectrum:"), done.stderr
+        assert done.stdout == ""
         assert "Warning" not in done.stderr and ".py" not in done.stderr
 
 

@@ -149,6 +149,16 @@ class TestTransforms:
         with pytest.raises(FieldError, match="Hermitian"):
             to_physical(SpectralVectorField(grid2d, data))
 
+    # |c|^2 overflows beyond |c| ~ 1e154, and the relative defect reads NaN;
+    # the check must fail on it, not pass it.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_broken_symmetry_rejected(self):
+        g = Grid(dim=2, n=16)
+        data = np.zeros((2, *g.spectral_shape), dtype=complex)
+        data[0, 1, 0] = 1e200
+        with pytest.raises(FieldError, match="norms overflow float64"):
+            to_physical(SpectralVectorField(g, data))
+
     def test_parseval(self, grid2d, rng):
         f = random_real_field(grid2d, rng)
         s = to_spectral(f)
@@ -322,6 +332,34 @@ class TestSnapshots:
         values[2 * (1 + grid2d.n * 20)] += 0.5
         path.write_bytes(header + b"\n" + values.tobytes())
         with pytest.raises(SnapshotFormatError, match="Hermitian"):
+            read_snapshot(path)
+
+    @staticmethod
+    def _write_full_spectrum(path, grid, full):
+        payload = np.transpose(full, (0, *range(grid.dim, 0, -1)))
+        header = f"LIENS1 {grid.dim} {grid.n} {grid.length!r} {grid.dim} spectral\n"
+        path.write_bytes(header.encode("ascii") + np.ascontiguousarray(payload, "<c16").tobytes())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_overflowing_broken_symmetry_payload_rejected(self, rng, tmp_path, scale):
+        # A full spectrum of complex normals is far from Hermitian (relative
+        # defect 1.4); at 1e200 its norms overflow and the defect reads NaN.
+        g = Grid(dim=2, n=16)
+        full = rng.standard_normal((2, *g.shape)) + 1j * rng.standard_normal((2, *g.shape))
+        path = tmp_path / "field.liens"
+        self._write_full_spectrum(path, g, scale * full)
+        with pytest.raises(SnapshotFormatError, match="Hermitian"):
+            read_snapshot(path)
+
+    def test_non_finite_payload_rejected(self, rng, tmp_path):
+        # the NaN sits in the mirrored half, which the reader would drop
+        g = Grid(dim=2, n=16)
+        full = np.fft.fftn(rng.standard_normal((2, *g.shape)), axes=(1, 2), norm="forward")
+        full[0, 3, 12] = np.nan
+        path = tmp_path / "field.liens"
+        self._write_full_spectrum(path, g, full)
+        with pytest.raises(SnapshotFormatError, match="non-finite"):
             read_snapshot(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -182,6 +182,21 @@ class TestNsRhs:
             mean = out.data[(slice(None),) + (0,) * v.grid.dim]
             assert np.max(np.abs(mean)) <= 1e-13
 
+    # At 1e200 the norms overflow and the relative divergence reads NaN; the
+    # check fails on it rather than letting the field into the kernel.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_rejects_overflowing_non_solenoidal(self, scale):
+        from liens import dealias
+
+        g = Grid(dim=2, n=16)
+        x, _ = g.mesh()
+        w = dealias(to_spectral(RealVectorField(g, np.stack([np.sin(x), 0 * x]))))
+        with pytest.raises(SolenoidalError, match="requires a divergence-free field") as err:
+            ns_rhs(scale * w, 0.1)
+        if scale > 1e154:
+            assert "norms overflow float64" in str(err.value)
+
     def test_rejects_non_solenoidal(self, grid2d, rng):
         from liens import dealias
 

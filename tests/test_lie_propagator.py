@@ -184,7 +184,7 @@ class TestStep:
         u = tg_field(g)
         out, stats = step(u, nu, dt=0.1, tol=1e-12)
         want = analytic_field(AnalyticFlow("taylor_green_2d"), stats.dt, nu, g)
-        assert stats.dt == 0.1  # radius is huge; no halving expected
+        assert stats.dt == 0.1  # radius is huge; the whole request is taken
         assert rel_l2(out, want) <= 1e-11
         assert stats.truncation_estimate <= 1e-12 * u.l2_norm()
 
@@ -218,7 +218,7 @@ class TestStep:
         out, _ = step(random_divfree_2d, 0.05, dt=0.1, tol=1e-10)
         assert out.l2_norm() <= random_divfree_2d.l2_norm()
 
-    def test_halving_respects_radius_safety(self):
+    def test_long_request_respects_radius_safety(self):
         # A large requested dt must be cut to within 0.5 * radius.
         g = Grid(dim=2, n=32)
         nu = 0.02
@@ -228,14 +228,23 @@ class TestStep:
         assert math.isfinite(stats.radius_estimate)
 
     def test_radius_collapse_error(self, random_divfree_2d):
-        # max_order 1 cannot meet a 1e-14 bound at any dt reachable by 20
-        # halvings of dt=1.
+        # max_order 1 cannot meet a 1e-14 bound with any step of at least
+        # 2^-20 of dt=1.
         with pytest.raises(RadiusCollapseError) as err:
             step(random_divfree_2d, 0.0, dt=1.0, tol=1e-14, max_order=1)
         assert err.value.dt_last == pytest.approx(2.0**-20)
         # with fewer than four coefficients the radius is never estimated: +inf,
         # as StepStats reports it
         assert err.value.radius_estimate == math.inf
+
+    def test_radius_collapse_message_says_what_to_change(self, random_divfree_2d):
+        with pytest.raises(RadiusCollapseError) as err:
+            step(random_divfree_2d, 0.0, dt=1.0, tol=1e-14, max_order=1)
+        message = str(err.value)
+        assert "halving" not in message and "tried" not in message
+        assert "no series order up to max_order 1" in message and "2^-20" in message
+        assert "raise max_order or tol, or shorten the request" in message
+        assert "last radius estimate inf" in message
 
     def test_parameter_validation(self, random_divfree_2d):
         with pytest.raises(ValueError, match="dt"):

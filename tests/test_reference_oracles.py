@@ -143,6 +143,27 @@ class TestRk4:
             reused, _ = advance(reused, 1.0)
             assert np.array_equal(reused.data, fresh.data)
 
+    # rk4_step and rk4_burgers share one update; its operation order is the
+    # textbook formula's, so the shared code reproduces it bit for bit.
+    def test_step_matches_textbook_rk4(self, random_divfree_3d):
+        nu, dt = 0.02, 1e-3
+        grid = random_divfree_3d.grid
+
+        def rhs(data):
+            return ns_rhs(SpectralVectorField(grid, data), nu).data
+
+        textbook = got = random_divfree_3d
+        for _ in range(3):
+            u = textbook.data
+            k1 = rhs(u)
+            k2 = rhs(u + 0.5 * dt * k1)
+            k3 = rhs(u + 0.5 * dt * k2)
+            k4 = rhs(u + dt * k3)
+            u_next = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            textbook = leray_project(SpectralVectorField(grid, u_next))
+            got = rk4_step(got, nu, dt)
+            assert np.array_equal(got.data, textbook.data)
+
     def test_step_preserves_divergence(self, random_divfree_3d):
         out = rk4_step(random_divfree_3d, 0.02, 1e-3)
         assert relative_divergence(out) <= 1e-12

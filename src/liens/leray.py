@@ -23,19 +23,27 @@ component at a time. A producer forms T_ij pointwise in physical space in
 one reused buffer: v_i v_j for ``ns_rhs`` and the pressure, and the series'
 Cauchy sum sum_m (c_m)_i (c_{n-m})_j in ``cauchy_component``, one
 contraction over m of a stack of physical velocities shaped (orders, dim,
-*grid shape). One real-to-complex FFT and the 2/3-rule mask give the
-component's half spectrum, which is folded at once into the divergence
-i k_j T_ij (the advection term, then Leray-projected in place) or into the
-pressure -k_i k_j T_ij / |k|^2, and dropped. So at most one component of T
-exists at a time, in either space.
+*grid shape). One pruned real-to-complex FFT gives the component's dealias
+ball, the block of the half spectrum that the 2/3 rule keeps
+(``Grid.ball_shape``: 21 x 21 x 11 of 32 x 32 x 17 modes at 32^3), and
+nothing outside it. The ball is folded at once into the divergence
+i k_j T_ij (the advection term) or into the pressure -k_i k_j T_ij / |k|^2,
+and dropped. So at most one component of T exists at a time, in either
+space. The divergence is Leray-projected and combined with the viscous term
+on the ball too, with the ball-shaped tables of ``Grid``, and scattered once
+into the caller's half spectrum, which is zero outside the ball. Each kept
+mode is bit for bit what the whole transform followed by the mask gives
+(``grid_spectral.fftn_forward``), and the ball tables are built as the
+whole ones are, so the ball changes no result; the inverse transform stays
+whole.
 
 The stream order, TENSOR_INDEX, is (0,0), (0,1), (1,1), (0,2), (1,2), (2,2):
 (i, j) comes after every (i', j') with j' < j. Each (div T)_i therefore
 sums its terms k_j T_ij in order j = 0, 1, 2, starting from zero, exactly as
 a transform of the whole tensor followed by the sum over j does; each
-transform, mask and product acts on one component either way, so every
-result is bit for bit the same as that of the whole-tensor form. (The
-pressure sums its six terms in the stream order too.)
+transform and product acts on one component either way, so every result is
+bit for bit the same as that of the whole-tensor form. (The pressure sums
+its six terms in the stream order too.)
 
 With the 2/3 rule the divergence and advective forms agree to round-off on
 dealiased solenoidal fields; the advective form is kept in
@@ -56,9 +64,11 @@ from .grid_spectral import (
     SpectralVectorField,
     dealias_defect,
     fftn_forward,
+    gather_ball,
     ifftn_real,
     overflow_note,
     relative_divergence,
+    scatter_ball,
 )
 
 DIV_FREE_RTOL = 1e-8
@@ -112,13 +122,20 @@ def _require_admissible(v: SpectralVectorField, where: str) -> None:
 
 class KernelBuffers:
     """The buffers the kernel reuses on one grid: one physical tensor
-    component, and two half-spectrum scalars, one for a product k_j X and one
-    for k.w. ``np.empty`` commits their pages only as they are written."""
+    component, and on the dealias ball (``Grid.ball_shape``) the accumulated
+    vector i k_j T_ij and two scalars, one for a product and one for k.w.
+    ``np.empty`` commits their pages only as they are written."""
 
     def __init__(self, grid: Grid):
         self.component = np.empty(grid.shape)
-        self.term = np.empty(grid.spectral_shape, dtype=np.complex128)
-        self.k_dot_w = np.empty(grid.spectral_shape, dtype=np.complex128)
+        self.acc = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
+        self.term = np.empty(grid.ball_shape, dtype=np.complex128)
+        self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
+
+
+def viscous_factor(grid: Grid, nu: float) -> np.ndarray:
+    """-nu |k|^2 on the dealias ball: the kernel's ``viscous`` argument."""
+    return -nu * grid.ball_ksq
 
 
 def cauchy_component(stack: np.ndarray, n: int, i: int, j: int, out: np.ndarray) -> None:
@@ -145,26 +162,36 @@ def _velocity_product(v: np.ndarray) -> Producer:
 def _component_spectra(
     grid: Grid, produce: Producer, work: KernelBuffers
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The stream: (i, j, dealiased half spectrum of T_ij) for every stored
-    component in TENSOR_INDEX order, each formed by ``produce`` in
-    ``work.component`` and transformed there."""
+    """The stream: (i, j, dealias ball of the half spectrum of T_ij) for
+    every stored component in TENSOR_INDEX order, each formed by ``produce``
+    in ``work.component`` and transformed there."""
     for i, j in TENSOR_INDEX[grid.dim]:
         produce(i, j, work.component)
-        t_hat = fftn_forward(grid, work.component)
-        t_hat *= grid.dealias_keep
-        yield i, j, t_hat
+        yield i, j, fftn_forward(grid, work.component, ball=True)
 
 
-def _project(grid: Grid, w_hat: np.ndarray, work: KernelBuffers) -> None:
+def _project(
+    w_hat: np.ndarray,
+    k: tuple[np.ndarray, ...],
+    inv_ksq: np.ndarray,
+    k_dot_w: np.ndarray,
+    term: np.ndarray,
+) -> None:
     """Leray projection of raw coefficients in place: w - k (k.w)/|k|^2,
-    k=0 untouched."""
-    k_dot_w, term = work.k_dot_w, work.term
+    k=0 untouched, on the layout of the tables ``k`` and ``inv_ksq`` (the
+    half spectrum or the ball) through the scalar buffers k_dot_w and term."""
     k_dot_w.fill(0.0)
-    for a, k in enumerate(grid.k_deriv):
-        np.add(k_dot_w, np.multiply(k, w_hat[a], out=term), out=k_dot_w)
-    k_dot_w *= grid.inv_ksq
-    for a, k in enumerate(grid.k_deriv):
-        np.subtract(w_hat[a], np.multiply(k, k_dot_w, out=term), out=w_hat[a])
+    for a, k_a in enumerate(k):
+        np.add(k_dot_w, np.multiply(k_a, w_hat[a], out=term), out=k_dot_w)
+    k_dot_w *= inv_ksq
+    for a, k_a in enumerate(k):
+        np.subtract(w_hat[a], np.multiply(k_a, k_dot_w, out=term), out=w_hat[a])
+
+
+def project_half(grid: Grid, w_hat: np.ndarray, scratch: np.ndarray) -> None:
+    """Leray projection of a half-spectrum vector in place; ``scratch`` holds
+    at least two half-spectrum scalars, which it overwrites."""
+    _project(w_hat, grid.k_deriv, grid.inv_ksq, scratch[0], scratch[1])
 
 
 def nonlinear_rhs(
@@ -177,25 +204,29 @@ def nonlinear_rhs(
 ) -> float:
     """The kernel: ``out`` = viscous * c_hat - P[div T], dealiased, with
     (div T)_i = i k_j T_ij for the physical symmetric tensor T whose stored
-    component (i, j) ``produce(i, j, buf)`` writes into ``buf``. Returns
+    component (i, j) ``produce(i, j, buf)`` writes into ``buf``, and
+    ``viscous`` given on the dealias ball (``viscous_factor``). Returns
     max|T|. T is streamed one component at a time, in the order the module
     docstring gives, which keeps every sum that of the whole-tensor form.
-    ``out`` must not be ``c_hat``."""
-    k = grid.k_deriv
-    term = work.term
-    out.fill(0.0)
+    Everything is formed on the ball and scattered once into ``out``, which
+    is zero outside it. ``out`` must not be ``c_hat``."""
+    k = grid.ball_k_deriv
+    acc, term = work.acc, work.term
+    acc.fill(0.0)
     peak = 0.0
     for i, j, t_hat in _component_spectra(grid, produce, work):
         # work.component still holds T_ij; max|T| is the largest peak of any
         # component, and np.max passes a NaN on
         peak = np.max((peak, work.component.max(), -work.component.min()))
-        np.add(out[i], np.multiply(k[j], t_hat, out=term), out=out[i])
+        np.add(acc[i], np.multiply(k[j], t_hat, out=term), out=acc[i])
         if i != j:
-            np.add(out[j], np.multiply(k[i], t_hat, out=term), out=out[j])
-    out *= 1j
-    _project(grid, out, work)
+            np.add(acc[j], np.multiply(k[i], t_hat, out=term), out=acc[j])
+    acc *= 1j
+    _project(acc, k, grid.ball_inv_ksq, work.k_dot_w, term)
     for a in range(grid.dim):
-        np.subtract(np.multiply(viscous, c_hat[a], out=term), out[a], out=out[a])
+        c_ball = gather_ball(grid, c_hat[a], term)
+        np.subtract(np.multiply(viscous, c_ball, out=c_ball), acc[a], out=acc[a])
+    scatter_ball(grid, acc, out)
     return float(peak)
 
 
@@ -206,9 +237,10 @@ def nonlinear_rhs(
 
 def leray_project(w: SpectralVectorField) -> SpectralVectorField:
     """Orthogonal projection onto divergence-free fields; annihilates gradients."""
+    grid = w.grid
     out = w.data.copy()
-    _project(w.grid, out, KernelBuffers(w.grid))
-    return SpectralVectorField(w.grid, out)
+    project_half(grid, out, np.empty((2, *grid.spectral_shape), dtype=np.complex128))
+    return SpectralVectorField(grid, out)
 
 
 def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
@@ -220,22 +252,25 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     """
     _require_admissible(v, "compute_pressure")
     grid = v.grid
-    k = grid.k_deriv
-    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    k = grid.ball_k_deriv
+    acc = np.zeros(grid.ball_shape, dtype=np.complex128)
     product = _velocity_product(ifftn_real(grid, v.data))
     for i, j, t_hat in _component_spectra(grid, product, KernelBuffers(grid)):
         acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat
-    return SpectralScalarField(grid, -acc * grid.inv_ksq)
+    np.negative(acc, out=acc)
+    acc *= grid.ball_inv_ksq
+    pressure = scatter_ball(grid, acc, np.empty(grid.spectral_shape, dtype=np.complex128))
+    return SpectralScalarField(grid, pressure)
 
 
 def rhs_hat(
-    grid: Grid, v_hat: np.ndarray, nu: float, out: np.ndarray, work: KernelBuffers
+    grid: Grid, v_hat: np.ndarray, viscous: np.ndarray, out: np.ndarray, work: KernelBuffers
 ) -> np.ndarray:
-    """``ns_rhs`` on raw coefficients, written into ``out`` (not ``v_hat``)
-    and returned, without its checks: for callers whose input is admissible
-    by construction."""
+    """``ns_rhs`` on raw coefficients, with ``viscous`` = ``viscous_factor``,
+    written into ``out`` (not ``v_hat``) and returned, without its checks:
+    for callers whose input is admissible by construction."""
     product = _velocity_product(ifftn_real(grid, v_hat))
-    nonlinear_rhs(grid, product, -nu * grid.ksq, v_hat, out, work)
+    nonlinear_rhs(grid, product, viscous, v_hat, out, work)
     return out
 
 
@@ -247,5 +282,6 @@ def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
     nu_val = viscosity_value(nu)
     _require_admissible(v, "ns_rhs")
     grid = v.grid
-    out = rhs_hat(grid, v.data, nu_val, np.empty_like(v.data), KernelBuffers(grid))
+    out = np.empty_like(v.data)
+    rhs_hat(grid, v.data, viscous_factor(grid, nu_val), out, KernelBuffers(grid))
     return SpectralVectorField(grid, out)

@@ -10,8 +10,9 @@ which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
 c_m is divergence-free. ``leray.cauchy_component`` forms each stored
 component of the symmetric T_n as one contraction over m of the stacked
 physical velocities, and ``leray``'s kernel streams those components, one at
-a time, into P[div T_n], each through one real-to-complex FFT and the
-2/3-rule mask.
+a time, into P[div T_n], each through one real-to-complex FFT pruned to the
+2/3-rule dealias ball; the projection and the viscous term act on the ball
+alone.
 
 While a step grows the series it keeps one physical velocity per
 coefficient, in one preallocated stack, and of the half spectra (see
@@ -78,6 +79,7 @@ from .leray import (
     cauchy_component,
     nonlinear_rhs,
     viscosity_value,
+    viscous_factor,
 )
 
 DEFAULT_TOL = 1e-10
@@ -145,7 +147,8 @@ class _SeriesBuilder:
     The physical velocities of the known coefficients sit in one stack,
     shaped (capacity, dim, *grid.shape); beside it the builder keeps only the
     caller's ``u_hat``, the half spectrum of the last coefficient, the
-    norms, the viscous factor -nu |k|^2 and the kernel's reusable buffers.
+    norms, the viscous factor -nu |k|^2 on the dealias ball and the kernel's
+    reusable buffers.
     Producing c_{n+1} is one kernel call, which streams ``leray``'s Cauchy
     sum over the stack component by component, and one inverse transform
     into the next slot. Every coefficient's half spectrum is a fresh array:
@@ -162,7 +165,7 @@ class _SeriesBuilder:
         self.k_max = (TWO_PI / grid.length) * (grid.n // 3)  # the dealias radius
         self.u_hat = u_hat
         self.norms: list[float] = []
-        self.viscous = -nu * grid.ksq
+        self.viscous = viscous_factor(grid, nu)
         self.work = KernelBuffers(grid)
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
         self.stack = np.empty((capacity, grid.dim, *grid.shape))
@@ -201,8 +204,10 @@ class _SeriesBuilder:
         """The series truncated after c_order, evaluated at t: Horner on the
         physical velocities, accumulated in ``stack[order]`` (the builder is
         spent afterwards), then one forward transform, masked so that every
-        mode outside the 2/3 ball is exactly zero. Order 0 returns a copy of
-        ``u_hat``."""
+        mode outside the 2/3 ball is exactly zero. The transform is whole,
+        not pruned to the ball: the mask writes each zero with the sign of
+        the mode it clears, and the output files record those signs. Order
+        0 returns a copy of ``u_hat``."""
         if order == 0:
             return SpectralVectorField(self.grid, self.u_hat.copy())
         v = _horner(self.stack[: order + 1], t, self.stack[order])

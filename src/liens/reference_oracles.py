@@ -27,15 +27,17 @@ from .grid_spectral import (
     Grid,
     SpectralVectorField,
     complete_hermitian,
+    parseval_sum,
 )
 from .leray import (
     KernelBuffers,
     _require_admissible,
     compute_pressure,
-    leray_project,
     ns_rhs,
+    project_half,
     rhs_hat,
     viscosity_value,
+    viscous_factor,
 )
 from .lie_propagator import StepStats, final_state, fixed_step, rk4_update
 
@@ -173,15 +175,18 @@ def rk4_step(
     dealiased, so they are admissible by construction and skip the check."""
     nu_val = viscosity_value(nu)
     grid, work = v.grid, KernelBuffers(v.grid)
+    viscous = viscous_factor(grid, nu_val)
     k1 = ns_rhs(v, nu_val).data
     buf = np.empty((4, *k1.shape), dtype=np.complex128)
-    u_next = rk4_update(v.data, dt, k1, lambda x, out: rhs_hat(grid, x, nu_val, out, work), buf)
-    return leray_project(SpectralVectorField(grid, u_next))
+    u_next = rk4_update(v.data, dt, k1, lambda x, out: rhs_hat(grid, x, viscous, out, work), buf)
+    project_half(grid, u_next, buf[0])  # the spent stage buffer
+    return SpectralVectorField(grid, u_next)
 
 
 def rk4_advance(grid: Grid, nu: float, dt: float):
     """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``, reusing one
-    array of slopes and one set of kernel buffers for the whole run. Enforces
+    array of slopes and one set of kernel buffers for the whole run; each
+    update is projected in place, through the spent stage buffer. Enforces
     the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0.
 
     ``advance(v, remaining)`` does not check v: v must be divergence-free and
@@ -196,14 +201,16 @@ def rk4_advance(grid: Grid, nu: float, dt: float):
             raise StabilityError("rk4 step exceeds the explicit stability bound", dt_max)
     slopes = np.empty((5, grid.dim, *grid.spectral_shape), dtype=np.complex128)
     work = KernelBuffers(grid)
+    viscous = viscous_factor(grid, nu_val)
 
     def rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return rhs_hat(grid, x, nu_val, out, work)
+        return rhs_hat(grid, x, viscous, out, work)
 
     def advance(v: SpectralVectorField, remaining: float):
         h = fixed_step(dt, remaining)
         u_next = rk4_update(v.data, h, rhs(v.data, slopes[0]), rhs, slopes[1:])
-        return leray_project(SpectralVectorField(grid, u_next)), StepStats(order_used=4, dt=h)
+        project_half(grid, u_next, slopes[1])
+        return SpectralVectorField(grid, u_next), StepStats(order_used=4, dt=h)
 
     return advance
 
@@ -241,19 +248,24 @@ def random_divfree(
     draws.imag = rng.standard_normal(shape)
     # The draws fill the full grid; their Hermitian part is the spectrum of a
     # real field. Only its half spectrum is formed: each mode k averages
-    # draws[k] with the conjugate of draws[-k], gathered by index.
+    # draws[k] with the conjugate of draws[-k], gathered by index one
+    # component at a time into a C-ordered array, the order every sum over
+    # the field runs in.
     n = grid.n
     minus = -np.arange(n) % n  # the index of -k along a complete axis
-    coef = draws[(slice(None), *np.ix_(*[minus] * (grid.dim - 1), minus[: n // 2 + 1]))]
-    np.conj(coef, out=coef)
+    reflected = np.ix_(*[minus] * (grid.dim - 1), minus[: n // 2 + 1])
+    coef = np.empty((grid.dim, *grid.spectral_shape), dtype=complex)
+    for a in range(grid.dim):
+        np.conj(draws[a][reflected], out=coef[a])
     coef += draws[..., : n // 2 + 1]
     del draws  # the full grid goes before the weighting allocates
     coef *= 0.5
     weight = grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / peak_k) ** 2))
     coef *= weight * grid.dealias_keep
     coef[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean
-    field = leray_project(SpectralVectorField(grid, coef))
-    norm = field.l2_norm()
+    project_half(grid, coef, np.empty((2, *grid.spectral_shape), dtype=np.complex128))
+    norm = math.sqrt(parseval_sum(grid, np.abs(coef) ** 2))
     if norm == 0.0:
         raise ValueError("random field degenerated to zero; widen the spectrum")
-    return (amplitude / norm) * field
+    coef *= amplitude / norm
+    return SpectralVectorField(grid, coef)

@@ -341,6 +341,22 @@ class TestSimulate:
         assert cmd_simulate(write_cfg(tmp_path, restart)) == 2
         assert "grid n" in capsys.readouterr().err
 
+    # A finite snapshot whose energy overflows float64 is bad input, not a
+    # propagation failure: it is rejected before the output directory exists.
+    def test_overflowing_snapshot_exits_2(self, tmp_path, capsys):
+        g = Grid(dim=2, n=16)
+        x, y = g.mesh()
+        big = tmp_path / "big.liens"
+        write_snapshot(big, RealVectorField(g, 1e200 * np.stack((np.sin(y), np.sin(x)))))
+        text = RANDOM_RK4_CONFIG.format(out=tmp_path / "o").replace("n = 32", "n = 16").replace(
+            "kind = random\nseed = 5\npeak_k = 3\namplitude = 1.0", f"kind = snapshot\npath = {big}"
+        )
+        assert cmd_simulate(write_cfg(tmp_path, text)) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: initial.path:") and "overflow" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_radius_collapse_exits_3(self, tmp_path, capsys):
         text = TG_CONFIG.format(n=32, t_end=1.0, out=tmp_path / "fail", cadence=0).replace(
             "kind = taylor_green_2d",

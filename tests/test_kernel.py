@@ -1,12 +1,32 @@
-"""The divergence-form nonlinear kernel against the advective-form oracle,
-and the half-spectrum transforms and helpers it is built on."""
+"""The divergence-form nonlinear kernel against the advective-form oracle
+and against its whole-half-spectrum form, and the transforms and helpers it
+is built on."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from liens import Grid, SpectralVectorField, leray_project, ns_rhs, taylor_coefficients
-from liens.grid_spectral import complete_hermitian, fftn_forward, ifftn_real, reflect_modes
+import liens.leray
+from liens import (
+    Grid,
+    SpectralVectorField,
+    compute_pressure,
+    leray_project,
+    ns_rhs,
+    taylor_coefficients,
+)
+from liens.grid_spectral import (
+    TWO_PI,
+    complete_hermitian,
+    fftn_forward,
+    ifftn_real,
+    reflect_modes,
+    scatter_ball,
+)
+from liens.leray import TENSOR_INDEX, KernelBuffers, cauchy_component, rhs_hat, viscous_factor
+from liens.lie_propagator import SERIES_FLOOR
 from liens.reference_oracles import advection_hat, random_divfree
 
 from conftest import random_real_field
@@ -92,3 +112,155 @@ def test_half_spectrum_parseval_norm(grid):
     full = complete_hermitian(grid, v.data)
     full_norm = np.sqrt(grid.volume * np.sum(np.abs(full) ** 2))
     assert abs(v.l2_norm() - full_norm) <= 1e-14 * full_norm
+
+
+# ---------------------------------------------------------------------------
+# the dealias ball
+# ---------------------------------------------------------------------------
+
+# (dim, n, peak_k) of the bit-for-bit comparisons with the whole-half-spectrum
+# kernel; peak_k = n // 3 puts data at the edge of the ball.
+BALL_CASES = [(2, 32, 3), (2, 64, 21), (3, 16, 5), (3, 32, 10)]
+
+
+def outside_ball(grid, data):
+    """The entries of a half-spectrum array that the 2/3 rule drops."""
+    return data[..., ~grid.dealias_keep]
+
+
+def half_spectrum_kernel(grid, produce, viscous, c_hat, out):
+    """The kernel on the whole half spectrum: each tensor component is
+    transformed in full and masked, and the divergence, the projection and
+    the viscous term run over every mode, in the operation order of the ball
+    kernel. ``viscous`` is half-spectrum shaped. Returns max|T|."""
+    k = grid.k_deriv
+    component = np.empty(grid.shape)
+    out.fill(0.0)
+    peak = 0.0
+    for i, j in TENSOR_INDEX[grid.dim]:
+        produce(i, j, component)
+        peak = max(peak, float(np.max(np.abs(component))))
+        t_hat = fftn_forward(grid, component)
+        t_hat *= grid.dealias_keep
+        out[i] += k[j] * t_hat
+        if i != j:
+            out[j] += k[i] * t_hat
+    out *= 1j
+    k_dot_w = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    for a in range(grid.dim):
+        k_dot_w += k[a] * out[a]
+    k_dot_w *= grid.inv_ksq
+    for a in range(grid.dim):
+        out[a] -= k[a] * k_dot_w
+    for a in range(grid.dim):
+        out[a] = viscous * c_hat[a] - out[a]
+    return peak
+
+
+def velocity_product(v_hat, grid):
+    v = ifftn_real(grid, v_hat)
+    return lambda i, j, out: np.multiply(v[i], v[j], out=out)
+
+
+def half_spectrum_pressure(v):
+    grid, k = v.grid, v.grid.k_deriv
+    product = velocity_product(v.data, grid)
+    component = np.empty(grid.shape)
+    acc = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    for i, j in TENSOR_INDEX[grid.dim]:
+        product(i, j, component)
+        t_hat = fftn_forward(grid, component)
+        t_hat *= grid.dealias_keep
+        acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat
+    return -acc * grid.inv_ksq
+
+
+def half_spectrum_series(u, nu, order):
+    """c_0..c_order by the series recursion with ``half_spectrum_kernel``,
+    round-off floor included."""
+    grid = u.grid
+    k_max = (TWO_PI / grid.length) * (grid.n // 3)
+    eps = float(np.finfo(float).eps)
+    stack = np.empty((order + 1, grid.dim, *grid.shape))
+    stack[0] = ifftn_real(grid, u.data)
+    coeffs = [u.data]
+    for n in range(order):
+        new = np.empty_like(u.data)
+        product = partial(cauchy_component, stack, n)
+        scale = half_spectrum_kernel(grid, product, -nu * grid.ksq, coeffs[-1], new)
+        new /= n + 1
+        floor = SERIES_FLOOR * eps * k_max * scale / (n + 1)
+        sq = np.abs(new)
+        sq *= sq
+        if floor > 0.0:
+            new[sq < floor * floor] = 0.0
+        stack[n + 1] = ifftn_real(grid, new)
+        coeffs.append(new)
+    return coeffs
+
+
+@pytest.mark.parametrize("leading", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_transform_is_the_masked_transform(dim, n, leading):
+    grid = Grid(dim=dim, n=n)
+    shape = ((dim,) if leading else ()) + grid.shape
+    values = np.random.default_rng(n + dim).standard_normal(shape)
+    masked = fftn_forward(grid, values)
+    masked *= grid.dealias_keep
+    ball = fftn_forward(grid, values, ball=True)
+    m = n // 3
+    assert ball.shape == shape[:-dim] + (2 * m + 1,) * (dim - 1) + (m + 1,)
+    assert np.array_equal(scatter_ball(grid, ball, np.empty_like(masked)), masked)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.02])
+@pytest.mark.parametrize("dim,n,peak_k", BALL_CASES)
+def test_rhs_matches_half_spectrum_kernel(dim, n, peak_k, nu):
+    grid = Grid(dim=dim, n=n)
+    v = random_divfree(seed=13, grid=grid, peak_k=peak_k, amplitude=1.0)
+    got = rhs_hat(grid, v.data, viscous_factor(grid, nu), np.empty_like(v.data),
+                  KernelBuffers(grid))
+    want = np.empty_like(v.data)
+    half_spectrum_kernel(grid, velocity_product(v.data, grid), -nu * grid.ksq, v.data, want)
+    assert np.array_equal(got, want)
+    assert not np.any(outside_ball(grid, got))
+
+
+@pytest.mark.parametrize("dim,n,peak_k", BALL_CASES)
+def test_pressure_matches_half_spectrum_form(dim, n, peak_k):
+    grid = Grid(dim=dim, n=n)
+    v = random_divfree(seed=17, grid=grid, peak_k=peak_k, amplitude=1.0)
+    got = compute_pressure(v).data
+    assert np.array_equal(got, half_spectrum_pressure(v))
+    assert not np.any(outside_ball(grid, got))
+
+
+@pytest.mark.parametrize("dim,n,peak_k", BALL_CASES)
+def test_series_matches_half_spectrum_kernel(dim, n, peak_k):
+    grid = Grid(dim=dim, n=n)
+    u = random_divfree(seed=19, grid=grid, peak_k=peak_k, amplitude=1.0)
+    got = taylor_coefficients(u, 0.02, 6).coefficients
+    want = half_spectrum_series(u, 0.02, 6)
+    for c, w in zip(got, want):
+        assert np.array_equal(c.data, w)
+    for c in got[1:]:
+        assert not np.any(outside_ball(grid, c.data))
+
+
+# The benchmark's tracer times the kernel's transforms by swapping
+# ``leray.fftn_forward`` for a wrapper: every forward transform of the kernel
+# must be looked up by that name, one per stored tensor component.
+@pytest.mark.parametrize("dim,calls", [(2, 3), (3, 6)])
+def test_kernel_transforms_go_through_fftn_forward(monkeypatch, dim, calls):
+    grid = Grid(dim=dim, n=16)
+    v = random_divfree(seed=23, grid=grid, peak_k=3, amplitude=1.0)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return fftn_forward(*args, **kwargs)
+
+    monkeypatch.setattr(liens.leray, "fftn_forward", counting)
+    rhs_hat(grid, v.data, viscous_factor(grid, 0.02), np.empty_like(v.data), KernelBuffers(grid))
+    assert len(seen) == calls

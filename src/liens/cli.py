@@ -17,11 +17,12 @@ Commands
     2 when the snapshot is unusable or its shell energies overflow.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(including an ``output_dir`` that cannot be created and a grid whose
-initial field cannot be allocated), 3 propagation failure
-(analyticity-margin collapse or a state, the initial one included, that
-stops being finite; the last field with a finite record, or the start, is
-flushed before exiting, and the failure message is all that stderr shows).
+(including an ``output_dir`` that cannot be created, an initial field that
+cannot be allocated or whose norms overflow float64, and a ``burgers-check
+--n`` whose samples cannot be allocated), 3 propagation failure
+(analyticity-margin collapse or a state that stops being finite; the last
+field with a finite record, or the start, is flushed before exiting, and
+the failure message is all that stderr shows).
 
 Config grammar
 --------------
@@ -298,21 +299,30 @@ def load_config(path: Path) -> RunConfig:
 
 
 def _initial_field(config: RunConfig, grid: Grid) -> SpectralVectorField:
+    """The configured initial field; a field whose norms overflow float64 is
+    a config error that names the key setting its size."""
     init = config.initial
+    if init.kind == "beltrami_abc":
+        source = f"initial.abc_a, abc_b, abc_c: the norms of the field with abc = {init.abc}"
+    elif init.kind == "snapshot":
+        source = f"initial.path: the norms of the field in {init.path}"
+    else:
+        source = f"initial.amplitude: the norms of the field of amplitude {init.amplitude}"
     if init.kind in _ANALYTIC_KINDS:
         flow = AnalyticFlow(init.kind, amplitude=init.amplitude, abc=init.abc)
-        return analytic_field(flow, 0.0, config.nu, grid)
-    if init.kind == "random":
-        return random_divfree(init.seed, grid, init.peak_k, init.amplitude)
-    field = read_snapshot(init.path)
-    if field.grid != grid:
-        raise ConfigError(
-            f"initial.path grid {field.grid} does not match configured grid {grid}"
-        )
-    if isinstance(field, RealVectorField):
-        field = to_spectral(field)
+        field = analytic_field(flow, 0.0, config.nu, grid)
+    elif init.kind == "random":
+        field = random_divfree(init.seed, grid, init.peak_k, init.amplitude)
+    else:
+        field = read_snapshot(init.path)
+        if field.grid != grid:
+            raise ConfigError(
+                f"initial.path grid {field.grid} does not match configured grid {grid}"
+            )
+        if isinstance(field, RealVectorField):
+            field = to_spectral(field)
     if not (math.isfinite(field.l2_norm()) and math.isfinite(enstrophy_norm(field))):
-        raise ConfigError(f"initial.path: the norms of the field in {init.path} overflow float64")
+        raise ConfigError(f"{source} overflow float64")
     return field
 
 
@@ -421,7 +431,11 @@ def cmd_burgers_check(order: int, n: int) -> int:
     if n < 8 or (n & (n - 1)) != 0:
         print("burgers-check: --n must be a power of two >= 8", file=sys.stderr)
         return 2
-    symbolic, truncation = cross_check(order, n)
+    try:
+        symbolic, truncation = cross_check(order, n)
+    except MemoryError as exc:
+        print(f"burgers-check: --n {n}: cannot allocate the samples: {exc}", file=sys.stderr)
+        return 2
 
     ok = True
     print(f"symbolic generator powers vs series recursion (n={n}, nu={CROSS_CHECK_NU})")

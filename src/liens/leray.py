@@ -15,11 +15,14 @@ output: the projection, the pressure and the right-hand side act mode by
 mode, and k -> -k maps each of them onto its own conjugate, so none needs
 completing.
 
-The quadratic term is computed in divergence form by one kernel,
-``nonlinear_rhs``, shared with the series recursion of ``lie_propagator``,
-and this module alone knows its layout. The kernel streams the symmetric
-product tensor T (components i <= j only: 3 in 2-D, 6 in 3-D) one stored
-component at a time. A producer forms T_ij pointwise in physical space in
+The quadratic term is computed in divergence form by one kernel object,
+``Kernel(grid, nu)``, shared with the series recursion of
+``lie_propagator`` and the RK4 oracle, and this module alone knows its
+layout. A ``Kernel`` holds the viscous table and the buffers of one
+(grid, nu) and is built once per call, step or run; it looks up
+``fftn_forward`` and ``ifftn_real`` as this module's globals on every call.
+It streams the symmetric product tensor T (components i <= j only: 3 in
+2-D, 6 in 3-D) one stored component at a time. A producer forms T_ij pointwise in physical space in
 one reused buffer: v_i v_j for ``ns_rhs`` and the pressure, and the series'
 Cauchy sum sum_m (c_m)_i (c_{n-m})_j in ``cauchy_component``, one
 contraction over m of a stack of physical velocities shaped (orders, dim,
@@ -120,24 +123,6 @@ def _require_admissible(v: SpectralVectorField, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class KernelBuffers:
-    """The buffers the kernel reuses on one grid: one physical tensor
-    component, and on the dealias ball (``Grid.ball_shape``) the accumulated
-    vector i k_j T_ij and two scalars, one for a product and one for k.w.
-    ``np.empty`` commits their pages only as they are written."""
-
-    def __init__(self, grid: Grid):
-        self.component = np.empty(grid.shape)
-        self.acc = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
-        self.term = np.empty(grid.ball_shape, dtype=np.complex128)
-        self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
-
-
-def viscous_factor(grid: Grid, nu: float) -> np.ndarray:
-    """-nu |k|^2 on the dealias ball: the kernel's ``viscous`` argument."""
-    return -nu * grid.ball_ksq
-
-
 def cauchy_component(stack: np.ndarray, n: int, i: int, j: int, out: np.ndarray) -> None:
     """Component (i, j) of T_n = sum_{m=0}^{n} v_m v_{n-m}, written into
     ``out`` (grid shape), for the physical velocities v_0..v_n in
@@ -157,17 +142,6 @@ def cauchy_component(stack: np.ndarray, n: int, i: int, j: int, out: np.ndarray)
 def _velocity_product(v: np.ndarray) -> Producer:
     """The producer of v_i v_j for a physical velocity v."""
     return lambda i, j, out: np.multiply(v[i], v[j], out=out)
-
-
-def _component_spectra(
-    grid: Grid, produce: Producer, work: KernelBuffers
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The stream: (i, j, dealias ball of the half spectrum of T_ij) for
-    every stored component in TENSOR_INDEX order, each formed by ``produce``
-    in ``work.component`` and transformed there."""
-    for i, j in TENSOR_INDEX[grid.dim]:
-        produce(i, j, work.component)
-        yield i, j, fftn_forward(grid, work.component, ball=True)
 
 
 def _project(
@@ -194,40 +168,64 @@ def project_half(grid: Grid, w_hat: np.ndarray, scratch: np.ndarray) -> None:
     _project(w_hat, grid.k_deriv, grid.inv_ksq, scratch[0], scratch[1])
 
 
-def nonlinear_rhs(
-    grid: Grid,
-    produce: Producer,
-    viscous: np.ndarray,
-    c_hat: np.ndarray,
-    out: np.ndarray,
-    work: KernelBuffers,
-) -> float:
-    """The kernel: ``out`` = viscous * c_hat - P[div T], dealiased, with
-    (div T)_i = i k_j T_ij for the physical symmetric tensor T whose stored
-    component (i, j) ``produce(i, j, buf)`` writes into ``buf``, and
-    ``viscous`` given on the dealias ball (``viscous_factor``). Returns
-    max|T|. T is streamed one component at a time, in the order the module
-    docstring gives, which keeps every sum that of the whole-tensor form.
-    Everything is formed on the ball and scattered once into ``out``, which
-    is zero outside it. ``out`` must not be ``c_hat``."""
-    k = grid.ball_k_deriv
-    acc, term = work.acc, work.term
-    acc.fill(0.0)
-    peak = 0.0
-    for i, j, t_hat in _component_spectra(grid, produce, work):
-        # work.component still holds T_ij; max|T| is the largest peak of any
-        # component, and np.max passes a NaN on
-        peak = np.max((peak, work.component.max(), -work.component.min()))
-        np.add(acc[i], np.multiply(k[j], t_hat, out=term), out=acc[i])
-        if i != j:
-            np.add(acc[j], np.multiply(k[i], t_hat, out=term), out=acc[j])
-    acc *= 1j
-    _project(acc, k, grid.ball_inv_ksq, work.k_dot_w, term)
-    for a in range(grid.dim):
-        c_ball = gather_ball(grid, c_hat[a], term)
-        np.subtract(np.multiply(viscous, c_ball, out=c_ball), acc[a], out=acc[a])
-    scatter_ball(grid, acc, out)
-    return float(peak)
+class Kernel:
+    """The kernel on one grid with viscosity ``nu`` (a float, already
+    checked): the viscous factor -nu |k|^2 on the dealias ball
+    (``Grid.ball_shape``) and the buffers every call reuses, one physical
+    tensor component and, on the ball, the accumulated vector i k_j T_ij and
+    two scalars, one for a product and one for k.w. ``np.empty`` commits
+    their pages only as they are written."""
+
+    def __init__(self, grid: Grid, nu: float):
+        self.grid = grid
+        self.viscous = -nu * grid.ball_ksq
+        self.component = np.empty(grid.shape)
+        self.acc = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
+        self.term = np.empty(grid.ball_shape, dtype=np.complex128)
+        self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
+
+    def spectra(self, produce: Producer) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The stream: (i, j, dealias ball of the half spectrum of T_ij) for
+        every stored component in TENSOR_INDEX order, each formed by
+        ``produce`` in ``self.component`` and transformed there."""
+        for i, j in TENSOR_INDEX[self.grid.dim]:
+            produce(i, j, self.component)
+            yield i, j, fftn_forward(self.grid, self.component, ball=True)
+
+    def apply(self, produce: Producer, c_hat: np.ndarray, out: np.ndarray) -> float:
+        """``out`` = -nu |k|^2 c_hat - P[div T], dealiased, with
+        (div T)_i = i k_j T_ij for the physical symmetric tensor T whose
+        stored component (i, j) ``produce(i, j, buf)`` writes into ``buf``.
+        Returns max|T|. T is streamed one component at a time, in the order
+        the module docstring gives, which keeps every sum that of the
+        whole-tensor form. Everything is formed on the ball and scattered
+        once into ``out``, which is zero outside it. ``out`` must not be
+        ``c_hat``."""
+        grid, k = self.grid, self.grid.ball_k_deriv
+        acc, term = self.acc, self.term
+        acc.fill(0.0)
+        peak = 0.0
+        for i, j, t_hat in self.spectra(produce):
+            # self.component still holds T_ij; max|T| is the largest peak of
+            # any component, and np.max passes a NaN on
+            peak = np.max((peak, self.component.max(), -self.component.min()))
+            np.add(acc[i], np.multiply(k[j], t_hat, out=term), out=acc[i])
+            if i != j:
+                np.add(acc[j], np.multiply(k[i], t_hat, out=term), out=acc[j])
+        acc *= 1j
+        _project(acc, k, grid.ball_inv_ksq, self.k_dot_w, term)
+        for a in range(grid.dim):
+            c_ball = gather_ball(grid, c_hat[a], term)
+            np.subtract(np.multiply(self.viscous, c_ball, out=c_ball), acc[a], out=acc[a])
+        scatter_ball(grid, acc, out)
+        return float(peak)
+
+    def rhs(self, v_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``ns_rhs`` on raw coefficients, written into ``out`` (not
+        ``v_hat``) and returned, without its checks: for callers whose input
+        is admissible by construction."""
+        self.apply(_velocity_product(ifftn_real(self.grid, v_hat)), v_hat, out)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +253,12 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     k = grid.ball_k_deriv
     acc = np.zeros(grid.ball_shape, dtype=np.complex128)
     product = _velocity_product(ifftn_real(grid, v.data))
-    for i, j, t_hat in _component_spectra(grid, product, KernelBuffers(grid)):
+    for i, j, t_hat in Kernel(grid, 0.0).spectra(product):
         acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat
     np.negative(acc, out=acc)
     acc *= grid.ball_inv_ksq
     pressure = scatter_ball(grid, acc, np.empty(grid.spectral_shape, dtype=np.complex128))
     return SpectralScalarField(grid, pressure)
-
-
-def rhs_hat(
-    grid: Grid, v_hat: np.ndarray, viscous: np.ndarray, out: np.ndarray, work: KernelBuffers
-) -> np.ndarray:
-    """``ns_rhs`` on raw coefficients, with ``viscous`` = ``viscous_factor``,
-    written into ``out`` (not ``v_hat``) and returned, without its checks:
-    for callers whose input is admissible by construction."""
-    product = _velocity_product(ifftn_real(grid, v_hat))
-    nonlinear_rhs(grid, product, viscous, v_hat, out, work)
-    return out
 
 
 def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
@@ -281,7 +268,5 @@ def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
     """
     nu_val = viscosity_value(nu)
     _require_admissible(v, "ns_rhs")
-    grid = v.grid
-    out = np.empty_like(v.data)
-    rhs_hat(grid, v.data, viscous_factor(grid, nu_val), out, KernelBuffers(grid))
-    return SpectralVectorField(grid, out)
+    out = Kernel(v.grid, nu_val).rhs(v.data, np.empty_like(v.data))
+    return SpectralVectorField(v.grid, out)

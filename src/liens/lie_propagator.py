@@ -9,10 +9,10 @@ by its time-Taylor expansion around the current state,
 which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
 c_m is divergence-free. ``leray.cauchy_component`` forms each stored
 component of the symmetric T_n as one contraction over m of the stacked
-physical velocities, and ``leray``'s kernel streams those components, one at
-a time, into P[div T_n], each through one real-to-complex FFT pruned to the
-2/3-rule dealias ball; the projection and the viscous term act on the ball
-alone.
+physical velocities, and one ``leray.Kernel`` per step streams those
+components, one at a time, into P[div T_n], each through one real-to-complex
+FFT pruned to the 2/3-rule dealias ball; the projection and the viscous term
+act on the ball alone.
 
 While a step grows the series it keeps one physical velocity per
 coefficient, in one preallocated stack, and of the half spectra (see
@@ -73,14 +73,7 @@ from .grid_spectral import (
     ifftn_real,
     parseval_sum,
 )
-from .leray import (
-    KernelBuffers,
-    _require_admissible,
-    cauchy_component,
-    nonlinear_rhs,
-    viscosity_value,
-    viscous_factor,
-)
+from .leray import Kernel, _require_admissible, cauchy_component, viscosity_value
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -147,11 +140,10 @@ class _SeriesBuilder:
     The physical velocities of the known coefficients sit in one stack,
     shaped (capacity, dim, *grid.shape); beside it the builder keeps only the
     caller's ``u_hat``, the half spectrum of the last coefficient, the
-    norms, the viscous factor -nu |k|^2 on the dealias ball and the kernel's
-    reusable buffers.
-    Producing c_{n+1} is one kernel call, which streams ``leray``'s Cauchy
-    sum over the stack component by component, and one inverse transform
-    into the next slot. Every coefficient's half spectrum is a fresh array:
+    norms and one ``leray.Kernel``, which holds the viscous table and the
+    reusable buffers. Producing c_{n+1} is one kernel call, which streams
+    ``leray``'s Cauchy sum over the stack component by component, and one
+    inverse transform into the next slot. Every coefficient's half spectrum is a fresh array:
     ``taylor_coefficients`` keeps each one.
 
     The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
@@ -165,8 +157,7 @@ class _SeriesBuilder:
         self.k_max = (TWO_PI / grid.length) * (grid.n // 3)  # the dealias radius
         self.u_hat = u_hat
         self.norms: list[float] = []
-        self.viscous = viscous_factor(grid, nu)
-        self.work = KernelBuffers(grid)
+        self.kernel = Kernel(grid, nu)
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
         self.stack = np.empty((capacity, grid.dim, *grid.shape))
         self._append(u_hat)
@@ -196,7 +187,7 @@ class _SeriesBuilder:
         n = len(self.norms) - 1
         new = np.empty_like(self.last)
         product = partial(cauchy_component, self.stack, n)
-        scale = nonlinear_rhs(self.grid, product, self.viscous, self.last, new, self.work)
+        scale = self.kernel.apply(product, self.last, new)
         new /= n + 1
         self._append(new, SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1))
 

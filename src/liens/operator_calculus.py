@@ -329,10 +329,13 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _check_samples(u: np.ndarray) -> np.ndarray:
-    """``u`` as a finite 1-D float64 array; raises ``FieldError`` otherwise."""
+    """``u`` as a finite, nonempty 1-D float64 array; raises ``FieldError``
+    otherwise."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise FieldError(f"expected 1-D samples, got shape {u.shape}")
+    if u.size == 0:
+        raise FieldError("expected at least one sample, got none")
     if not np.isfinite(u).all():
         raise FieldError("samples contain non-finite values")
     return u

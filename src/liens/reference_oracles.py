@@ -30,14 +30,12 @@ from .grid_spectral import (
     parseval_sum,
 )
 from .leray import (
-    KernelBuffers,
+    Kernel,
     _require_admissible,
     compute_pressure,
     ns_rhs,
     project_half,
-    rhs_hat,
     viscosity_value,
-    viscous_factor,
 )
 from .lie_propagator import StepStats, final_state, fixed_step, rk4_update
 
@@ -174,20 +172,18 @@ def rk4_step(
     combinations of v and of right-hand sides, which are projected and
     dealiased, so they are admissible by construction and skip the check."""
     nu_val = viscosity_value(nu)
-    grid, work = v.grid, KernelBuffers(v.grid)
-    viscous = viscous_factor(grid, nu_val)
     k1 = ns_rhs(v, nu_val).data
     buf = np.empty((4, *k1.shape), dtype=np.complex128)
-    u_next = rk4_update(v.data, dt, k1, lambda x, out: rhs_hat(grid, x, viscous, out, work), buf)
-    project_half(grid, u_next, buf[0])  # the spent stage buffer
-    return SpectralVectorField(grid, u_next)
+    u_next = rk4_update(v.data, dt, k1, Kernel(v.grid, nu_val).rhs, buf)
+    project_half(v.grid, u_next, buf[0])  # the spent stage buffer
+    return SpectralVectorField(v.grid, u_next)
 
 
 def rk4_advance(grid: Grid, nu: float, dt: float):
     """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``, reusing one
-    array of slopes and one set of kernel buffers for the whole run; each
-    update is projected in place, through the spent stage buffer. Enforces
-    the explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0.
+    array of slopes and one ``leray.Kernel`` for the whole run; each update
+    is projected in place, through the spent stage buffer. Enforces the
+    explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0.
 
     ``advance(v, remaining)`` does not check v: v must be divergence-free and
     dealiased, as ``rk4_propagate`` checks its initial field to be and as
@@ -200,11 +196,7 @@ def rk4_advance(grid: Grid, nu: float, dt: float):
         if dt > dt_max:
             raise StabilityError("rk4 step exceeds the explicit stability bound", dt_max)
     slopes = np.empty((5, grid.dim, *grid.spectral_shape), dtype=np.complex128)
-    work = KernelBuffers(grid)
-    viscous = viscous_factor(grid, nu_val)
-
-    def rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return rhs_hat(grid, x, viscous, out, work)
+    rhs = Kernel(grid, nu_val).rhs
 
     def advance(v: SpectralVectorField, remaining: float):
         h = fixed_step(dt, remaining)

@@ -52,6 +52,10 @@ class TestRecursion:
         with pytest.raises(FieldError):
             taylor_coefficients_burgers(np.array([1.0, np.nan]), 0.1, 1)
 
+    def test_rejects_empty_samples(self):
+        with pytest.raises(FieldError, match="at least one sample"):
+            taylor_coefficients_burgers(np.array([]), 0.1, 2)
+
 
 class TestSeriesVsRk4:
     def test_monotone_convergence(self, u0):

@@ -121,6 +121,11 @@ BELTRAMI_CONFIG = TG_CONFIG.format(n=16, t_end=0.1, out="{out}", cadence=0).repl
 
 # So large that the energy of the initial field overflows.
 INITIAL_OVERFLOW_CONFIG = LARGE_AMPLITUDE_CONFIG.replace("amplitude = 1e7", "amplitude = 1e160")
+TG_OVERFLOW_CONFIG = TG_CONFIG.format(n=16, t_end=0.1, out="{out}", cadence=0).replace(
+    "kind = taylor_green_2d", "kind = taylor_green_2d\namplitude = 1e160"
+)
+BELTRAMI_OVERFLOW_CONFIG = BELTRAMI_CONFIG.replace("kind = beltrami_abc",
+                                                   "kind = beltrami_abc\nabc_a = 1e160")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -432,6 +437,12 @@ class TestSubcommands:
     def test_burgers_check_order_bound(self, capsys):
         assert main(["burgers-check", "--order", "9"]) == 2
 
+    def test_burgers_check_unallocatable_n(self, capsys):
+        assert main(["burgers-check", "--n", "1099511627776"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("burgers-check: --n 1099511627776: cannot allocate")
+        assert err.count("\n") == 1 and out == ""
+
     def test_spectrum_output(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, TG_CONFIG.format(n=32, t_end=0.0, out=tmp_path / "s", cadence=0)
@@ -470,6 +481,9 @@ EXIT_CASES = [
     pytest.param(2, ["simulate"],
                  RANDOM_RK4_CONFIG.replace("dim = 2\nn = 32", "dim = 3\nn = 65536"),
                  id="2-grid-unallocatable"),
+    # 8 TiB of samples: the first allocation fails at once.
+    pytest.param(2, ["burgers-check", "--n", "1099511627776"], None,
+                 id="2-burgers-check-unallocatable"),
 ]
 
 
@@ -509,8 +523,8 @@ class TestExitCodes:
     # may reach the user.
     @pytest.mark.parametrize(
         "config",
-        [LARGE_AMPLITUDE_CONFIG, INITIAL_OVERFLOW_CONFIG, BLOW_UP_CONFIG],
-        ids=["radius-collapse", "initial-overflow", "rk4-blow-up"],
+        [LARGE_AMPLITUDE_CONFIG, BLOW_UP_CONFIG],
+        ids=["radius-collapse", "rk4-blow-up"],
     )
     def test_failure_message_alone_on_stderr(self, tmp_path, config):
         done = run_cli(tmp_path, ["simulate"], config)
@@ -518,6 +532,24 @@ class TestExitCodes:
         assert done.stderr.startswith("propagation failure:"), done.stderr
         assert done.stderr.count("\n") == 1
         assert "Warning" not in done.stderr and ".py" not in done.stderr
+
+    # An initial field whose norms overflow is a config error that names the
+    # key setting its size, reported before anything is written.
+    @pytest.mark.parametrize(
+        "config,key",
+        [(INITIAL_OVERFLOW_CONFIG, "initial.amplitude"),
+         (TG_OVERFLOW_CONFIG, "initial.amplitude"),
+         (BELTRAMI_OVERFLOW_CONFIG, "initial.abc_a")],
+        ids=["random", "taylor-green", "beltrami"],
+    )
+    def test_initial_overflow_is_config_error(self, tmp_path, config, key):
+        done = run_cli(tmp_path, ["simulate"], config)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"config error: {key}"), done.stderr
+        assert "overflow" in done.stderr and done.stderr.count("\n") == 1
+        assert "Warning" not in done.stderr and ".py" not in done.stderr
+        assert done.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     # A finite snapshot whose shell energies overflow: no inf rows, and no
     # numpy warning naming a source file.

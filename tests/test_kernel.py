@@ -25,7 +25,7 @@ from liens.grid_spectral import (
     reflect_modes,
     scatter_ball,
 )
-from liens.leray import TENSOR_INDEX, KernelBuffers, cauchy_component, rhs_hat, viscous_factor
+from liens.leray import TENSOR_INDEX, Kernel, cauchy_component
 from liens.lie_propagator import SERIES_FLOOR
 from liens.reference_oracles import advection_hat, random_divfree
 
@@ -219,8 +219,7 @@ def test_ball_transform_is_the_masked_transform(dim, n, leading):
 def test_rhs_matches_half_spectrum_kernel(dim, n, peak_k, nu):
     grid = Grid(dim=dim, n=n)
     v = random_divfree(seed=13, grid=grid, peak_k=peak_k, amplitude=1.0)
-    got = rhs_hat(grid, v.data, viscous_factor(grid, nu), np.empty_like(v.data),
-                  KernelBuffers(grid))
+    got = Kernel(grid, nu).rhs(v.data, np.empty_like(v.data))
     want = np.empty_like(v.data)
     half_spectrum_kernel(grid, velocity_product(v.data, grid), -nu * grid.ksq, v.data, want)
     assert np.array_equal(got, want)
@@ -249,18 +248,24 @@ def test_series_matches_half_spectrum_kernel(dim, n, peak_k):
 
 
 # The benchmark's tracer times the kernel's transforms by swapping
-# ``leray.fftn_forward`` for a wrapper: every forward transform of the kernel
-# must be looked up by that name, one per stored tensor component.
+# ``leray.fftn_forward`` and ``leray.ifftn_real`` for wrappers: every
+# transform of the kernel must be looked up by those names, one forward
+# transform per stored tensor component and one inverse per ``Kernel.rhs``.
 @pytest.mark.parametrize("dim,calls", [(2, 3), (3, 6)])
 def test_kernel_transforms_go_through_fftn_forward(monkeypatch, dim, calls):
     grid = Grid(dim=dim, n=16)
     v = random_divfree(seed=23, grid=grid, peak_k=3, amplitude=1.0)
-    seen = []
+    seen = {"fftn_forward": 0, "ifftn_real": 0}
 
-    def counting(*args, **kwargs):
-        seen.append(args[0])
-        return fftn_forward(*args, **kwargs)
+    def counting(name, transform):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return transform(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(liens.leray, "fftn_forward", counting)
-    rhs_hat(grid, v.data, viscous_factor(grid, 0.02), np.empty_like(v.data), KernelBuffers(grid))
-    assert len(seen) == calls
+    monkeypatch.setattr(liens.leray, "fftn_forward", counting("fftn_forward", fftn_forward))
+    monkeypatch.setattr(liens.leray, "ifftn_real", counting("ifftn_real", ifftn_real))
+    kernel = Kernel(grid, 0.02)
+    for _ in range(2):
+        kernel.rhs(v.data, np.empty_like(v.data))
+    assert seen == {"fftn_forward": 2 * calls, "ifftn_real": 2}

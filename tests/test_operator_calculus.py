@@ -410,6 +410,12 @@ class TestEvalDiffPoly:
         with pytest.raises(FieldError):
             eval_diffpoly(U(0), bad)
 
+    # An empty sample used to reach the spectral derivative's 1/n and raise
+    # ZeroDivisionError.
+    def test_rejects_empty_samples(self):
+        with pytest.raises(FieldError, match="at least one sample"):
+            eval_diffpoly(parse_diffpoly("u_1"), np.array([]))
+
 
 # -- text syntax -------------------------------------------------------------
 

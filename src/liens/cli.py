@@ -35,7 +35,7 @@ Lines are blank, comments (``# ...``), section headers (``[grid]``), or
 [fluid]   nu (finite, >= 0)
 [initial] kind = taylor_green_2d | taylor_green_3d_embedded | beltrami_abc
                  | random | snapshot
-          amplitude (analytic/random kinds, default 1.0)
+          amplitude (taylor_green_* and random kinds, default 1.0)
           abc_a, abc_b, abc_c (beltrami, default 1.0)
           seed, peak_k (random)
           path (snapshot; file must exist)
@@ -57,7 +57,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .burgers1d import CROSS_CHECK_NU, cross_check
 from .diagnostics import (
     TimeSeriesRecord,
     balance_residuals,
@@ -83,7 +82,6 @@ from .grid_spectral import (
 from .leray import leray_project
 from .lie_propagator import DEFAULT_MAX_ORDER, DEFAULT_TOL, step as lie_step, steps
 from .reference_oracles import AnalyticFlow, analytic_field, random_divfree, rk4_advance
-from .verification import format_table, run_acceptance
 
 _ANALYTIC_KINDS = ("taylor_green_2d", "taylor_green_3d_embedded", "beltrami_abc")
 _SECTIONS = ("grid", "fluid", "initial", "run")
@@ -213,15 +211,16 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         describe="must be one of " + ", ".join(_ANALYTIC_KINDS + ("random", "snapshot")),
     )
     if kind in _ANALYTIC_KINDS:
-        amplitude = init_sec.take("amplitude", float, default=1.0,
-                                  check=math.isfinite, describe="must be finite")
-        abc = (1.0, 1.0, 1.0)
-        if kind == "beltrami_abc":
+        amplitude, abc = 1.0, (1.0, 1.0, 1.0)
+        if kind == "beltrami_abc":  # abc sets its size; it has no amplitude
             abc = tuple(
                 init_sec.take(key, float, default=1.0, check=math.isfinite,
                               describe="must be finite")
                 for key in ("abc_a", "abc_b", "abc_c")
             )
+        else:
+            amplitude = init_sec.take("amplitude", float, default=1.0,
+                                      check=math.isfinite, describe="must be finite")
         initial = InitialSpec(kind=kind, amplitude=amplitude, abc=abc)
         flow_dim = 2 if kind == "taylor_green_2d" else 3
         if flow_dim != dim:
@@ -414,6 +413,8 @@ def cmd_simulate(config_path: Path) -> int:
 
 
 def cmd_verify(level: str) -> int:
+    from .verification import format_table, run_acceptance  # not needed by simulate
+
     results = run_acceptance(level)
     print(format_table(results))
     return 0 if all(r.passed for r in results) else 1
@@ -425,6 +426,8 @@ def cmd_verify(level: str) -> int:
 
 
 def cmd_burgers_check(order: int, n: int) -> int:
+    from .burgers1d import CROSS_CHECK_NU, cross_check  # not needed by simulate
+
     if order < 0 or order > 8:
         print("burgers-check: --order must lie in 0..8", file=sys.stderr)
         return 2

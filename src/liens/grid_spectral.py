@@ -28,8 +28,8 @@ Conventions
   derivatives of real fields real.
 * The dealias ball is the block of a half spectrum that the 2/3 rule keeps:
   indices 0..m and n-m..n-1 of every complete axis and 0..m of the last one,
-  m = n // 3 (``Grid.ball_shape``, ``Grid.ball_blocks``). ``Grid``'s
-  ``ball_*`` tables are the wavenumber tables cut to it, equal bit for bit.
+  m = n // 3 (``Grid.ball_radius``). ``Grid.dealias_keep`` is the ball set in
+  a half spectrum; the ``ball_*`` tables are copies of the tables on it.
 * ``numpy.fft`` is the one FFT backend, on one thread: ``rfftn`` and
   ``irfftn`` transform the last grid axis real-to-complex (``rfft``) and then
   run complex ``fft`` over the other grid axes. ``fftn_forward(...,
@@ -63,20 +63,6 @@ def fft_worker_count() -> int:
     """Number of threads the FFTs run on: always 1 (``numpy.fft`` is
     single-threaded). Kept so run records can state it."""
     return 1
-
-
-def _squared_norm(shape: tuple[int, ...], k: tuple[np.ndarray, ...]) -> np.ndarray:
-    """sum_a k_a^2 over broadcastable per-axis tables, summed in axis order."""
-    out = np.zeros(shape)
-    for k_a in k:
-        out = out + k_a**2
-    return out
-
-
-def _safe_inverse(ksq: np.ndarray) -> np.ndarray:
-    """1/ksq, with zeros where ksq is 0."""
-    safe = np.where(ksq > 0.0, ksq, 1.0)
-    return np.where(ksq > 0.0, 1.0 / safe, 0.0)
 
 
 @dataclass(frozen=True)
@@ -138,11 +124,17 @@ class Grid:
         k[self.n // 2] = 0.0
         return k
 
+    @property
+    def ball_radius(self) -> int:
+        """m = n // 3, the largest |j| the 2/3 rule keeps on any axis: the one
+        statement of the rule, which every ``ball`` member and pass reads."""
+        return self.n // 3
+
     def _axis_view(self, values: np.ndarray, axis: int, ball: bool = False) -> np.ndarray:
         """Reshape a per-axis 1-D table so it broadcasts along spectral axis
         ``axis`` of a half spectrum (the last axis keeps indices 0..n/2) or,
         with ``ball``, of the dealias ball (see ``ball_shape``)."""
-        n, m = self.n, self.n // 3
+        n, m = self.n, self.ball_radius
         if ball and axis < self.dim - 1:
             values = np.concatenate((values[: m + 1], values[n - m :]))
         elif ball:
@@ -160,20 +152,24 @@ class Grid:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        """|k|^2 built from the differentiation wavenumbers."""
-        return _squared_norm(self.spectral_shape, self.k_deriv)
+        """|k|^2 built from the differentiation wavenumbers, summed in axis order."""
+        out = np.zeros(self.spectral_shape)
+        for k_a in self.k_deriv:
+            out = out + k_a**2
+        return out
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1/|k|^2 with zeros where |k|^2 = 0 (mean mode and bare Nyquist planes)."""
-        return _safe_inverse(self.ksq)
+        safe = np.where(self.ksq > 0.0, self.ksq, 1.0)
+        return np.where(self.ksq > 0.0, 1.0 / safe, 0.0)
 
     @property
     def ball_shape(self) -> tuple[int, ...]:
         """Shape of the dealias ball, the block of a half spectrum that the
         2/3 rule keeps: indices 0..m and n-m..n-1 of every complete axis and
-        0..m of the last one, m = n // 3, in that order."""
-        m = self.n // 3
+        0..m of the last one, m = ``ball_radius``, in that order."""
+        m = self.ball_radius
         return (2 * m + 1,) * (self.dim - 1) + (m + 1,)
 
     @cached_property
@@ -181,7 +177,7 @@ class Grid:
         """The ball as slice blocks over the grid axes: (half-spectrum index,
         ball index) pairs, one for each choice of the low or the high end of
         every complete axis."""
-        n, m = self.n, self.n // 3
+        n, m = self.n, self.ball_radius
         low = slice(0, m + 1)
         ends = ((low, low), (slice(n - m, n), slice(m + 1, 2 * m + 1)))
         blocks = [((low,), (low,))]
@@ -196,22 +192,19 @@ class Grid:
 
     @cached_property
     def ball_ksq(self) -> np.ndarray:
-        """``ksq`` on the ball, built as ``ksq`` is and so equal to it bit for bit."""
-        return _squared_norm(self.ball_shape, self.ball_k_deriv)
+        """A copy of ``ksq`` on the ball."""
+        return gather_ball(self, self.ksq, np.empty(self.ball_shape))
 
     @cached_property
     def ball_inv_ksq(self) -> np.ndarray:
-        """``inv_ksq`` on the ball (zero at k = 0 only)."""
-        return _safe_inverse(self.ball_ksq)
+        """A copy of ``inv_ksq`` on the ball (zero at k = 0 only)."""
+        return gather_ball(self, self.inv_ksq, np.empty(self.ball_shape))
 
     @cached_property
     def dealias_keep(self) -> np.ndarray:
-        """Boolean mask of surviving modes: every axis index satisfies 3|j| <= n."""
-        keep = np.ones(self.spectral_shape, dtype=bool)
-        j = self.mode_index_1d
-        for a in range(self.dim):
-            keep &= self._axis_view(3 * np.abs(j) <= self.n, a)
-        return keep
+        """Boolean mask of surviving modes: the ball, set in a half spectrum."""
+        keep = np.ones(self.ball_shape, dtype=bool)
+        return scatter_ball(self, keep, np.empty(self.spectral_shape, dtype=bool))
 
     @cached_property
     def weight(self) -> np.ndarray:
@@ -255,7 +248,7 @@ def fftn_forward(grid: Grid, values: np.ndarray, *, ball: bool = False) -> np.nd
     so every kept mode is bit for bit that of the whole transform."""
     if not ball:
         return np.fft.rfftn(values, axes=_grid_axes(grid, values), norm="forward")
-    n, m = grid.n, grid.n // 3
+    n, m = grid.n, grid.ball_radius
     out = np.fft.rfft(values, axis=-1, norm="forward")[..., : m + 1]
     for axis in range(-2, -grid.dim - 1, -1):
         out = np.fft.fft(out, axis=axis, norm="forward")

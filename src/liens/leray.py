@@ -36,8 +36,8 @@ space. The divergence is Leray-projected and combined with the viscous term
 on the ball too, with the ball-shaped tables of ``Grid``, and scattered once
 into the caller's half spectrum, which is zero outside the ball. Each kept
 mode is bit for bit what the whole transform followed by the mask gives
-(``grid_spectral.fftn_forward``), and the ball tables are built as the
-whole ones are, so the ball changes no result; the inverse transform stays
+(``grid_spectral.fftn_forward``), and the ball tables are copies of the
+whole ones, so the ball changes no result; the inverse transform stays
 whole.
 
 The stream order, TENSOR_INDEX, is (0,0), (0,1), (1,1), (0,2), (1,2), (2,2):

@@ -154,7 +154,7 @@ class _SeriesBuilder:
     def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float, max_order: int):
         self.grid = grid
         self.max_order = max_order
-        self.k_max = (TWO_PI / grid.length) * (grid.n // 3)  # the dealias radius
+        self.k_max = (TWO_PI / grid.length) * grid.ball_radius  # the dealias radius
         self.u_hat = u_hat
         self.norms: list[float] = []
         self.kernel = Kernel(grid, nu)

@@ -387,6 +387,9 @@ def eval_diffpoly(p: DiffPoly, u_samples: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|(u_\d+)|([+\-*^()]))")
+# Deepest parenthesis nesting ``parse_diffpoly`` takes: the parser recurses
+# four frames per level, well inside Python's default limit of 1000.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -416,6 +419,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -479,12 +483,17 @@ class _Parser:
         if kind == "name":
             return DiffPoly.u(int(text[2:]))
         if (kind, text) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(f"parentheses nest more than {MAX_NESTING} levels deep")
             poly = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise ValueError(f"unexpected token {text!r}")
 
 
 def parse_diffpoly(text: str) -> DiffPoly:
-    """Parse the plain-text syntax; inverse of ``str`` on canonical forms."""
+    """Parse the plain-text syntax, with parentheses nested at most
+    MAX_NESTING deep; inverse of ``str`` on canonical forms."""
     return _Parser(_tokenize(text)).parse()

@@ -28,6 +28,7 @@ from .grid_spectral import (
     SpectralVectorField,
     complete_hermitian,
     parseval_sum,
+    reflect_modes,
 )
 from .leray import (
     Kernel,
@@ -227,9 +228,9 @@ def random_divfree(
     projected, Hermitian-symmetrized, zero-mean, and rescaled so the L2 norm
     equals ``amplitude`` (energy amplitude^2/2).
     """
-    if peak_k < 1 or 3 * peak_k > grid.n:
+    if not 1 <= peak_k <= grid.ball_radius:
         raise ValueError(
-            f"peak_k must lie inside the dealias ball: 1 <= peak_k <= {grid.n // 3}"
+            f"peak_k must lie inside the dealias ball: 1 <= peak_k <= {grid.ball_radius}"
         )
     if not (math.isfinite(amplitude) and amplitude > 0.0):
         raise ValueError("amplitude must be positive and finite")
@@ -238,20 +239,10 @@ def random_divfree(
     draws = np.empty(shape, dtype=complex)
     draws.real = rng.standard_normal(shape)
     draws.imag = rng.standard_normal(shape)
-    # The draws fill the full grid; their Hermitian part is the spectrum of a
-    # real field. Only its half spectrum is formed: each mode k averages
-    # draws[k] with the conjugate of draws[-k], gathered by index one
-    # component at a time into a C-ordered array, the order every sum over
-    # the field runs in.
-    n = grid.n
-    minus = -np.arange(n) % n  # the index of -k along a complete axis
-    reflected = np.ix_(*[minus] * (grid.dim - 1), minus[: n // 2 + 1])
-    coef = np.empty((grid.dim, *grid.spectral_shape), dtype=complex)
-    for a in range(grid.dim):
-        np.conj(draws[a][reflected], out=coef[a])
-    coef += draws[..., : n // 2 + 1]
+    # The draws fill the full grid; the half spectrum of their Hermitian part
+    # is the spectrum of a real field, C-ordered (sliced before it is scaled).
+    coef = 0.5 * (draws + np.conj(reflect_modes(grid, draws)))[..., : grid.n // 2 + 1]
     del draws  # the full grid goes before the weighting allocates
-    coef *= 0.5
     weight = grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / peak_k) ** 2))
     coef *= weight * grid.dealias_keep
     coef[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean

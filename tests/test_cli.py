@@ -188,6 +188,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
             parse_config(text.format(out="out").replace(old, new))
 
+    def test_beltrami_rejects_amplitude(self, tmp_path, capsys):
+        """abc sets the Beltrami field's size; an amplitude key would do
+        nothing, so it is an unknown key there."""
+        text = BELTRAMI_CONFIG.format(out=tmp_path / "out").replace(
+            "kind = beltrami_abc", "kind = beltrami_abc\namplitude = 5.0")
+        assert cmd_simulate(write_cfg(tmp_path, text)) == 2
+        assert "unknown key(s): initial.amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_largest_representable_grid(self):
         # 2 * n^2 float64 values fit in a numpy array up to n = 2^29.
         text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
@@ -580,5 +589,24 @@ def test_simulate_and_verify_never_import_scipy(tmp_path):
     checks load no scipy module."""
     (tmp_path / "run.cfg").write_text(RANDOM_RK4_CONFIG.format(out=tmp_path / "out"))
     done = run_python(tmp_path, ["-c", NO_SCIPY_SCRIPT, str(tmp_path / "run.cfg")])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+# Runs a simulation, then lists which of the modules it has no use for it
+# loaded.
+SIMULATE_IMPORTS_SCRIPT = """
+import sys
+from liens.cli import main
+assert main(["simulate", sys.argv[1]]) == 0
+print(sorted(m for m in ("liens.verification", "liens.burgers1d") if m in sys.modules))
+"""
+
+
+def test_simulate_imports_neither_verification_nor_burgers(tmp_path):
+    """Only ``verify`` and ``burgers-check`` load the acceptance checks and
+    the 1-D Burgers bench; a run loads neither."""
+    (tmp_path / "run.cfg").write_text(RANDOM_RK4_CONFIG.format(out=tmp_path / "out"))
+    done = run_python(tmp_path, ["-c", SIMULATE_IMPORTS_SCRIPT, str(tmp_path / "run.cfg")])
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

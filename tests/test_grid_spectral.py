@@ -25,6 +25,17 @@ from liens.grid_spectral import (
 from conftest import random_real_field
 
 
+def rule_of_thirds(g):
+    """The 2/3 rule mode by mode, independent of the ball: a mode survives
+    when every signed axis index j has 3|j| <= n."""
+    kept = 3 * np.abs(g.mode_index_1d) <= g.n
+    axes = [kept] * (g.dim - 1) + [kept[: g.n // 2 + 1]]
+    return np.logical_and.reduce(np.meshgrid(*axes, indexing="ij"))
+
+
+BALL_GRIDS = [(dim, n) for dim in (2, 3) for n in (8, 16, 32, 64)]
+
+
 class TestGrid:
     def test_valid_construction(self):
         g = Grid(dim=2, n=64)
@@ -64,6 +75,24 @@ class TestGrid:
         assert keep[5, 0]
         assert not keep[6, 0]
         assert not keep[8, 0]
+
+    @pytest.mark.parametrize("dim,n", BALL_GRIDS)
+    def test_dealias_keep_is_the_rule_of_thirds(self, dim, n):
+        g = Grid(dim=dim, n=n)
+        assert np.array_equal(g.dealias_keep, rule_of_thirds(g))
+        assert np.count_nonzero(g.dealias_keep) == math.prod(g.ball_shape)
+
+    @pytest.mark.parametrize("dim,n", BALL_GRIDS)
+    def test_ball_tables_are_the_whole_tables_on_the_ball(self, dim, n):
+        # The ball keeps the half spectrum's index order on every axis, so
+        # its C order is that of the kept modes.
+        g = Grid(dim=dim, n=n)
+        keep = rule_of_thirds(g)
+        pairs = [(g.ball_ksq, g.ksq), (g.ball_inv_ksq, g.inv_ksq)]
+        for ball, whole in pairs + list(zip(g.ball_k_deriv, g.k_deriv)):
+            ball = np.broadcast_to(ball, g.ball_shape)
+            whole = np.broadcast_to(whole, g.spectral_shape)
+            assert np.array_equal(ball.ravel(), whole[keep])
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_spectral_tables_are_half_spectra(self, dim):

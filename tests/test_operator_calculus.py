@@ -446,6 +446,13 @@ class TestTextSyntax:
         with pytest.raises(ValueError):
             parse_diffpoly(text)
 
+    def test_deep_nesting_is_a_value_error(self):
+        # Past the nesting limit the recursive parser would hit Python's
+        # recursion limit; the library raises only ValueError.
+        assert parse_diffpoly("(" * 100 + "u_0" + ")" * 100) == U(0)
+        with pytest.raises(ValueError, match="nest"):
+            parse_diffpoly("(" * 2000 + "u_0" + ")" * 2000)
+
     def test_str_examples(self):
         assert str(DiffPoly.zero()) == "0"
         assert str(U(0)) == "u_0"

@@ -36,7 +36,6 @@ from .grid_spectral import (
 from .leray import compute_pressure, leray_project, ns_rhs
 from .lie_propagator import (
     StepStats,
-    TaylorExpansion,
     estimate_radius,
     evaluate,
     propagate,
@@ -78,7 +77,6 @@ __all__ = [
     "SpectralVectorField",
     "StabilityError",
     "StepStats",
-    "TaylorExpansion",
     "TimeSeriesRecord",
     "a_power_u",
     "analytic_field",

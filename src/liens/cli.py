@@ -287,7 +287,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
 def load_config(path: Path) -> RunConfig:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base_dir=path.parent)
 
@@ -341,8 +341,9 @@ def _finalize_outputs(config: RunConfig, records, final_field) -> None:
     residuals = balance_residuals(records, config.nu)
     filled = [replace(r, balance_residual=res) for r, res in zip(records, residuals)]
     write_series_csv(config.output_dir / "series.csv", filled)
-    (config.output_dir / "spectrum_final.csv").write_text(spectrum_csv(final_field),
-                                                          encoding="ascii")
+    (config.output_dir / "spectrum_final.csv").write_text(
+        spectrum_csv(shell_spectrum(final_field)), encoding="ascii"
+    )
     write_snapshot(config.output_dir / "field_final.liens", final_field)
 
 
@@ -490,10 +491,11 @@ def cmd_spectrum(snapshot: Path) -> int:
         return 2
     if isinstance(field, RealVectorField):
         field = to_spectral(field)
-    if not all(math.isfinite(e) for _, e in shell_spectrum(field)):
+    spectrum = shell_spectrum(field)
+    if not all(math.isfinite(e) for _, e in spectrum):
         print("spectrum: the shell energies overflow float64", file=sys.stderr)
         return 2
-    print(spectrum_csv(field), end="")
+    print(spectrum_csv(spectrum), end="")
     return 0
 
 

@@ -129,9 +129,9 @@ _SERIES_COLUMNS = [
 SERIES_CSV_HEADER = ",".join(name for name, _ in _SERIES_COLUMNS)
 
 
-def spectrum_csv(v: SpectralVectorField) -> str:
-    """The shell spectrum of ``v`` as CSV text: a header, then one row per shell."""
-    rows = [f"{shell},{format_float(value)}" for shell, value in shell_spectrum(v)]
+def spectrum_csv(spectrum: Iterable[tuple[int, float]]) -> str:
+    """The rows of ``shell_spectrum`` as CSV text: a header, then one row per shell."""
+    rows = [f"{shell},{format_float(value)}" for shell, value in spectrum]
     return "\n".join(["k,energy", *rows]) + "\n"
 
 

@@ -20,8 +20,8 @@ coefficient, in one preallocated stack, and of the half spectra (see
 recursion's viscous term needs; norms come from the weighted Parseval sum.
 The step sums the series by Horner on the physical velocities and
 transforms the sum once. ``taylor_coefficients`` collects each half
-spectrum as it is made; those are the coefficients ``TaylorExpansion``
-holds.
+spectrum as it is made and returns them as a tuple c_0..c_N: a truncated
+Lie series is nothing more than its coefficients c_n = A^n u / n!.
 
 Round-off floor: every mode of a new coefficient c_{n+1} of magnitude below
 SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is zeroed (eps the float64
@@ -94,25 +94,6 @@ SERIES_FLOOR = 0.5
 _EPS = float(np.finfo(float).eps)
 
 State = TypeVar("State")  # what ``steps`` advances: a field, or 1-D samples
-
-@dataclass(frozen=True)
-class TaylorExpansion:
-    """Time-Taylor coefficients c_0..c_N of the flow around the state c_0."""
-
-    coefficients: tuple[SpectralVectorField, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("expansion needs at least c_0")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def grid(self) -> Grid:
-        return self.coefficients[0].grid
-
 
 @dataclass(frozen=True)
 class StepStats:
@@ -274,8 +255,8 @@ def _radius_from_norms(norms: list[float]) -> float:
 
 def taylor_coefficients(
     u: SpectralVectorField, nu: float, order: int
-) -> TaylorExpansion:
-    """Coefficients c_0..c_order of the series around the state ``u``."""
+) -> tuple[SpectralVectorField, ...]:
+    """Coefficients c_0..c_order of the series around c_0 = ``u``."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     _require_admissible(u, "taylor_coefficients")
@@ -284,15 +265,15 @@ def taylor_coefficients(
     for _ in range(order):
         builder.grow()
         coefficients.append(SpectralVectorField(u.grid, builder.last))
-    return TaylorExpansion(coefficients=tuple(coefficients))
+    return tuple(coefficients)
 
 
-def evaluate(e: TaylorExpansion, t: float) -> SpectralVectorField:
+def evaluate(coefficients: Sequence[SpectralVectorField], t: float) -> SpectralVectorField:
     """Horner evaluation sum_n c_n t^n; t = 0 returns c_0 unchanged."""
     if t == 0.0:
-        return e.coefficients[0]
-    coeffs = [c.data for c in e.coefficients]
-    return SpectralVectorField(e.grid, _horner(coeffs, t, np.empty_like(coeffs[-1])))
+        return coefficients[0]
+    data = [c.data for c in coefficients]
+    return coefficients[0].with_data(_horner(data, t, np.empty_like(data[-1])))
 
 
 def _horner(coeffs: Sequence[np.ndarray], t: float, acc: np.ndarray) -> np.ndarray:
@@ -305,13 +286,13 @@ def _horner(coeffs: Sequence[np.ndarray], t: float, acc: np.ndarray) -> np.ndarr
     return acc
 
 
-def estimate_radius(e: TaylorExpansion) -> float:
+def estimate_radius(coefficients: Sequence[SpectralVectorField]) -> float:
     """Empirical convergence radius from the trailing coefficient ratios.
 
     Returns +inf when the trailing coefficients vanish (polynomial-in-time
     flow); requires at least 4 coefficients.
     """
-    return _radius_from_norms([c.l2_norm() for c in e.coefficients])
+    return _radius_from_norms([c.l2_norm() for c in coefficients])
 
 
 def step(
@@ -329,12 +310,13 @@ def step(
     ||c_N|| h^N <= tol ||u||. The step takes the order that covers dt for
     the least work, ``_step_cost(N)`` (N grows and N(N+1)/2 pair products
     weighted by PAIR_COST) times ceil(dt / h_N) steps, and evens its length
-    to dt / ceil(dt / h_N) so that no sliver is left. The series grows the
-    four coefficients the radius needs and then at most two past the best
-    order so far, further only while a linear extrapolation of h_N says a
-    higher order could still do better; it stops as soon as some h_N
-    reaches dt. Steps below COLLAPSE_FLOOR * dt are not admissible: with none
-    left at max_order, ``RadiusCollapseError`` is raised.
+    to dt / ceil(dt / h_N) so that no sliver is left. Before it reads order
+    N the series holds c_0..c_min(max(N, 3), max_order), so the four
+    coefficients the radius needs come first. It reads at most two orders
+    past the best so far, further only while a linear extrapolation of h_N
+    says a higher order could still do better, and stops as soon as some
+    h_N reaches dt. Steps below COLLAPSE_FLOOR * dt are not admissible:
+    with none left at max_order, ``RadiusCollapseError`` is raised.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -345,13 +327,11 @@ def step(
     nu_val = viscosity_value(nu)
     _require_admissible(u, "step")
     builder = _SeriesBuilder(u.grid, u.data, nu_val, max_order)
-    bound = tol * u.l2_norm()
-    while len(builder.norms) < min(4, max_order + 1):
-        builder.grow()
+    bound = tol * builder.norms[0]
     reach: list[float] = []
     best, best_cost = -1, math.inf
     for n in range(max_order + 1):
-        if n == len(builder.norms):
+        while len(builder.norms) <= min(max(n, 3), max_order):
             builder.grow()
         reach.append(builder.reach(n, bound, dt))
         cost = _cover_cost(n, reach[n], dt)

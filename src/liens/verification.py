@@ -141,8 +141,7 @@ def criterion_4_divergence_preservation(runs: list[TrackedRun]) -> list[CheckRes
     worst = 0.0
     for nu, run in runs:
         for start, out, stats in run:
-            expansion = taylor_coefficients(start, nu, stats.order_used)
-            for c in expansion.coefficients:
+            for c in taylor_coefficients(start, nu, stats.order_used):
                 worst = max(worst, relative_divergence(c))
             worst = max(worst, relative_divergence(out))
     return [CheckResult("4", "divergence of coefficients and steps", worst, 1e-10)]
@@ -192,10 +191,10 @@ def criterion_7_convergence_order() -> list[CheckResult]:
     dt_sets = {2: [0.25, 0.5, 1.0, 2.0], 4: [0.25, 0.5, 1.0, 2.0], 8: [0.75, 1.5, 3.0, 6.0]}
     results = []
     for order, dts in dt_sets.items():
-        expansion = taylor_coefficients(u, nu, order)
+        coefficients = taylor_coefficients(u, nu, order)
         errors = []
         for dt in dts:
-            got = evaluate(expansion, dt)
+            got = evaluate(coefficients, dt)
             errors.append((got - analytic_field(flow, dt, nu, grid)).l2_norm() / u_norm)
         slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
         results.append(

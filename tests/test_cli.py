@@ -1,13 +1,19 @@
 """Config parsing, the simulate pipeline, and the auxiliary subcommands."""
 
+import contextlib
+import io
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import liens
 from liens import (
@@ -93,7 +99,8 @@ rk4_dt = 0.5
 output_dir = {out}
 """
 
-# So large that the series overflows: the first lie step halves 20 times.
+# So large that the series overflows: no order admits a step, and the radius
+# estimate reads NaN.
 LARGE_AMPLITUDE_CONFIG = """
 [grid]
 dim = 2
@@ -416,6 +423,60 @@ class TestSimulate:
         assert np.array_equal(last.data, leray_project(dealias(u)).data)
         assert len(read_series_csv(tmp_path / "o" / "series.csv")) == 1
 
+    # Each rejected config is one line on stderr naming the line or key, with
+    # nothing on stdout and nothing written.
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda t: t + "\n[grid]\n", "line 20: duplicate section [grid]"),
+            (lambda t: t.replace("[grid]\n", "[grid]\noops\n"),
+             "line 4: expected 'key = value', got 'oops'"),
+            (lambda t: "n = 16\n" + t, "line 1: key outside of any [section]"),
+            (lambda t: t.replace("nu = 0.1", "nu ="), "line 8: empty key or value"),
+            (lambda t: t.replace("n = 16", "n = 16\nn = 16"), "line 6: duplicate key grid.n"),
+            (lambda t: t.replace("nu = 0.1\n", ""), "fluid.nu is required"),
+            (lambda t: t.replace("n = 16", "n = 1e3"), "grid.n: cannot parse '1e3'"),
+            (lambda t: t.replace("[fluid]\nnu = 0.1\n", ""), "missing section [fluid]"),
+        ],
+        ids=["duplicate-section", "no-equals", "key-before-section", "empty-value",
+             "duplicate-key", "missing-key", "unparseable-value", "missing-section"],
+    )
+    def test_rejected_config_exits_2(self, tmp_path, capsys, edit, message):
+        cfg = write_cfg(tmp_path, edit(TINY_TG.format(out="out")))
+        assert main(["simulate", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"config error: {message}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("content", [None, b"[grid]\ndim = 2\nn = 16\n# caf\xe9"],
+                             ids=["directory", "non-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "run.cfg"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
+        assert main(["simulate", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: cannot read config {cfg}:")
+        assert err.count("\n") == 1 and out == ""
+        assert list(tmp_path.iterdir()) == [cfg] and not (tmp_path / "out").exists()
+
+    def test_snapshot_grid_mismatch_exits_2(self, tmp_path, capsys):
+        seed = tmp_path / "seed.liens"
+        write_snapshot(seed, analytic_field(AnalyticFlow("taylor_green_2d"), 0.0, 0.1,
+                                            Grid(dim=2, n=16)))
+        text = TG_CONFIG.format(n=32, t_end=0.0, out="out", cadence=0).replace(
+            "kind = taylor_green_2d", "kind = snapshot\npath = seed.liens"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: initial.path grid ") and "does not match" in err
+        assert err.count("\n") == 1 and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "seed.liens"]
+
     def test_rk4_stability_guard(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out=tmp_path / "stab").replace(
             "rk4_dt = 1e-3", "rk4_dt = 1.0"
@@ -445,6 +506,11 @@ class TestSubcommands:
 
     def test_burgers_check_order_bound(self, capsys):
         assert main(["burgers-check", "--order", "9"]) == 2
+
+    def test_burgers_check_n_not_power_of_two(self, capsys):
+        assert main(["burgers-check", "--n", "48"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "burgers-check: --n must be a power of two >= 8\n" and out == ""
 
     def test_burgers_check_unallocatable_n(self, capsys):
         assert main(["burgers-check", "--n", "1099511627776"]) == 2
@@ -572,6 +638,90 @@ class TestExitCodes:
         assert done.stderr.startswith("spectrum:"), done.stderr
         assert done.stdout == ""
         assert "Warning" not in done.stderr and ".py" not in done.stderr
+
+
+# Valid configs with small values, before any byte is changed.
+@st.composite
+def small_configs(draw):
+    kind = draw(st.sampled_from(["taylor_green_2d", "beltrami_abc", "random"]))
+    dim = {"taylor_green_2d": 2, "beltrami_abc": 3}.get(kind) or draw(st.sampled_from([2, 3]))
+    n = 8 if dim == 3 else draw(st.sampled_from([8, 16]))
+    initial = f"kind = {kind}\n"
+    if kind == "random":
+        initial += f"seed = {draw(st.integers(0, 99))}\npeak_k = {draw(st.integers(1, n // 3))}\n"
+    if draw(st.booleans()):
+        run = f"integrator = lie\ntol = 1e-{draw(st.integers(4, 12))}\n"
+        run += f"max_order = {draw(st.integers(8, 30))}\n"
+    else:
+        run = "integrator = rk4\nrk4_dt = 1e-3\n"
+    t_end = draw(st.sampled_from(["0", "0.001", "0.005", "0.01"]))
+    nu = draw(st.sampled_from(["0", "0.01", "0.05"]))
+    cadence = draw(st.integers(0, 3))
+    return (
+        f"[grid]\ndim = {dim}\nn = {n}\n\n[fluid]\nnu = {nu}\n\n[initial]\n{initial}\n"
+        f"[run]\nt_end = {t_end}\n{run}output_dir = out\nsnapshot_cadence = {cadence}\n"
+    ).encode("ascii")
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid config with up to three bytes inserted, deleted or
+    flipped (XORed with a nonzero value)."""
+    data = bytearray(draw(small_configs()))
+    edits = st.tuples(st.sampled_from(["insert", "delete", "flip"]),
+                      st.integers(0, 4096), st.integers(1, 255))
+    for op, pos, byte in draw(st.lists(edits, max_size=3)):
+        pos %= len(data) + (op == "insert")
+        if op == "insert":
+            data.insert(pos, byte)
+        elif op == "delete" and len(data) > 1:
+            del data[pos]
+        elif op == "flip":
+            data[pos] ^= byte
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_configs())
+def test_simulate_survives_mutated_configs(tmp_path, text):
+    """Whatever the config bytes, ``simulate`` ends with exit 0, 2 or 3, never
+    a traceback, and writes only into its output directory; a rejected
+    config writes nothing. Configs that parse run only with n <= 32, t_end
+    <= 0.01 and an output directory under the run's own directory, and
+    with a step count that stays small: at most 100 RK4 steps, or a lie
+    max_order of at least 8 (at max_order 2 and tol 1e-9 a step is about
+    1e-8 long, and t_end = 0.001 takes some 80 000 of them)."""
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg = run_dir / "run.cfg"
+    cfg.write_bytes(text)
+    try:
+        config = load_config(cfg)
+    except ConfigError:
+        config = None
+    if config is not None:
+        assume(config.n <= 32 and config.t_end <= 0.01)
+        if config.integrator == "rk4":
+            assume(config.t_end <= 100 * config.rk4_dt)
+        else:
+            assume(config.max_order >= 8)
+        assume(config.output_dir.resolve().is_relative_to(run_dir.resolve()))
+    before = set(tmp_path.rglob("*"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cmd_simulate(cfg)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    written = set(tmp_path.rglob("*")) - before
+    assert all(p.is_relative_to(run_dir) for p in written)
+    if code == 2:
+        assert err.getvalue().startswith("config error:") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == "" and not written
+    shutil.rmtree(run_dir)
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(liens, name) for name in liens.__all__)
 
 
 # Runs both commands in one interpreter, then lists what they imported.

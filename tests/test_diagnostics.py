@@ -209,6 +209,21 @@ class TestSeriesCsv:
         back = read_series_csv(path)
         assert back == records
 
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ("t,energy\n0,1\n", "bad series CSV header"),
+            ("t,energy,enstrophy,div_max,balance_residual,order_used,dt\n0,1,2\n",
+             "bad series CSV row: '0,1,2'"),
+        ],
+        ids=["header", "row"],
+    )
+    def test_read_rejects_malformed(self, tmp_path, text, needle):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=needle):
+            read_series_csv(path)
+
     def test_seventeen_digit_floats(self):
         x = 1.0 / 3.0
         assert float(format_float(x)) == x

@@ -8,7 +8,16 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liens import Grid, RealVectorField, SpectralVectorField, dealias, derivative, to_physical, to_spectral
+from liens import (
+    Grid,
+    RealVectorField,
+    SpectralScalarField,
+    SpectralVectorField,
+    dealias,
+    derivative,
+    to_physical,
+    to_spectral,
+)
 from liens.errors import FieldError, SnapshotFormatError
 from liens.grid_spectral import (
     complete_hermitian,
@@ -172,6 +181,16 @@ class TestTransforms:
         with pytest.raises(FieldError, match="non-finite"):
             RealVectorField(grid2d, data)
 
+    def test_shape_mismatch_rejected(self, grid2d):
+        with pytest.raises(FieldError, match="does not match grid"):
+            SpectralVectorField(grid2d, np.zeros((2, *grid2d.shape), dtype=complex))
+
+    def test_scalar_with_imaginary_mean_rejected(self, grid2d):
+        data = np.zeros(grid2d.spectral_shape, dtype=complex)
+        data[0, 0] = 1.0 + 1.0j
+        with pytest.raises(FieldError, match="mean coefficient .* must be real"):
+            SpectralScalarField(grid2d, data)
+
     def test_broken_symmetry_rejected(self, grid2d):
         data = np.zeros((2, *grid2d.spectral_shape), dtype=complex)
         data[0, 1, 0] = 1.0  # no conjugate partner in the j = 0 plane
@@ -201,6 +220,12 @@ class TestTransforms:
         quad = grid2d.cell_volume * float(np.sum(a.data * b.data))
         spec = inner_product(to_spectral(a), to_spectral(b))
         assert spec == pytest.approx(quad, rel=1e-12)
+
+    def test_inner_product_across_grids_rejected(self, grid2d, rng):
+        a = to_spectral(random_real_field(grid2d, rng))
+        b = to_spectral(random_real_field(Grid(dim=2, n=16), rng))
+        with pytest.raises(FieldError, match="matching grids"):
+            inner_product(a, b)
 
 
 class TestDerivative:
@@ -403,8 +428,11 @@ class TestSnapshots:
             ("LIENS1 2 12 6.28 2 physical", "grid n .*got 12"),
             ("LIENS1 4 8 6.28 4 physical", "grid dim .*got 4"),
             ("LIENS1 2 8 nan 2 physical", "grid length .*got nan"),
+            ("LIENS1 2 x 6.28 2 physical", "unparseable snapshot header"),
+            ("LIENS1 2 8 6.28 2 polar", "unknown snapshot kind 'polar'"),
+            ("LIENS1 2 8 6.28 3 physical", "component count 3 does not match dim 2"),
         ],
-        ids=["n", "dim", "length"],
+        ids=["n", "dim", "length", "number", "kind", "components"],
     )
     def test_impossible_grid_header_rejected(self, tmp_path, header, needle):
         path = tmp_path / "grid.liens"

@@ -14,7 +14,7 @@ from liens import (
     to_physical,
     to_spectral,
 )
-from liens.errors import SolenoidalError
+from liens.errors import FieldError, SolenoidalError
 from liens.grid_spectral import ifftn_real, inner_product, relative_divergence, zero_vector_field
 from liens.leray import CAUCHY_CHUNK, TENSOR_INDEX, cauchy_component, viscosity_value
 from liens.reference_oracles import ns_rhs_via_pressure, random_divfree
@@ -144,6 +144,15 @@ class TestNsRhs:
     def test_zero_field(self, grid2d):
         out = ns_rhs(zero_vector_field(grid2d), 0.3)
         assert np.max(np.abs(out.data)) == 0.0
+
+    def test_rejects_field_outside_dealias_ball(self, grid2d):
+        # u = (cos 15y, 0) is divergence-free, but |k| = 15 lies outside the
+        # 2/3-rule ball of n = 32.
+        _, y = grid2d.mesh()
+        u = to_spectral(RealVectorField(grid2d, np.stack((np.cos(15 * y), np.zeros_like(y)))))
+        assert relative_divergence(u) == 0.0
+        with pytest.raises(FieldError, match="ns_rhs requires a dealiased field"):
+            ns_rhs(u, 0.1)
 
     def test_taylor_green_is_eigenfield(self):
         # Projected advection vanishes, leaving nu*lap(v) = -2 nu v.

@@ -24,7 +24,7 @@ from liens import (
 from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
 from liens.grid_spectral import relative_divergence, zero_vector_field
-from liens.lie_propagator import StepStats, TaylorExpansion, fixed_step
+from liens.lie_propagator import StepStats, fixed_step
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
 
 from conftest import random_real_field
@@ -48,8 +48,8 @@ class TestTaylorCoefficients:
         nu = 0.1
         u = tg_field(g)
         scale = np.max(np.abs(u.data))
-        exp = taylor_coefficients(u, nu, order=10)
-        for n, c in enumerate(exp.coefficients):
+        coeffs = taylor_coefficients(u, nu, order=10)
+        for n, c in enumerate(coeffs):
             want = ((-2.0 * nu) ** n / factorial(n)) * u.data
             assert np.max(np.abs(c.data - want)) <= 1e-10 * scale
 
@@ -58,20 +58,26 @@ class TestTaylorCoefficients:
         nu = 0.05
         u = analytic_field(AnalyticFlow("beltrami_abc"), 0.0, nu, g)
         scale = np.max(np.abs(u.data))
-        exp = taylor_coefficients(u, nu, order=8)
-        for n, c in enumerate(exp.coefficients):
+        coeffs = taylor_coefficients(u, nu, order=8)
+        for n, c in enumerate(coeffs):
             want = ((-nu) ** n / factorial(n)) * u.data
             assert np.max(np.abs(c.data - want)) <= 1e-10 * scale
 
+    def test_returns_order_plus_one_fields_on_u_grid(self, random_divfree_2d):
+        coeffs = taylor_coefficients(random_divfree_2d, 0.1, order=6)
+        assert isinstance(coeffs, tuple) and len(coeffs) == 7
+        assert coeffs[0] is random_divfree_2d
+        assert all(c.grid == random_divfree_2d.grid for c in coeffs)
+
     def test_zero_field(self, grid2d):
-        exp = taylor_coefficients(zero_vector_field(grid2d), 0.3, order=5)
-        for c in exp.coefficients:
+        coeffs = taylor_coefficients(zero_vector_field(grid2d), 0.3, order=5)
+        for c in coeffs:
             assert np.max(np.abs(c.data)) == 0.0
 
     def test_coefficients_divergence_free(self, random_divfree_2d, random_divfree_3d):
         for u in (random_divfree_2d, random_divfree_3d):
-            exp = taylor_coefficients(u, 0.02, order=8)
-            for c in exp.coefficients:
+            coeffs = taylor_coefficients(u, 0.02, order=8)
+            for c in coeffs:
                 assert relative_divergence(c) <= 1e-10
 
     def test_rejects_bad_order(self, random_divfree_2d):
@@ -94,7 +100,7 @@ class TestTaylorCoefficients:
         g = Grid(dim=2, n=32)
         nu = 0.02
         u = random_divfree(seed=21, grid=g, peak_k=4, amplitude=12.0)
-        exp = taylor_coefficients(u, nu, order=5)
+        coeffs = taylor_coefficients(u, nu, order=5)
 
         h, half_width, sub = 1e-3, 4, 1e-5
         substeps = int(round(h / sub))
@@ -122,16 +128,16 @@ class TestTaylorCoefficients:
         for n in range(1, 6):
             w = fd_weights(n)
             fd = sum(wk * traj[k] for wk, k in zip(w, offsets))
-            exact = factorial(n) * exp.coefficients[n].data
+            exact = factorial(n) * coeffs[n].data
             rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
             assert rel <= 1e-4, f"derivative order {n}: {rel:.3e}"
 
 
 class TestEvaluate:
     def test_t_zero_returns_c0_bitwise(self, random_divfree_2d):
-        exp = taylor_coefficients(random_divfree_2d, 0.05, order=4)
-        out = evaluate(exp, 0.0)
-        assert out is exp.coefficients[0]
+        coeffs = taylor_coefficients(random_divfree_2d, 0.05, order=4)
+        out = evaluate(coeffs, 0.0)
+        assert out is coeffs[0]
 
     def test_taylor_green_exponential(self):
         # n=16 keeps nu*k_max^2 small so the high-order coefficients stay
@@ -140,14 +146,14 @@ class TestEvaluate:
         g = Grid(dim=2, n=16)
         nu = 0.1
         u = tg_field(g)
-        exp = taylor_coefficients(u, nu, order=20)
-        got = evaluate(exp, 1.0)
+        coeffs = taylor_coefficients(u, nu, order=20)
+        got = evaluate(coeffs, 1.0)
         want = analytic_field(AnalyticFlow("taylor_green_2d"), 1.0, nu, g)
         assert rel_l2(got, want) <= 1e-12
 
     def test_order_zero_is_constant(self, random_divfree_2d):
-        exp = taylor_coefficients(random_divfree_2d, 0.1, order=0)
-        out = evaluate(exp, 17.5)
+        coeffs = taylor_coefficients(random_divfree_2d, 0.1, order=0)
+        out = evaluate(coeffs, 17.5)
         assert np.array_equal(out.data, random_divfree_2d.data)
 
 
@@ -157,24 +163,24 @@ class TestEstimateRadius:
         # the first ratio 1/(2 nu) = 5. Order 6 keeps the trailing
         # coefficients signal-dominated (beyond ~order 9 they are roundoff).
         g = Grid(dim=2, n=32)
-        exp = taylor_coefficients(tg_field(g), 0.1, order=6)
-        assert estimate_radius(exp) == pytest.approx(4.0 / 0.2)
-        assert estimate_radius(exp) >= 5.0
+        coeffs = taylor_coefficients(tg_field(g), 0.1, order=6)
+        assert estimate_radius(coeffs) == pytest.approx(4.0 / 0.2)
+        assert estimate_radius(coeffs) >= 5.0
 
     def test_zero_field_infinite(self, grid2d):
-        exp = taylor_coefficients(zero_vector_field(grid2d), 0.1, order=4)
-        assert estimate_radius(exp) == math.inf
+        coeffs = taylor_coefficients(zero_vector_field(grid2d), 0.1, order=4)
+        assert estimate_radius(coeffs) == math.inf
 
     def test_random_field_finite_positive(self, grid2d):
         u = random_divfree(seed=8, grid=grid2d, peak_k=3, amplitude=1.0)
-        exp = taylor_coefficients(u, 0.01, order=8)
-        r = estimate_radius(exp)
+        coeffs = taylor_coefficients(u, 0.01, order=8)
+        r = estimate_radius(coeffs)
         assert math.isfinite(r) and r > 0.0
 
     def test_too_few_coefficients(self, random_divfree_2d):
-        exp = taylor_coefficients(random_divfree_2d, 0.1, order=2)
+        coeffs = taylor_coefficients(random_divfree_2d, 0.1, order=2)
         with pytest.raises(ValueError, match="4 coefficients"):
-            estimate_radius(exp)
+            estimate_radius(coeffs)
 
 
 class TestStep:
@@ -251,6 +257,8 @@ class TestStep:
             step(random_divfree_2d, 0.1, dt=0.0)
         with pytest.raises(ValueError, match="tol"):
             step(random_divfree_2d, 0.1, dt=0.1, tol=0.0)
+        with pytest.raises(ValueError, match="max_order must be nonnegative"):
+            step(random_divfree_2d, 0.1, dt=0.1, max_order=-1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="dt"):
                 step(random_divfree_2d, 0.1, dt=bad)
@@ -332,9 +340,9 @@ class TestRoundoffFloor:
     @pytest.mark.parametrize("dim,n,peak_k", [(3, 32, 3), (2, 64, 4)])
     def test_genuine_coefficients_unchanged(self, monkeypatch, dim, n, peak_k):
         u = random_divfree(seed=7, grid=Grid(dim=dim, n=n), peak_k=peak_k, amplitude=1.0)
-        floored = taylor_coefficients(u, 0.02, order=16).coefficients
+        floored = taylor_coefficients(u, 0.02, order=16)
         monkeypatch.setattr(lie_propagator, "SERIES_FLOOR", 0.0)
-        plain = taylor_coefficients(u, 0.02, order=16).coefficients
+        plain = taylor_coefficients(u, 0.02, order=16)
         for a, b in zip(floored, plain):
             assert np.max(np.abs(a.data - b.data)) <= 1e-13 * np.max(np.abs(b.data))
 
@@ -425,9 +433,9 @@ class TestSeriesWorkspace:
 
     def test_stack_growth_keeps_coefficients(self, monkeypatch):
         u = random_divfree(seed=7, grid=Grid(dim=2, n=16), peak_k=3, amplitude=1.0)
-        grown = taylor_coefficients(u, 0.02, order=40).coefficients
+        grown = taylor_coefficients(u, 0.02, order=40)
         monkeypatch.setattr(lie_propagator, "DEFAULT_MAX_ORDER", 40)
-        preallocated = taylor_coefficients(u, 0.02, order=40).coefficients
+        preallocated = taylor_coefficients(u, 0.02, order=40)
         for a, b in zip(grown, preallocated, strict=True):
             assert np.array_equal(a.data, b.data)
 
@@ -512,6 +520,10 @@ class TestSteps:
         with pytest.raises(ValueError, match="dt"):
             StepStats(order_used=4, dt=math.nan)
 
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="truncation estimate must be nonnegative"):
+            StepStats(order_used=4, dt=0.1, truncation_estimate=-1e-12)
+
     @pytest.mark.parametrize("t_end,dt,count", [(0.7, 0.1, 7), (1.0, 1e-4, 10000)])
     def test_fixed_step_run_ends_without_sliver(self, t_end, dt, count):
         # Subtracting dt count times leaves 2.8e-17 (9.4e-14) of t_end to go;
@@ -536,14 +548,3 @@ class TestSteps:
 def test_negative_viscosity_rejected(call):
     with pytest.raises(ValueError, match="viscosity must be finite and nonnegative"):
         call(tg_field(Grid(dim=2, n=32)))
-
-
-class TestTaylorExpansionType:
-    def test_needs_c0(self):
-        with pytest.raises(ValueError, match="c_0"):
-            TaylorExpansion(coefficients=())
-
-    def test_order_property(self, random_divfree_2d):
-        exp = taylor_coefficients(random_divfree_2d, 0.1, order=6)
-        assert exp.order == 6
-        assert exp.grid == random_divfree_2d.grid

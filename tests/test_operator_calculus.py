@@ -126,6 +126,8 @@ class TestDiffPoly:
             DiffPoly.monomial(1, {0: 0})
         with pytest.raises(ValueError, match="once"):
             DiffPoly({((0, 1), (0, 1)): 1})  # would otherwise read as u_0
+        with pytest.raises(ValueError, match="negative powers"):
+            U(1) ** -1
 
     def test_monomial_ordering(self):
         p = U(0) ** 3 + U(2) + U(0) * U(1)
@@ -445,6 +447,10 @@ class TestTextSyntax:
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_diffpoly(text)
+
+    def test_unclosed_group_names_the_missing_paren(self):
+        with pytest.raises(ValueError, match="expected '\\)'"):
+            parse_diffpoly("(u_0 u_1)")
 
     def test_deep_nesting_is_a_value_error(self):
         # Past the nesting limit the recursive parser would hit Python's

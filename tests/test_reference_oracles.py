@@ -1,5 +1,6 @@
 """Closed-form flows, the RK4 oracle, and the random field generator."""
 
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ class TestAnalyticFields:
         with pytest.raises(ValueError, match="kind"):
             AnalyticFlow("vortex_sheet")
 
+    def test_rejects_box_other_than_two_pi(self):
+        with pytest.raises(ValueError, match="2\\*pi periodic box"):
+            analytic_field(AnalyticFlow("taylor_green_2d"), 0.0, 0.1, Grid(dim=2, n=16, length=1.0))
+
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            AnalyticFlow("taylor_green_2d", amplitude=amplitude)
+
 
 class TestRk4:
     def test_taylor_green_decay(self):
@@ -170,6 +180,11 @@ class TestRk4:
 
 
 class TestRandomDivfree:
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0])
+    def test_rejects_nonpositive_amplitude(self, grid2d, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+            random_divfree(seed=1, grid=grid2d, peak_k=3, amplitude=amplitude)
+
     def test_by_construction_properties(self, grid3d):
         v = random_divfree(seed=11, grid=grid3d, peak_k=3, amplitude=2.0)
         assert relative_divergence(v) <= 1e-12

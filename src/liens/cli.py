@@ -30,8 +30,9 @@ Lines are blank, comments (``# ...``), section headers (``[grid]``), or
 ``key = value`` pairs. Unknown sections or keys are rejected. Sections:
 
 [grid]    dim (2|3), n (power of two >= 8, with dim * n^dim float64 values
-          representable as one array), l (finite box length > 0,
-          default 2*pi)
+          representable as one array), l (box length, default 2*pi; the
+          volume l^dim and the largest |k|^4 must be finite positive floats,
+          and the spectrum no longer than ``diagnostics.shell_count`` allows)
 [fluid]   nu (finite, >= 0)
 [initial] kind = taylor_green_2d | taylor_green_3d_embedded | beltrami_abc
                  | random | snapshot
@@ -63,6 +64,7 @@ from .diagnostics import (
     energy,
     enstrophy_norm,
     format_float,
+    shell_count,
     shell_spectrum,
     spectrum_csv,
     write_series_csv,
@@ -99,9 +101,7 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    dim: int
-    n: int
-    l: float
+    grid: Grid
     nu: float
     initial: InitialSpec
     t_end: float
@@ -195,6 +195,11 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         describe="must be positive and finite",
     )
     grid_sec.finish()
+    try:
+        grid = Grid(dim=dim, n=n, length=l)
+        shell_count(grid)  # refuses a box whose final spectrum is too long
+    except ValueError as exc:
+        raise ConfigError(f"grid.l: {exc}") from exc
 
     fluid_sec = _SectionReader("fluid", sections["fluid"])
     nu = fluid_sec.take(
@@ -233,8 +238,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
             seed=init_sec.take("seed", int, check=lambda v: v >= 0,
                                describe="must be nonnegative"),
             peak_k=init_sec.take(
-                "peak_k", int, check=lambda v: 1 <= v <= n // 3,
-                describe=f"must lie in 1..{n // 3} (inside the dealias ball)",
+                "peak_k", int, check=lambda v: 1 <= v <= grid.ball_radius,
+                describe=f"must lie in 1..{grid.ball_radius} (inside the dealias ball)",
             ),
             amplitude=init_sec.take("amplitude", float, default=1.0,
                                     check=lambda v: v > 0 and math.isfinite(v),
@@ -278,7 +283,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     run_sec.finish()
 
     return RunConfig(
-        dim=dim, n=n, l=l, nu=nu, initial=initial, t_end=t_end,
+        grid=grid, nu=nu, initial=initial, t_end=t_end,
         integrator=integrator, tol=tol, max_order=max_order, rk4_dt=rk4_dt,
         output_dir=output_dir, snapshot_cadence=snapshot_cadence,
     )
@@ -297,10 +302,10 @@ def load_config(path: Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _initial_field(config: RunConfig, grid: Grid) -> SpectralVectorField:
+def _initial_field(config: RunConfig) -> SpectralVectorField:
     """The configured initial field; a field whose norms overflow float64 is
     a config error that names the key setting its size."""
-    init = config.initial
+    init, grid = config.initial, config.grid
     if init.kind == "beltrami_abc":
         source = f"initial.abc_a, abc_b, abc_c: the norms of the field with abc = {init.abc}"
     elif init.kind == "snapshot":
@@ -353,19 +358,18 @@ def _finalize_outputs(config: RunConfig, records, final_field) -> None:
 def cmd_simulate(config_path: Path) -> int:
     try:
         config = load_config(config_path)
-        grid = Grid(dim=config.dim, n=config.n, length=config.l)
         try:
-            u_raw = _initial_field(config, grid)
+            u_raw = _initial_field(config)
         except MemoryError as exc:
             raise ConfigError(
-                f"grid.n: cannot allocate the initial field at n = {config.n}: {exc}"
+                f"grid.n: cannot allocate the initial field at n = {config.grid.n}: {exc}"
             ) from exc
         if config.integrator == "lie":
             def advance(v, remaining):
                 return lie_step(v, config.nu, remaining, tol=config.tol,
                                 max_order=config.max_order)
         else:
-            advance = rk4_advance(grid, config.nu, config.rk4_dt)
+            advance = rk4_advance(config.grid, config.nu, config.rk4_dt)
         try:
             config.output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -486,12 +490,12 @@ def cmd_burgers_check(order: int, n: int) -> int:
 def cmd_spectrum(snapshot: Path) -> int:
     try:
         field = read_snapshot(snapshot)
-    except (LiensError, OSError) as exc:
+        if isinstance(field, RealVectorField):
+            field = to_spectral(field)
+        spectrum = shell_spectrum(field)
+    except (LiensError, OSError, ValueError) as exc:
         print(f"spectrum: {exc}", file=sys.stderr)
         return 2
-    if isinstance(field, RealVectorField):
-        field = to_spectral(field)
-    spectrum = shell_spectrum(field)
     if not all(math.isfinite(e) for _, e in spectrum):
         print("spectrum: the shell energies overflow float64", file=sys.stderr)
         return 2

@@ -70,7 +70,8 @@ class Grid:
     """Uniform periodic box: ``dim`` axes, ``n`` points per axis, side ``length``.
 
     ``n`` must be a power of two with n >= 8; the box is isotropic (one n,
-    one length for every axis).
+    one length for every axis). The length must keep the volume and |k|^4
+    representable (see ``__post_init__``).
     """
 
     dim: int
@@ -84,6 +85,20 @@ class Grid:
             raise ValueError(f"grid n must be a power of two >= 8, got {self.n}")
         if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError(f"grid length must be positive and finite, got {self.length}")
+        # The one rule on the length. Every norm is scaled by the volume
+        # (``parseval_sum``) and the random field weights its modes by |k|^4,
+        # so both must be finite positive floats, |k|^4 at ``largest_k`` too.
+        try:
+            volume = self.volume
+        except OverflowError:
+            volume = math.inf
+        k_squared = self.largest_k * self.largest_k
+        if not (0.0 < volume < math.inf and 0.0 < k_squared * k_squared < math.inf):
+            raise ValueError(
+                f"grid length {self.length!r} is out of range for dim {self.dim}, n {self.n}:"
+                f" the box volume length**{self.dim} and the largest |k|^4 must be finite"
+                " positive floats"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -213,6 +228,13 @@ class Grid:
         weight = np.full(self.n // 2 + 1, 2.0)
         weight[[0, self.n // 2]] = 1.0
         return weight
+
+    @property
+    def largest_k(self) -> float:
+        """The largest entry of ``k_magnitude``, Nyquist on every axis, summed
+        as that table sums it but without building it."""
+        k_nyquist = (TWO_PI / self.length) * (self.n // 2)
+        return math.sqrt(sum([k_nyquist * k_nyquist] * self.dim))
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:

@@ -21,14 +21,14 @@ The quadratic term is computed in divergence form by one kernel object,
 layout. A ``Kernel`` holds the viscous table and the buffers of one
 (grid, nu) and is built once per call, step or run; it looks up
 ``fftn_forward`` and ``ifftn_real`` as this module's globals on every call.
-It streams the symmetric product tensor T (components i <= j only: 3 in
-2-D, 6 in 3-D) one stored component at a time. A producer forms T_ij pointwise in physical space in
-one reused buffer: v_i v_j for ``ns_rhs`` and the pressure, and the series'
-Cauchy sum sum_m (c_m)_i (c_{n-m})_j in ``cauchy_component``, one
-contraction over m of a stack of physical velocities shaped (orders, dim,
-*grid shape). One pruned real-to-complex FFT gives the component's dealias
-ball, the block of the half spectrum that the 2/3 rule keeps
-(``Grid.ball_shape``: 21 x 21 x 11 of 32 x 32 x 17 modes at 32^3), and
+It streams the Cauchy product T_n = sum_m v_m v_{n-m} of a stack of physical
+velocities v_0..v_n, shaped (orders, dim, *grid shape), one stored component
+(i <= j: 3 in 2-D, 6 in 3-D) at a time, each formed in one reused buffer by
+``cauchy_component``, one contraction over m. ``ns_rhs``, the RK4 stages and
+the pressure pass a stack of one velocity at n = 0 (T_0 = v v): F(v) is the
+series' first coefficient. One pruned real-to-complex FFT gives the
+component's dealias ball, the block of the half spectrum that the 2/3 rule
+keeps (``Grid.ball_shape``: 21 x 21 x 11 of 32 x 32 x 17 modes at 32^3), and
 nothing outside it. The ball is folded at once into the divergence
 i k_j T_ij (the advection term) or into the pressure -k_i k_j T_ij / |k|^2,
 and dropped. So at most one component of T exists at a time, in either
@@ -56,7 +56,7 @@ dealiased solenoidal fields; the advective form is kept in
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -87,9 +87,6 @@ TENSOR_INDEX = {
     2: ((0, 0), (0, 1), (1, 1)),
     3: ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)),
 }
-
-# ``produce(i, j, out)`` writes component (i, j) of a physical tensor into out.
-Producer = Callable[[int, int, np.ndarray], object]
 
 
 def viscosity_value(nu: float) -> float:
@@ -139,11 +136,6 @@ def cauchy_component(stack: np.ndarray, n: int, i: int, j: int, out: np.ndarray)
         np.einsum("mp,mp->p", a[:, s], b[:, s], out=dest[s])
 
 
-def _velocity_product(v: np.ndarray) -> Producer:
-    """The producer of v_i v_j for a physical velocity v."""
-    return lambda i, j, out: np.multiply(v[i], v[j], out=out)
-
-
 def _project(
     w_hat: np.ndarray,
     k: tuple[np.ndarray, ...],
@@ -184,19 +176,19 @@ class Kernel:
         self.term = np.empty(grid.ball_shape, dtype=np.complex128)
         self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
 
-    def spectra(self, produce: Producer) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The stream: (i, j, dealias ball of the half spectrum of T_ij) for
-        every stored component in TENSOR_INDEX order, each formed by
-        ``produce`` in ``self.component`` and transformed there."""
+    def spectra(self, stack: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The stream: (i, j, dealias ball of the half spectrum of (T_n)_ij)
+        for every stored component in TENSOR_INDEX order, each formed by
+        ``cauchy_component`` in ``self.component`` and transformed there."""
         for i, j in TENSOR_INDEX[self.grid.dim]:
-            produce(i, j, self.component)
+            cauchy_component(stack, n, i, j, self.component)
             yield i, j, fftn_forward(self.grid, self.component, ball=True)
 
-    def apply(self, produce: Producer, c_hat: np.ndarray, out: np.ndarray) -> float:
-        """``out`` = -nu |k|^2 c_hat - P[div T], dealiased, with
-        (div T)_i = i k_j T_ij for the physical symmetric tensor T whose
-        stored component (i, j) ``produce(i, j, buf)`` writes into ``buf``.
-        Returns max|T|. T is streamed one component at a time, in the order
+    def apply(self, stack: np.ndarray, n: int, c_hat: np.ndarray, out: np.ndarray) -> float:
+        """``out`` = -nu |k|^2 c_hat - P[div T_n], dealiased, with
+        (div T)_i = i k_j T_ij for the Cauchy product T_n of the physical
+        velocities in ``stack[:n+1]`` (see ``cauchy_component``). Returns
+        max|T_n|. T_n is streamed one component at a time, in the order
         the module docstring gives, which keeps every sum that of the
         whole-tensor form. Everything is formed on the ball and scattered
         once into ``out``, which is zero outside it. ``out`` must not be
@@ -205,7 +197,7 @@ class Kernel:
         acc, term = self.acc, self.term
         acc.fill(0.0)
         peak = 0.0
-        for i, j, t_hat in self.spectra(produce):
+        for i, j, t_hat in self.spectra(stack, n):
             # self.component still holds T_ij; max|T| is the largest peak of
             # any component, and np.max passes a NaN on
             peak = np.max((peak, self.component.max(), -self.component.min()))
@@ -224,7 +216,7 @@ class Kernel:
         """``ns_rhs`` on raw coefficients, written into ``out`` (not
         ``v_hat``) and returned, without its checks: for callers whose input
         is admissible by construction."""
-        self.apply(_velocity_product(ifftn_real(self.grid, v_hat)), v_hat, out)
+        self.apply(ifftn_real(self.grid, v_hat)[None], 0, v_hat, out)
         return out
 
 
@@ -252,8 +244,7 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     grid = v.grid
     k = grid.ball_k_deriv
     acc = np.zeros(grid.ball_shape, dtype=np.complex128)
-    product = _velocity_product(ifftn_real(grid, v.data))
-    for i, j, t_hat in Kernel(grid, 0.0).spectra(product):
+    for i, j, t_hat in Kernel(grid, 0.0).spectra(ifftn_real(grid, v.data)[None], 0):
         acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat
     np.negative(acc, out=acc)
     acc *= grid.ball_inv_ksq

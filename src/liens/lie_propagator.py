@@ -7,12 +7,12 @@ by its time-Taylor expansion around the current state,
     (n+1) c_{n+1} = nu * lap(c_n) - P[div T_n],   T_n = sum_{m=0}^{n} c_m c_{n-m},
 
 which equals the advective form sum_m P[(c_m.grad) c_{n-m}] because every
-c_m is divergence-free. ``leray.cauchy_component`` forms each stored
-component of the symmetric T_n as one contraction over m of the stacked
-physical velocities, and one ``leray.Kernel`` per step streams those
-components, one at a time, into P[div T_n], each through one real-to-complex
-FFT pruned to the 2/3-rule dealias ball; the projection and the viscous term
-act on the ball alone.
+c_m is divergence-free. One ``leray.Kernel`` per step streams the stored
+components of the symmetric T_n, each formed by ``leray.cauchy_component``
+as one contraction over m of the stacked physical velocities of c_0..c_n,
+into P[div T_n], each through one real-to-complex FFT pruned to the 2/3-rule
+dealias ball; the projection and the viscous term act on the ball alone. At
+n = 0 the stack is c_0 alone and c_1 = F(u): ``leray.ns_rhs`` is that call.
 
 While a step grows the series it keeps one physical velocity per
 coefficient, in one preallocated stack, and of the half spectra (see
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -73,7 +72,7 @@ from .grid_spectral import (
     ifftn_real,
     parseval_sum,
 )
-from .leray import Kernel, _require_admissible, cauchy_component, viscosity_value
+from .leray import Kernel, _require_admissible, viscosity_value
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -167,8 +166,7 @@ class _SeriesBuilder:
         """Compute the next coefficient from the recursion."""
         n = len(self.norms) - 1
         new = np.empty_like(self.last)
-        product = partial(cauchy_component, self.stack, n)
-        scale = self.kernel.apply(product, self.last, new)
+        scale = self.kernel.apply(self.stack, n, self.last, new)
         new /= n + 1
         self._append(new, SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1))
 

@@ -390,6 +390,13 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|(u_\d+)|([+\-*^()]))")
 # Deepest parenthesis nesting ``parse_diffpoly`` takes: the parser recurses
 # four frames per level, well inside Python's default limit of 1000.
 MAX_NESTING = 100
+# Largest exponent ``parse_diffpoly`` takes. A power is expanded by repeated
+# multiplication, so its time grows with the exponent: u_0^1000 takes about
+# 0.01 s, (u_0 + u_1)^100 0.05 s and ^300 0.4 s (2-core x86 VM), and
+# u_0^99999999999 would run for days. The powers the calculus writes stay far
+# below the bound: a term of A_f^n u has degree (deg f - 1) n + 1, 12 for the
+# order-11 powers of the quadratic generators the benchmark expands.
+MAX_EXPONENT = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -468,7 +475,10 @@ class _Parser:
             kind, text = self.take()
             if kind != "rational" or "/" in text:
                 raise ValueError(f"exponent must be a nonnegative integer, got {text!r}")
-            return base ** int(text)
+            exponent = int(text)
+            if exponent > MAX_EXPONENT:
+                raise ValueError(f"exponent {text} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+            return base ** exponent
         return base
 
     def primary(self) -> DiffPoly:
@@ -495,5 +505,6 @@ class _Parser:
 
 def parse_diffpoly(text: str) -> DiffPoly:
     """Parse the plain-text syntax, with parentheses nested at most
-    MAX_NESTING deep; inverse of ``str`` on canonical forms."""
+    MAX_NESTING deep and exponents at most MAX_EXPONENT; inverse of ``str``
+    on canonical forms whose exponents stay within that bound."""
     return _Parser(_tokenize(text)).parse()

@@ -1,6 +1,7 @@
 """Config parsing, the simulate pipeline, and the auxiliary subcommands."""
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +147,14 @@ class TestParseConfig:
     def test_full_roundtrip(self, tmp_path):
         cfg = write_cfg(tmp_path, TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0))
         config = load_config(cfg)
-        assert config.dim == 2 and config.n == 64
+        assert config.grid.dim == 2 and config.grid.n == 64
         assert config.nu == 0.1
         assert config.initial.kind == "taylor_green_2d"
         assert config.t_end == 1.0
         assert config.integrator == "lie"
         assert config.tol == 1e-10 and config.max_order == 30
         assert config.output_dir == tmp_path / "out"
-        assert math.isclose(config.l, 2 * math.pi)
+        assert math.isclose(config.grid.length, 2 * math.pi)
 
     @pytest.mark.parametrize(
         "mutation,needle",
@@ -204,10 +206,22 @@ class TestParseConfig:
         assert "unknown key(s): initial.amplitude" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n,length", [(8, "0.5"), (16, "0.1"), (64, "0.05")])
+    def test_small_box_accepted(self, n, length):
+        text = RANDOM_RK4_CONFIG.format(out="out").replace("n = 32", f"n = {n}\nl = {length}")
+        text = text.replace("peak_k = 3", "peak_k = 2")
+        assert parse_config(text).grid.length == float(length)
+
+    # The final spectrum would have 3.6e13 rows at 8^2 and length 1e-12.
+    def test_box_with_too_many_shells_rejected(self):
+        text = RANDOM_RK4_CONFIG.format(out="out").replace("n = 32", "n = 8\nl = 1e-12")
+        with pytest.raises(ConfigError, match=r"^grid\.l: the shell spectrum .*MAX_SHELLS"):
+            parse_config(text.replace("peak_k = 3", "peak_k = 2"))
+
     def test_largest_representable_grid(self):
         # 2 * n^2 float64 values fit in a numpy array up to n = 2^29.
         text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
-        assert parse_config(text.replace("n = 64", f"n = {2**29}")).n == 2**29
+        assert parse_config(text.replace("n = 64", f"n = {2**29}")).grid.n == 2**29
         with pytest.raises(ConfigError, match=r"grid\.n"):
             parse_config(text.replace("n = 64", f"n = {2**30}"))
 
@@ -477,6 +491,32 @@ class TestSimulate:
         assert err.count("\n") == 1 and out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "seed.liens"]
 
+    # A box length whose volume or wavenumbers do not fit float64 is a config
+    # error naming grid.l, raised as the config is read. 1e300 used to end
+    # in an OverflowError traceback from the volume, and 1e-300 in "spectral
+    # field contains non-finite coefficients", which names no key.
+    @pytest.mark.parametrize("length", ["1e300", "1e-300"])
+    def test_box_length_out_of_range_exits_2(self, tmp_path, capsys, length):
+        text = RANDOM_RK4_CONFIG.format(out="out").replace(
+            "n = 32", f"n = 16\nl = {length}").replace("seed = 5", "seed = 1")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: grid.l: grid length {float(length)!r} is out of")
+        assert err.count("\n") == 1 and out == ""
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    # A small box is a grid like any other: a random field on 8^2 at length
+    # 0.5 (largest |k| 71, more than its 64 modes) runs and writes a 72-row
+    # spectrum.
+    def test_small_box_runs(self, tmp_path, capsys):
+        text = RANDOM_RK4_CONFIG.format(out="out").replace(
+            "n = 32", "n = 8\nl = 0.5").replace("peak_k = 3", "peak_k = 2")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "spectrum_final.csv").read_text().splitlines()
+        assert len(rows) == 1 + 72 and rows[-1].startswith("71,")
+
     def test_rk4_stability_guard(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out=tmp_path / "stab").replace(
             "rk4_dt = 1e-3", "rk4_dt = 1.0"
@@ -532,6 +572,52 @@ class TestSubcommands:
 
     def test_spectrum_missing_file(self, tmp_path, capsys):
         assert main(["spectrum", str(tmp_path / "none.liens")]) == 2
+
+    # A header length whose |k| or volume does not fit float64 fails the
+    # grid, so the snapshot is unusable. 1e-300 and 1e-160 used to end in a
+    # ValueError traceback from np.bincount (|k| = inf cast to a negative
+    # shell), 1e300 in an OverflowError from the volume.
+    @pytest.mark.parametrize("length", ["1e-300", "1e-160", "1e300"])
+    def test_spectrum_box_length_out_of_range_exits_2(self, tmp_path, capsys, length):
+        path = tmp_path / "snap.liens"
+        g = Grid(dim=2, n=8)
+        write_snapshot(path, random_real_field(g, np.random.default_rng(1)))
+        path.write_bytes(path.read_bytes().replace(f"{g.length:.17g}".encode(), length.encode(), 1))
+        assert main(["spectrum", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("spectrum: bad snapshot header") and "out of range" in err
+        assert err.count("\n") == 1 and out == ""
+
+    # Header lengths the parent's reader accepted: the spectrum has one row
+    # per integer |k| up to the largest, 72 rows at 8^2 and 0.5 and 712 at
+    # 16^2 and 0.1; at 1e-12 it would have 3.6e13 and is refused.
+    @pytest.mark.parametrize("n,length,rows", [(8, "0.5", 72), (16, "0.1", 712),
+                                               (8, "1e-12", None)])
+    def test_spectrum_of_a_small_box(self, tmp_path, capsys, n, length, rows):
+        path = tmp_path / "snap.liens"
+        g = Grid(dim=2, n=n)
+        write_snapshot(path, random_real_field(g, np.random.default_rng(1)))
+        path.write_bytes(path.read_bytes().replace(f"{g.length:.17g}".encode(), length.encode(), 1))
+        code = main(["spectrum", str(path)])
+        out, err = capsys.readouterr()
+        if rows is None:
+            assert code == 2 and out == ""
+            assert err.startswith("spectrum: the shell spectrum of a box of length 1e-12")
+            assert "MAX_SHELLS" in err and err.count("\n") == 1
+        else:
+            assert code == 0 and err == ""
+            lines = out.splitlines()
+            assert len(lines) == 1 + rows and lines[-1].startswith(f"{rows - 1},")
+
+    # Finite samples whose transform overflows: the spectral field rejects
+    # its inf coefficients. That used to end in a FieldError traceback.
+    def test_spectrum_transform_overflow_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.liens"
+        write_snapshot(path, RealVectorField(Grid(dim=2, n=8), np.full((2, 8, 8), 1.7e308)))
+        assert main(["spectrum", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "spectrum: spectral field contains non-finite coefficients\n"
+        assert out == ""
 
     def test_spectrum_impossible_grid_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.liens"
@@ -700,7 +786,7 @@ def test_simulate_survives_mutated_configs(tmp_path, text):
     except ConfigError:
         config = None
     if config is not None:
-        assume(config.n <= 32 and config.t_end <= 0.01)
+        assume(config.grid.n <= 32 and config.t_end <= 0.01)
         if config.integrator == "rk4":
             assume(config.t_end <= 100 * config.rk4_dt)
         else:
@@ -718,6 +804,78 @@ def test_simulate_survives_mutated_configs(tmp_path, text):
         assert err.getvalue().startswith("config error:") and err.getvalue().count("\n") == 1
         assert out.getvalue() == "" and not written
     shutil.rmtree(run_dir)
+
+
+# Header length fields: ordinary ones, whose snapshots have a spectrum, and
+# ones whose spectrum has too many rows or whose volume or |k| leaves float64.
+ORDINARY_LENGTHS = ["6.2831853071795862", "1", "0.5", "1e50"]
+SNAPSHOT_LENGTHS = ORDINARY_LENGTHS + ["1e-12", "1e-20", "1e-160", "1e-300", "1e100",
+                                       "1e160", "1e300", "0", "-1", "inf", "nan"]
+
+
+@functools.cache
+def snapshot_bytes(dim, kind):
+    """A valid 8^dim snapshot of a smooth random field."""
+    g = Grid(dim=dim, n=8)
+    field = random_real_field(g, np.random.default_rng(dim))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.liens"
+        write_snapshot(path, field if kind == "physical" else to_spectral(field))
+        return path.read_bytes()
+
+
+@st.composite
+def mutated_snapshots(draw):
+    """Random bytes, or a small valid snapshot with a drawn header length and
+    its payload as written or rescaled to a largest magnitude of 1e150,
+    1e300 or 1.7e308 (where the transforms and the energies overflow), then
+    cut short or with up to four bytes XOR-flipped. Returned with whether
+    the bytes are a valid snapshot of an ordinary length as written."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64)), False
+    data = snapshot_bytes(draw(st.sampled_from([2, 3])),
+                          draw(st.sampled_from(["physical", "spectral"])))
+    header, payload = data.split(b"\n", 1)
+    fields = header.split(b" ")
+    length = draw(st.sampled_from(SNAPSHOT_LENGTHS))
+    fields[3] = length.encode()
+    peak = draw(st.sampled_from([None, 1e150, 1e300, 1.7e308]))
+    if peak is not None:
+        values = np.frombuffer(payload, "<f8")
+        payload = (values / np.max(np.abs(values)) * peak).tobytes()
+    data = bytearray(b" ".join(fields) + b"\n" + payload)
+    cut = draw(st.booleans())
+    if cut:
+        del data[draw(st.integers(0, len(data))):]
+    flips = st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255))
+    flipped = draw(st.lists(flips, max_size=4)) if data else []
+    for pos, byte in flipped:
+        data[pos] ^= byte
+    return bytes(data), length in ORDINARY_LENGTHS and peak is None and not (cut or flipped)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_snapshots())
+def test_spectrum_survives_mutated_snapshots(tmp_path, case):
+    """Whatever the snapshot bytes, ``spectrum`` ends with exit 0 and a CSV,
+    or exit 2 and one ``spectrum:`` line on stderr; never a traceback or a
+    warning. A valid snapshot of an ordinary length exits 0."""
+    data, valid = case
+    path = tmp_path / "field.liens"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", str(path)])
+    assert code in ((0,) if valid else (0, 2)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith("k,energy\n") and err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("spectrum:") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
 
 
 def test_every_exported_name_resolves():

@@ -10,8 +10,10 @@ import scipy.fft
 
 import liens.leray
 from liens import (
+    AnalyticFlow,
     Grid,
     SpectralVectorField,
+    analytic_field,
     compute_pressure,
     leray_project,
     ns_rhs,
@@ -269,3 +271,31 @@ def test_kernel_transforms_go_through_fftn_forward(monkeypatch, dim, calls):
     for _ in range(2):
         kernel.rhs(v.data, np.empty_like(v.data))
     assert seen == {"fftn_forward": 2 * calls, "ifftn_real": 2}
+
+
+def first_coefficient_fields():
+    for dim, n in [(2, 32), (3, 16)]:
+        grid = Grid(dim=dim, n=n)
+        yield pytest.param(random_divfree(seed=29, grid=grid, peak_k=5, amplitude=1.0),
+                           id=f"random-{dim}d")
+        kind = "taylor_green_2d" if dim == 2 else "taylor_green_3d_embedded"
+        yield pytest.param(analytic_field(AnalyticFlow(kind), 0.0, 0.05, grid),
+                           id=f"taylor-green-{dim}d")
+
+
+# ns_rhs is the series' first coefficient: both are one kernel call on a
+# stack of one velocity at n = 0, so c_1 = F(u) bit for bit on every mode
+# the round-off floor keeps, and the modes it zeroes are below the floor.
+@pytest.mark.parametrize("u", first_coefficient_fields())
+def test_first_series_coefficient_is_ns_rhs(u):
+    nu = 0.05
+    grid = u.grid
+    c1 = taylor_coefficients(u, nu, 1)[1].data
+    rhs = ns_rhs(u, nu).data
+    kept = c1 != 0
+    assert np.count_nonzero(kept) > 0
+    assert np.array_equal(c1[kept], rhs[kept])
+    v = ifftn_real(grid, u.data)
+    peak = max(np.max(np.abs(v[i] * v[j])) for i, j in TENSOR_INDEX[grid.dim])
+    floor = SERIES_FLOOR * np.finfo(float).eps * grid.ball_radius * peak
+    assert np.all(np.abs(rhs[~kept]) < floor)

@@ -22,6 +22,7 @@ from liens import (
     parse_diffpoly,
 )
 from liens.errors import FieldError
+from liens.operator_calculus import MAX_EXPONENT
 
 U = DiffPoly.u
 
@@ -459,6 +460,15 @@ class TestTextSyntax:
         with pytest.raises(ValueError, match="nest"):
             parse_diffpoly("(" * 2000 + "u_0" + ")" * 2000)
 
+    # A power is expanded by repeated multiplication, so its time grows with
+    # the exponent: u_0^99999999999 would run for days.
+    def test_exponent_past_bound_is_a_value_error(self):
+        assert parse_diffpoly(f"u_0^{MAX_EXPONENT}") == U(0) ** MAX_EXPONENT
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            parse_diffpoly(f"u_0^{MAX_EXPONENT + 1}")
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            parse_diffpoly("u_0^99999999999")
+
     def test_str_examples(self):
         assert str(DiffPoly.zero()) == "0"
         assert str(U(0)) == "u_0"
@@ -468,3 +478,22 @@ class TestTextSyntax:
     @given(p=diff_polys(max_order=4, max_degree=4, max_terms=4))
     def test_roundtrip_random(self, p):
         assert parse_diffpoly(str(p)) == p
+
+
+# The grammar's alphabet in pieces: the jet prefix ``u_`` whole, so that
+# jet variables are drawn often, and every other character alone (digits, the
+# operators, the rational bar, parentheses and a blank).
+GRAMMAR_PIECES = ["u_", "u", "_", *"0123456789+-*^/() "]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=12).map(
+    lambda pieces: "".join(pieces)[:12]))
+def test_parse_diffpoly_returns_a_poly_or_value_error(text):
+    """Any short string over the grammar's alphabet parses to a DiffPoly or
+    raises ValueError; nothing else escapes and nothing runs away."""
+    try:
+        result = parse_diffpoly(text)
+    except ValueError:
+        return
+    assert isinstance(result, DiffPoly)

@@ -31,8 +31,9 @@ Lines are blank, comments (``# ...``), section headers (``[grid]``), or
 
 [grid]    dim (2|3), n (power of two >= 8, with dim * n^dim float64 values
           representable as one array), l (box length, default 2*pi; the
-          volume l^dim and the largest |k|^4 must be finite positive floats,
-          and the spectrum no longer than ``diagnostics.shell_count`` allows)
+          volume l^dim and the largest |k|^4 must be finite positive floats;
+          the spectrum bins by the mode index |k| l / 2 pi, so it has
+          round(sqrt(dim) n / 2) + 1 rows for any l)
 [fluid]   nu (finite, >= 0)
 [initial] kind = taylor_green_2d | taylor_green_3d_embedded | beltrami_abc
                  | random | snapshot
@@ -64,7 +65,6 @@ from .diagnostics import (
     energy,
     enstrophy_norm,
     format_float,
-    shell_count,
     shell_spectrum,
     spectrum_csv,
     write_series_csv,
@@ -197,7 +197,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     grid_sec.finish()
     try:
         grid = Grid(dim=dim, n=n, length=l)
-        shell_count(grid)  # refuses a box whose final spectrum is too long
     except ValueError as exc:
         raise ConfigError(f"grid.l: {exc}") from exc
 

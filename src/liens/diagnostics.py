@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import FieldError
 from .grid_spectral import (
-    Grid,
     RealVectorField,
     SpectralVectorField,
     enstrophy_norm,
@@ -107,36 +106,14 @@ def balance_residuals(
     return out
 
 
-# A spectrum has one row per integer |k| up to ``Grid.largest_k``: about
-# sqrt(dim) n / 2 rows in a 2*pi box, but one per unit of |k| in a tiny box
-# (3.6e13 rows, 259 TiB of totals, at length 1e-12 on 8^2). A spectrum is
-# refused past the larger of this many rows (8 MiB of totals) and the grid's
-# n**dim points (one scalar table of the grid), so no 2*pi box is refused.
-MAX_SHELLS = 2**20
-
-
-def shell_count(grid: Grid) -> int:
-    """The number of rows ``shell_spectrum`` returns on ``grid``, found
-    without building a table; a ``ValueError`` past ``max(MAX_SHELLS,
-    n**dim)``."""
-    count = round(grid.largest_k) + 1
-    if count > max(MAX_SHELLS, grid.n**grid.dim):
-        raise ValueError(
-            f"the shell spectrum of a box of length {grid.length!r} at n {grid.n} has"
-            f" {count:.3g} rows, more than max(MAX_SHELLS, n**dim) ="
-            f" {max(MAX_SHELLS, grid.n**grid.dim)}"
-        )
-    return count
-
-
 def shell_spectrum(v: SpectralVectorField) -> list[tuple[int, float]]:
-    """Energy binned by integer |k| shells (|k| rounded to nearest, ties to
-    even via ``np.rint``), ``shell_count`` rows. The shell energies partition
-    the total exactly."""
+    """Energy binned by shells of the mode index |k| l / 2 pi (rounded to
+    nearest, ties to even via ``np.rint``): round(sqrt(dim) n / 2) + 1 rows,
+    whatever the box length l. The shell energies partition the total
+    exactly."""
     grid = v.grid
-    shell_count(grid)  # refuses a box whose spectrum is too long
     mode_energy = 0.5 * grid.volume * grid.weight * np.sum(np.abs(v.data) ** 2, axis=0)
-    shells = np.rint(grid.k_magnitude).astype(int)
+    shells = np.rint(grid.mode_magnitude).astype(int)
     totals = np.bincount(shells.ravel(), weights=mode_energy.ravel())
     return [(int(s), float(totals[s])) for s in range(len(totals))]
 

@@ -14,6 +14,8 @@ Conventions
   (``sin x`` has coefficient -i/2 at k=(1,0,...)).
 * The integer mode index j runs 0..n-1; the signed index is j for
   j <= n/2 and j-n above, so the Nyquist index n/2 carries the positive sign.
+  Only ``Grid.k_1d`` scales it to the physical k = 2*pi j / l (derivatives,
+  ``ksq``, the series floor); spectra and the random field read the index.
 * Every spectral array is a half spectrum, the layout ``rfftn`` returns:
   every grid axis but the last is complete, the last keeps indices 0..n/2
   only. A negative index on the last axis therefore counts back from n/2
@@ -86,8 +88,9 @@ class Grid:
         if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError(f"grid length must be positive and finite, got {self.length}")
         # The one rule on the length. Every norm is scaled by the volume
-        # (``parseval_sum``) and the random field weights its modes by |k|^4,
-        # so both must be finite positive floats, |k|^4 at ``largest_k`` too.
+        # (``parseval_sum``), so it must be a finite positive float. No
+        # computation forms |k|^4; the clause on |k|^4 at ``largest_k`` only
+        # fixes the set of accepted lengths, which a |k|^2 clause would widen.
         try:
             volume = self.volume
         except OverflowError:
@@ -231,17 +234,18 @@ class Grid:
 
     @property
     def largest_k(self) -> float:
-        """The largest entry of ``k_magnitude``, Nyquist on every axis, summed
-        as that table sums it but without building it."""
+        """The largest physical |k|, 2*pi/length times the largest entry of
+        ``mode_magnitude`` (Nyquist on every axis), without building it."""
         k_nyquist = (TWO_PI / self.length) * (self.n // 2)
         return math.sqrt(sum([k_nyquist * k_nyquist] * self.dim))
 
     @cached_property
-    def k_magnitude(self) -> np.ndarray:
-        """|k| per mode (Nyquist included at its full magnitude), for shell binning."""
+    def mode_magnitude(self) -> np.ndarray:
+        """|j| per mode, the norm of the signed mode indices (Nyquist at full
+        magnitude): |k| in units of 2*pi/length, for spectra and random fields."""
         out = np.zeros(self.spectral_shape)
         for a in range(self.dim):
-            out = out + self._axis_view(self.k_1d, a) ** 2
+            out = out + self._axis_view(self.mode_index_1d, a) ** 2
         return np.sqrt(out)
 
     @cached_property

@@ -65,7 +65,6 @@ import numpy as np
 
 from .errors import RadiusCollapseError
 from .grid_spectral import (
-    TWO_PI,
     Grid,
     SpectralVectorField,
     fftn_forward,
@@ -134,7 +133,7 @@ class _SeriesBuilder:
     def __init__(self, grid: Grid, u_hat: np.ndarray, nu: float, max_order: int):
         self.grid = grid
         self.max_order = max_order
-        self.k_max = (TWO_PI / grid.length) * grid.ball_radius  # the dealias radius
+        self.k_max = float(grid.k_1d[grid.ball_radius])  # the dealias radius
         self.u_hat = u_hat
         self.norms: list[float] = []
         self.kernel = Kernel(grid, nu)

@@ -397,6 +397,16 @@ MAX_NESTING = 100
 # below the bound: a term of A_f^n u has degree (deg f - 1) n + 1, 12 for the
 # order-11 powers of the quadratic generators the benchmark expands.
 MAX_EXPONENT = 100
+# Most terms a product (t1 * t2) or a power (C(t + e - 1, e) for a t-term sum)
+# in ``parse_diffpoly`` may have, checked before it is expanded: a 4-term sum
+# to the power 20 (1771 terms) takes 0.27 s on a 2-core x86 VM, and to the
+# power 100 (176851 terms) it would take minutes.
+MAX_TERMS = 2000
+
+
+def _bound_terms(bound: int, what: str) -> None:
+    if bound > MAX_TERMS:
+        raise ValueError(f"{what} could have {bound} terms, more than MAX_TERMS = {MAX_TERMS}")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -465,7 +475,9 @@ class _Parser:
         poly = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            poly = poly * self.factor()
+            rhs = self.factor()
+            _bound_terms(len(poly._terms) * len(rhs._terms), "a product")
+            poly = poly * rhs
         return poly
 
     def factor(self) -> DiffPoly:
@@ -478,6 +490,9 @@ class _Parser:
             exponent = int(text)
             if exponent > MAX_EXPONENT:
                 raise ValueError(f"exponent {text} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+            t = len(base._terms)
+            bound = math.comb(max(t, 1) + exponent - 1, exponent)
+            _bound_terms(bound, f"a {t}-term sum ^{exponent}")
             return base ** exponent
         return base
 
@@ -505,6 +520,7 @@ class _Parser:
 
 def parse_diffpoly(text: str) -> DiffPoly:
     """Parse the plain-text syntax, with parentheses nested at most
-    MAX_NESTING deep and exponents at most MAX_EXPONENT; inverse of ``str``
-    on canonical forms whose exponents stay within that bound."""
+    MAX_NESTING deep, exponents at most MAX_EXPONENT and every product or
+    power at most MAX_TERMS terms; inverse of ``str`` on canonical forms whose
+    exponents stay within that bound."""
     return _Parser(_tokenize(text)).parse()

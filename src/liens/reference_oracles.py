@@ -224,9 +224,10 @@ def random_divfree(
     """Reproducible random divergence-free field, band-limited to the 2/3 ball.
 
     Gaussian coefficients are drawn from a counter-based (Philox) generator
-    keyed by ``seed``, weighted by |k|^4 * exp(-(|k|/peak_k)^2), Leray
-    projected, Hermitian-symmetrized, zero-mean, and rescaled so the L2 norm
-    equals ``amplitude`` (energy amplitude^2/2).
+    keyed by ``seed``, weighted by |j|^4 * exp(-(|j|/peak_k)^2) in the mode
+    index |j| = |k| l / 2 pi for any box length l, Leray projected,
+    Hermitian-symmetrized, zero-mean, and rescaled so the L2 norm equals
+    ``amplitude`` (energy amplitude^2/2).
     """
     if not 1 <= peak_k <= grid.ball_radius:
         raise ValueError(
@@ -243,7 +244,7 @@ def random_divfree(
     # is the spectrum of a real field, C-ordered (sliced before it is scaled).
     coef = 0.5 * (draws + np.conj(reflect_modes(grid, draws)))[..., : grid.n // 2 + 1]
     del draws  # the full grid goes before the weighting allocates
-    weight = grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / peak_k) ** 2))
+    weight = grid.mode_magnitude**4 * np.exp(-((grid.mode_magnitude / peak_k) ** 2))
     coef *= weight * grid.dealias_keep
     coef[(slice(None),) + (0,) * grid.dim] = 0.0  # zero mean
     project_half(grid, coef, np.empty((2, *grid.spectral_shape), dtype=np.complex128))

@@ -212,12 +212,6 @@ class TestParseConfig:
         text = text.replace("peak_k = 3", "peak_k = 2")
         assert parse_config(text).grid.length == float(length)
 
-    # The final spectrum would have 3.6e13 rows at 8^2 and length 1e-12.
-    def test_box_with_too_many_shells_rejected(self):
-        text = RANDOM_RK4_CONFIG.format(out="out").replace("n = 32", "n = 8\nl = 1e-12")
-        with pytest.raises(ConfigError, match=r"^grid\.l: the shell spectrum .*MAX_SHELLS"):
-            parse_config(text.replace("peak_k = 3", "peak_k = 2"))
-
     def test_largest_representable_grid(self):
         # 2 * n^2 float64 values fit in a numpy array up to n = 2^29.
         text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
@@ -507,15 +501,28 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == [cfg]
 
     # A small box is a grid like any other: a random field on 8^2 at length
-    # 0.5 (largest |k| 71, more than its 64 modes) runs and writes a 72-row
-    # spectrum.
+    # 0.5 (largest |k| 71) runs and writes a spectrum of its mode indices
+    # 0..6 (round(sqrt(2) * 4) = 6), as a 2 pi box does.
     def test_small_box_runs(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out="out").replace(
             "n = 32", "n = 8\nl = 0.5").replace("peak_k = 3", "peak_k = 2")
         assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
         assert capsys.readouterr().err == ""
         rows = (tmp_path / "out" / "spectrum_final.csv").read_text().splitlines()
-        assert len(rows) == 1 + 72 and rows[-1].startswith("71,")
+        assert len(rows) == 1 + 7 and rows[-1].startswith("6,")
+
+    # The random field's weights underflowed on 32^3 at length 0.2 with
+    # peak_k 1, and simulate ended in a "random field degenerated to zero"
+    # traceback.
+    def test_random_field_in_a_small_box_runs(self, tmp_path, capsys):
+        text = RANDOM_RK4_CONFIG.format(out="out").replace(
+            "dim = 2\nn = 32", "dim = 3\nn = 32\nl = 0.2").replace(
+            "seed = 5\npeak_k = 3", "seed = 1\npeak_k = 1").replace(
+            "t_end = 0.05", "t_end = 1e-5").replace("rk4_dt = 1e-3", "rk4_dt = 1e-5")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2
 
     def test_rk4_stability_guard(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out=tmp_path / "stab").replace(
@@ -588,26 +595,20 @@ class TestSubcommands:
         assert err.startswith("spectrum: bad snapshot header") and "out of range" in err
         assert err.count("\n") == 1 and out == ""
 
-    # Header lengths the parent's reader accepted: the spectrum has one row
-    # per integer |k| up to the largest, 72 rows at 8^2 and 0.5 and 712 at
-    # 16^2 and 0.1; at 1e-12 it would have 3.6e13 and is refused.
-    @pytest.mark.parametrize("n,length,rows", [(8, "0.5", 72), (16, "0.1", 712),
-                                               (8, "1e-12", None)])
+    # Header lengths other than 2 pi: the spectrum has one row per integer
+    # mode index up to round(sqrt(2) n / 2), 7 rows at 8^2 and 12 at 16^2,
+    # whatever the length.
+    @pytest.mark.parametrize("n,length,rows", [(8, "0.5", 7), (16, "0.1", 12)])
     def test_spectrum_of_a_small_box(self, tmp_path, capsys, n, length, rows):
         path = tmp_path / "snap.liens"
         g = Grid(dim=2, n=n)
         write_snapshot(path, random_real_field(g, np.random.default_rng(1)))
         path.write_bytes(path.read_bytes().replace(f"{g.length:.17g}".encode(), length.encode(), 1))
-        code = main(["spectrum", str(path)])
+        assert main(["spectrum", str(path)]) == 0
         out, err = capsys.readouterr()
-        if rows is None:
-            assert code == 2 and out == ""
-            assert err.startswith("spectrum: the shell spectrum of a box of length 1e-12")
-            assert "MAX_SHELLS" in err and err.count("\n") == 1
-        else:
-            assert code == 0 and err == ""
-            lines = out.splitlines()
-            assert len(lines) == 1 + rows and lines[-1].startswith(f"{rows - 1},")
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1 + rows and lines[-1].startswith(f"{rows - 1},")
 
     # Finite samples whose transform overflows: the spectral field rejects
     # its inf coefficients. That used to end in a FieldError traceback.
@@ -806,10 +807,11 @@ def test_simulate_survives_mutated_configs(tmp_path, text):
     shutil.rmtree(run_dir)
 
 
-# Header length fields: ordinary ones, whose snapshots have a spectrum, and
-# ones whose spectrum has too many rows or whose volume or |k| leaves float64.
-ORDINARY_LENGTHS = ["6.2831853071795862", "1", "0.5", "1e50"]
-SNAPSHOT_LENGTHS = ORDINARY_LENGTHS + ["1e-12", "1e-20", "1e-160", "1e-300", "1e100",
+# Header length fields: ordinary ones, whose snapshots have a spectrum of
+# round(sqrt(dim) n / 2) + 1 rows, small boxes among them, and ones whose
+# volume or |k| leaves float64.
+ORDINARY_LENGTHS = ["6.2831853071795862", "1", "0.5", "1e50", "1e-12", "1e-20"]
+SNAPSHOT_LENGTHS = ORDINARY_LENGTHS + ["1e-160", "1e-300", "1e100",
                                        "1e160", "1e300", "0", "-1", "inf", "nan"]
 
 

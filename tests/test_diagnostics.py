@@ -19,11 +19,9 @@ from liens import (
     to_physical,
 )
 from liens.diagnostics import (
-    MAX_SHELLS,
     balance_residuals,
     format_float,
     read_series_csv,
-    shell_count,
     write_series_csv,
 )
 from liens.grid_spectral import zero_vector_field
@@ -168,14 +166,16 @@ class TestEnergyBalance:
 
 
 class TestShellSpectrum:
+    # Shells count the mode index, so the lowest mode of any box is shell 1.
     def test_single_mode(self):
-        g = Grid(dim=2, n=32)
-        data = np.zeros((2, *g.spectral_shape), dtype=complex)
-        data[0, 0, 1] = 0.5  # cos y: the mode (0, -1) is its conjugate
-        v = SpectralVectorField(g, data)
-        shells = dict(shell_spectrum(v))
-        assert shells[1] == pytest.approx(energy(v), rel=1e-14)
-        assert sum(e for s, e in shells.items() if s != 1) == 0.0
+        for length in (0.5, 2 * math.pi, 1000.0):
+            g = Grid(dim=2, n=32, length=length)
+            data = np.zeros((2, *g.spectral_shape), dtype=complex)
+            data[0, 0, 1] = -0.5j  # sin(2 pi y / l): the mode (0, -1) is its conjugate
+            v = SpectralVectorField(g, data)
+            shells = dict(shell_spectrum(v))
+            assert shells[1] == pytest.approx(energy(v), rel=1e-14)
+            assert sum(e for s, e in shells.items() if s != 1) == 0.0
 
     def test_taylor_green_lands_in_shell_one(self):
         g = Grid(dim=2, n=64)
@@ -190,33 +190,16 @@ class TestShellSpectrum:
         assert total == pytest.approx(energy(random_divfree_3d), rel=1e-12)
 
 
+    # One row per integer mode index up to the Nyquist corner, whatever the
+    # box length.
     @pytest.mark.parametrize("dim,n,length", [(2, 8, 0.5), (2, 16, 0.1), (2, 64, 2 * math.pi),
-                                              (3, 16, 2 * math.pi), (3, 8, 1e50)])
+                                              (3, 16, 2 * math.pi), (3, 8, 1e50),
+                                              (2, 8, 1e-12), (3, 8, 1e-20)])
     def test_one_row_per_shell_count(self, dim, n, length):
         g = Grid(dim=dim, n=n, length=length)
         v = SpectralVectorField(g, np.ones((dim, *g.spectral_shape), dtype=complex))
-        rows = shell_spectrum(v)
-        assert len(rows) == shell_count(g)
-        assert [s for s, _ in rows] == list(range(shell_count(g)))
-
-    # At length 1e-12 on 8^2 the rows would number 3.6e13 (259 TiB of totals):
-    # refused before any table is built.
-    @pytest.mark.parametrize("length", [1e-12, 1e-20])
-    def test_refuses_more_than_max_shells(self, length):
-        g = Grid(dim=2, n=8, length=length)
-        with pytest.raises(ValueError, match=f"box of length {length!r} .*MAX_SHELLS"):
-            shell_count(g)
-        with pytest.raises(ValueError, match="MAX_SHELLS"):
-            shell_spectrum(zero_vector_field(g))
-        assert "k_magnitude" not in vars(g)
-
-    # 2 pi / l * (n / 2) * sqrt(2) rounds to count - 1 at length top(n, count).
-    @pytest.mark.parametrize("n,bound", [(8, MAX_SHELLS), (2048, 2048**2)])
-    def test_bound_is_max_shells_or_the_point_count(self, n, bound):
-        top = lambda count: 2 * math.pi * (n // 2) * math.sqrt(2) / (count - 1)
-        assert shell_count(Grid(dim=2, n=n, length=top(bound))) == bound
-        with pytest.raises(ValueError, match=rf"max\(MAX_SHELLS, n\*\*dim\) = {bound}$"):
-            shell_count(Grid(dim=2, n=n, length=top(bound + 1)))
+        count = round(math.sqrt(dim) * n / 2) + 1
+        assert [s for s, _ in shell_spectrum(v)] == list(range(count))
 
 
 class TestSeriesCsv:

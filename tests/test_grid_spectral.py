@@ -70,8 +70,8 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid length .* is out of range"):
             Grid(dim=dim, n=8, length=length)
 
-    # Small boxes are grids too, however many spectrum shells they have:
-    # largest_k is 71 at 8^2 and 0.5, 711 at 16^2 and 0.1, 3.6e13 at 1e-12.
+    # Small boxes are grids too: largest_k is 71 at 8^2 and 0.5, 711 at 16^2
+    # and 0.1, 3.6e13 at 1e-12, the largest mode index scaled by 2 pi / l.
     @pytest.mark.parametrize("dim,n,length", [
         (3, 16, 0.1), (3, 16, 1.0), (3, 16, 2 * math.pi), (3, 16, 1e50),
         (2, 8, 0.5), (2, 16, 0.1), (2, 8, 1e-12), (3, 8, 1e-20),
@@ -80,7 +80,8 @@ class TestGrid:
         g = Grid(dim=dim, n=n, length=length)
         assert 0.0 < g.volume < math.inf
         assert 0.0 < g.largest_k**4 < math.inf
-        assert g.largest_k == np.max(g.k_magnitude)
+        physical = (2 * math.pi / length) * np.max(g.mode_magnitude)
+        assert g.largest_k == pytest.approx(physical, rel=1e-15)
 
     def test_wavenumber_layout(self):
         g = Grid(dim=2, n=16)
@@ -127,7 +128,7 @@ class TestGrid:
     def test_spectral_tables_are_half_spectra(self, dim):
         g = Grid(dim=dim, n=16)
         assert g.spectral_shape == (16,) * (dim - 1) + (9,)
-        for table in (g.ksq, g.inv_ksq, g.dealias_keep, g.k_magnitude):
+        for table in (g.ksq, g.inv_ksq, g.dealias_keep, g.mode_magnitude):
             assert table.shape == g.spectral_shape
         # the stored modes stand for every mode of the full spectrum once
         assert np.sum(np.ones(g.spectral_shape) * g.weight) == 16**dim

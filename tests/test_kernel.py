@@ -20,7 +20,6 @@ from liens import (
     taylor_coefficients,
 )
 from liens.grid_spectral import (
-    TWO_PI,
     complete_hermitian,
     fftn_forward,
     ifftn_real,
@@ -181,7 +180,7 @@ def half_spectrum_series(u, nu, order):
     """c_0..c_order by the series recursion with ``half_spectrum_kernel``,
     round-off floor included."""
     grid = u.grid
-    k_max = (TWO_PI / grid.length) * (grid.n // 3)
+    k_max = grid.k_1d[grid.ball_radius]
     eps = float(np.finfo(float).eps)
     stack = np.empty((order + 1, grid.dim, *grid.shape))
     stack[0] = ifftn_real(grid, u.data)

@@ -5,6 +5,7 @@ mathematics, entirely different term representation and arithmetic.
 """
 
 import hashlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from liens import (
     parse_diffpoly,
 )
 from liens.errors import FieldError
-from liens.operator_calculus import MAX_EXPONENT
+from liens.operator_calculus import MAX_EXPONENT, MAX_TERMS
 
 U = DiffPoly.u
 
@@ -468,6 +469,18 @@ class TestTextSyntax:
             parse_diffpoly(f"u_0^{MAX_EXPONENT + 1}")
         with pytest.raises(ValueError, match="MAX_EXPONENT"):
             parse_diffpoly("u_0^99999999999")
+
+    # A product or power of sums is refused by the terms it could have, before
+    # it is expanded: (u_0+u_1+u_2+u_3)^100, within MAX_EXPONENT, used to run
+    # for minutes.
+    def test_power_of_a_sum_past_term_bound_is_a_value_error(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"4-term sum \^100 could have 176851 terms, more than MAX_TERMS = {MAX_TERMS}"):
+            parse_diffpoly("(u_0+u_1+u_2+u_3)^100")
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(ValueError, match="a product could have 4356 terms"):
+            parse_diffpoly("(u_0+u_1+u_2)^10*(u_0+u_1+u_2)^10")
+        assert parse_diffpoly("(u_0+u_1)^100") == (U(0) + U(1)) ** 100
 
     def test_str_examples(self):
         assert str(DiffPoly.zero()) == "0"

@@ -14,6 +14,7 @@ from liens import (
     energy,
     ns_rhs,
     rk4_propagate,
+    shell_spectrum,
     to_spectral,
 )
 from liens.errors import StabilityError
@@ -215,7 +216,7 @@ class TestRandomDivfree:
         shape = (dim, *grid.shape)
         full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coef = (0.5 * (full + np.conj(reflect_modes(grid, full))))[..., : n // 2 + 1]
-        coef *= grid.k_magnitude**4 * np.exp(-((grid.k_magnitude / 3) ** 2)) * grid.dealias_keep
+        coef *= grid.mode_magnitude**4 * np.exp(-((grid.mode_magnitude / 3) ** 2)) * grid.dealias_keep
         coef[(slice(None),) + (0,) * dim] = 0.0
         field = leray_project(SpectralVectorField(grid, coef))
         want = (1.0 / field.l2_norm()) * field
@@ -233,6 +234,16 @@ class TestRandomDivfree:
         v = random_divfree(seed=9, grid=grid2d, peak_k=3, amplitude=1.0)
         outside = v.data * ~grid2d.dealias_keep
         assert np.max(np.abs(outside)) == 0.0
+
+    # The weights read the mode index, so peak_k names the same modes in a
+    # box of any length. With the physical |k| (50 pi per mode at length
+    # 0.2) every weight underflowed and the field degenerated to zero.
+    def test_small_box_spectrum_peaks_at_peak_k(self):
+        grid = Grid(dim=3, n=32, length=0.2)
+        v = random_divfree(seed=1, grid=grid, peak_k=1, amplitude=1.0)
+        shells = dict(shell_spectrum(v))
+        assert energy(v) == pytest.approx(0.5, rel=1e-12)
+        assert shells[1] + shells[2] >= 0.99 * energy(v)
 
     def test_peak_k_validation(self, grid2d):
         with pytest.raises(ValueError, match="peak_k"):

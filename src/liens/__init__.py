@@ -38,6 +38,7 @@ from .lie_propagator import (
     StepStats,
     estimate_radius,
     evaluate,
+    lie_advance,
     propagate,
     step,
     steps,
@@ -94,6 +95,7 @@ __all__ = [
     "eval_diffpoly",
     "evaluate",
     "leray_project",
+    "lie_advance",
     "ns_rhs",
     "parse_diffpoly",
     "propagate",

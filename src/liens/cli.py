@@ -82,10 +82,15 @@ from .grid_spectral import (
     write_snapshot,
 )
 from .leray import leray_project
-from .lie_propagator import DEFAULT_MAX_ORDER, DEFAULT_TOL, step as lie_step, steps
-from .reference_oracles import AnalyticFlow, analytic_field, random_divfree, rk4_advance
+from .lie_propagator import DEFAULT_MAX_ORDER, DEFAULT_TOL, lie_advance, steps
+from .reference_oracles import (
+    ANALYTIC_KINDS,
+    AnalyticFlow,
+    analytic_field,
+    random_divfree,
+    rk4_advance,
+)
 
-_ANALYTIC_KINDS = ("taylor_green_2d", "taylor_green_3d_embedded", "beltrami_abc")
 _SECTIONS = ("grid", "fluid", "initial", "run")
 
 
@@ -211,10 +216,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     kind = init_sec.take(
         "kind",
         str,
-        check=lambda v: v in _ANALYTIC_KINDS + ("random", "snapshot"),
-        describe="must be one of " + ", ".join(_ANALYTIC_KINDS + ("random", "snapshot")),
+        check=lambda v: v in ANALYTIC_KINDS + ("random", "snapshot"),
+        describe="must be one of " + ", ".join(ANALYTIC_KINDS + ("random", "snapshot")),
     )
-    if kind in _ANALYTIC_KINDS:
+    if kind in ANALYTIC_KINDS:
         amplitude, abc = 1.0, (1.0, 1.0, 1.0)
         if kind == "beltrami_abc":  # abc sets its size; it has no amplitude
             abc = tuple(
@@ -226,7 +231,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
             amplitude = init_sec.take("amplitude", float, default=1.0,
                                       check=math.isfinite, describe="must be finite")
         initial = InitialSpec(kind=kind, amplitude=amplitude, abc=abc)
-        flow_dim = 2 if kind == "taylor_green_2d" else 3
+        flow_dim = AnalyticFlow(kind).dim
         if flow_dim != dim:
             raise ConfigError(f"initial.kind {kind} needs grid.dim = {flow_dim}")
         if not math.isclose(l, TWO_PI, rel_tol=1e-12):
@@ -311,7 +316,7 @@ def _initial_field(config: RunConfig) -> SpectralVectorField:
         source = f"initial.path: the norms of the field in {init.path}"
     else:
         source = f"initial.amplitude: the norms of the field of amplitude {init.amplitude}"
-    if init.kind in _ANALYTIC_KINDS:
+    if init.kind in ANALYTIC_KINDS:
         flow = AnalyticFlow(init.kind, amplitude=init.amplitude, abc=init.abc)
         field = analytic_field(flow, 0.0, config.nu, grid)
     elif init.kind == "random":
@@ -364,9 +369,7 @@ def cmd_simulate(config_path: Path) -> int:
                 f"grid.n: cannot allocate the initial field at n = {config.grid.n}: {exc}"
             ) from exc
         if config.integrator == "lie":
-            def advance(v, remaining):
-                return lie_step(v, config.nu, remaining, tol=config.tol,
-                                max_order=config.max_order)
+            advance = lie_advance(config.grid, config.nu, config.tol, config.max_order)
         else:
             advance = rk4_advance(config.grid, config.nu, config.rk4_dt)
         try:

@@ -551,12 +551,6 @@ def inner_product(a: SpectralVectorField, b: SpectralVectorField) -> float:
     return parseval_sum(a.grid, (np.conj(a.data) * b.data).real)
 
 
-def zero_vector_field(grid: Grid) -> SpectralVectorField:
-    return SpectralVectorField(
-        grid, np.zeros((grid.dim, *grid.spectral_shape), dtype=np.complex128)
-    )
-
-
 # ---------------------------------------------------------------------------
 # binary snapshot format
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ The quadratic term is computed in divergence form by one kernel object,
 ``Kernel(grid, nu)``, shared with the series recursion of
 ``lie_propagator`` and the RK4 oracle, and this module alone knows its
 layout. A ``Kernel`` holds the viscous table and the buffers of one
-(grid, nu) and is built once per call, step or run; it looks up
+(grid, nu) and is built once per call or run; it looks up
 ``fftn_forward`` and ``ifftn_real`` as this module's globals on every call.
 It streams the Cauchy product T_n = sum_m v_m v_{n-m} of a stack of physical
 velocities v_0..v_n, shaped (orders, dim, *grid shape), one stored component

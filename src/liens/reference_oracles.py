@@ -44,7 +44,7 @@ TAYLOR_GREEN_2D = "taylor_green_2d"
 TAYLOR_GREEN_3D_EMBEDDED = "taylor_green_3d_embedded"
 BELTRAMI_ABC = "beltrami_abc"
 
-_KINDS = (TAYLOR_GREEN_2D, TAYLOR_GREEN_3D_EMBEDDED, BELTRAMI_ABC)
+ANALYTIC_KINDS = (TAYLOR_GREEN_2D, TAYLOR_GREEN_3D_EMBEDDED, BELTRAMI_ABC)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class AnalyticFlow:
     abc: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in ANALYTIC_KINDS:
             raise ValueError(f"unknown analytic flow kind {self.kind!r}")
         if not math.isfinite(self.amplitude):
             raise ValueError("flow amplitude must be finite")

@@ -23,6 +23,7 @@ from .lie_propagator import (
     StepStats,
     estimate_radius,
     evaluate,
+    lie_advance,
     step,
     steps,
     taylor_coefficients,
@@ -65,7 +66,7 @@ def _tracked_propagate(
     """(start, out, stats) of every accepted series step (tol 1e-10) of the
     run from ``u`` to ``t_end``; later checks re-read the steps."""
     run, start = [], u
-    for _, out, stats in steps(u, t_end, lambda v, dt: step(v, nu, dt, tol=1e-10)):
+    for _, out, stats in steps(u, t_end, lie_advance(u.grid, nu, tol=1e-10)):
         run.append((start, out, stats))
         start = out
     return run

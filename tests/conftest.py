@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from liens import Grid, RealVectorField, to_spectral
+import liens.lie_propagator
+from liens import Grid, RealVectorField, SpectralVectorField, to_spectral
 from liens.reference_oracles import random_divfree
 
 
 @pytest.fixture
 def grid2d():
     return Grid(dim=2, n=32)
+
+
+@pytest.fixture
+def zero_field_2d(grid2d):
+    return SpectralVectorField(
+        grid2d, np.zeros((grid2d.dim, *grid2d.spectral_shape), dtype=np.complex128)
+    )
 
 
 @pytest.fixture
@@ -47,3 +55,18 @@ def random_divfree_2d(grid2d):
 @pytest.fixture
 def random_divfree_3d(grid3d):
     return random_divfree(seed=42, grid=grid3d, peak_k=3, amplitude=1.0)
+
+
+@pytest.fixture
+def lie_kernels(monkeypatch):
+    """The (grid, nu) of every ``leray.Kernel`` that ``lie_propagator``
+    builds while the test runs."""
+    built = []
+    kernel = liens.lie_propagator.Kernel
+
+    def counting(grid, nu):
+        built.append((grid, nu))
+        return kernel(grid, nu)
+
+    monkeypatch.setattr(liens.lie_propagator, "Kernel", counting)
+    return built

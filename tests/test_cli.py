@@ -336,6 +336,14 @@ class TestSimulate:
         got = read_snapshot(tmp_path / "o" / "field_final.liens")
         assert np.array_equal(got.data, want.data)
 
+    def test_lie_run_builds_one_kernel(self, tmp_path, lie_kernels):
+        text = RANDOM_RK4_CONFIG.format(out=tmp_path / "o").replace(
+            "t_end = 0.05\nintegrator = rk4\nrk4_dt = 1e-3", "t_end = 2\nintegrator = lie"
+        )
+        assert cmd_simulate(write_cfg(tmp_path, text)) == 0
+        assert len(read_series_csv(tmp_path / "o" / "series.csv")) > 2
+        assert len(lie_kernels) == 1
+
     def test_rk4_last_step_absorbs_roundoff(self, tmp_path):
         # Seven steps of 0.1 leave 2.8e-17 of t_end = 0.7 by float subtraction.
         text = TG_CONFIG.format(n=16, t_end=0.7, out=tmp_path / "o", cadence=0).replace(

@@ -24,7 +24,6 @@ from liens.diagnostics import (
     read_series_csv,
     write_series_csv,
 )
-from liens.grid_spectral import zero_vector_field
 from liens.reference_oracles import random_divfree
 
 
@@ -33,8 +32,8 @@ def taylor_green(grid):
 
 
 class TestEnergy:
-    def test_zero(self, grid2d):
-        assert energy(zero_vector_field(grid2d)) == 0.0
+    def test_zero(self, zero_field_2d):
+        assert energy(zero_field_2d) == 0.0
 
     def test_taylor_green_value(self):
         # int cos^2 x sin^2 y + sin^2 x cos^2 y over [0,2pi]^2 = 2 pi^2,
@@ -52,8 +51,8 @@ class TestEnergy:
 
 
 class TestEnstrophy:
-    def test_zero(self, grid2d):
-        assert enstrophy_norm(zero_vector_field(grid2d)) == 0.0
+    def test_zero(self, zero_field_2d):
+        assert enstrophy_norm(zero_field_2d) == 0.0
 
     def test_taylor_green_value(self):
         # All four modes sit on |k|^2 = 2: enstrophy = 2 * (2 * energy).
@@ -85,8 +84,8 @@ class TestEnstrophy:
 
 
 class TestDissipativityResidual:
-    def test_zero_field(self, grid2d):
-        assert dissipativity_residual(zero_vector_field(grid2d), 0.1) == 0.0
+    def test_zero_field(self, zero_field_2d):
+        assert dissipativity_residual(zero_field_2d, 0.1) == 0.0
 
     @pytest.mark.parametrize("dim_n", [(2, 32), (3, 16)])
     def test_contract_on_random_fields(self, dim_n):

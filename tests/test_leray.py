@@ -15,7 +15,7 @@ from liens import (
     to_spectral,
 )
 from liens.errors import FieldError, SolenoidalError
-from liens.grid_spectral import ifftn_real, inner_product, relative_divergence, zero_vector_field
+from liens.grid_spectral import ifftn_real, inner_product, relative_divergence
 from liens.leray import CAUCHY_CHUNK, TENSOR_INDEX, cauchy_component, viscosity_value
 from liens.reference_oracles import ns_rhs_via_pressure, random_divfree
 
@@ -37,8 +37,8 @@ class TestViscosity:
 
 
 class TestComputePressure:
-    def test_zero_field(self, grid2d):
-        p = compute_pressure(zero_vector_field(grid2d))
+    def test_zero_field(self, zero_field_2d):
+        p = compute_pressure(zero_field_2d)
         assert np.max(np.abs(p.data)) == 0.0
 
     def test_taylor_green_pressure(self):
@@ -141,8 +141,8 @@ class TestLerayProject:
 
 
 class TestNsRhs:
-    def test_zero_field(self, grid2d):
-        out = ns_rhs(zero_vector_field(grid2d), 0.3)
+    def test_zero_field(self, zero_field_2d):
+        out = ns_rhs(zero_field_2d, 0.3)
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_rejects_field_outside_dealias_ball(self, grid2d):

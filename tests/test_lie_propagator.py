@@ -15,6 +15,7 @@ from liens import (
     energy,
     estimate_radius,
     evaluate,
+    lie_advance,
     propagate,
     rk4_propagate,
     step,
@@ -23,7 +24,8 @@ from liens import (
 )
 from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
-from liens.grid_spectral import relative_divergence, zero_vector_field
+from liens.grid_spectral import relative_divergence
+from liens.leray import Kernel
 from liens.lie_propagator import StepStats, fixed_step
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
 
@@ -69,8 +71,8 @@ class TestTaylorCoefficients:
         assert coeffs[0] is random_divfree_2d
         assert all(c.grid == random_divfree_2d.grid for c in coeffs)
 
-    def test_zero_field(self, grid2d):
-        coeffs = taylor_coefficients(zero_vector_field(grid2d), 0.3, order=5)
+    def test_zero_field(self, zero_field_2d):
+        coeffs = taylor_coefficients(zero_field_2d, 0.3, order=5)
         for c in coeffs:
             assert np.max(np.abs(c.data)) == 0.0
 
@@ -167,8 +169,8 @@ class TestEstimateRadius:
         assert estimate_radius(coeffs) == pytest.approx(4.0 / 0.2)
         assert estimate_radius(coeffs) >= 5.0
 
-    def test_zero_field_infinite(self, grid2d):
-        coeffs = taylor_coefficients(zero_vector_field(grid2d), 0.1, order=4)
+    def test_zero_field_infinite(self, zero_field_2d):
+        coeffs = taylor_coefficients(zero_field_2d, 0.1, order=4)
         assert estimate_radius(coeffs) == math.inf
 
     def test_random_field_finite_positive(self, grid2d):
@@ -194,8 +196,8 @@ class TestStep:
         assert rel_l2(out, want) <= 1e-11
         assert stats.truncation_estimate <= 1e-12 * u.l2_norm()
 
-    def test_zero_field(self, grid2d):
-        out, stats = step(zero_vector_field(grid2d), 0.1, dt=0.5, tol=1e-10)
+    def test_zero_field(self, zero_field_2d):
+        out, stats = step(zero_field_2d, 0.1, dt=0.5, tol=1e-10)
         assert np.max(np.abs(out.data)) == 0.0
         assert stats.order_used == 0
         assert stats.truncation_estimate == 0.0
@@ -259,11 +261,17 @@ class TestStep:
             step(random_divfree_2d, 0.1, dt=0.1, tol=0.0)
         with pytest.raises(ValueError, match="max_order must be nonnegative"):
             step(random_divfree_2d, 0.1, dt=0.1, max_order=-1)
+        with pytest.raises(ValueError, match="tol"):
+            lie_advance(random_divfree_2d.grid, 0.1, tol=0.0)
+        with pytest.raises(ValueError, match="max_order must be nonnegative"):
+            lie_advance(random_divfree_2d.grid, 0.1, max_order=-1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="dt"):
                 step(random_divfree_2d, 0.1, dt=bad)
             with pytest.raises(ValueError, match="tol"):
                 step(random_divfree_2d, 0.1, dt=0.1, tol=bad)
+            with pytest.raises(ValueError, match="tol"):
+                lie_advance(random_divfree_2d.grid, 0.1, tol=bad)
             with pytest.raises(ValueError, match="rk4 step size"):
                 rk4_advance(random_divfree_2d.grid, 0.1, bad)
             with pytest.raises(ValueError, match="dt"):
@@ -274,6 +282,22 @@ class TestPropagate:
     def test_zero_horizon(self, random_divfree_2d):
         out = propagate(random_divfree_2d, 0.1, t_end=0.0)
         assert np.array_equal(out.data, random_divfree_2d.data)
+
+    # t_end 0 takes no step, and the field is still checked.
+    @pytest.mark.parametrize("t_end", [0.0, 0.1])
+    def test_rejects_non_solenoidal(self, grid2d, rng, t_end):
+        from liens import dealias, to_spectral
+
+        w = dealias(to_spectral(random_real_field(grid2d, rng)))
+        with pytest.raises(SolenoidalError, match="propagate requires"):
+            propagate(w, 0.1, t_end)
+
+    def test_one_kernel_per_run(self, lie_kernels):
+        u = random_divfree(seed=5, grid=Grid(dim=2, n=32), peak_k=3, amplitude=1.0)
+        _, seen = run_observed(u, 0.02, 2.0)
+        assert len(seen) == 3 and len(lie_kernels) == 1
+        propagate(u, 0.02, 2.0)
+        assert len(lie_kernels) == 2
 
     def test_taylor_green_long_run(self):
         g = Grid(dim=2, n=32)
@@ -287,8 +311,7 @@ class TestPropagate:
         g = Grid(dim=2, n=32)
         nu = 0.05
         u = random_divfree(seed=2, grid=g, peak_k=3, amplitude=1.0)
-        seen = [(t, energy(v), s) for t, v, s in
-                steps(u, 0.5, lambda v, dt: step(v, nu, dt, tol=1e-10))]
+        seen = [(t, energy(v), s) for t, v, s in steps(u, 0.5, lie_advance(g, nu, tol=1e-10))]
         assert seen, "no step taken"
         times = [t for t, _, _ in seen]
         assert times == sorted(times)
@@ -300,13 +323,13 @@ class TestPropagate:
     def test_dt_accounting_is_exact(self):
         g = Grid(dim=2, n=32)
         u = tg_field(g)
-        seen = [s.dt for _, _, s in steps(u, 0.7, lambda v, dt: step(v, 0.1, dt, tol=1e-10))]
+        seen = [s.dt for _, _, s in steps(u, 0.7, lie_advance(g, 0.1, tol=1e-10))]
         assert sum(seen) == pytest.approx(0.7, abs=1e-15)
 
 
 def run_observed(u, nu, t_end):
     """Series steps from u to t_end: the result and every (t, field, stats)."""
-    seen = list(steps(u, t_end, lambda v, dt: step(v, nu, dt)))
+    seen = list(steps(u, t_end, lie_advance(u.grid, nu)))
     return seen[-1][1], seen
 
 
@@ -371,8 +394,8 @@ class TestControllerRobustness:
         u = random_divfree(seed=5, grid=g, peak_k=g.n // 3, amplitude=1.0)
         self.check_run(u, 0.02, 0.5)
 
-    def test_zero_field(self, grid2d):
-        _, seen = run_observed(zero_vector_field(grid2d), 0.1, 0.7)
+    def test_zero_field(self, zero_field_2d):
+        _, seen = run_observed(zero_field_2d, 0.1, 0.7)
         assert seen[-1][0] == 0.7
         assert all(np.max(np.abs(v.data)) == 0.0 for _, v, _ in seen)
 
@@ -420,7 +443,7 @@ class TestSeriesWorkspace:
     def test_grow_transient_is_bounded(self, dim, n):
         grid = Grid(dim=dim, n=n)
         u = random_divfree(seed=7, grid=grid, peak_k=3, amplitude=1.0)
-        builder = lie_propagator._SeriesBuilder(grid, u.data, 0.02, 30)
+        builder = lie_propagator._SeriesBuilder(Kernel(grid, 0.02), u.data, 30)
         for _ in range(3):
             builder.grow()
         tracemalloc.start()
@@ -448,6 +471,19 @@ class TestControllerDecisions:
         u = random_divfree(seed=3, grid=Grid(dim=2, n=64), peak_k=4, amplitude=1.0)
         _, seen = run_observed(u, 0.01, 2.0)
         assert [(s.order_used, s.dt) for _, _, s in seen] == [(23, 0.5), (27, 0.75), (22, 0.75)]
+
+    # One advance for the run reuses its kernel across steps and changes no
+    # bit of any step: each equals ``step`` from the same field.
+    def test_advance_equals_chained_steps(self):
+        u = random_divfree(seed=3, grid=Grid(dim=2, n=64), peak_k=4, amplitude=1.0)
+        _, seen = run_observed(u, 0.01, 2.0)
+        assert len(seen) == 3
+        v, remaining = u, 2.0
+        for _, want, want_stats in seen:
+            v, stats = step(v, 0.01, remaining)
+            remaining -= stats.dt
+            assert stats == want_stats
+            assert v.data.tobytes() == want.data.tobytes()
 
     # A request of 50 is covered by equal steps, 50/k, the order and k
     # minimising the work; the step is the first of them.
@@ -489,7 +525,7 @@ class TestControllerDecisions:
 class TestSteps:
     def test_negative_horizon_rejected(self, random_divfree_2d):
         with pytest.raises(ValueError, match="t_end"):
-            next(steps(random_divfree_2d, -1.0, lambda v, dt: step(v, 0.1, dt)))
+            next(steps(random_divfree_2d, -1.0, lie_advance(random_divfree_2d.grid, 0.1)))
 
     @pytest.mark.parametrize(
         "run",
@@ -542,8 +578,9 @@ class TestSteps:
         lambda u: step(u, -0.1, 0.1),
         lambda u: propagate(u, -0.1, 0.1),
         lambda u: taylor_coefficients(u, -0.1, 4),
+        lambda u: lie_advance(u.grid, -0.1),
     ],
-    ids=["step", "propagate", "taylor_coefficients"],
+    ids=["step", "propagate", "taylor_coefficients", "lie_advance"],
 )
 def test_negative_viscosity_rejected(call):
     with pytest.raises(ValueError, match="viscosity must be finite and nonnegative"):

@@ -18,7 +18,7 @@ from liens import (
     to_spectral,
 )
 from liens.errors import StabilityError
-from liens.grid_spectral import reflect_modes, relative_divergence, zero_vector_field
+from liens.grid_spectral import reflect_modes, relative_divergence
 from liens.leray import leray_project
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
 
@@ -111,8 +111,8 @@ class TestRk4:
         want = analytic_field(flow, 1.0, nu, g)
         assert rel_l2(got, want) <= 1e-8
 
-    def test_zero_field(self, grid2d):
-        out = rk4_propagate(zero_vector_field(grid2d), 0.1, t_end=0.5, dt=1e-2)
+    def test_zero_field(self, zero_field_2d):
+        out = rk4_propagate(zero_field_2d, 0.1, t_end=0.5, dt=1e-2)
         assert np.max(np.abs(out.data)) == 0.0
 
     def test_inviscid_energy_conservation(self):

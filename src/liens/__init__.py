@@ -44,15 +44,6 @@ from .lie_propagator import (
     steps,
     taylor_coefficients,
 )
-from .operator_calculus import (
-    DiffMonomial,
-    DiffPoly,
-    a_power_u,
-    apply_A,
-    derivation_check,
-    eval_diffpoly,
-    parse_diffpoly,
-)
 from .reference_oracles import (
     AnalyticFlow,
     analytic_field,
@@ -61,6 +52,26 @@ from .reference_oracles import (
 )
 
 __version__ = "0.1.0"
+
+# The symbolic calculus loads on first use, so that the solver and the CLI do
+# not import it.
+_SYMBOLIC = frozenset({
+    "DiffMonomial",
+    "DiffPoly",
+    "a_power_u",
+    "apply_A",
+    "derivation_check",
+    "eval_diffpoly",
+    "parse_diffpoly",
+})
+
+
+def __getattr__(name: str):
+    if name in _SYMBOLIC:
+        from . import operator_calculus
+
+        return getattr(operator_calculus, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AnalyticFlow",

@@ -12,15 +12,21 @@ time-Taylor coefficients of the flow, n! c_n. All arithmetic here is exact;
 floats appear only in grid evaluation, and ``DiffPoly`` refuses float
 coefficients (pass an ``int`` or ``Fraction``).
 
-Every operation runs on one set of private kernels over the raw term dicts
-``{powers key: coefficient}``: a key merge, a multiply-accumulate, a one-pass
-D_x and all partials dg/du_k in one pass over g. Keys they build are
-canonical already, so intermediate results skip the public constructor's
-normalization. The ring methods and ``apply_A`` run them on ``Fraction``
-coefficients. ``a_power_u(f, n)`` scales f by the lcm D of its coefficient
-denominators and iterates on Python ints (the action is linear in f, so
-A_f^n u = A_{Df}^n u / D^n), then divides by D^n once; the result is the
-exact ``Fraction`` polynomial that n ``apply_A`` calls give.
+``DiffPoly`` stores ``{powers key: coefficient}`` with canonical tuple keys
+((order, exponent), ...). Every operation that builds monomials runs on one
+set of private kernels (a multiply-accumulate, a one-pass D_x and all
+partials dg/du_k in one pass over g) over packed keys: the monomial
+prod_k u_k^e_k is the Python int sum_k e_k * 2^(W k), so a product of
+monomials is one integer addition. The slot width W is d.bit_length(), d the
+largest total degree the operation can reach (deg a + deg b for a product,
+max(deg f, deg g, deg f + deg g - 1) for ``apply_A``); a slot's exponent
+never exceeds its monomial's total degree, so no slot carries into the next.
+Each operation packs its arguments at entry and unpacks its result at exit.
+The ring methods and ``apply_A`` run the kernels on ``Fraction``
+coefficients. ``a_power_u(f, n)`` packs f once, scales it by the lcm D of its
+coefficient denominators and iterates on Python ints (the action is linear in
+f, so A_f^n u = A_{Df}^n u / D^n), then divides by D^n and unpacks once; the
+result is the exact ``Fraction`` polynomial that n ``apply_A`` calls give.
 
 A plain-text syntax (``u_k``, ``+``, ``-``, ``*``, ``^``, rationals ``p/q``)
 round-trips through ``parse_diffpoly`` / ``str``.
@@ -42,15 +48,19 @@ PowersKey = tuple[tuple[int, int], ...]
 
 RationalLike = Fraction | int
 
-# Raw terms {powers key: coefficient}: the form every operation below works
-# on. The kernels take and give canonical keys, so nothing they build is
-# normalized again; they are exact for any rational coefficient type: Fraction
-# in the ring methods, int in ``a_power_u``'s scaled recursion.
+# Raw terms {powers key: coefficient}: the form ``DiffPoly`` stores, with
+# canonical keys.
 Terms = dict[PowersKey, RationalLike]
 
+# Packed terms {sum_k e_k << (width * k): coefficient}: the form the kernels
+# below work on, with the width rule of the module docstring. They are exact
+# for any rational coefficient type: Fraction in the ring methods, int in
+# ``a_power_u``'s scaled recursion.
+Packed = dict[int, RationalLike]
 
-def _normalize_powers(powers: Mapping[int, int] | Iterable[tuple[int, int]]) -> PowersKey:
-    pairs = list(powers.items() if isinstance(powers, Mapping) else powers)
+
+def _normalize_powers(powers: Iterable[tuple[int, int]]) -> PowersKey:
+    pairs = list(powers)
     items = dict(pairs)
     if len(items) != len(pairs):
         raise ValueError(f"each derivative order may appear once in a key, got {pairs}")
@@ -62,67 +72,84 @@ def _normalize_powers(powers: Mapping[int, int] | Iterable[tuple[int, int]]) -> 
     return tuple(sorted(items.items()))
 
 
-def _nonzero(terms: Terms) -> Terms:
+def _nonzero(terms: dict) -> dict:
     return {key: c for key, c in terms.items() if c}
 
 
-def _merge(ka: PowersKey, kb: PowersKey) -> PowersKey:
-    """Canonical key of the product of two monomials."""
-    if not ka or not kb:
-        return ka or kb
-    if ka[-1][0] < kb[0][0]:
-        return ka + kb
-    if kb[-1][0] < ka[0][0]:
-        return kb + ka
-    merged = dict(ka)
-    for order, exp in kb:
-        merged[order] = merged.get(order, 0) + exp
-    return tuple(sorted(merged.items()))
+def _degree(terms: Terms) -> int:
+    """Largest total degree of a term (0 for constants and zero)."""
+    return max((sum(e for _, e in key) for key in terms), default=0)
 
 
-def _mul_acc(out: Terms, a: Terms, b: Terms) -> None:
-    """out += a * b; coefficients in out may cancel to zero."""
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = _merge(ka, kb)
-            out[key] = out.get(key, 0) + ca * cb
+def _pack(terms: Terms, width: int) -> Packed:
+    return {sum(e << width * k for k, e in key): c for key, c in terms.items()}
 
 
-def _dx(terms: Terms) -> Terms:
-    """Total x-derivative, one pass: D_x(u_k^e) = e u_k^(e-1) u_{k+1}."""
+def _unpack(packed: Packed, width: int) -> Terms:
+    """Canonical terms of packed ones; slots are read in increasing order."""
+    mask = (1 << width) - 1
     out: Terms = {}
-    for key, c in terms.items():
-        last = len(key) - 1
-        for i, (order, exp) in enumerate(key):
-            head = key[:i] + ((order, exp - 1),) if exp > 1 else key[:i]
-            if i < last and key[i + 1][0] == order + 1:
-                tail = ((order + 1, key[i + 1][1] + 1),) + key[i + 2:]
-            else:
-                tail = ((order + 1, 1),) + key[i + 1:]
-            new = head + tail
-            out[new] = out.get(new, 0) + c * exp
-    return _nonzero(out)
-
-
-def _partials(terms: Terms) -> dict[int, Terms]:
-    """Every nonzero dg/du_k in one pass over g, keyed by k. Distinct keys of
-    g stay distinct in each partial, so no coefficient merges or cancels."""
-    out: dict[int, Terms] = {}
-    for key, c in terms.items():
-        for i, (order, exp) in enumerate(key):
-            rest = key[i + 1:]
-            new = key[:i] + ((order, exp - 1),) + rest if exp > 1 else key[:i] + rest
-            out.setdefault(order, {})[new] = c * exp
+    for key, c in packed.items():
+        powers = []
+        order = 0
+        while key:
+            if exp := key & mask:
+                powers.append((order, exp))
+            key >>= width
+            order += 1
+        out[tuple(powers)] = c
     return out
 
 
-def _act(dxf: list[Terms], g: Terms) -> Terms:
-    """Generator action on raw terms, sum_k D_x^k(f) * dg/du_k. ``dxf`` holds
-    f, D_x f, D_x^2 f, ... and grows in place as higher orders are needed."""
-    out: Terms = {}
-    for order, pg in _partials(g).items():
+def _mul_acc(out: Packed, a: Packed, b: Packed) -> None:
+    """out += a * b; coefficients in out may cancel to zero."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = out.get(key, 0) + ca * cb
+
+
+def _dx(terms: Packed, width: int) -> Packed:
+    """Total x-derivative, one pass: D_x(u_k^e) = e u_k^(e-1) u_{k+1}, which
+    moves one unit from slot k to slot k+1."""
+    mask = (1 << width) - 1
+    out: Packed = {}
+    for key, c in terms.items():
+        rest, unit = key, 1
+        while rest:
+            if exp := rest & mask:
+                new = key + (unit << width) - unit
+                out[new] = out.get(new, 0) + c * exp
+            rest >>= width
+            unit <<= width
+    return _nonzero(out)
+
+
+def _partials(terms: Packed, width: int) -> dict[int, Packed]:
+    """Every nonzero dg/du_k in one pass over g, keyed by k: one unit off
+    slot k. Distinct keys of g stay distinct in each partial, so no
+    coefficient merges or cancels."""
+    mask = (1 << width) - 1
+    out: dict[int, Packed] = {}
+    for key, c in terms.items():
+        rest, unit, order = key, 1, 0
+        while rest:
+            if exp := rest & mask:
+                out.setdefault(order, {})[key - unit] = c * exp
+            rest >>= width
+            unit <<= width
+            order += 1
+    return out
+
+
+def _act(dxf: list[Packed], g: Packed, width: int) -> Packed:
+    """Generator action on packed terms, sum_k D_x^k(f) * dg/du_k. ``dxf``
+    holds f, D_x f, D_x^2 f, ... and grows in place as higher orders are
+    needed."""
+    out: Packed = {}
+    for order, pg in _partials(g, width).items():
         while len(dxf) <= order:
-            dxf.append(_dx(dxf[-1]))
+            dxf.append(_dx(dxf[-1], width))
         _mul_acc(out, dxf[order], pg)
     return _nonzero(out)
 
@@ -142,7 +169,7 @@ class DiffMonomial:
 class DiffPoly:
     """Immutable canonical sum of differential monomials."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_monomials")
 
     def __init__(self, terms: Mapping[PowersKey, RationalLike] | None = None):
         clean: Terms = {}
@@ -155,12 +182,14 @@ class DiffPoly:
             key = _normalize_powers(key)
             clean[key] = clean.get(key, 0) + Fraction(coeff)
         object.__setattr__(self, "_terms", _nonzero(clean))
+        object.__setattr__(self, "_monomials", None)
 
     @staticmethod
     def _of(terms: Terms) -> "DiffPoly":
         """Wrap raw terms that are already canonical, with Fraction values."""
         poly = object.__new__(DiffPoly)
         object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_monomials", None)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -177,10 +206,6 @@ class DiffPoly:
     def u(order: int = 0) -> "DiffPoly":
         return DiffPoly({((order, 1),): 1})
 
-    @staticmethod
-    def monomial(coeff: RationalLike, powers: Mapping[int, int]) -> "DiffPoly":
-        return DiffPoly({_normalize_powers(powers): coeff})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -188,9 +213,14 @@ class DiffPoly:
         return not self._terms
 
     def monomials(self) -> tuple[DiffMonomial, ...]:
-        """Terms sorted by total degree, then lexicographic powers."""
-        keys = sorted(self._terms, key=lambda k: (sum(e for _, e in k), k))
-        return tuple(DiffMonomial(self._terms[k], k) for k in keys)
+        """Terms sorted by total degree, then lexicographic powers; sorted on
+        the first call and kept, since the polynomial is immutable."""
+        if self._monomials is None:
+            keys = sorted(self._terms, key=lambda k: (sum(e for _, e in k), k))
+            object.__setattr__(
+                self, "_monomials", tuple(DiffMonomial(self._terms[k], k) for k in keys)
+            )
+        return self._monomials
 
     @property
     def max_order(self) -> int:
@@ -221,9 +251,10 @@ class DiffPoly:
             return DiffPoly._of(_nonzero({k: c * other for k, c in self._terms.items()}))
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        terms: Terms = {}
-        _mul_acc(terms, self._terms, other._terms)
-        return DiffPoly._of(_nonzero(terms))
+        width = (_degree(self._terms) + _degree(other._terms)).bit_length()
+        packed: Packed = {}
+        _mul_acc(packed, _pack(self._terms, width), _pack(other._terms, width))
+        return DiffPoly._of(_unpack(_nonzero(packed), width))
 
     __rmul__ = __mul__
 
@@ -245,11 +276,14 @@ class DiffPoly:
 
     def partial(self, order: int) -> "DiffPoly":
         """Partial derivative with respect to the jet variable u_order."""
-        return DiffPoly._of(_partials(self._terms).get(order, {}))
+        width = _degree(self._terms).bit_length()
+        partials = _partials(_pack(self._terms, width), width)
+        return DiffPoly._of(_unpack(partials.get(order, {}), width))
 
     def total_derivative(self) -> "DiffPoly":
         """Total x-derivative: D_x(u_k) = u_{k+1}, extended by Leibniz."""
-        return DiffPoly._of(_dx(self._terms))
+        width = _degree(self._terms).bit_length()
+        return DiffPoly._of(_unpack(_dx(_pack(self._terms, width), width), width))
 
     # -- text form ---------------------------------------------------------
 
@@ -282,7 +316,10 @@ class DiffPoly:
 
 def apply_A(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     """Action of the generator of du/dt = f on g: sum_k D_x^k(f) * dg/du_k."""
-    return DiffPoly._of(_act([f._terms], g._terms))
+    deg_f, deg_g = _degree(f._terms), _degree(g._terms)
+    width = max(deg_f, deg_g, deg_f + deg_g - 1).bit_length()
+    packed = _act([_pack(f._terms, width)], _pack(g._terms, width), width)
+    return DiffPoly._of(_unpack(packed, width))
 
 
 def a_power_u(f: DiffPoly, n: int) -> DiffPoly:
@@ -290,16 +327,20 @@ def a_power_u(f: DiffPoly, n: int) -> DiffPoly:
 
     The action is linear in f, so A_f^n u = A_{Df}^n u / D^n: with D the lcm
     of f's denominators the recursion runs on Python ints, and the result is
-    divided by D^n once at the end."""
+    divided by D^n once at the end. A term of A_f^m u has total degree at most
+    max(deg f - 1, 0) m + 1, which sets the width of the packed keys."""
     if n < 0:
         raise ValueError(f"power must be nonnegative, got {n}")
+    deg = _degree(f._terms)
+    width = max(deg, max(deg - 1, 0) * n + 1).bit_length()
     scale = math.lcm(*(c.denominator for c in f._terms.values()))
-    dxf = [{key: c.numerator * (scale // c.denominator) for key, c in f._terms.items()}]
-    g: Terms = {((0, 1),): 1}
+    scaled = {key: c.numerator * (scale // c.denominator) for key, c in f._terms.items()}
+    dxf = [_pack(scaled, width)]
+    g: Packed = {1: 1}  # u_0: exponent 1 in slot 0
     for _ in range(n):
-        g = _act(dxf, g)
+        g = _act(dxf, g, width)
     den = scale**n
-    return DiffPoly._of({key: Fraction(c, den) for key, c in g.items()})
+    return DiffPoly._of(_unpack({key: Fraction(c, den) for key, c in g.items()}, width))
 
 
 def derivation_check(

@@ -917,13 +917,15 @@ SIMULATE_IMPORTS_SCRIPT = """
 import sys
 from liens.cli import main
 assert main(["simulate", sys.argv[1]]) == 0
-print(sorted(m for m in ("liens.verification", "liens.burgers1d") if m in sys.modules))
+print(sorted(m for m in ("liens.verification", "liens.burgers1d", "liens.operator_calculus")
+             if m in sys.modules))
 """
 
 
 def test_simulate_imports_neither_verification_nor_burgers(tmp_path):
-    """Only ``verify`` and ``burgers-check`` load the acceptance checks and
-    the 1-D Burgers bench; a run loads neither."""
+    """Only ``verify`` and ``burgers-check`` load the acceptance checks, the
+    1-D Burgers bench and the symbolic calculus; a run loads none of them,
+    although ``liens`` exports the symbolic names."""
     (tmp_path / "run.cfg").write_text(RANDOM_RK4_CONFIG.format(out=tmp_path / "out"))
     done = run_python(tmp_path, ["-c", SIMULATE_IMPORTS_SCRIPT, str(tmp_path / "run.cfg")])
     assert done.returncode == 0, done.stderr

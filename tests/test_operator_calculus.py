@@ -119,13 +119,13 @@ class TestDiffPoly:
         with pytest.raises(TypeError, match="int or Fraction"):
             DiffPoly.constant(coeff)
         with pytest.raises(TypeError, match="int or Fraction"):
-            DiffPoly.monomial(coeff, {1: 2})
+            DiffPoly({((1, 2),): coeff})
 
     def test_rejects_bad_powers(self):
         with pytest.raises(ValueError):
-            DiffPoly.monomial(1, {-1: 2})
+            DiffPoly({((-1, 2),): 1})
         with pytest.raises(ValueError):
-            DiffPoly.monomial(1, {0: 0})
+            DiffPoly({((0, 0),): 1})
         with pytest.raises(ValueError, match="once"):
             DiffPoly({((0, 1), (0, 1)): 1})  # would otherwise read as u_0
         with pytest.raises(ValueError, match="negative powers"):
@@ -171,7 +171,7 @@ class TestApplyA:
         # computation, confirmed against the sympy oracle below).
         nu = Fraction(1, 10)
         expected = (
-            DiffPoly.monomial(nu**2, {4: 1})
+            nu**2 * U(4)
             - 2 * nu * (U(0) * U(3))
             - 4 * nu * (U(1) * U(2))
             + 2 * (U(0) * U(1) ** 2)
@@ -345,6 +345,69 @@ class TestPowerEdgeCases:
         assert_matches_sympy(a_power_u(f, 3), sympy_power_u(f, 3))
 
 
+# -- the width of the packed keys ---------------------------------------------
+#
+# The kernels pack a monomial into one int with a slot of d.bit_length() bits
+# per derivative order, d the largest total degree the operation can reach.
+# These cases put exponents on both sides of a slot boundary (255 | 256) and
+# compare with polynomials built from tuple keys by the constructor.
+
+
+class TestPackedWidth:
+    def test_product_crosses_slot_boundary(self):
+        assert U(0) ** 255 * U(0) == DiffPoly({((0, 256),): 1})
+        assert U(0) ** 300 * U(0) ** 300 == DiffPoly({((0, 600),): 1})
+        assert str(U(0) ** 255 * U(0) * U(1)) == "u_0^256*u_1"
+        assert (U(0) ** 255 * U(1)) * (U(1) ** 255 * U(2)) == DiffPoly(
+            {((0, 255), (1, 256), (2, 1)): 1})
+
+    def test_calculus_crosses_slot_boundary(self):
+        p = U(0) ** 255 * U(1)
+        assert p.total_derivative() == DiffPoly(
+            {((0, 254), (1, 2)): 255, ((0, 255), (2, 1)): 1})
+        assert p.partial(0) == DiffPoly({((0, 254), (1, 1)): 255})
+        assert p.partial(1) == DiffPoly({((0, 255),): 1})
+        assert (U(0) ** 256).partial(0) == 256 * U(0) ** 255
+        # deg f + deg g - 1 = 511: the action needs a wider slot than either
+        # argument alone.
+        assert apply_A(U(0) ** 256, U(0) ** 256) == 256 * U(0) ** 511
+
+    @pytest.mark.parametrize("text,orders", [("u_0^3", 4), ("u_0^40*u_1", 4)])
+    def test_a_power_u_of_high_degree(self, text, orders):
+        # A term of A^n u has degree (deg f - 1) n + 1: for u_0^40*u_1 that
+        # is 121 at n = 3 (7-bit slots) and 161 at n = 4 (8-bit slots).
+        f = parse_diffpoly(text)
+        chain = U(0)
+        for n in range(orders + 1):
+            power = a_power_u(f, n)
+            assert power == chain
+            assert_matches_sympy(power, sympy_power_u(f, n))
+            assert_canonical(power)
+            chain = apply_A(f, chain)
+
+
+@st.composite
+def high_power_polys(draw):
+    """Up to three monomials in u_0..u_3 with exponents up to 300."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        orders = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        key = tuple((order, draw(st.integers(1, 300))) for order in sorted(orders))
+        terms[key] = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+    return DiffPoly(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(f=high_power_polys(), g=high_power_polys(), n=st.integers(0, 3))
+def test_products_and_powers_match_sympy_at_high_exponents(f, g, n):
+    syms = _sympy_symbols(5)
+    f_expr, g_expr = to_sympy(f, syms), to_sympy(g, syms)
+    assert_matches_sympy(f * g, f_expr * g_expr)
+    assert_matches_sympy(f**n, f_expr**n)
+    assert_matches_sympy(f.total_derivative(),
+                         sum(sp.diff(f_expr, syms[k]) * syms[k + 1] for k in range(4)))
+
+
 # SHA-256 of str(a_power_u(f, 11)) for the benchmark's two generators, as
 # stored in perfbench/refs.json: the canonical text is the benchmark's gate.
 BENCHMARK_DIGESTS = {
@@ -368,7 +431,7 @@ def test_every_result_is_canonical(f, g, n, k, c):
         f + g, f - g, -f, f - f, f * g, c * f, f * c, f**2, f**0,
         f.partial(k), f.total_derivative(), apply_A(f, g), a_power_u(f, n),
         parse_diffpoly(str(f)), DiffPoly.zero(), DiffPoly.constant(c),
-        DiffPoly.u(k), DiffPoly.monomial(Fraction(1, 3), {k: 2}),
+        DiffPoly.u(k), DiffPoly({((k, 2),): Fraction(1, 3)}),
     ]
     for p in results:
         assert_canonical(p)

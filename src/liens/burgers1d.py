@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import nonnegative_count, positive_finite
 from .lie_propagator import StepStats, _horner, final_state, fixed_step, rk4_update
 from .operator_calculus import (
     DiffPoly,
@@ -33,8 +34,7 @@ def taylor_coefficients_burgers(
 ) -> list[np.ndarray]:
     """Time-Taylor coefficients c_0..c_order of Burgers around u0:
     (n+1) c_{n+1} = nu * c_n'' - sum_m c_m * c_{n-m}'."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    nonnegative_count("order", order)
     u0 = _check_samples(u0)
     derivs = [spectral_derivatives(u0, 2)]  # [c_m, c_m', c_m''] for each m
     for m in range(order):
@@ -51,8 +51,7 @@ def burgers_rhs(u: np.ndarray, nu: float, out: np.ndarray | None = None) -> np.n
 def rk4_burgers(u0: np.ndarray, nu: float, t_end: float, dt: float) -> np.ndarray:
     """Classical RK4 (``rk4_update``) on the same pseudospectral Burgers
     system, through one set of slope buffers for the whole run."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    positive_finite("dt", dt)
     u = _check_samples(u0).copy()
     buf = np.empty((4, *u.shape))
 

@@ -55,6 +55,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,15 @@ from .diagnostics import (
     spectrum_csv,
     write_series_csv,
 )
-from .errors import ConfigError, LiensError, StabilityError
+from .errors import (
+    ConfigError,
+    LiensError,
+    StabilityError,
+    finite,
+    finite_nonnegative,
+    nonnegative_count,
+    positive_finite,
+)
 from .grid_spectral import (
     TWO_PI,
     Grid,
@@ -77,6 +86,8 @@ from .grid_spectral import (
     SpectralVectorField,
     dealias,
     div_max,
+    grid_dim,
+    grid_points,
     read_snapshot,
     to_spectral,
     write_snapshot,
@@ -87,6 +98,7 @@ from .reference_oracles import (
     ANALYTIC_KINDS,
     AnalyticFlow,
     analytic_field,
+    peak_in_ball,
     random_divfree,
     rk4_advance,
 )
@@ -151,12 +163,47 @@ def _raw_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _one_of(choices: tuple[str, ...], name: str, value: str) -> str:
+    """CLI rule: an initial kind or integrator that ``simulate`` knows."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _grid_n(dim: int, name: str, value: int) -> int:
+    """CLI rule for ``grid.n``: ``grid_points``, and a velocity field of
+    dim * n^dim float64 values that numpy can represent as one array."""
+    grid_points(name, value)
+    if dim * value**dim * 8 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{name} must keep {dim} * n^{dim} float64 values in one array, got {value!r}"
+        )
+    return value
+
+
+def _burgers_order(name: str, value: int) -> int:
+    """CLI rule: a ``burgers-check`` order, 0..8."""
+    if not 0 <= value <= 8:
+        raise ValueError(f"{name} must lie in 0..8, got {value!r}")
+    return value
+
+
+def _config_rule(rule, name: str, value):
+    """``rule(name, value)``, its ``ValueError`` raised as a ``ConfigError``."""
+    try:
+        return rule(name, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 class _SectionReader:
     def __init__(self, name: str, values: dict[str, str]):
         self.name = name
         self.values = dict(values)
 
-    def take(self, key: str, conv, default=..., check=None, describe=""):
+    def take(self, key: str, conv, rule=None, default=...):
+        """``key`` parsed by ``conv`` and held to ``rule("section.key", value)``;
+        ``default``, unchecked, when the key is absent."""
         if key not in self.values:
             if default is ...:
                 raise ConfigError(f"{self.name}.{key} is required")
@@ -166,9 +213,7 @@ class _SectionReader:
             value = conv(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.name}.{key}: cannot parse {raw!r}") from exc
-        if check is not None and not check(value):
-            raise ConfigError(f"{self.name}.{key} {describe} (got {raw})")
-        return value
+        return value if rule is None else _config_rule(rule, f"{self.name}.{key}", value)
 
     def finish(self):
         if self.values:
@@ -183,22 +228,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"missing section [{required}]")
 
     grid_sec = _SectionReader("grid", sections["grid"])
-    dim = grid_sec.take("dim", int, check=lambda v: v in (2, 3), describe="must be 2 or 3")
-    n = grid_sec.take(
-        "n",
-        int,
-        check=lambda v: v >= 8 and (v & (v - 1)) == 0,
-        describe="must be a power of two >= 8",
-    )
-    if dim * n**dim * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(
-            f"grid.n = {n} is too large: a {dim}-D velocity field of {n}^{dim} "
-            "float64 values cannot be represented as one array"
-        )
-    l = grid_sec.take(
-        "l", float, default=TWO_PI, check=lambda v: v > 0 and math.isfinite(v),
-        describe="must be positive and finite",
-    )
+    dim = grid_sec.take("dim", int, grid_dim)
+    n = grid_sec.take("n", int, partial(_grid_n, dim))
+    l = grid_sec.take("l", float, positive_finite, default=TWO_PI)
     grid_sec.finish()
     try:
         grid = Grid(dim=dim, n=n, length=l)
@@ -206,48 +238,29 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError(f"grid.l: {exc}") from exc
 
     fluid_sec = _SectionReader("fluid", sections["fluid"])
-    nu = fluid_sec.take(
-        "nu", float, check=lambda v: v >= 0 and math.isfinite(v),
-        describe="must be finite and nonnegative",
-    )
+    nu = fluid_sec.take("nu", float, finite_nonnegative)
     fluid_sec.finish()
 
     init_sec = _SectionReader("initial", sections["initial"])
-    kind = init_sec.take(
-        "kind",
-        str,
-        check=lambda v: v in ANALYTIC_KINDS + ("random", "snapshot"),
-        describe="must be one of " + ", ".join(ANALYTIC_KINDS + ("random", "snapshot")),
-    )
+    kinds = ANALYTIC_KINDS + ("random", "snapshot")
+    kind = init_sec.take("kind", str, partial(_one_of, kinds))
     if kind in ANALYTIC_KINDS:
         amplitude, abc = 1.0, (1.0, 1.0, 1.0)
         if kind == "beltrami_abc":  # abc sets its size; it has no amplitude
             abc = tuple(
-                init_sec.take(key, float, default=1.0, check=math.isfinite,
-                              describe="must be finite")
+                init_sec.take(key, float, finite, default=1.0)
                 for key in ("abc_a", "abc_b", "abc_c")
             )
         else:
-            amplitude = init_sec.take("amplitude", float, default=1.0,
-                                      check=math.isfinite, describe="must be finite")
+            amplitude = init_sec.take("amplitude", float, finite, default=1.0)
         initial = InitialSpec(kind=kind, amplitude=amplitude, abc=abc)
-        flow_dim = AnalyticFlow(kind).dim
-        if flow_dim != dim:
-            raise ConfigError(f"initial.kind {kind} needs grid.dim = {flow_dim}")
-        if not math.isclose(l, TWO_PI, rel_tol=1e-12):
-            raise ConfigError(f"initial.kind {kind} needs grid.l = 2*pi, got {l}")
+        _config_rule(AnalyticFlow(kind, amplitude, abc).check_grid, "initial.kind", grid)
     elif kind == "random":
         initial = InitialSpec(
             kind=kind,
-            seed=init_sec.take("seed", int, check=lambda v: v >= 0,
-                               describe="must be nonnegative"),
-            peak_k=init_sec.take(
-                "peak_k", int, check=lambda v: 1 <= v <= grid.ball_radius,
-                describe=f"must lie in 1..{grid.ball_radius} (inside the dealias ball)",
-            ),
-            amplitude=init_sec.take("amplitude", float, default=1.0,
-                                    check=lambda v: v > 0 and math.isfinite(v),
-                                    describe="must be positive and finite"),
+            seed=init_sec.take("seed", int, nonnegative_count),
+            peak_k=init_sec.take("peak_k", int, partial(peak_in_ball, grid)),
+            amplitude=init_sec.take("amplitude", float, positive_finite, default=1.0),
         )
     else:
         path = Path(init_sec.take("path", str))
@@ -259,22 +272,17 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     init_sec.finish()
 
     run_sec = _SectionReader("run", sections["run"])
-    t_end = run_sec.take("t_end", float, check=lambda v: v >= 0 and math.isfinite(v),
-                         describe="must be finite and nonnegative")
-    integrator = run_sec.take("integrator", str, check=lambda v: v in ("lie", "rk4"),
-                              describe="must be lie or rk4")
+    t_end = run_sec.take("t_end", float, finite_nonnegative)
+    integrator = run_sec.take("integrator", str, partial(_one_of, ("lie", "rk4")))
     if integrator == "lie":
-        tol = run_sec.take("tol", float, default=DEFAULT_TOL,
-                           check=lambda v: v > 0 and math.isfinite(v),
-                           describe="must be positive and finite")
-        max_order = run_sec.take("max_order", int, default=DEFAULT_MAX_ORDER,
-                                 check=lambda v: v >= 0, describe="must be nonnegative")
+        tol = run_sec.take("tol", float, positive_finite, default=DEFAULT_TOL)
+        max_order = run_sec.take("max_order", int, nonnegative_count,
+                                 default=DEFAULT_MAX_ORDER)
         rk4_dt = None
         if "rk4_dt" in run_sec.values:
             raise ConfigError("run.rk4_dt is only valid with integrator = rk4")
     else:
-        rk4_dt = run_sec.take("rk4_dt", float, check=lambda v: v > 0 and math.isfinite(v),
-                              describe="must be positive and finite")
+        rk4_dt = run_sec.take("rk4_dt", float, positive_finite)
         for key in ("tol", "max_order"):
             if key in run_sec.values:
                 raise ConfigError(f"run.{key} is only valid with integrator = lie")
@@ -282,8 +290,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     output_dir = Path(run_sec.take("output_dir", str, default="out"))
     if base_dir is not None and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
-    snapshot_cadence = run_sec.take("snapshot_cadence", int, default=0,
-                                    check=lambda v: v >= 0, describe="must be >= 0")
+    snapshot_cadence = run_sec.take("snapshot_cadence", int, nonnegative_count, default=0)
     run_sec.finish()
 
     return RunConfig(
@@ -435,11 +442,11 @@ def cmd_verify(level: str) -> int:
 def cmd_burgers_check(order: int, n: int) -> int:
     from .burgers1d import CROSS_CHECK_NU, cross_check  # not needed by simulate
 
-    if order < 0 or order > 8:
-        print("burgers-check: --order must lie in 0..8", file=sys.stderr)
-        return 2
-    if n < 8 or (n & (n - 1)) != 0:
-        print("burgers-check: --n must be a power of two >= 8", file=sys.stderr)
+    try:
+        _burgers_order("--order", order)
+        grid_points("--n", n)
+    except ValueError as exc:
+        print(f"burgers-check: {exc}", file=sys.stderr)
         return 2
     try:
         symbolic, truncation = cross_check(order, n)

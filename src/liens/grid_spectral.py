@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FieldError, SnapshotFormatError
+from .errors import FieldError, SnapshotFormatError, positive_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,13 +67,27 @@ def fft_worker_count() -> int:
     return 1
 
 
+def grid_dim(name: str, value: int) -> int:
+    """Rule (see ``errors``): a grid has 2 or 3 axes."""
+    if value not in (2, 3):
+        raise ValueError(f"{name} must be 2 or 3, got {value!r}")
+    return value
+
+
+def grid_points(name: str, value: int) -> int:
+    """Rule (see ``errors``): points per axis, a power of two >= 8."""
+    if not (value >= 8 and value & (value - 1) == 0):
+        raise ValueError(f"{name} must be a power of two >= 8, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic box: ``dim`` axes, ``n`` points per axis, side ``length``.
 
-    ``n`` must be a power of two with n >= 8; the box is isotropic (one n,
-    one length for every axis). The length must keep the volume and |k|^4
-    representable (see ``__post_init__``).
+    ``dim`` and ``n`` follow ``grid_dim`` and ``grid_points``; the box is
+    isotropic (one n, one length for every axis). The length must keep the
+    volume and |k|^4 representable (see ``__post_init__``).
     """
 
     dim: int
@@ -81,12 +95,9 @@ class Grid:
     length: float = TWO_PI
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"grid dim must be 2 or 3, got {self.dim}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid n must be a power of two >= 8, got {self.n}")
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"grid length must be positive and finite, got {self.length}")
+        grid_dim("grid dim", self.dim)
+        grid_points("grid n", self.n)
+        positive_finite("grid length", self.length)
         # The one rule on the length. Every norm is scaled by the volume
         # (``parseval_sum``), so it must be a finite positive float. No
         # computation forms |k|^4; the clause on |k|^4 at ``largest_k`` only
@@ -450,10 +461,6 @@ class SpectralScalarField(_SpectralArithmetic):
                 f"mean coefficient of a real scalar field must be real "
                 f"(imag {mean.imag:.3e})"
             )
-
-    @property
-    def mean_coefficient(self) -> complex:
-        return complex(self.data[(0,) * self.grid.dim])
 
 
 SpectralField = SpectralVectorField | SpectralScalarField

@@ -55,12 +55,11 @@ dealiased solenoidal fields; the advective form is kept in
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
 
-from .errors import FieldError, SolenoidalError
+from .errors import FieldError, SolenoidalError, finite_nonnegative
 from .grid_spectral import (
     Grid,
     SpectralScalarField,
@@ -90,12 +89,9 @@ TENSOR_INDEX = {
 
 
 def viscosity_value(nu: float) -> float:
-    """The kinematic viscosity as a float; rejects a value that is not
-    finite and nonnegative."""
-    value = float(nu)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"viscosity must be finite and nonnegative, got {value}")
-    return value
+    """The kinematic viscosity ``nu`` as a float, under the rule
+    ``finite_nonnegative`` named "viscosity"."""
+    return finite_nonnegative("viscosity", float(nu))
 
 
 def _require_admissible(v: SpectralVectorField, where: str) -> None:

@@ -64,7 +64,12 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import RadiusCollapseError
+from .errors import (
+    RadiusCollapseError,
+    finite_nonnegative,
+    nonnegative_count,
+    positive_finite,
+)
 from .grid_spectral import (
     Grid,
     SpectralVectorField,
@@ -256,8 +261,7 @@ def taylor_coefficients(
     u: SpectralVectorField, nu: float, order: int
 ) -> tuple[SpectralVectorField, ...]:
     """Coefficients c_0..c_order of the series around c_0 = ``u``."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    nonnegative_count("order", order)
     _require_admissible(u, "taylor_coefficients")
     builder = _SeriesBuilder(Kernel(u.grid, viscosity_value(nu)), u.data, order)
     coefficients = [u]
@@ -321,10 +325,8 @@ def lie_advance(
     every step's output, a sum of projected coefficients masked to the
     dealias ball, is so by construction. ``steps`` passes a positive finite
     dt."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
+    positive_finite("tol", tol)
+    nonnegative_count("max_order", max_order)
     kernel = Kernel(grid, viscosity_value(nu))
 
     def advance(u: SpectralVectorField, dt: float):
@@ -376,8 +378,7 @@ def step(
     """One adaptive series step of at most ``dt`` from ``u``, as
     ``lie_advance`` takes it; rejects a ``dt`` that is not positive and
     finite, and initial data that is not divergence-free and dealiased."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    positive_finite("dt", dt)
     advance = lie_advance(u.grid, nu, tol, max_order)
     _require_admissible(u, "step")
     return advance(u, dt)
@@ -414,8 +415,7 @@ def steps(
     """Step from ``u`` to exactly ``t_end``, yielding (t, field, stats) after
     every step; ``advance(v, remaining) -> (v_next, stats)`` takes one step
     of at most ``remaining``."""
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    finite_nonnegative("t_end", t_end)
     v = u
     remaining = t_end
     while remaining > 0.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError
+from .errors import StabilityError, finite, positive_finite
 from .grid_spectral import (
     TWO_PI,
     Grid,
@@ -62,12 +62,27 @@ class AnalyticFlow:
     def __post_init__(self):
         if self.kind not in ANALYTIC_KINDS:
             raise ValueError(f"unknown analytic flow kind {self.kind!r}")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("flow amplitude must be finite")
+        finite("amplitude", self.amplitude)
+        for i, coefficient in enumerate(self.abc):
+            finite(f"abc[{i}]", coefficient)
 
     @property
     def dim(self) -> int:
         return 2 if self.kind == TAYLOR_GREEN_2D else 3
+
+    def check_grid(self, name: str, grid: Grid) -> Grid:
+        """Rule (see ``errors``), with ``name`` naming the flow's kind: the
+        flow is closed-form on a grid of its dimension and the 2*pi box."""
+        if grid.dim != self.dim:
+            raise ValueError(
+                f"{name} {self.kind} needs grid.dim = {self.dim}, got {grid.dim!r}"
+            )
+        if not math.isclose(grid.length, TWO_PI, rel_tol=1e-12):
+            raise ValueError(
+                f"{name} {self.kind} needs grid.length = 2*pi (the 2*pi periodic box),"
+                f" got {grid.length!r}"
+            )
+        return grid
 
     def decay_rate(self, nu: float) -> float:
         """Exponential decay rate of the velocity: every mode sits on |k|^2
@@ -118,12 +133,7 @@ def analytic_field(
 ) -> SpectralVectorField:
     """Spectral coefficients of the flow at time ``t``, written mode-exactly."""
     nu_val = viscosity_value(nu)
-    if grid.dim != flow.dim:
-        raise ValueError(
-            f"flow kind {flow.kind!r} needs a {flow.dim}-D grid, got {grid.dim}-D"
-        )
-    if not math.isclose(grid.length, TWO_PI, rel_tol=1e-12):
-        raise ValueError("analytic flows are defined on the 2*pi periodic box")
+    flow.check_grid("flow kind", grid)
     decay = math.exp(-flow.decay_rate(nu_val) * t)
     return SpectralVectorField(grid, _flow_coefficients(flow, grid) * decay)
 
@@ -190,8 +200,7 @@ def rk4_advance(grid: Grid, nu: float, dt: float):
     dealiased, as ``rk4_propagate`` checks its initial field to be and as
     every step's projected output is."""
     nu_val = viscosity_value(nu)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"rk4 step size must be positive and finite, got {dt}")
+    positive_finite("rk4 step size dt", dt)
     if nu_val > 0.0:
         dt_max = 0.5 * grid.spacing**2 / nu_val
         if dt > dt_max:
@@ -218,6 +227,16 @@ def rk4_propagate(
     return final_state(u, t_end, advance)
 
 
+def peak_in_ball(grid: Grid, name: str, value: int) -> int:
+    """Rule (see ``errors``) on ``grid``: a random field's peak mode index
+    lies in 1..grid.ball_radius, inside the dealias ball."""
+    if not 1 <= value <= grid.ball_radius:
+        raise ValueError(
+            f"{name} must lie in 1..{grid.ball_radius} (inside the dealias ball), got {value!r}"
+        )
+    return value
+
+
 def random_divfree(
     seed: int, grid: Grid, peak_k: int, amplitude: float
 ) -> SpectralVectorField:
@@ -229,12 +248,8 @@ def random_divfree(
     Hermitian-symmetrized, zero-mean, and rescaled so the L2 norm equals
     ``amplitude`` (energy amplitude^2/2).
     """
-    if not 1 <= peak_k <= grid.ball_radius:
-        raise ValueError(
-            f"peak_k must lie inside the dealias ball: 1 <= peak_k <= {grid.ball_radius}"
-        )
-    if not (math.isfinite(amplitude) and amplitude > 0.0):
-        raise ValueError("amplitude must be positive and finite")
+    peak_in_ball(grid, "peak_k", peak_k)
+    positive_finite("amplitude", amplitude)
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (grid.dim, *grid.shape)
     draws = np.empty(shape, dtype=complex)

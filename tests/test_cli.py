@@ -5,6 +5,7 @@ import functools
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,15 +27,18 @@ from liens import (
     dealias,
     energy,
     leray_project,
+    lie_advance,
     propagate,
     random_divfree,
     rk4_propagate,
+    steps,
     to_spectral,
 )
 from liens.cli import cmd_simulate, load_config, main, parse_config
 from liens.diagnostics import read_series_csv
 from liens.errors import ConfigError
 from liens.grid_spectral import read_snapshot, write_snapshot
+from liens.reference_oracles import rk4_advance
 
 from conftest import random_real_field
 
@@ -250,6 +254,58 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="dim"):
             parse_config(text)
+
+
+# Each shared rule, broken by the same value in a library call and in a
+# config: the library names its parameter, parse_config the section.key, and
+# the rest of the two messages is the same words, from the same rule.
+_GRID = Grid(dim=2, n=32)
+_TG = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
+_RANDOM = RANDOM_RK4_CONFIG.format(out="out")
+_BELTRAMI = BELTRAMI_CONFIG.format(out="out")
+
+
+@pytest.mark.parametrize(
+    "library_call,param,text,old,new,key",
+    [
+        (lambda: lie_advance(_GRID, -1.0), "viscosity",
+         _TG, "nu = 0.1", "nu = -1", "fluid.nu"),
+        (lambda: next(steps(None, -1.0, None)), "t_end",
+         _TG, "t_end = 1.0", "t_end = -1", "run.t_end"),
+        (lambda: lie_advance(_GRID, 0.1, tol=0.0), "tol",
+         _TG, "tol = 1e-10", "tol = 0", "run.tol"),
+        (lambda: lie_advance(_GRID, 0.1, max_order=-1), "max_order",
+         _TG, "tol = 1e-10", "tol = 1e-10\nmax_order = -1", "run.max_order"),
+        (lambda: rk4_advance(_GRID, 0.1, 0.0), "rk4 step size dt",
+         _RANDOM, "rk4_dt = 1e-3", "rk4_dt = 0", "run.rk4_dt"),
+        (lambda: AnalyticFlow("taylor_green_2d", amplitude=math.inf), "amplitude",
+         _TG, "kind = taylor_green_2d", "kind = taylor_green_2d\namplitude = inf",
+         "initial.amplitude"),
+        (lambda: random_divfree(1, _GRID, 3, 0.0), "amplitude",
+         _RANDOM, "amplitude = 1.0", "amplitude = 0", "initial.amplitude"),
+        (lambda: AnalyticFlow("beltrami_abc", abc=(math.nan, 1.0, 1.0)), "abc[0]",
+         _BELTRAMI, "kind = beltrami_abc", "kind = beltrami_abc\nabc_a = nan",
+         "initial.abc_a"),
+        (lambda: random_divfree(1, _GRID, 11, 1.0), "peak_k",
+         _RANDOM, "peak_k = 3", "peak_k = 11", "initial.peak_k"),
+        (lambda: Grid(dim=4, n=16), "grid dim",
+         _TG, "dim = 2", "dim = 4", "grid.dim"),
+        (lambda: Grid(dim=2, n=48), "grid n",
+         _TG, "n = 64", "n = 48", "grid.n"),
+        (lambda: Grid(dim=2, n=16, length=-1.0), "grid length",
+         _TG, "n = 64", "n = 64\nl = -1", "grid.l"),
+    ],
+    ids=["nu", "t_end", "tol", "max_order", "rk4_dt", "analytic-amplitude",
+         "random-amplitude", "abc_a", "peak_k", "grid-dim", "grid-n", "grid-l"],
+)
+def test_library_and_config_share_each_rule(library_call, param, text, old, new, key):
+    with pytest.raises(ValueError, match=re.escape(f"{param} must")) as library:
+        library_call()
+    assert old in text
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must")) as config:
+        parse_config(text.replace(old, new))
+    library_rule = str(library.value).split(" must ", 1)[1]
+    assert str(config.value) == f"{key} must {library_rule}"
 
 
 class TestSimulate:
@@ -565,7 +621,7 @@ class TestSubcommands:
     def test_burgers_check_n_not_power_of_two(self, capsys):
         assert main(["burgers-check", "--n", "48"]) == 2
         out, err = capsys.readouterr()
-        assert err == "burgers-check: --n must be a power of two >= 8\n" and out == ""
+        assert err == "burgers-check: --n must be a power of two >= 8, got 48\n" and out == ""
 
     def test_burgers_check_unallocatable_n(self, capsys):
         assert main(["burgers-check", "--n", "1099511627776"]) == 2

@@ -128,7 +128,7 @@ class TestDiffPoly:
             DiffPoly({((0, 0),): 1})
         with pytest.raises(ValueError, match="once"):
             DiffPoly({((0, 1), (0, 1)): 1})  # would otherwise read as u_0
-        with pytest.raises(ValueError, match="negative powers"):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
             U(1) ** -1
 
     def test_monomial_ordering(self):
@@ -371,6 +371,19 @@ class TestPackedWidth:
         # deg f + deg g - 1 = 511: the action needs a wider slot than either
         # argument alone.
         assert apply_A(U(0) ** 256, U(0) ** 256) == 256 * U(0) ** 511
+
+    @pytest.mark.parametrize("text", ["u_0^40*u_1 + u_2", "1/3*u_0^40*u_1 - 2/7*u_2"])
+    def test_power_matches_product_chain(self, text):
+        # p ** n packs p once at the width of n deg p = 41 n: 6-bit slots at
+        # n = 1, 7 at n = 2 and 3, 8 from n = 4 on, where u_0 reaches 160.
+        # The second p has denominators 3 and 7: (21 p)^n / 21^n.
+        p = parse_diffpoly(text)
+        chain = DiffPoly.constant(1)
+        for n in range(7):
+            power = p ** n
+            assert power == chain and str(power) == str(chain)
+            assert_canonical(power)
+            chain = chain * p
 
     @pytest.mark.parametrize("text,orders", [("u_0^3", 4), ("u_0^40*u_1", 4)])
     def test_a_power_u_of_high_degree(self, text, orders):

@@ -100,6 +100,15 @@ class TestAnalyticFields:
         with pytest.raises(ValueError, match="amplitude must be finite"):
             AnalyticFlow("taylor_green_2d", amplitude=amplitude)
 
+    # A NaN coefficient used to pass, and analytic_field then failed with
+    # "spectral field contains non-finite coefficients", naming nothing.
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_non_finite_abc(self, position):
+        abc = [1.0, 1.0, 1.0]
+        abc[position] = math.nan
+        with pytest.raises(ValueError, match=rf"abc\[{position}\] must be finite, got nan"):
+            AnalyticFlow("beltrami_abc", abc=tuple(abc))
+
 
 class TestRk4:
     def test_taylor_green_decay(self):

@@ -78,6 +78,7 @@ from .errors import (
     finite_nonnegative,
     nonnegative_count,
     positive_finite,
+    rule,
 )
 from .grid_spectral import (
     TWO_PI,
@@ -163,35 +164,24 @@ def _raw_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _one_of(choices: tuple[str, ...], name: str, value: str) -> str:
-    """CLI rule: an initial kind or integrator that ``simulate`` knows."""
-    if value not in choices:
-        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-    return value
+def _one_of(choices: tuple[str, ...]):
+    return rule(f"must be one of {', '.join(choices)}", choices.__contains__)
 
 
-def _grid_n(dim: int, name: str, value: int) -> int:
-    """CLI rule for ``grid.n``: ``grid_points``, and a velocity field of
-    dim * n^dim float64 values that numpy can represent as one array."""
-    grid_points(name, value)
-    if dim * value**dim * 8 > np.iinfo(np.intp).max:
-        raise ValueError(
-            f"{name} must keep {dim} * n^{dim} float64 values in one array, got {value!r}"
-        )
-    return value
+def _grid_n(dim: int):
+    """``grid_points``, and a velocity field that numpy can hold as one array."""
+    fits = rule(f"must keep {dim} * n^{dim} float64 values in one array",
+                lambda v: dim * v**dim * 8 <= np.iinfo(np.intp).max)
+    return lambda name, value: fits(name, grid_points(name, value))
 
 
-def _burgers_order(name: str, value: int) -> int:
-    """CLI rule: a ``burgers-check`` order, 0..8."""
-    if not 0 <= value <= 8:
-        raise ValueError(f"{name} must lie in 0..8, got {value!r}")
-    return value
+_burgers_order = rule("must lie in 0..8", lambda v: 0 <= v <= 8)
 
 
-def _config_rule(rule, name: str, value):
-    """``rule(name, value)``, its ``ValueError`` raised as a ``ConfigError``."""
+def _config_rule(check, name: str, value):
+    """``check(name, value)``, its ``ValueError`` raised as a ``ConfigError``."""
     try:
-        return rule(name, value)
+        return check(name, value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -229,7 +219,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
 
     grid_sec = _SectionReader("grid", sections["grid"])
     dim = grid_sec.take("dim", int, grid_dim)
-    n = grid_sec.take("n", int, partial(_grid_n, dim))
+    n = grid_sec.take("n", int, _grid_n(dim))
     l = grid_sec.take("l", float, positive_finite, default=TWO_PI)
     grid_sec.finish()
     try:
@@ -243,7 +233,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
 
     init_sec = _SectionReader("initial", sections["initial"])
     kinds = ANALYTIC_KINDS + ("random", "snapshot")
-    kind = init_sec.take("kind", str, partial(_one_of, kinds))
+    kind = init_sec.take("kind", str, _one_of(kinds))
     if kind in ANALYTIC_KINDS:
         amplitude, abc = 1.0, (1.0, 1.0, 1.0)
         if kind == "beltrami_abc":  # abc sets its size; it has no amplitude
@@ -254,12 +244,13 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         else:
             amplitude = init_sec.take("amplitude", float, finite, default=1.0)
         initial = InitialSpec(kind=kind, amplitude=amplitude, abc=abc)
-        _config_rule(AnalyticFlow(kind, amplitude, abc).check_grid, "initial.kind", grid)
+        flow = AnalyticFlow(kind, amplitude, abc)
+        _config_rule(partial(flow.check_grid, length="grid.l"), "initial.kind", grid)
     elif kind == "random":
         initial = InitialSpec(
             kind=kind,
             seed=init_sec.take("seed", int, nonnegative_count),
-            peak_k=init_sec.take("peak_k", int, partial(peak_in_ball, grid)),
+            peak_k=init_sec.take("peak_k", int, peak_in_ball(grid)),
             amplitude=init_sec.take("amplitude", float, positive_finite, default=1.0),
         )
     else:
@@ -273,7 +264,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
 
     run_sec = _SectionReader("run", sections["run"])
     t_end = run_sec.take("t_end", float, finite_nonnegative)
-    integrator = run_sec.take("integrator", str, partial(_one_of, ("lie", "rk4")))
+    integrator = run_sec.take("integrator", str, _one_of(("lie", "rk4")))
     if integrator == "lie":
         tol = run_sec.take("tol", float, positive_finite, default=DEFAULT_TOL)
         max_order = run_sec.take("max_order", int, nonnegative_count,

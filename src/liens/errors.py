@@ -1,40 +1,29 @@
-"""Exception types shared across the package, and the number rules that
-state its parameters' domains. A rule ``rule(name, value)`` returns
-``value`` or raises ``ValueError(f"{name} <requirement>, got {value!r}")``;
-the library names its parameters, ``liens simulate`` its config keys.
-"""
+"""Exception types shared across the package, and the rules on its
+parameters: a rule ``(name, value) -> value`` raises
+``ValueError(f"{name} <requirement>, got {value!r}")`` outside its domain."""
 
 from __future__ import annotations
 
 import math
 
 
-def positive_finite(name: str, value: float) -> float:
-    """Rule: a step, tolerance, length or amplitude, 0 < value < inf."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+def rule(requirement: str, holds):
+    """The rule that passes a value for which ``holds(value)`` is true."""
+
+    def check(name: str, value):
+        if not holds(value):
+            raise ValueError(f"{name} {requirement}, got {value!r}")
+        return value
+
+    return check
 
 
-def finite_nonnegative(name: str, value: float) -> float:
-    """Rule: a viscosity or time horizon, 0 <= value < inf."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    return value
-
-
-def finite(name: str, value: float) -> float:
-    """Rule: a signed coefficient, neither infinite nor NaN."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def nonnegative_count(name: str, value: int) -> int:
-    """Rule: an order, power, seed or cadence, value >= 0."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
-    return value
+positive_finite = rule("must be positive and finite", lambda v: math.isfinite(v) and v > 0.0)
+finite_nonnegative = rule(
+    "must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0.0
+)
+finite = rule("must be finite", math.isfinite)
+nonnegative_count = rule("must be nonnegative", lambda v: v >= 0)
 
 
 class LiensError(Exception):

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FieldError, SnapshotFormatError, positive_finite
+from .errors import FieldError, SnapshotFormatError, positive_finite, rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,18 +67,8 @@ def fft_worker_count() -> int:
     return 1
 
 
-def grid_dim(name: str, value: int) -> int:
-    """Rule (see ``errors``): a grid has 2 or 3 axes."""
-    if value not in (2, 3):
-        raise ValueError(f"{name} must be 2 or 3, got {value!r}")
-    return value
-
-
-def grid_points(name: str, value: int) -> int:
-    """Rule (see ``errors``): points per axis, a power of two >= 8."""
-    if not (value >= 8 and value & (value - 1) == 0):
-        raise ValueError(f"{name} must be a power of two >= 8, got {value!r}")
-    return value
+grid_dim = rule("must be 2 or 3", lambda v: v in (2, 3))
+grid_points = rule("must be a power of two >= 8", lambda v: v >= 8 and v & (v - 1) == 0)
 
 
 @dataclass(frozen=True)

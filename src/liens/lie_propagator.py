@@ -113,8 +113,7 @@ class StepStats:
     coefficients_built: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"step dt must be positive, got {self.dt}")
+        positive_finite("step dt", self.dt)
         if self.truncation_estimate < 0.0:
             raise ValueError("truncation estimate must be nonnegative")
 

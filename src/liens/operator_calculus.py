@@ -23,11 +23,10 @@ max(deg f, deg g, deg f + deg g - 1) for ``apply_A``); a slot's exponent
 never exceeds its monomial's total degree, so no slot carries into the next.
 Each operation packs its arguments at entry and unpacks its result at exit.
 The ring methods and ``apply_A`` run the kernels on ``Fraction``
-coefficients. ``a_power_u(f, n)`` and ``p ** n`` pack f (p) once, scale it by
-the lcm D of its coefficient denominators and iterate on Python ints (the
-action is linear in f, so A_f^n u = A_{Df}^n u / D^n, and p^n = (Dp)^n / D^n),
-then divide by D^n and unpack once; the result is the exact ``Fraction``
-polynomial that n ``apply_A`` calls (n products) give.
+coefficients. ``a_power_u(f, n)`` packs f once, scales it by the lcm D of its
+coefficient denominators and iterates on Python ints (the action is linear in
+f, so A_f^n u = A_{Df}^n u / D^n), then divides by D^n and unpacks once; the
+result is the exact ``Fraction`` polynomial that n ``apply_A`` calls give.
 
 A plain-text syntax (``u_k``, ``+``, ``-``, ``*``, ``^``, rationals ``p/q``)
 round-trips through ``parse_diffpoly`` / ``str``.
@@ -100,19 +99,6 @@ def _unpack(packed: Packed, width: int) -> Terms:
             order += 1
         out[tuple(powers)] = c
     return out
-
-
-def _pack_scaled(terms: Terms, width: int) -> tuple[Packed, int]:
-    """D * terms packed, with Python int coefficients, and D, the lcm of the
-    coefficient denominators."""
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    scaled = {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
-    return _pack(scaled, width), scale
-
-
-def _unpack_scaled(packed: Packed, den: int, width: int) -> Terms:
-    """Canonical terms, with Fraction coefficients, of packed int ones / den."""
-    return _unpack({key: Fraction(c, den) for key, c in packed.items()}, width)
 
 
 def _mul_acc(out: Packed, a: Packed, b: Packed) -> None:
@@ -273,18 +259,11 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "DiffPoly":
-        """The n-fold product, run as (D p)^n / D^n on Python ints (D the lcm
-        of p's denominators) and on keys packed once at the width of its
-        degree n deg p."""
         nonnegative_count("n", n)
-        width = (n * _degree(self._terms)).bit_length()
-        base, scale = _pack_scaled(self._terms, width)
-        out: Packed = {0: 1}
+        out = DiffPoly.constant(1)
         for _ in range(n):
-            product: Packed = {}
-            _mul_acc(product, out, base)
-            out = _nonzero(product)
-        return DiffPoly._of(_unpack_scaled(out, scale**n, width))
+            out = out * self
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffPoly) and self._terms == other._terms
@@ -352,12 +331,14 @@ def a_power_u(f: DiffPoly, n: int) -> DiffPoly:
     nonnegative_count("n", n)
     deg = _degree(f._terms)
     width = max(deg, max(deg - 1, 0) * n + 1).bit_length()
-    base, scale = _pack_scaled(f._terms, width)
-    dxf = [base]
+    scale = math.lcm(*(c.denominator for c in f._terms.values()))
+    scaled = {key: c.numerator * (scale // c.denominator) for key, c in f._terms.items()}
+    dxf = [_pack(scaled, width)]
     g: Packed = {1: 1}  # u_0: exponent 1 in slot 0
     for _ in range(n):
         g = _act(dxf, g, width)
-    return DiffPoly._of(_unpack_scaled(g, scale**n, width))
+    den = scale**n
+    return DiffPoly._of(_unpack({key: Fraction(c, den) for key, c in g.items()}, width))
 
 
 def derivation_check(
@@ -450,15 +431,15 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|(u_\d+)|([+\-*^()]))")
 MAX_NESTING = 100
 # Largest exponent ``parse_diffpoly`` takes. A power is expanded by repeated
 # multiplication, so its time grows with the exponent: u_0^1000 takes about
-# 0.001 s, (u_0 + u_1)^100 0.004 s and ^300 0.03 s (2-core x86 VM), and
+# 0.01 s, (u_0 + u_1)^100 0.05 s and ^300 0.4 s (2-core x86 VM), and
 # u_0^99999999999 would run for days. The powers the calculus writes stay far
 # below the bound: a term of A_f^n u has degree (deg f - 1) n + 1, 12 for the
 # order-11 powers of the quadratic generators the benchmark expands.
 MAX_EXPONENT = 100
 # Most terms a product (t1 * t2) or a power (C(t + e - 1, e) for a t-term sum)
 # in ``parse_diffpoly`` may have, checked before it is expanded: a 4-term sum
-# to the power 20 (1771 terms) takes 0.016 s on a 2-core x86 VM, and to the
-# power 100 (176851 terms) the partial powers hold about 430 times the terms.
+# to the power 20 (1771 terms) takes 0.27 s on a 2-core x86 VM, and to the
+# power 100 (176851 terms) it would take minutes.
 MAX_TERMS = 2000
 
 

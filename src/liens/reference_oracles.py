@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError, finite, positive_finite
+from .errors import StabilityError, finite, nonnegative_count, positive_finite, rule
 from .grid_spectral import (
     TWO_PI,
     Grid,
@@ -70,19 +70,16 @@ class AnalyticFlow:
     def dim(self) -> int:
         return 2 if self.kind == TAYLOR_GREEN_2D else 3
 
-    def check_grid(self, name: str, grid: Grid) -> Grid:
-        """Rule (see ``errors``), with ``name`` naming the flow's kind: the
-        flow is closed-form on a grid of its dimension and the 2*pi box."""
+    def check_grid(self, name: str, grid: Grid, length: str = "grid.length") -> None:
+        """Rule on a grid for the flow ``name``: its dimension and the 2*pi
+        box, whose side the caller calls ``length``."""
         if grid.dim != self.dim:
-            raise ValueError(
-                f"{name} {self.kind} needs grid.dim = {self.dim}, got {grid.dim!r}"
-            )
+            raise ValueError(f"{name} {self.kind} needs grid.dim = {self.dim}, got {grid.dim!r}")
         if not math.isclose(grid.length, TWO_PI, rel_tol=1e-12):
             raise ValueError(
-                f"{name} {self.kind} needs grid.length = 2*pi (the 2*pi periodic box),"
+                f"{name} {self.kind} needs {length} = 2*pi (the 2*pi periodic box),"
                 f" got {grid.length!r}"
             )
-        return grid
 
     def decay_rate(self, nu: float) -> float:
         """Exponential decay rate of the velocity: every mode sits on |k|^2
@@ -227,14 +224,10 @@ def rk4_propagate(
     return final_state(u, t_end, advance)
 
 
-def peak_in_ball(grid: Grid, name: str, value: int) -> int:
-    """Rule (see ``errors``) on ``grid``: a random field's peak mode index
-    lies in 1..grid.ball_radius, inside the dealias ball."""
-    if not 1 <= value <= grid.ball_radius:
-        raise ValueError(
-            f"{name} must lie in 1..{grid.ball_radius} (inside the dealias ball), got {value!r}"
-        )
-    return value
+def peak_in_ball(grid: Grid):
+    """The rule on a random field's peak mode index on ``grid``."""
+    r = grid.ball_radius
+    return rule(f"must lie in 1..{r} (inside the dealias ball)", lambda v: 1 <= v <= r)
 
 
 def random_divfree(
@@ -248,7 +241,8 @@ def random_divfree(
     Hermitian-symmetrized, zero-mean, and rescaled so the L2 norm equals
     ``amplitude`` (energy amplitude^2/2).
     """
-    peak_in_ball(grid, "peak_k", peak_k)
+    nonnegative_count("seed", seed)
+    peak_in_ball(grid)("peak_k", peak_k)
     positive_finite("amplitude", amplitude)
     rng = np.random.Generator(np.random.Philox(seed))
     shape = (grid.dim, *grid.shape)

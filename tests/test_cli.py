@@ -286,6 +286,8 @@ _BELTRAMI = BELTRAMI_CONFIG.format(out="out")
         (lambda: AnalyticFlow("beltrami_abc", abc=(math.nan, 1.0, 1.0)), "abc[0]",
          _BELTRAMI, "kind = beltrami_abc", "kind = beltrami_abc\nabc_a = nan",
          "initial.abc_a"),
+        (lambda: random_divfree(-1, _GRID, 3, 1.0), "seed",
+         _RANDOM, "seed = 5", "seed = -1", "initial.seed"),
         (lambda: random_divfree(1, _GRID, 11, 1.0), "peak_k",
          _RANDOM, "peak_k = 3", "peak_k = 11", "initial.peak_k"),
         (lambda: Grid(dim=4, n=16), "grid dim",
@@ -296,7 +298,7 @@ _BELTRAMI = BELTRAMI_CONFIG.format(out="out")
          _TG, "n = 64", "n = 64\nl = -1", "grid.l"),
     ],
     ids=["nu", "t_end", "tol", "max_order", "rk4_dt", "analytic-amplitude",
-         "random-amplitude", "abc_a", "peak_k", "grid-dim", "grid-n", "grid-l"],
+         "random-amplitude", "abc_a", "seed", "peak_k", "grid-dim", "grid-n", "grid-l"],
 )
 def test_library_and_config_share_each_rule(library_call, param, text, old, new, key):
     with pytest.raises(ValueError, match=re.escape(f"{param} must")) as library:
@@ -306,6 +308,21 @@ def test_library_and_config_share_each_rule(library_call, param, text, old, new,
         parse_config(text.replace(old, new))
     library_rule = str(library.value).split(" must ", 1)[1]
     assert str(config.value) == f"{key} must {library_rule}"
+
+
+def test_two_pi_box_rule_names_each_callers_length():
+    # One rule, two names for the box side: Grid.length in the library and
+    # grid.l in a config, which has no key grid.length.
+    with pytest.raises(ValueError) as library:
+        analytic_field(AnalyticFlow("taylor_green_2d"), 0.0, 0.1, Grid(2, 32, length=1.0))
+    assert str(library.value) == (
+        "flow kind taylor_green_2d needs grid.length = 2*pi (the 2*pi periodic box), got 1.0"
+    )
+    with pytest.raises(ConfigError) as config:
+        parse_config(_TG.replace("n = 64", "n = 64\nl = 3.0"))
+    assert str(config.value) == (
+        "initial.kind taylor_green_2d needs grid.l = 2*pi (the 2*pi periodic box), got 3.0"
+    )
 
 
 class TestSimulate:

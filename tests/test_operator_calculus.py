@@ -372,19 +372,6 @@ class TestPackedWidth:
         # argument alone.
         assert apply_A(U(0) ** 256, U(0) ** 256) == 256 * U(0) ** 511
 
-    @pytest.mark.parametrize("text", ["u_0^40*u_1 + u_2", "1/3*u_0^40*u_1 - 2/7*u_2"])
-    def test_power_matches_product_chain(self, text):
-        # p ** n packs p once at the width of n deg p = 41 n: 6-bit slots at
-        # n = 1, 7 at n = 2 and 3, 8 from n = 4 on, where u_0 reaches 160.
-        # The second p has denominators 3 and 7: (21 p)^n / 21^n.
-        p = parse_diffpoly(text)
-        chain = DiffPoly.constant(1)
-        for n in range(7):
-            power = p ** n
-            assert power == chain and str(power) == str(chain)
-            assert_canonical(power)
-            chain = chain * p
-
     @pytest.mark.parametrize("text,orders", [("u_0^3", 4), ("u_0^40*u_1", 4)])
     def test_a_power_u_of_high_degree(self, text, orders):
         # A term of A^n u has degree (deg f - 1) n + 1: for u_0^40*u_1 that

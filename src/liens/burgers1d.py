@@ -27,6 +27,7 @@ from .operator_calculus import (
 )
 
 CROSS_CHECK_NU = 0.1
+CROSS_CHECK_BOUND = 1e-8  # on each symbolic error and on the order-10 series error
 
 
 def taylor_coefficients_burgers(

@@ -77,7 +77,7 @@ class Grid:
 
     ``dim`` and ``n`` follow ``grid_dim`` and ``grid_points``; the box is
     isotropic (one n, one length for every axis). The length must keep the
-    volume and |k|^4 representable (see ``__post_init__``).
+    volume and the largest |k|^2 representable (see ``__post_init__``).
     """
 
     dim: int
@@ -89,18 +89,17 @@ class Grid:
         grid_points("grid n", self.n)
         positive_finite("grid length", self.length)
         # The one rule on the length. Every norm is scaled by the volume
-        # (``parseval_sum``), so it must be a finite positive float. No
-        # computation forms |k|^4; the clause on |k|^4 at ``largest_k`` only
-        # fixes the set of accepted lengths, which a |k|^2 clause would widen.
+        # (``parseval_sum``) and ``ksq`` forms |k|^2 up to its largest value,
+        # so both must be finite positive floats.
         try:
             volume = self.volume
         except OverflowError:
             volume = math.inf
         k_squared = self.largest_k * self.largest_k
-        if not (0.0 < volume < math.inf and 0.0 < k_squared * k_squared < math.inf):
+        if not (0.0 < volume < math.inf and 0.0 < k_squared < math.inf):
             raise ValueError(
                 f"grid length {self.length!r} is out of range for dim {self.dim}, n {self.n}:"
-                f" the box volume length**{self.dim} and the largest |k|^4 must be finite"
+                f" the box volume length**{self.dim} and the largest |k|^2 must be finite"
                 " positive floats"
             )
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .burgers1d import cross_check
+from .burgers1d import CROSS_CHECK_BOUND, cross_check
 from .diagnostics import energy, enstrophy_norm
 from .grid_spectral import Grid, SpectralVectorField, inner_product, relative_divergence
 from .leray import ns_rhs
@@ -208,9 +208,10 @@ def criterion_8_linear_representation() -> list[CheckResult]:
     symbolic, errors = cross_check(5, 64)
     worst_ratio = max(b / a for a, b in zip(errors, errors[1:]))
     return [
-        CheckResult("8", "symbolic vs numeric coefficients n<=5", max(symbolic), 1e-8),
+        CheckResult("8", "symbolic vs numeric coefficients n<=5", max(symbolic),
+                    CROSS_CHECK_BOUND),
         CheckResult("8", "series error monotone (max ratio)", worst_ratio, 1.0),
-        CheckResult("8", "series error at order 10", errors[-1], 1e-8),
+        CheckResult("8", "series error at order 10", errors[-1], CROSS_CHECK_BOUND),
     ]
 
 

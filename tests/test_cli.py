@@ -216,12 +216,20 @@ class TestParseConfig:
         text = text.replace("peak_k = 3", "peak_k = 2")
         assert parse_config(text).grid.length == float(length)
 
-    def test_largest_representable_grid(self):
+    # Parsing builds no field, for any kind: one at n = 2^29 would not fit
+    # in memory.
+    @pytest.mark.parametrize("kind", [
+        "taylor_green_2d", "random\nseed = 1\npeak_k = 3", "snapshot\npath = seed.liens",
+    ], ids=["taylor-green", "random", "snapshot"])
+    def test_largest_representable_grid(self, tmp_path, kind):
         # 2 * n^2 float64 values fit in a numpy array up to n = 2^29.
-        text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
-        assert parse_config(text.replace("n = 64", f"n = {2**29}")).grid.n == 2**29
+        (tmp_path / "seed.liens").write_bytes(b"")
+        text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0).replace(
+            "kind = taylor_green_2d", f"kind = {kind}")
+        config = parse_config(text.replace("n = 64", f"n = {2**29}"), base_dir=tmp_path)
+        assert config.grid.n == 2**29
         with pytest.raises(ConfigError, match=r"grid\.n"):
-            parse_config(text.replace("n = 64", f"n = {2**30}"))
+            parse_config(text.replace("n = 64", f"n = {2**30}"), base_dir=tmp_path)
 
     def test_unknown_key_rejected(self):
         text = TG_CONFIG.format(n=64, t_end=1.0, out="out", cadence=0)
@@ -581,6 +589,20 @@ class TestSimulate:
         assert err.count("\n") == 1 and out == ""
         assert list(tmp_path.iterdir()) == [cfg]
 
+    # Lengths whose largest |k|^2 is a normal float are grids: at 1e100 the
+    # random field runs. At 1e-100 the volume and |k|^2 fit, but the
+    # enstrophy of the field overflows, which is the amplitude's fault.
+    @pytest.mark.parametrize("length,code,err", [
+        ("1e100", 0, ""),
+        ("1e-100", 2, "config error: initial.amplitude: the norms of the field of"
+                      " amplitude 1.0 overflow float64\n"),
+    ], ids=["1e100", "1e-100"])
+    def test_extreme_box_lengths(self, tmp_path, capsys, length, code, err):
+        text = RANDOM_RK4_CONFIG.format(out="out").replace(
+            "n = 32", f"n = 8\nl = {length}").replace("peak_k = 3", "peak_k = 2")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == code
+        assert capsys.readouterr().err == err
+
     # A small box is a grid like any other: a random field on 8^2 at length
     # 0.5 (largest |k| 71) runs and writes a spectrum of its mode indices
     # 0..6 (round(sqrt(2) * 4) = 6), as a 2 pi box does.
@@ -628,6 +650,19 @@ class TestSubcommands:
     @pytest.mark.parametrize("order", ["7", "8"])
     def test_burgers_check_high_orders_pass(self, order, capsys):
         assert main(["burgers-check", "--order", order]) == 0
+
+    # burgers-check and criterion 8 hold one cross_check result to one rule:
+    # a truncation error equal to the one before it is no growth for either.
+    def test_burgers_check_and_criterion_8_agree_on_a_tie(self, monkeypatch, capsys):
+        from liens import burgers1d, verification
+
+        truncation = [1e-2, 1e-3, 1e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
+        result = ([0.0] * 6, truncation)
+        monkeypatch.setattr(burgers1d, "cross_check", lambda order, n: result)
+        monkeypatch.setattr(verification, "cross_check", lambda order, n: result)
+        assert main(["burgers-check"]) == 0
+        assert " 5     1.000e-04  yes" in capsys.readouterr().out
+        assert all(r.passed for r in verification.criterion_8_linear_representation())
 
     def test_burgers_check_order_zero(self, capsys):
         assert main(["burgers-check", "--order", "0"]) == 0

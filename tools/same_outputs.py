@@ -1,0 +1,133 @@
+"""Run ``python -m liens.cli`` in two checkouts on the same cases and say,
+case by case, whether the two runs agree byte for byte.
+
+    python3 tools/same_outputs.py --parent DIR --change DIR
+
+``DIR`` is a checkout of each commit, e.g. ``git archive REV | tar -x -C DIR``.
+Each case runs once per checkout, in a fresh directory that holds only the
+case's input files, with ``DIR/src`` as ``PYTHONPATH``. Two runs agree when
+their exit codes, stdout, stderr and the sha256 of every file left in the
+directory are equal. The cases:
+
+- ``simulate`` on the configs that ``perfbench/workloads.py`` writes for
+  each simulation workload at seeds 1 and 7;
+- ``simulate`` from a physical snapshot, and on a Beltrami flow whose
+  ``abc_a = 1e160`` overflows the initial norms (exit 2);
+- ``spectrum`` of the physical snapshot;
+- ``burgers-check`` with its defaults and with ``--order 8 --n 32`` (exit 1).
+
+One line is printed per case; the exit status is 1 when any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (1, 7)
+
+
+@dataclass(frozen=True)
+class Case:
+    name: str
+    args: tuple[str, ...]
+    files: dict[str, bytes] = field(default_factory=dict)  # written before the run
+
+
+def physical_snapshot(n: int = 16) -> bytes:
+    """A smooth divergence-free 2-D field, sampled on n^2 points of the 2*pi
+    box, as a physical snapshot file."""
+    x = 2.0 * math.pi * np.arange(n) / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    u = np.stack([np.sin(Y) + 0.5 * np.cos(X) * np.sin(Y),
+                  np.sin(X) - 0.5 * np.sin(X) * np.cos(Y)])
+    header = f"LIENS1 2 {n} {2.0 * math.pi:.17g} 2 physical\n".encode("ascii")
+    return header + np.ascontiguousarray(u.transpose(0, 2, 1), "<f8").tobytes()  # x fastest
+
+
+def simulate_config(dim: int, n: int, initial: str, run: str) -> str:
+    return (f"[grid]\ndim = {dim}\nn = {n}\n[fluid]\nnu = 0.1\n[initial]\n{initial}\n"
+            f"[run]\n{run}\noutput_dir = out\n")
+
+
+def cases() -> list[Case]:
+    out = [
+        Case(f"{name} seed {seed}", ("simulate", "run.cfg"),
+             {"run.cfg": spec.config_text(seed, spec.t_end, "out").encode("ascii")})
+        for name, spec in WORKLOADS.items() if spec.kind == "simulate"
+        for seed in SEEDS
+    ]
+    snapshot = physical_snapshot()
+    lie = "t_end = 0.1\nintegrator = lie"
+    out += [
+        Case("physical snapshot", ("simulate", "run.cfg"), {
+            "run.cfg": simulate_config(2, 16, "kind = snapshot\npath = seed.liens",
+                                       lie).encode("ascii"),
+            "seed.liens": snapshot}),
+        Case("beltrami overflow", ("simulate", "run.cfg"), {
+            "run.cfg": simulate_config(3, 16, "kind = beltrami_abc\nabc_a = 1e160",
+                                       lie).encode("ascii")}),
+        Case("spectrum physical", ("spectrum", "seed.liens"), {"seed.liens": snapshot}),
+        Case("burgers-check", ("burgers-check",)),
+        Case("burgers-check 8 32", ("burgers-check", "--order", "8", "--n", "32")),
+    ]
+    return out
+
+
+def run_case(checkout: Path, case: Case, workdir: Path) -> dict:
+    """The exit code, stdout, stderr and the sha256 of each file (by path
+    relative to ``workdir``) of one run of ``case`` in ``workdir``."""
+    for name, data in case.files.items():
+        (workdir / name).write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    done = subprocess.run([sys.executable, "-m", "liens.cli", *case.args],
+                          cwd=workdir, env=env, capture_output=True)
+    files = {str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(workdir.rglob("*")) if p.is_file()}
+    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr,
+            "files": files}
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """What differs between two runs: ``exit``, ``stdout``, ``stderr`` and
+    the path of each file that one run lacks or whose digest differs."""
+    diff = [key for key in ("exit", "stdout", "stderr") if parent[key] != change[key]]
+    paths = sorted(parent["files"].keys() | change["files"].keys())
+    return diff + [p for p in paths if parent["files"].get(p) != change["files"].get(p)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    differing = 0
+    for case in cases():
+        runs = {}
+        for side in ("parent", "change"):
+            with tempfile.TemporaryDirectory(prefix="same_outputs-") as workdir:
+                runs[side] = run_case(getattr(args, side), case, Path(workdir))
+        diff = differences(runs["parent"], runs["change"])
+        differing += bool(diff)
+        verdict = "differs: " + ", ".join(diff) if diff else "identical"
+        print(f"{case.name:<22} exit {runs['parent']['exit']}  {verdict}", flush=True)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -106,27 +106,27 @@ from .reference_oracles import (
 )
 
 _SECTIONS = ("grid", "fluid", "initial", "run")
+_INTEGRATOR_KEYS = {"tol": "lie", "max_order": "lie", "rk4_dt": "rk4"}
 
 
 @dataclass(frozen=True)
 class InitialSpec:
     """``[initial]``: ``make()`` builds the field; ``size`` names the keys setting its size."""
 
-    kind: str
     make: Callable[[], SpectralVectorField]
     size: str
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config. ``advance()`` builds the run's ``advance`` for ``steps``;
+    building it allocates, so parsing only names the call."""
+
     grid: Grid
     nu: float
     initial: InitialSpec
     t_end: float
-    integrator: str
-    tol: float
-    max_order: int
-    rk4_dt: float | None
+    advance: Callable[[], Callable]
     output_dir: Path
     snapshot_cadence: int
 
@@ -267,7 +267,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"initial.path does not exist: {path}")
         make = partial(_snapshot_field, path, grid)
         size = f"initial.path: the norms of the field in {path}"
-    initial = InitialSpec(kind, make, size)
+    initial = InitialSpec(make, size)
     init_sec.finish()
 
     run_sec = _SectionReader("run", sections["run"])
@@ -277,15 +277,13 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         tol = run_sec.take("tol", float, positive_finite, default=DEFAULT_TOL)
         max_order = run_sec.take("max_order", int, nonnegative_count,
                                  default=DEFAULT_MAX_ORDER)
-        rk4_dt = None
-        if "rk4_dt" in run_sec.values:
-            raise ConfigError("run.rk4_dt is only valid with integrator = rk4")
+        advance = partial(lie_advance, grid, nu, tol=tol, max_order=max_order)
     else:
-        rk4_dt = run_sec.take("rk4_dt", float, positive_finite)
-        for key in ("tol", "max_order"):
-            if key in run_sec.values:
-                raise ConfigError(f"run.{key} is only valid with integrator = lie")
-        tol, max_order = DEFAULT_TOL, DEFAULT_MAX_ORDER
+        dt = run_sec.take("rk4_dt", float, positive_finite)
+        advance = partial(rk4_advance, grid, nu, dt=dt)
+    for key, owner in _INTEGRATOR_KEYS.items():  # the chosen integrator's keys are taken
+        if key in run_sec.values:
+            raise ConfigError(f"run.{key} is only valid with integrator = {owner}")
     output_dir = Path(run_sec.take("output_dir", str, default="out"))
     if base_dir is not None and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
@@ -293,8 +291,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     run_sec.finish()
 
     return RunConfig(
-        grid=grid, nu=nu, initial=initial, t_end=t_end,
-        integrator=integrator, tol=tol, max_order=max_order, rk4_dt=rk4_dt,
+        grid=grid, nu=nu, initial=initial, t_end=t_end, advance=advance,
         output_dir=output_dir, snapshot_cadence=snapshot_cadence,
     )
 
@@ -367,10 +364,7 @@ def cmd_simulate(config_path: Path) -> int:
             raise ConfigError(
                 f"grid.n: cannot allocate the initial field at n = {config.grid.n}: {exc}"
             ) from exc
-        if config.integrator == "lie":
-            advance = lie_advance(config.grid, config.nu, config.tol, config.max_order)
-        else:
-            advance = rk4_advance(config.grid, config.nu, config.rk4_dt)
+        advance = config.advance()
         try:
             config.output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

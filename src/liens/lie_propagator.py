@@ -36,24 +36,11 @@ below (Sulem, Sulem & Frisch, J. Comput. Phys. 50, 1983). ``ns_rhs`` and the
 RK4 oracle stay unfloored, so RK4 remains an independent check.
 
 The expansion is used as a one-step integrator. ``lie_advance`` checks a
-run's parameters and builds its kernel once; each of its steps gives every
-order N its largest admissible step h_N: within the request, within half the
-ratio-test radius estimate of c_0..c_N, and with both of the last two
-retained terms below the truncation bound, ||c_{N-1}|| h^{N-1} <= tol ||u||
-and ||c_N|| h^N <= tol ||u|| (one term alone can sit low by chance and
-admit too long a step). It takes the N that covers the request for the
-least work, N grows plus N(N+1)/2 Cauchy pair products weighted by
-PAIR_COST, per ceil(dt / h_N) equal steps (Jorba & Zou, Exp. Math. 14,
-2005, choose the step from the last two coefficients the same way). The
-series grows as far as that choice reads it: the four coefficients the
-radius needs, then at most two past the best order so far unless a higher
-order is predicted to do better, and never past an order whose h_N reaches
-the request. A step below COLLAPSE_FLOOR of the request is no step: with
-none left at max_order the analyticity margin has collapsed
-(``RadiusCollapseError``). n! c_n reproduces the n-th generator power
-applied to u, which is what the symbolic calculus cross-checks in one
-dimension. ``steps`` composes steps, T(t_end) = T(dt_k)...T(dt_1), for this
-and every integrator.
+run's parameters, builds its kernel once and chooses the order and length
+of each step; its docstring states that policy in full. n! c_n reproduces
+the n-th generator power applied to u, which is what the symbolic calculus
+cross-checks in one dimension. ``steps`` composes steps, T(t_end) =
+T(dt_k)...T(dt_1), for this and every integrator.
 """
 
 from __future__ import annotations
@@ -182,9 +169,9 @@ class _SeriesBuilder:
         mode outside the 2/3 ball is exactly zero. The transform is whole,
         not pruned to the ball: the mask writes each zero with the sign of
         the mode it clears, and the output files record those signs. Order
-        0 returns a copy of ``u_hat``."""
+        0 wraps c_0's array uncopied: field arrays are read-only."""
         if order == 0:
-            return SpectralVectorField(self.grid, self.u_hat.copy())
+            return SpectralVectorField(self.grid, self.u_hat)
         v = _horner(self.stack[: order + 1], t, self.stack[order])
         out = fftn_forward(self.grid, v)
         out *= self.grid.dealias_keep
@@ -308,16 +295,19 @@ def lie_advance(
     order N <= max_order gets its largest admissible step h_N: at most dt
     and 0.5 * the ratio-test radius of c_0..c_N (+inf with fewer than four
     coefficients), with ||c_{N-1}|| h^{N-1} <= tol ||u|| and
-    ||c_N|| h^N <= tol ||u||. The step takes the order that covers dt for
-    the least work, ``_step_cost(N)`` (N grows and N(N+1)/2 pair products
-    weighted by PAIR_COST) times ceil(dt / h_N) steps, and evens its length
-    to dt / ceil(dt / h_N) so that no sliver is left. Before it reads order
-    N the series holds c_0..c_min(max(N, 3), max_order), so the four
-    coefficients the radius needs come first. It reads at most two orders
-    past the best so far, further only while a linear extrapolation of h_N
-    says a higher order could still do better, and stops as soon as some
-    h_N reaches dt. Steps below COLLAPSE_FLOOR * dt are not admissible:
-    with none left at max_order, ``RadiusCollapseError`` is raised.
+    ||c_N|| h^N <= tol ||u|| (one term alone can sit low by chance and
+    admit too long a step; Jorba & Zou, Exp. Math. 14, 2005, choose the
+    step from the last two coefficients the same way). The step takes the
+    order that covers dt for the least work, ``_step_cost(N)`` (N grows and
+    N(N+1)/2 pair products weighted by PAIR_COST) times ceil(dt / h_N)
+    steps, and evens its length to dt / ceil(dt / h_N) so that no sliver is
+    left. Before it reads order N the series holds
+    c_0..c_min(max(N, 3), max_order), so the four coefficients the radius
+    needs come first. It reads at most two orders past the best so far,
+    further only while a linear extrapolation of h_N says a higher order
+    could still do better, and stops as soon as some h_N reaches dt. Steps
+    below COLLAPSE_FLOOR * dt are not admissible: with none left at
+    max_order, ``RadiusCollapseError`` is raised.
 
     The advance checks neither u nor dt. u must be divergence-free and
     dealiased: ``step`` and ``propagate`` check their initial field, and

@@ -153,10 +153,12 @@ class TestParseConfig:
         config = load_config(cfg)
         assert config.grid.dim == 2 and config.grid.n == 64
         assert config.nu == 0.1
-        assert config.initial.kind == "taylor_green_2d"
+        assert config.initial.make.func is analytic_field
+        assert config.initial.make.args[0] == AnalyticFlow("taylor_green_2d")
         assert config.t_end == 1.0
-        assert config.integrator == "lie"
-        assert config.tol == 1e-10 and config.max_order == 30
+        assert config.advance.func is lie_advance
+        assert config.advance.args == (config.grid, 0.1)
+        assert config.advance.keywords == {"tol": 1e-10, "max_order": 30}
         assert config.output_dir == tmp_path / "out"
         assert math.isclose(config.grid.length, 2 * math.pi)
 
@@ -904,10 +906,10 @@ def test_simulate_survives_mutated_configs(tmp_path, text):
         config = None
     if config is not None:
         assume(config.grid.n <= 32 and config.t_end <= 0.01)
-        if config.integrator == "rk4":
-            assume(config.t_end <= 100 * config.rk4_dt)
+        if config.advance.func is rk4_advance:
+            assume(config.t_end <= 100 * config.advance.keywords["dt"])
         else:
-            assume(config.max_order >= 8)
+            assume(config.advance.keywords["max_order"] >= 8)
         assume(config.output_dir.resolve().is_relative_to(run_dir.resolve()))
     before = set(tmp_path.rglob("*"))
     out, err = io.StringIO(), io.StringIO()

@@ -13,6 +13,12 @@ directory are equal. The cases:
   each simulation workload at seeds 1 and 7;
 - ``simulate`` from a physical snapshot, and on a Beltrami flow whose
   ``abc_a = 1e160`` overflows the initial norms (exit 2);
+- ``simulate`` on each way a ``[run]`` section ends a run early: an RK4
+  step past the diffusion bound, ``rk4_dt`` with lie and ``tol`` with rk4
+  (exit 2); a random field of amplitude 1e7 whose radius estimate
+  collapses, and an inviscid RK4 run whose state overflows (exit 3, with
+  ``field_last.liens``);
+- ``simulate`` by lie with a snapshot after each of its four steps;
 - ``spectrum`` of the physical snapshot;
 - ``burgers-check`` with its defaults and with ``--order 8 --n 32`` (exit 1).
 
@@ -59,9 +65,15 @@ def physical_snapshot(n: int = 16) -> bytes:
     return header + np.ascontiguousarray(u.transpose(0, 2, 1), "<f8").tobytes()  # x fastest
 
 
-def simulate_config(dim: int, n: int, initial: str, run: str) -> str:
-    return (f"[grid]\ndim = {dim}\nn = {n}\n[fluid]\nnu = 0.1\n[initial]\n{initial}\n"
+def simulate_config(dim: int, n: int, initial: str, run: str, nu: float = 0.1) -> str:
+    return (f"[grid]\ndim = {dim}\nn = {n}\n[fluid]\nnu = {nu}\n[initial]\n{initial}\n"
             f"[run]\n{run}\noutput_dir = out\n")
+
+
+def simulate(name: str, dim: int, n: int, initial: str, run: str, nu: float = 0.1) -> Case:
+    """A ``simulate`` case on ``simulate_config(dim, n, initial, run, nu)``."""
+    return Case(name, ("simulate", "run.cfg"),
+                {"run.cfg": simulate_config(dim, n, initial, run, nu).encode("ascii")})
 
 
 def cases() -> list[Case]:
@@ -73,14 +85,23 @@ def cases() -> list[Case]:
     ]
     snapshot = physical_snapshot()
     lie = "t_end = 0.1\nintegrator = lie"
+    rk4 = "t_end = 0.1\nintegrator = rk4\nrk4_dt = "
+    tg = "kind = taylor_green_2d"
     out += [
         Case("physical snapshot", ("simulate", "run.cfg"), {
             "run.cfg": simulate_config(2, 16, "kind = snapshot\npath = seed.liens",
                                        lie).encode("ascii"),
             "seed.liens": snapshot}),
-        Case("beltrami overflow", ("simulate", "run.cfg"), {
-            "run.cfg": simulate_config(3, 16, "kind = beltrami_abc\nabc_a = 1e160",
-                                       lie).encode("ascii")}),
+        simulate("beltrami overflow", 3, 16, "kind = beltrami_abc\nabc_a = 1e160", lie),
+        simulate("rk4 past diffusion", 2, 16, tg, rk4 + "1.0"),
+        simulate("rk4_dt with lie", 2, 16, tg, lie + "\nrk4_dt = 1e-3"),
+        simulate("tol with rk4", 2, 16, tg, rk4 + "1e-3\ntol = 1e-10"),
+        simulate("radius collapse", 2, 32, "kind = random\nseed = 3\npeak_k = 3\n"
+                 "amplitude = 1e7", "t_end = 1\nintegrator = lie", nu=0.01),
+        simulate("rk4 blow-up", 2, 32, "kind = random\nseed = 3\npeak_k = 4\n"
+                 "amplitude = 50", "t_end = 2\nintegrator = rk4\nrk4_dt = 0.5", nu=0),
+        simulate("lie snapshot cadence", 2, 16, "kind = random\nseed = 5\npeak_k = 3\n"
+                 "amplitude = 5", "t_end = 1\nintegrator = lie\nsnapshot_cadence = 1"),
         Case("spectrum physical", ("spectrum", "seed.liens"), {"seed.liens": snapshot}),
         Case("burgers-check", ("burgers-check",)),
         Case("burgers-check 8 32", ("burgers-check", "--order", "8", "--n", "32")),

@@ -33,12 +33,14 @@ nothing outside it. The ball is folded at once into the divergence
 i k_j T_ij (the advection term) or into the pressure -k_i k_j T_ij / |k|^2,
 and dropped. So at most one component of T exists at a time, in either
 space. The divergence is Leray-projected and combined with the viscous term
-on the ball too, with the ball-shaped tables of ``Grid``, and scattered once
-into the caller's half spectrum, which is zero outside the ball. Each kept
-mode is bit for bit what the whole transform followed by the mask gives
+on the ball too, with the ball-shaped tables of ``Grid``: ``Kernel.apply``
+takes the coefficient and returns the result as compact balls, since the
+series keeps its coefficients there. ``Kernel.rhs`` gathers its
+half-spectrum input onto the ball, and it and ``compute_pressure`` scatter
+their result, zero outside the ball, at their own boundary. Each kept mode
+is bit for bit what the whole transform followed by the mask gives
 (``grid_spectral.fftn_forward``), and the ball tables are copies of the
-whole ones, so the ball changes no result; the inverse transform stays
-whole.
+whole ones, so the ball changes no result.
 
 The stream order, TENSOR_INDEX, is (0,0), (0,1), (1,1), (0,2), (1,2), (2,2):
 (i, j) comes after every (i', j') with j' < j. Each (div T)_i therefore
@@ -159,18 +161,18 @@ def project_half(grid: Grid, w_hat: np.ndarray, scratch: np.ndarray) -> None:
 class Kernel:
     """The kernel on one grid with viscosity ``nu`` (a float, already
     checked): the viscous factor -nu |k|^2 on the dealias ball
-    (``Grid.ball_shape``) and the buffers every call reuses, one physical
-    tensor component and, on the ball, the accumulated vector i k_j T_ij and
-    two scalars, one for a product and one for k.w. ``np.empty`` commits
-    their pages only as they are written."""
+    (``Grid.ball_shape``) and the buffers every call reuses: one physical
+    tensor component, two ball scalars, one for a product and one for k.w,
+    and the two ball vectors of ``rhs``, its gathered input and its result.
+    ``np.empty`` commits their pages only as they are written."""
 
     def __init__(self, grid: Grid, nu: float):
         self.grid = grid
         self.viscous = -nu * grid.ball_ksq
         self.component = np.empty(grid.shape)
-        self.acc = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
         self.term = np.empty(grid.ball_shape, dtype=np.complex128)
         self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
+        self.rhs_balls = np.empty((2, grid.dim, *grid.ball_shape), dtype=np.complex128)
 
     def spectra(self, stack: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
         """The stream: (i, j, dealias ball of the half spectrum of (T_n)_ij)
@@ -180,40 +182,39 @@ class Kernel:
             cauchy_component(stack, n, i, j, self.component)
             yield i, j, fftn_forward(self.grid, self.component, ball=True)
 
-    def apply(self, stack: np.ndarray, n: int, c_hat: np.ndarray, out: np.ndarray) -> float:
-        """``out`` = -nu |k|^2 c_hat - P[div T_n], dealiased, with
+    def apply(self, stack: np.ndarray, n: int, c_ball: np.ndarray, out: np.ndarray) -> float:
+        """``out`` = -nu |k|^2 c - P[div T_n] on the dealias ball, with
         (div T)_i = i k_j T_ij for the Cauchy product T_n of the physical
-        velocities in ``stack[:n+1]`` (see ``cauchy_component``). Returns
-        max|T_n|. T_n is streamed one component at a time, in the order
-        the module docstring gives, which keeps every sum that of the
-        whole-tensor form. Everything is formed on the ball and scattered
-        once into ``out``, which is zero outside it. ``out`` must not be
-        ``c_hat``."""
+        velocities in ``stack[:n+1]`` (see ``cauchy_component``); ``c_ball``
+        and ``out`` are compact balls (trailing shape ``Grid.ball_shape``).
+        Returns max|T_n|. T_n is streamed one component at a time, in the
+        order the module docstring gives, which keeps every sum that of the
+        whole-tensor form. ``out`` must not be ``c_ball``."""
         grid, k = self.grid, self.grid.ball_k_deriv
-        acc, term = self.acc, self.term
-        acc.fill(0.0)
+        term = self.term
+        out.fill(0.0)
         peak = 0.0
         for i, j, t_hat in self.spectra(stack, n):
             # self.component still holds T_ij; max|T| is the largest peak of
             # any component, and np.max passes a NaN on
             peak = np.max((peak, self.component.max(), -self.component.min()))
-            np.add(acc[i], np.multiply(k[j], t_hat, out=term), out=acc[i])
+            np.add(out[i], np.multiply(k[j], t_hat, out=term), out=out[i])
             if i != j:
-                np.add(acc[j], np.multiply(k[i], t_hat, out=term), out=acc[j])
-        acc *= 1j
-        _project(acc, k, grid.ball_inv_ksq, self.k_dot_w, term)
+                np.add(out[j], np.multiply(k[i], t_hat, out=term), out=out[j])
+        out *= 1j
+        _project(out, k, grid.ball_inv_ksq, self.k_dot_w, term)
         for a in range(grid.dim):
-            c_ball = gather_ball(grid, c_hat[a], term)
-            np.subtract(np.multiply(self.viscous, c_ball, out=c_ball), acc[a], out=acc[a])
-        scatter_ball(grid, acc, out)
+            np.subtract(np.multiply(self.viscous, c_ball[a], out=term), out[a], out=out[a])
         return float(peak)
 
     def rhs(self, v_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``ns_rhs`` on raw coefficients, written into ``out`` (not
-        ``v_hat``) and returned, without its checks: for callers whose input
-        is admissible by construction."""
-        self.apply(ifftn_real(self.grid, v_hat)[None], 0, v_hat, out)
-        return out
+        """``ns_rhs`` on raw half-spectrum coefficients, written into ``out``
+        (not ``v_hat``), zero outside the dealias ball, and returned, without
+        its checks: for callers whose input is admissible by construction."""
+        c_ball, f_ball = self.rhs_balls
+        gather_ball(self.grid, v_hat, c_ball)
+        self.apply(ifftn_real(self.grid, v_hat)[None], 0, c_ball, f_ball)
+        return scatter_ball(self.grid, f_ball, out)
 
 
 # ---------------------------------------------------------------------------

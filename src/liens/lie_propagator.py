@@ -14,14 +14,19 @@ into P[div T_n], each through one real-to-complex FFT pruned to the 2/3-rule
 dealias ball; the projection and the viscous term act on the ball alone. At
 n = 0 the stack is c_0 alone and c_1 = F(u): ``leray.ns_rhs`` is that call.
 
-While a step grows the series it keeps one physical velocity per
-coefficient, in one preallocated stack, and of the half spectra (see
-``grid_spectral``) only the caller's c_0 and the last one, which the
-recursion's viscous term needs; norms come from the weighted Parseval sum.
-The step sums the series by Horner on the physical velocities and
-transforms the sum once. ``taylor_coefficients`` collects each half
-spectrum as it is made and returns them as a tuple c_0..c_N: a truncated
-Lie series is nothing more than its coefficients c_n = A^n u / n!.
+Every c_n past c_0 is zero outside the 2/3-rule dealias ball by
+construction, so a step keeps its coefficients there: of the spectra only
+the caller's half spectrum c_0 (see ``grid_spectral``) and the last
+coefficient, a compact ball, which the recursion's viscous term needs; the
+floor and the norms, the weighted Parseval sum, act on the ball. Beside
+them sits one preallocated stack of physical velocities, into which c_n is
+transformed, by the inverse pruned to the ball, only when the Cauchy sum of
+c_{n+1} or the step's sum needs it, so the look-ahead coefficients that end
+a step are never transformed. The step sums the series by Horner on the
+physical velocities and transforms the sum once. ``taylor_coefficients``
+scatters each coefficient into a half spectrum as it is made and returns
+them as a tuple c_0..c_N: a truncated Lie series is nothing more than its
+coefficients c_n = A^n u / n!.
 
 Round-off floor: every mode of a new coefficient c_{n+1} of magnitude below
 SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is zeroed (eps the float64
@@ -61,8 +66,10 @@ from .grid_spectral import (
     Grid,
     SpectralVectorField,
     fftn_forward,
+    gather_ball,
     ifftn_real,
     parseval_sum,
+    scatter_ball,
 )
 from .leray import Kernel, _require_admissible, viscosity_value
 
@@ -108,14 +115,18 @@ class StepStats:
 class _SeriesBuilder:
     """Incrementally grows the series.
 
-    The physical velocities of the known coefficients sit in one stack,
-    shaped (capacity, dim, *grid.shape); beside it the builder keeps only the
-    caller's ``u_hat``, the half spectrum of the last coefficient, the
-    norms and the run's ``leray.Kernel``, which holds the viscous table and
-    the reusable buffers. Producing c_{n+1} is one kernel call, which streams
-    ``leray``'s Cauchy sum over the stack component by component, and one
-    inverse transform into the next slot. Every coefficient's half spectrum is a fresh array:
-    ``taylor_coefficients`` keeps each one.
+    Every coefficient past c_0 is zero outside the dealias ball, so the
+    builder keeps the last one as a compact ball (``Grid.ball_shape``), with
+    the round-off floor and the Parseval norm applied there; beside it sit
+    the caller's ``u_hat``, the norms, the run's ``leray.Kernel``, which
+    holds the viscous table and the reusable buffers, and one stack of
+    physical velocities, shaped (capacity, dim, *grid.shape). Producing
+    c_{n+1} is one inverse transform of c_n into stack slot n, pruned to the
+    ball past c_0, and one kernel call, which streams ``leray``'s Cauchy sum
+    over the stack component by component. So coefficient n is transformed
+    only when grow n + 1 or ``evaluate(n)`` needs it: the look-ahead
+    coefficient that ends a step never takes a slot. Every coefficient's
+    ball is a fresh array: ``taylor_coefficients`` keeps each one.
 
     The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
     max_order + 1, only if a step grows past it; ``np.empty`` commits pages
@@ -127,51 +138,60 @@ class _SeriesBuilder:
         self.max_order = max_order
         self.k_max = float(grid.k_1d[grid.ball_radius])  # the dealias radius
         self.u_hat = u_hat
-        self.norms: list[float] = []
+        # c_0 is the caller's half spectrum, which may hold round-off outside
+        # the ball: its norm and its velocity are those of the whole of it.
+        self.norms = [math.sqrt(parseval_sum(grid, _squares(u_hat)))]
+        ball = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
+        self.last = gather_ball(grid, u_hat, ball)
         self.kernel = kernel
         # A stack per step: kept for a whole rand3d-lie run, it raised peak RSS 188 -> 217 MiB.
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
         self.stack = np.empty((capacity, grid.dim, *grid.shape))
-        self._append(u_hat)
 
-    def _append(self, c_hat: np.ndarray, floor: float = 0.0) -> None:
-        """Keep ``c_hat`` with every mode of magnitude below ``floor`` zeroed
-        in place; the mask reuses the |c|^2 array that the norm sums."""
-        sq = np.abs(c_hat)
-        sq *= sq
-        if floor > 0.0:
-            below = sq < floor * floor
-            c_hat[below] = 0.0
-            sq[below] = 0.0
-        norm = math.sqrt(parseval_sum(self.grid, sq))
-        del sq  # freed before the inverse transform allocates
-        n = len(self.norms)
+    def _transform_last(self) -> None:
+        """Write the physical velocity of the last coefficient, c_n, into
+        stack slot n, doubling the stack first if it is full."""
+        n = len(self.norms) - 1
         if n == len(self.stack):
             grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]))
             grown[:n] = self.stack
             self.stack = grown
-        self.stack[n] = ifftn_real(self.grid, c_hat)
-        self.norms.append(norm)
-        self.last = c_hat
+        if n == 0:
+            self.stack[0] = ifftn_real(self.grid, self.u_hat)
+        else:
+            self.stack[n] = ifftn_real(self.grid, self.last, ball=True)
 
     def grow(self) -> None:
-        """Compute the next coefficient from the recursion."""
+        """Compute the next coefficient from the recursion, keeping it with
+        every mode of magnitude below the round-off floor zeroed; the mask
+        reuses the |c|^2 array that the norm sums."""
         n = len(self.norms) - 1
+        self._transform_last()
         new = np.empty_like(self.last)
         scale = self.kernel.apply(self.stack, n, self.last, new)
         new /= n + 1
-        self._append(new, SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1))
+        floor = SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1)
+        sq = _squares(new)
+        if floor > 0.0:
+            below = sq < floor * floor
+            new[below] = 0.0
+            sq[below] = 0.0
+        self.norms.append(math.sqrt(parseval_sum(self.grid, sq, ball=True)))
+        self.last = new
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:
         """The series truncated after c_order, evaluated at t: Horner on the
-        physical velocities, accumulated in ``stack[order]`` (the builder is
-        spent afterwards), then one forward transform, masked so that every
+        physical velocities (c_order's is transformed first if no grow has
+        needed it), accumulated in ``stack[order]`` (the builder is spent
+        afterwards), then one forward transform, masked so that every
         mode outside the 2/3 ball is exactly zero. The transform is whole,
         not pruned to the ball: the mask writes each zero with the sign of
         the mode it clears, and the output files record those signs. Order
         0 wraps c_0's array uncopied: field arrays are read-only."""
         if order == 0:
             return SpectralVectorField(self.grid, self.u_hat)
+        if order == len(self.norms) - 1:
+            self._transform_last()
         v = _horner(self.stack[: order + 1], t, self.stack[order])
         out = fftn_forward(self.grid, v)
         out *= self.grid.dealias_keep
@@ -193,6 +213,13 @@ class _SeriesBuilder:
         for m in range(max(n - 1, 0), n + 1):
             h = min(h, _term_reach(self.norms[m], m, bound))
         return h
+
+
+def _squares(c: np.ndarray) -> np.ndarray:
+    """|c|^2 as a new real array."""
+    sq = np.abs(c)
+    sq *= sq
+    return sq
 
 
 def _term_reach(norm: float, m: int, bound: float) -> float:
@@ -253,7 +280,8 @@ def taylor_coefficients(
     coefficients = [u]
     for _ in range(order):
         builder.grow()
-        coefficients.append(SpectralVectorField(u.grid, builder.last))
+        half = scatter_ball(u.grid, builder.last, np.empty_like(u.data))
+        coefficients.append(SpectralVectorField(u.grid, half))
     return tuple(coefficients)
 
 

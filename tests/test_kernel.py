@@ -215,6 +215,36 @@ def test_ball_transform_is_the_masked_transform(dim, n, leading):
     assert np.array_equal(scatter_ball(grid, ball, np.empty_like(masked)), masked)
 
 
+@pytest.mark.parametrize("leading", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_inverse_is_the_inverse_of_the_scattered_ball(dim, n, leading):
+    grid = Grid(dim=dim, n=n)
+    shape = ((dim,) if leading else ()) + grid.shape
+    values = np.random.default_rng(n + dim).standard_normal(shape)
+    ball = fftn_forward(grid, values, ball=True)
+    half = scatter_ball(grid, ball, np.empty(shape[:-dim] + grid.spectral_shape, complex))
+    got = ifftn_real(grid, ball, ball=True)
+    assert got.shape == shape
+    assert np.array_equal(got, ifftn_real(grid, half))
+
+
+# The series writes the velocity of each coefficient into a slot of a
+# preallocated stack.
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_inverse_fills_a_stack_slot(dim):
+    grid = Grid(dim=dim, n=32)
+    rng = np.random.default_rng(dim)
+    balls = [fftn_forward(grid, rng.standard_normal((dim, *grid.shape)), ball=True)
+             for _ in range(3)]
+    stack = np.empty((4, dim, *grid.shape))
+    for slot, ball in enumerate(balls):
+        stack[slot] = ifftn_real(grid, ball, ball=True)
+    for slot, ball in enumerate(balls):
+        half = scatter_ball(grid, ball, np.empty((dim, *grid.spectral_shape), complex))
+        assert np.array_equal(stack[slot], ifftn_real(grid, half))
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.02])
 @pytest.mark.parametrize("dim,n,peak_k", BALL_CASES)
 def test_rhs_matches_half_spectrum_kernel(dim, n, peak_k, nu):

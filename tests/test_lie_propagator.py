@@ -24,7 +24,7 @@ from liens import (
 )
 from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
-from liens.grid_spectral import relative_divergence
+from liens.grid_spectral import ifftn_real, relative_divergence
 from liens.leray import Kernel
 from liens.lie_propagator import StepStats, fixed_step
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
@@ -435,10 +435,12 @@ class TestSeriesWorkspace:
         assert huge_stats == stats
         assert np.array_equal(got.data, want.data)
 
-    # One grow streams T_n one component at a time through the builder's
-    # reused buffers: besides the new coefficient it allocates one component
-    # spectrum, then the new velocity. The whole-tensor kernel took 6.7
-    # (3-D) and 6.5 (2-D) half-spectrum vector fields.
+    # One grow transforms the last coefficient from its ball into the stack
+    # (the transform's passes and the velocity it returns, about 1.7
+    # half-spectrum vector fields at its peak), then streams T_n one
+    # component at a time through the kernel's reused buffers into the new
+    # coefficient's ball. Transforming whole half spectra took 3.06; the
+    # whole-tensor kernel took 6.7 (3-D) and 6.5 (2-D).
     @pytest.mark.parametrize("dim,n", [(3, 32), (2, 64)])
     def test_grow_transient_is_bounded(self, dim, n):
         grid = Grid(dim=dim, n=n)
@@ -452,7 +454,29 @@ class TestSeriesWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * u.data.nbytes
+        assert peak <= 2.0 * u.data.nbytes
+
+    # Coefficient n is transformed into the stack only when grow n + 1 or
+    # the step's evaluate needs it: one inverse transform per grow, and one
+    # more only when the step keeps its last coefficient. At dt 3 the step
+    # grows two look-ahead coefficients past its order; at dt 0.1 it stops
+    # on the order whose reach covers dt.
+    @pytest.mark.parametrize("dt,look_ahead", [(3.0, True), (0.1, False)])
+    def test_no_transform_of_the_look_ahead(self, monkeypatch, dt, look_ahead):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
+        transforms = []
+
+        def counting(*args, **kwargs):
+            transforms.append(kwargs.get("ball", False))
+            return ifftn_real(*args, **kwargs)
+
+        monkeypatch.setattr(lie_propagator, "ifftn_real", counting)
+        _, stats = lie_advance(u.grid, 0.02)(u, dt)
+        built, order = stats.coefficients_built, stats.order_used
+        assert (order < built) == look_ahead
+        assert (stats.dt == dt) != look_ahead
+        assert len(transforms) == built + (order == built)
+        assert transforms == [False] + [True] * (len(transforms) - 1)
 
     def test_stack_growth_keeps_coefficients(self, monkeypatch):
         u = random_divfree(seed=7, grid=Grid(dim=2, n=16), peak_k=3, amplitude=1.0)

@@ -31,13 +31,16 @@ def test_cases_cover_every_listed_run(same_outputs):
     overflowing Beltrami flow; every way a ``[run]`` section ends a run
     early (an RK4 step past the diffusion bound, a key of the other
     integrator, a radius collapse, an RK4 overflow); a lie run with a
-    snapshot per step; ``spectrum`` and two ``burgers-check`` runs."""
+    snapshot per step, and two on exact 3-D eigenflows, whose snapshots
+    record the signs of exact zeros; ``spectrum`` and two ``burgers-check``
+    runs."""
     names = [case.name for case in same_outputs.cases()]
     assert names == [
         "tg2d-lie seed 1", "tg2d-lie seed 7", "rand3d-lie seed 1", "rand3d-lie seed 7",
         "rand3d-rk4 seed 1", "rand3d-rk4 seed 7", "physical snapshot", "beltrami overflow",
         "rk4 past diffusion", "rk4_dt with lie", "tol with rk4", "radius collapse",
-        "rk4 blow-up", "lie snapshot cadence",
+        "rk4 blow-up", "lie snapshot cadence", "beltrami_abc snapshots",
+        "taylor_green_3d_embedded snapshots",
         "spectrum physical", "burgers-check", "burgers-check 8 32",
     ]
 

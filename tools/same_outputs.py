@@ -19,6 +19,9 @@ directory are equal. The cases:
   collapses, and an inviscid RK4 run whose state overflows (exit 3, with
   ``field_last.liens``);
 - ``simulate`` by lie with a snapshot after each of its four steps;
+- ``simulate`` by lie on the exact 3-D eigenflows ``beltrami_abc`` and
+  ``taylor_green_3d_embedded`` at 16^3 with a snapshot after each step:
+  their spectra hold exact zeros, whose signs the snapshots record;
 - ``spectrum`` of the physical snapshot;
 - ``burgers-check`` with its defaults and with ``--order 8 --n 32`` (exit 1).
 
@@ -102,6 +105,9 @@ def cases() -> list[Case]:
                  "amplitude = 50", "t_end = 2\nintegrator = rk4\nrk4_dt = 0.5", nu=0),
         simulate("lie snapshot cadence", 2, 16, "kind = random\nseed = 5\npeak_k = 3\n"
                  "amplitude = 5", "t_end = 1\nintegrator = lie\nsnapshot_cadence = 1"),
+        *(simulate(f"{kind} snapshots", 3, 16, f"kind = {kind}",
+                   "t_end = 1\nintegrator = lie\nsnapshot_cadence = 1")
+          for kind in ("beltrami_abc", "taylor_green_3d_embedded")),
         Case("spectrum physical", ("spectrum", "seed.liens"), {"seed.liens": snapshot}),
         Case("burgers-check", ("burgers-check",)),
         Case("burgers-check 8 32", ("burgers-check", "--order", "8", "--n", "32")),

@@ -46,8 +46,9 @@ Conventions
   temporaries reused from the heap it takes 0.70-0.85 of the whole
   inverse's time at 64^3 and 0.75-1.0 at 32^3, but 1.1 at 128^2 (one
   vector, same VM). The nonlinear kernel transforms forward that way, and
-  the series transforms its coefficients, which live on the ball, back that
-  way; every other transform is whole.
+  it transforms back that way every velocity a step reads: each series
+  coefficient, c_0 included, and the input of ``leray.Kernel.rhs``. Every
+  other transform is whole.
 """
 
 from __future__ import annotations

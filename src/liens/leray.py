@@ -18,29 +18,29 @@ completing.
 The quadratic term is computed in divergence form by one kernel object,
 ``Kernel(grid, nu)``, shared with the series recursion of
 ``lie_propagator`` and the RK4 oracle, and this module alone knows its
-layout. A ``Kernel`` holds the viscous table and the buffers of one
-(grid, nu) and is built once per call or run; it looks up
-``fftn_forward`` and ``ifftn_real`` as this module's globals on every call.
-It streams the Cauchy product T_n = sum_m v_m v_{n-m} of a stack of physical
-velocities v_0..v_n, shaped (orders, dim, *grid shape), one stored component
-(i <= j: 3 in 2-D, 6 in 3-D) at a time, each formed in one reused buffer by
-``cauchy_component``, one contraction over m. ``ns_rhs``, the RK4 stages and
-the pressure pass a stack of one velocity at n = 0 (T_0 = v v): F(v) is the
-series' first coefficient. One pruned real-to-complex FFT gives the
-component's dealias ball, the block of the half spectrum that the 2/3 rule
-keeps (``Grid.ball_shape``: 21 x 21 x 11 of 32 x 32 x 17 modes at 32^3), and
-nothing outside it. The ball is folded at once into the divergence
-i k_j T_ij (the advection term) or into the pressure -k_i k_j T_ij / |k|^2,
-and dropped. So at most one component of T exists at a time, in either
-space. The divergence is Leray-projected and combined with the viscous term
-on the ball too, with the ball-shaped tables of ``Grid``: ``Kernel.apply``
-takes the coefficient and returns the result as compact balls, since the
-series keeps its coefficients there. ``Kernel.rhs`` gathers its
-half-spectrum input onto the ball, and it and ``compute_pressure`` scatter
-their result, zero outside the ball, at their own boundary. Each kept mode
-is bit for bit what the whole transform followed by the mask gives
-(``grid_spectral.fftn_forward``), and the ball tables are copies of the
-whole ones, so the ball changes no result.
+layout. A ``Kernel`` checks nu, holds the viscous table and the buffers of
+one (grid, nu) and is built once per ``ns_rhs`` call, series or run; it
+looks up ``fftn_forward`` and ``ifftn_real`` as this module's globals.
+``Kernel.apply`` streams the Cauchy product T_n = sum_m v_m v_{n-m} of a
+stack of physical velocities v_0..v_n, shaped (orders, dim, *grid shape),
+one stored component (i <= j: 3 in 2-D, 6 in 3-D) at a time, each formed
+in one reused buffer by ``cauchy_component``, one contraction over m.
+``ns_rhs``, the RK4 stages and ``compute_pressure`` (with its own buffer)
+stream a stack of one velocity at n = 0 (T_0 = v v): F(v) is the series'
+first coefficient. One pruned real-to-complex FFT gives the component's
+dealias ball, the block of the half spectrum that the 2/3 rule keeps
+(``Grid.ball_shape``: 21 x 21 x 11 of 32 x 32 x 17 modes at 32^3), and
+nothing outside it, folded at once into the divergence i k_j T_ij (the
+advection term) or into the pressure -k_i k_j T_ij / |k|^2, and dropped.
+So at most one component of T exists at a time, in either space. The
+projection and the viscous term act on the ball too, with the ball tables
+of ``Grid``: ``Kernel.apply`` takes and returns compact balls, since the
+series keeps its coefficients there. ``Kernel.rhs`` reads only the ball of
+its input, through the inverse of that ball, so no out-of-ball round-off
+of an admissible field enters its result; it and ``compute_pressure``
+scatter their result, zero outside the ball. Each kept mode is bit for bit
+what the whole transform and the mask give (``grid_spectral.fftn_forward``)
+and the ball tables are copies of the whole ones: the ball changes no result.
 
 The stream order, TENSOR_INDEX, is (0,0), (0,1), (1,1), (0,2), (1,2), (2,2):
 (i, j) comes after every (i', j') with j' < j. Each (div T)_i therefore
@@ -56,8 +56,6 @@ dealiased solenoidal fields; the advective form is kept in
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -159,28 +157,22 @@ def project_half(grid: Grid, w_hat: np.ndarray, scratch: np.ndarray) -> None:
 
 
 class Kernel:
-    """The kernel on one grid with viscosity ``nu`` (a float, already
-    checked): the viscous factor -nu |k|^2 on the dealias ball
-    (``Grid.ball_shape``) and the buffers every call reuses: one physical
-    tensor component, two ball scalars, one for a product and one for k.w,
-    and the two ball vectors of ``rhs``, its gathered input and its result.
-    ``np.empty`` commits their pages only as they are written."""
+    """The kernel on one grid with viscosity ``nu``, which it checks by
+    ``viscosity_value`` and keeps as ``self.nu``: the viscous factor -nu |k|^2
+    on the dealias ball (``Grid.ball_shape``) and the buffers every call
+    reuses: one physical tensor component, two ball scalars, one for a
+    product and one for k.w, and the two ball vectors of ``rhs``, its
+    gathered input and its result. ``np.empty`` commits their pages only as
+    they are written."""
 
     def __init__(self, grid: Grid, nu: float):
+        self.nu = viscosity_value(nu)
         self.grid = grid
-        self.viscous = -nu * grid.ball_ksq
+        self.viscous = -self.nu * grid.ball_ksq
         self.component = np.empty(grid.shape)
         self.term = np.empty(grid.ball_shape, dtype=np.complex128)
         self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
         self.rhs_balls = np.empty((2, grid.dim, *grid.ball_shape), dtype=np.complex128)
-
-    def spectra(self, stack: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The stream: (i, j, dealias ball of the half spectrum of (T_n)_ij)
-        for every stored component in TENSOR_INDEX order, each formed by
-        ``cauchy_component`` in ``self.component`` and transformed there."""
-        for i, j in TENSOR_INDEX[self.grid.dim]:
-            cauchy_component(stack, n, i, j, self.component)
-            yield i, j, fftn_forward(self.grid, self.component, ball=True)
 
     def apply(self, stack: np.ndarray, n: int, c_ball: np.ndarray, out: np.ndarray) -> float:
         """``out`` = -nu |k|^2 c - P[div T_n] on the dealias ball, with
@@ -191,13 +183,14 @@ class Kernel:
         order the module docstring gives, which keeps every sum that of the
         whole-tensor form. ``out`` must not be ``c_ball``."""
         grid, k = self.grid, self.grid.ball_k_deriv
-        term = self.term
+        component, term = self.component, self.term
         out.fill(0.0)
         peak = 0.0
-        for i, j, t_hat in self.spectra(stack, n):
-            # self.component still holds T_ij; max|T| is the largest peak of
-            # any component, and np.max passes a NaN on
-            peak = np.max((peak, self.component.max(), -self.component.min()))
+        for i, j in TENSOR_INDEX[grid.dim]:
+            cauchy_component(stack, n, i, j, component)
+            # max|T| is the largest peak of any component; np.max passes a NaN on
+            peak = np.max((peak, component.max(), -component.min()))
+            t_hat = fftn_forward(grid, component, ball=True)
             np.add(out[i], np.multiply(k[j], t_hat, out=term), out=out[i])
             if i != j:
                 np.add(out[j], np.multiply(k[i], t_hat, out=term), out=out[j])
@@ -210,10 +203,11 @@ class Kernel:
     def rhs(self, v_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``ns_rhs`` on raw half-spectrum coefficients, written into ``out``
         (not ``v_hat``), zero outside the dealias ball, and returned, without
-        its checks: for callers whose input is admissible by construction."""
+        its checks: for callers whose input is admissible by construction.
+        It reads the ball of ``v_hat`` alone."""
         c_ball, f_ball = self.rhs_balls
         gather_ball(self.grid, v_hat, c_ball)
-        self.apply(ifftn_real(self.grid, v_hat)[None], 0, c_ball, f_ball)
+        self.apply(ifftn_real(self.grid, c_ball, ball=True)[None], 0, c_ball, f_ball)
         return scatter_ball(self.grid, f_ball, out)
 
 
@@ -240,8 +234,12 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
     _require_admissible(v, "compute_pressure")
     grid = v.grid
     k = grid.ball_k_deriv
+    velocity = ifftn_real(grid, v.data)[None]
+    component = np.empty(grid.shape)
     acc = np.zeros(grid.ball_shape, dtype=np.complex128)
-    for i, j, t_hat in Kernel(grid, 0.0).spectra(ifftn_real(grid, v.data)[None], 0):
+    for i, j in TENSOR_INDEX[grid.dim]:
+        cauchy_component(velocity, 0, i, j, component)
+        t_hat = fftn_forward(grid, component, ball=True)
         acc += (k[i] * k[j] * (1.0 if i == j else 2.0)) * t_hat
     np.negative(acc, out=acc)
     acc *= grid.ball_inv_ksq
@@ -254,7 +252,7 @@ def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
 
     Output is divergence-free and dealiased whenever the input is.
     """
-    nu_val = viscosity_value(nu)
+    kernel = Kernel(v.grid, nu)
     _require_admissible(v, "ns_rhs")
-    out = Kernel(v.grid, nu_val).rhs(v.data, np.empty_like(v.data))
+    out = kernel.rhs(v.data, np.empty_like(v.data))
     return SpectralVectorField(v.grid, out)

@@ -15,14 +15,14 @@ dealias ball; the projection and the viscous term act on the ball alone. At
 n = 0 the stack is c_0 alone and c_1 = F(u): ``leray.ns_rhs`` is that call.
 
 Every c_n past c_0 is zero outside the 2/3-rule dealias ball by
-construction, so a step keeps its coefficients there: of the spectra only
-the caller's half spectrum c_0 (see ``grid_spectral``) and the last
-coefficient, a compact ball, which the recursion's viscous term needs; the
-floor and the norms, the weighted Parseval sum, act on the ball. Beside
-them sits one preallocated stack of physical velocities, into which c_n is
-transformed, by the inverse pruned to the ball, only when the Cauchy sum of
-c_{n+1} or the step's sum needs it, so the look-ahead coefficients that end
-a step are never transformed. The step sums the series by Horner on the
+construction, and c_0, an admissible field, up to round-off, so a step reads
+every coefficient from the ball and keeps, of the spectra, only the last
+one, a compact ball, which the recursion's viscous term needs; the floor and
+the norms, the weighted Parseval sum, act on the ball. Beside it sits one
+preallocated stack of physical velocities, into which c_n is transformed,
+by the inverse pruned to the ball, only when the Cauchy sum of c_{n+1} or
+the step's sum needs it, so the look-ahead coefficients that end a step are
+never transformed. The step sums the series by Horner on the
 physical velocities and transforms the sum once. ``taylor_coefficients``
 scatters each coefficient into a half spectrum as it is made and returns
 them as a tuple c_0..c_N: a truncated Lie series is nothing more than its
@@ -71,7 +71,7 @@ from .grid_spectral import (
     parseval_sum,
     scatter_ball,
 )
-from .leray import Kernel, _require_admissible, viscosity_value
+from .leray import Kernel, _require_admissible
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -115,14 +115,14 @@ class StepStats:
 class _SeriesBuilder:
     """Incrementally grows the series.
 
-    Every coefficient past c_0 is zero outside the dealias ball, so the
-    builder keeps the last one as a compact ball (``Grid.ball_shape``), with
-    the round-off floor and the Parseval norm applied there; beside it sit
-    the caller's ``u_hat``, the norms, the run's ``leray.Kernel``, which
-    holds the viscous table and the reusable buffers, and one stack of
-    physical velocities, shaped (capacity, dim, *grid.shape). Producing
-    c_{n+1} is one inverse transform of c_n into stack slot n, pruned to the
-    ball past c_0, and one kernel call, which streams ``leray``'s Cauchy sum
+    The builder reads every coefficient, c_0 included, from the dealias ball
+    and keeps the last one there (``Grid.ball_shape``), with the round-off
+    floor and the Parseval norm applied there; beside it sit the caller's
+    ``u_hat``, which only an order-0 ``evaluate`` returns, the norms, the
+    run's ``leray.Kernel``, which holds the viscous table and the reusable
+    buffers, and one stack of physical velocities, shaped (capacity, dim,
+    *grid.shape). Producing c_{n+1} is one inverse transform of c_n's ball
+    into stack slot n and one kernel call, which streams ``leray``'s Cauchy sum
     over the stack component by component. So coefficient n is transformed
     only when grow n + 1 or ``evaluate(n)`` needs it: the look-ahead
     coefficient that ends a step never takes a slot. Every coefficient's
@@ -138,11 +138,11 @@ class _SeriesBuilder:
         self.max_order = max_order
         self.k_max = float(grid.k_1d[grid.ball_radius])  # the dealias radius
         self.u_hat = u_hat
-        # c_0 is the caller's half spectrum, which may hold round-off outside
-        # the ball: its norm and its velocity are those of the whole of it.
-        self.norms = [math.sqrt(parseval_sum(grid, _squares(u_hat)))]
+        # c_0 is read from its ball like every other coefficient: round-off
+        # that an admissible u_hat carries outside it enters no result.
         ball = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
         self.last = gather_ball(grid, u_hat, ball)
+        self.norms = [math.sqrt(parseval_sum(grid, _squares(self.last), ball=True))]
         self.kernel = kernel
         # A stack per step: kept for a whole rand3d-lie run, it raised peak RSS 188 -> 217 MiB.
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
@@ -156,10 +156,7 @@ class _SeriesBuilder:
             grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]))
             grown[:n] = self.stack
             self.stack = grown
-        if n == 0:
-            self.stack[0] = ifftn_real(self.grid, self.u_hat)
-        else:
-            self.stack[n] = ifftn_real(self.grid, self.last, ball=True)
+        self.stack[n] = ifftn_real(self.grid, self.last, ball=True)
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion, keeping it with
@@ -276,7 +273,7 @@ def taylor_coefficients(
     """Coefficients c_0..c_order of the series around c_0 = ``u``."""
     nonnegative_count("order", order)
     _require_admissible(u, "taylor_coefficients")
-    builder = _SeriesBuilder(Kernel(u.grid, viscosity_value(nu)), u.data, order)
+    builder = _SeriesBuilder(Kernel(u.grid, nu), u.data, order)
     coefficients = [u]
     for _ in range(order):
         builder.grow()
@@ -344,7 +341,7 @@ def lie_advance(
     dt."""
     positive_finite("tol", tol)
     nonnegative_count("max_order", max_order)
-    kernel = Kernel(grid, viscosity_value(nu))
+    kernel = Kernel(grid, nu)
 
     def advance(u: SpectralVectorField, dt: float):
         builder = _SeriesBuilder(kernel, u.data, max_order)

@@ -179,10 +179,9 @@ def rk4_step(
     ``ns_rhs`` gives k1 and checks v once. The later stages start from linear
     combinations of v and of right-hand sides, which are projected and
     dealiased, so they are admissible by construction and skip the check."""
-    nu_val = viscosity_value(nu)
-    k1 = ns_rhs(v, nu_val).data
+    k1 = ns_rhs(v, nu).data
     buf = np.empty((4, *k1.shape), dtype=np.complex128)
-    u_next = rk4_update(v.data, dt, k1, Kernel(v.grid, nu_val).rhs, buf)
+    u_next = rk4_update(v.data, dt, k1, Kernel(v.grid, nu).rhs, buf)
     project_half(v.grid, u_next, buf[0])  # the spent stage buffer
     return SpectralVectorField(v.grid, u_next)
 
@@ -196,14 +195,14 @@ def rk4_advance(grid: Grid, nu: float, dt: float):
     ``advance(v, remaining)`` does not check v: v must be divergence-free and
     dealiased, as ``rk4_propagate`` checks its initial field to be and as
     every step's projected output is."""
-    nu_val = viscosity_value(nu)
+    kernel = Kernel(grid, nu)
     positive_finite("rk4 step size dt", dt)
-    if nu_val > 0.0:
-        dt_max = 0.5 * grid.spacing**2 / nu_val
+    if kernel.nu > 0.0:
+        dt_max = 0.5 * grid.spacing**2 / kernel.nu
         if dt > dt_max:
             raise StabilityError("rk4 step exceeds the explicit stability bound", dt_max)
     slopes = np.empty((5, grid.dim, *grid.spectral_shape), dtype=np.complex128)
-    rhs = Kernel(grid, nu_val).rhs
+    rhs = kernel.rhs
 
     def advance(v: SpectralVectorField, remaining: float):
         h = fixed_step(dt, remaining)

@@ -12,15 +12,18 @@ from liens import (
     AnalyticFlow,
     Grid,
     analytic_field,
+    dealias,
     energy,
     estimate_radius,
     evaluate,
     lie_advance,
+    ns_rhs,
     propagate,
     rk4_propagate,
     step,
     steps,
     taylor_coefficients,
+    to_spectral,
 )
 from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
@@ -458,9 +461,10 @@ class TestSeriesWorkspace:
 
     # Coefficient n is transformed into the stack only when grow n + 1 or
     # the step's evaluate needs it: one inverse transform per grow, and one
-    # more only when the step keeps its last coefficient. At dt 3 the step
-    # grows two look-ahead coefficients past its order; at dt 0.1 it stops
-    # on the order whose reach covers dt.
+    # more only when the step keeps its last coefficient. Every one of them,
+    # c_0's included, is the inverse of a ball. At dt 3 the step grows two
+    # look-ahead coefficients past its order; at dt 0.1 it stops on the
+    # order whose reach covers dt.
     @pytest.mark.parametrize("dt,look_ahead", [(3.0, True), (0.1, False)])
     def test_no_transform_of_the_look_ahead(self, monkeypatch, dt, look_ahead):
         u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
@@ -476,7 +480,7 @@ class TestSeriesWorkspace:
         assert (order < built) == look_ahead
         assert (stats.dt == dt) != look_ahead
         assert len(transforms) == built + (order == built)
-        assert transforms == [False] + [True] * (len(transforms) - 1)
+        assert transforms == [True] * len(transforms)
 
     def test_stack_growth_keeps_coefficients(self, monkeypatch):
         u = random_divfree(seed=7, grid=Grid(dim=2, n=16), peak_k=3, amplitude=1.0)
@@ -596,16 +600,36 @@ class TestSteps:
         assert times[-1] == t_end
 
 
+def non_solenoidal(grid):
+    return dealias(to_spectral(random_real_field(grid, np.random.default_rng(1234))))
+
+
+VISCOSITY = "viscosity must be finite and nonnegative"
+
+
+# ``Kernel`` checks nu; the last two cases fix the order of the checks on a
+# field that fails its own: ns_rhs checks nu first, taylor_coefficients the
+# field.
 @pytest.mark.parametrize(
-    "call",
+    "call,field,message",
     [
-        lambda u: step(u, -0.1, 0.1),
-        lambda u: propagate(u, -0.1, 0.1),
-        lambda u: taylor_coefficients(u, -0.1, 4),
-        lambda u: lie_advance(u.grid, -0.1),
+        (lambda u: step(u, -0.1, 0.1), tg_field, VISCOSITY),
+        (lambda u: propagate(u, -0.1, 0.1), tg_field, VISCOSITY),
+        (lambda u: taylor_coefficients(u, -0.1, 4), tg_field, VISCOSITY),
+        (lambda u: lie_advance(u.grid, -0.1), tg_field, VISCOSITY),
+        (lambda u: ns_rhs(u, -0.1), tg_field, VISCOSITY),
+        (lambda u: rk4_step(u, -0.1, 1e-3), tg_field, VISCOSITY),
+        (lambda u: rk4_advance(u.grid, -0.1, 1e-3), tg_field, VISCOSITY),
+        (lambda u: rk4_propagate(u, -0.1, 0.1, 1e-3), tg_field, VISCOSITY),
+        (lambda u: Kernel(u.grid, -0.1), tg_field, VISCOSITY),
+        (lambda u: ns_rhs(u, -1.0), non_solenoidal, VISCOSITY),
+        (lambda u: taylor_coefficients(u, -1.0, 4), non_solenoidal,
+         "requires a divergence-free field"),
     ],
-    ids=["step", "propagate", "taylor_coefficients", "lie_advance"],
+    ids=["step", "propagate", "taylor_coefficients", "lie_advance", "ns_rhs", "rk4_step",
+         "rk4_advance", "rk4_propagate", "Kernel", "ns_rhs-nu-before-field",
+         "taylor_coefficients-field-before-nu"],
 )
-def test_negative_viscosity_rejected(call):
-    with pytest.raises(ValueError, match="viscosity must be finite and nonnegative"):
-        call(tg_field(Grid(dim=2, n=32)))
+def test_negative_viscosity_rejected(call, field, message):
+    with pytest.raises(ValueError, match=message):
+        call(field(Grid(dim=2, n=32)))

@@ -71,7 +71,7 @@ def test_one_line_per_case_and_exit_1_on_any_difference(same_outputs, monkeypatc
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
     assert same_outputs.main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(names)
+    assert len(lines) == len(names) + 1  # the last gives the line counts
     for name, line in zip(names, lines):
         assert line.startswith(name)
         want = "differs: out/field_final.liens" if name == changed else "identical"
@@ -79,6 +79,22 @@ def test_one_line_per_case_and_exit_1_on_any_difference(same_outputs, monkeypatc
 
     monkeypatch.setattr(same_outputs, "run_case", lambda checkout, case, workdir: run())
     assert same_outputs.main(argv) == 0
+
+
+def test_last_line_gives_the_net_size(same_outputs, monkeypatch, tmp_path, capsys):
+    for side, sources in {"parent": {"a.py": "1\n2\n3\n", "b.py": "1\n"},
+                          "change": {"a.py": "1\n", "b.py": "1\n", "c.txt": "1\n"}}.items():
+        package = tmp_path / side / "src" / "liens"
+        package.mkdir(parents=True)
+        for name, text in sources.items():
+            (package / name).write_text(text)
+    assert same_outputs.line_count(tmp_path / "parent") == 4
+    assert same_outputs.line_count(tmp_path / "change") == 2
+    monkeypatch.setattr(same_outputs, "run_case", lambda checkout, case, workdir: run())
+    assert same_outputs.main(["--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change")]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "src/liens/*.py lines: parent 4, change 2, difference -2"
 
 
 def test_real_run_of_the_spectrum_case(same_outputs, tmp_path):

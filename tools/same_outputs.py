@@ -25,7 +25,9 @@ directory are equal. The cases:
 - ``spectrum`` of the physical snapshot;
 - ``burgers-check`` with its defaults and with ``--order 8 --n 32`` (exit 1).
 
-One line is printed per case; the exit status is 1 when any case differs.
+One line is printed per case, and a last one with the line count of
+``src/liens/*.py`` in each checkout and their difference, the net size of
+the change; the exit status is 1 when any case differs.
 """
 
 from __future__ import annotations
@@ -137,6 +139,12 @@ def differences(parent: dict, change: dict) -> list[str]:
     return diff + [p for p in paths if parent["files"].get(p) != change["files"].get(p)]
 
 
+def line_count(checkout: Path) -> int:
+    """The number of lines of ``src/liens/*.py`` in ``checkout``, as ``wc -l``
+    counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "liens").glob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -153,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         differing += bool(diff)
         verdict = "differs: " + ", ".join(diff) if diff else "identical"
         print(f"{case.name:<22} exit {runs['parent']['exit']}  {verdict}", flush=True)
+    parent, change = line_count(args.parent), line_count(args.change)
+    print(f"src/liens/*.py lines: parent {parent}, change {change}, "
+          f"difference {change - parent:+d}")
     return 1 if differing else 0
 
 

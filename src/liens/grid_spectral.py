@@ -48,7 +48,9 @@ Conventions
   vector, same VM). The nonlinear kernel transforms forward that way, and
   it transforms back that way every velocity a step reads: each series
   coefficient, c_0 included, and the input of ``leray.Kernel.rhs``. Every
-  other transform is whole.
+  other transform is whole. Every transform keeps its input's precision:
+  float32 samples give complex64 modes and back, which the late orders of a
+  series step use (``lie_propagator``).
 """
 
 from __future__ import annotations
@@ -276,10 +278,11 @@ def _grid_axes(grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
 
 def fftn_forward(grid: Grid, values: np.ndarray, *, ball: bool = False) -> np.ndarray:
     """Half spectrum of real values on the trailing grid axes, 1/n^dim
-    normalization. With ``ball``, only its dealias ball, compact (trailing
-    shape ``grid.ball_shape``): the 1-D passes of ``rfftn``, in its order,
-    each keeping only the ball's lines of its axis before the next pass runs,
-    so every kept mode is bit for bit that of the whole transform."""
+    normalization, complex64 for float32 values and complex128 otherwise.
+    With ``ball``, only its dealias ball, compact (trailing shape
+    ``grid.ball_shape``): the 1-D passes of ``rfftn``, in its order, each
+    keeping only the ball's lines of its axis before the next pass runs, so
+    every kept mode is bit for bit that of the whole transform."""
     if not ball:
         return np.fft.rfftn(values, axes=_grid_axes(grid, values), norm="forward")
     n, m = grid.n, grid.ball_radius
@@ -311,7 +314,8 @@ def scatter_ball(grid: Grid, ball: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def ifftn_real(grid: Grid, coefficients: np.ndarray, *, ball: bool = False) -> np.ndarray:
     """Real values of a half spectrum on the trailing grid axes, the
-    unnormalized inverse sum. With ``ball``, of a compact dealias ball
+    unnormalized inverse sum, float32 for complex64 coefficients and float64
+    otherwise. With ``ball``, of a compact dealias ball
     (trailing shape ``grid.ball_shape``) that stands for the half spectrum
     zero outside it: the 1-D passes of ``irfftn``, in its order, each run
     only on the lines that can be nonzero, so every value is bit for bit
@@ -328,12 +332,13 @@ def ifftn_real(grid: Grid, coefficients: np.ndarray, *, ball: bool = False) -> n
 
 
 def _widen(grid: Grid, lines: np.ndarray, axis: int) -> np.ndarray:
-    """A copy of ``lines`` with its complete grid axis ``axis`` (negative)
-    widened from the ball's 2m + 1 indices to all n, zero between the low
-    and the high end: the inverse of the narrowing in ``fftn_forward``."""
+    """A copy of ``lines``, of its dtype, with its complete grid axis
+    ``axis`` (negative) widened from the ball's 2m + 1 indices to all n, zero
+    between the low and the high end: the inverse of the narrowing in
+    ``fftn_forward``."""
     n, m = grid.n, grid.ball_radius
     rest = (slice(None),) * (-axis - 1)
-    gap = np.zeros((*lines.shape[:axis], n - 2 * m - 1, *lines.shape[axis + 1 :]), np.complex128)
+    gap = np.zeros((*lines.shape[:axis], n - 2 * m - 1, *lines.shape[axis + 1 :]), lines.dtype)
     low, high = lines[(..., slice(0, m + 1), *rest)], lines[(..., slice(m + 1, None), *rest)]
     return np.concatenate((low, gap, high), axis=axis)
 

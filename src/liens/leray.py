@@ -23,8 +23,9 @@ one (grid, nu) and is built once per ``ns_rhs`` call, series or run; it
 looks up ``fftn_forward`` and ``ifftn_real`` as this module's globals.
 ``Kernel.apply`` streams the Cauchy product T_n = sum_m v_m v_{n-m} of a
 stack of physical velocities v_0..v_n, shaped (orders, dim, *grid shape),
-one stored component (i <= j: 3 in 2-D, 6 in 3-D) at a time, each formed
-in one reused buffer by ``cauchy_component``, one contraction over m.
+float64 or float32, one stored component (i <= j: 3 in 2-D, 6 in 3-D) at a
+time, each formed in one reused buffer by ``cauchy_component``, one
+contraction over m.
 ``ns_rhs``, the RK4 stages and ``compute_pressure`` (with its own buffer)
 stream a stack of one velocity at n = 0 (T_0 = v v): F(v) is the series'
 first coefficient. One pruned real-to-complex FFT gives the component's
@@ -160,16 +161,16 @@ class Kernel:
     """The kernel on one grid with viscosity ``nu``, which it checks by
     ``viscosity_value`` and keeps as ``self.nu``: the viscous factor -nu |k|^2
     on the dealias ball (``Grid.ball_shape``) and the buffers every call
-    reuses: one physical tensor component, two ball scalars, one for a
-    product and one for k.w, and the two ball vectors of ``rhs``, its
-    gathered input and its result. ``np.empty`` commits their pages only as
-    they are written."""
+    reuses: one physical tensor component per precision a stack may have
+    (float64 and float32), two ball scalars, one for a product and one for
+    k.w, and the two ball vectors of ``rhs``, its gathered input and its
+    result. ``np.empty`` commits their pages only as they are written."""
 
     def __init__(self, grid: Grid, nu: float):
         self.nu = viscosity_value(nu)
         self.grid = grid
         self.viscous = -self.nu * grid.ball_ksq
-        self.component = np.empty(grid.shape)
+        self.components = {np.dtype(t): np.empty(grid.shape, t) for t in (np.float64, np.float32)}
         self.term = np.empty(grid.ball_shape, dtype=np.complex128)
         self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
         self.rhs_balls = np.empty((2, grid.dim, *grid.ball_shape), dtype=np.complex128)
@@ -181,9 +182,12 @@ class Kernel:
         and ``out`` are compact balls (trailing shape ``Grid.ball_shape``).
         Returns max|T_n|. T_n is streamed one component at a time, in the
         order the module docstring gives, which keeps every sum that of the
-        whole-tensor form. ``out`` must not be ``c_ball``."""
+        whole-tensor form. ``out`` must not be ``c_ball``. The stack may be
+        float32: its components are then formed and transformed in float32,
+        and each transformed component enters the complex128 ``out``, where
+        the divergence, the projection and the viscous term act."""
         grid, k = self.grid, self.grid.ball_k_deriv
-        component, term = self.component, self.term
+        component, term = self.components[stack.dtype], self.term
         out.fill(0.0)
         peak = 0.0
         for i, j in TENSOR_INDEX[grid.dim]:

@@ -16,29 +16,46 @@ n = 0 the stack is c_0 alone and c_1 = F(u): ``leray.ns_rhs`` is that call.
 
 Every c_n past c_0 is zero outside the 2/3-rule dealias ball by
 construction, and c_0, an admissible field, up to round-off, so a step reads
-every coefficient from the ball and keeps, of the spectra, only the last
-one, a compact ball, which the recursion's viscous term needs; the floor and
-the norms, the weighted Parseval sum, act on the ball. Beside it sits one
-preallocated stack of physical velocities, into which c_n is transformed,
-by the inverse pruned to the ball, only when the Cauchy sum of c_{n+1} or
-the step's sum needs it, so the look-ahead coefficients that end a step are
-never transformed. The step sums the series by Horner on the
-physical velocities and transforms the sum once. ``taylor_coefficients``
-scatters each coefficient into a half spectrum as it is made and returns
-them as a tuple c_0..c_N: a truncated Lie series is nothing more than its
-coefficients c_n = A^n u / n!.
+every coefficient from the ball and keeps each one there, a compact
+complex128 ball; the floor and the norms, the weighted Parseval sum, act on
+the ball. Beside them sits one preallocated stack of physical velocities,
+into which c_n is transformed, by the inverse pruned to the ball, only when
+the Cauchy sum of c_{n+1} needs it, so the look-ahead coefficients that end
+a step are never transformed. The step sums the series by Horner on the balls and
+scatters the sum into a half spectrum, zero outside the ball: the sum takes
+no transform, and every step's output, an order-0 one too, is a fresh field
+masked to the ball. ``taylor_coefficients`` scatters each coefficient into a
+half spectrum as it is made and returns them as a tuple c_0..c_N: a
+truncated Lie series is nothing more than its coefficients c_n = A^n u / n!.
+
+Precision: a step's last orders need only a few digits, since order n adds
+||c_n|| h^n, down to tol * ||u||, to the step. At the first order n with
+eps_32 ||c_n|| H^n <= FLOAT32_BUDGET * tol * ||u|| (eps_32 the float32
+machine epsilon, H = min(dt, RADIUS_SAFETY * radius), the longest step the
+controller could still grant) a step casts its stack once to float32 and
+runs every later inverse transform, Cauchy contraction and forward
+transform of T_n in float32 (Higham & Mary, Acta Numerica 31, 2022). The
+projection, the viscous term, the norms and every coefficient ball stay
+complex128, so no float32 rounding enters the sum except through the
+coefficients it bounds. Each float32 slot is scaled by an exact power of two
+(``_SeriesBuilder.lower_precision``) that keeps it within float32's range
+wherever float64's holds; a slot that would not fit refuses the switch, or
+ends it for the rest of the step. ``taylor_coefficients``, ``ns_rhs`` and
+RK4 never switch.
 
 Round-off floor: every mode of a new coefficient c_{n+1} of magnitude below
-SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is zeroed (eps the float64
-machine epsilon, k_max the dealias radius). The transform of T_n carries
-round-off of about eps * max|T_n| in every mode and the divergence
-multiplies it by at most k_max, so a mode below the bound is noise. On an
-exact eigenflow (Taylor-Green, Beltrami) the projected nonlinear term
-vanishes, and without the floor its residue grows order by order until it
-sets the radius estimate and cuts the step. This is Krasny's filter
-(J. Fluid Mech. 167, 1986); round-off bounds any analyticity estimate from
-below (Sulem, Sulem & Frisch, J. Comput. Phys. 50, 1983). ``ns_rhs`` and the
-RK4 oracle stay unfloored, so RK4 remains an independent check.
+SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is zeroed (eps the machine
+epsilon of the precision T_n was formed in, k_max the dealias radius); a
+float64 grow zeroes single components, a float32 grow whole modes, every
+component of a wavevector together, which keeps them solenoidal. The
+transform of T_n carries round-off of about eps * max|T_n| in every mode and
+the divergence multiplies it by at most k_max, so a mode below the bound is
+noise. On an exact eigenflow (Taylor-Green, Beltrami) the projected nonlinear
+term vanishes, and without the floor its residue grows order by order until
+it sets the radius estimate and cuts the step. This is Krasny's filter (J.
+Fluid Mech. 167, 1986); round-off bounds any analyticity estimate from below
+(Sulem, Sulem & Frisch, J. Comput. Phys. 50, 1983). ``ns_rhs`` and the RK4
+oracle stay unfloored, so RK4 remains an independent check.
 
 The expansion is used as a one-step integrator. ``lie_advance`` checks a
 run's parameters, builds its kernel once and chooses the order and length
@@ -62,10 +79,10 @@ from .errors import (
     nonnegative_count,
     positive_finite,
 )
-from .grid_spectral import (
+from .grid_spectral import (  # perfbench/tracing.py wraps lie_propagator.fftn_forward
     Grid,
     SpectralVectorField,
-    fftn_forward,
+    fftn_forward,  # noqa: F401
     gather_ball,
     ifftn_real,
     parseval_sum,
@@ -89,22 +106,39 @@ PAIR_COST = 1.0 / 27.0
 # (seed 7, peak_k 3) moves by 1.8e-15, 3.6e-15, 7.6e-15 and 3.3e-14 relative
 # at 0.25, 0.5, 1 and 4. 0.5 sits 8x above the lowest value that works.
 SERIES_FLOOR = 0.5
+# A step runs its later grows in float32 from the first order whose term,
+# rounded at float32's epsilon, moves the step by at most this fraction of
+# tol * ||u|| (``_SeriesBuilder.lower_precision``). Swept over 0.01..1 on the
+# five flows of tools/series_accuracy.py at tol 1e-10: 1 moves the steps of
+# the 2-D nu 0.01 flow and ends it 1.9e-9 from a tol-1e-13 run; 0.3 and 0.1
+# keep every step, at most 4.7e-10 and 1.3e-10 off; 0.03 and 0.01 at most
+# 5.4e-11 and 3.3e-11 off. Of rand3d-lie's 30 grows, 19, 16, 15 and 12 run in
+# float32 at 0.3, 0.1, 0.03 and 0.01.
+FLOAT32_BUDGET = 0.1
+# A scaled float32 slot stays below 2^FLOAT32_RANGE, so that a Cauchy sum of
+# up to 2^15 products of two slots, and a transform pass over up to 2^16
+# points of such a sum, stay below float32's 2^128; the budget must stay
+# above 2^-FLOAT32_RANGE of ||u||, far above float32's smallest normals.
+FLOAT32_RANGE = 48
 _EPS = float(np.finfo(float).eps)
+_EPS32 = float(np.finfo(np.float32).eps)
 
 State = TypeVar("State")  # what ``steps`` advances: a field, or 1-D samples
 
 @dataclass(frozen=True)
 class StepStats:
     """Bookkeeping for one accepted step. ``coefficients_built`` counts the
-    grows the step made, look-ahead included. RK4 reports order 4, builds no
-    coefficient and leaves the truncation and radius estimates NaN: it does
-    not estimate them."""
+    grows the step made, look-ahead included, and ``float32_grows`` those of
+    them made in float32. RK4 reports order 4, builds no coefficient and
+    leaves the truncation and radius estimates NaN: it does not estimate
+    them."""
 
     order_used: int
     dt: float
     truncation_estimate: float = math.nan
     radius_estimate: float = math.nan
     coefficients_built: int = 0
+    float32_grows: int = 0
 
     def __post_init__(self):
         positive_finite("step dt", self.dt)
@@ -116,17 +150,25 @@ class _SeriesBuilder:
     """Incrementally grows the series.
 
     The builder reads every coefficient, c_0 included, from the dealias ball
-    and keeps the last one there (``Grid.ball_shape``), with the round-off
-    floor and the Parseval norm applied there; beside it sit the caller's
-    ``u_hat``, which only an order-0 ``evaluate`` returns, the norms, the
-    run's ``leray.Kernel``, which holds the viscous table and the reusable
-    buffers, and one stack of physical velocities, shaped (capacity, dim,
-    *grid.shape). Producing c_{n+1} is one inverse transform of c_n's ball
-    into stack slot n and one kernel call, which streams ``leray``'s Cauchy sum
-    over the stack component by component. So coefficient n is transformed
-    only when grow n + 1 or ``evaluate(n)`` needs it: the look-ahead
-    coefficient that ends a step never takes a slot. Every coefficient's
-    ball is a fresh array: ``taylor_coefficients`` keeps each one.
+    and keeps each one there (``Grid.ball_shape``, complex128), with the
+    round-off floor and the Parseval norm applied there; beside them sit the
+    norms, the run's ``leray.Kernel``, which holds the viscous table and the
+    reusable buffers, and one stack of physical velocities, shaped
+    (capacity, dim, *grid.shape). Producing c_{n+1} is one inverse transform
+    of c_n's ball into stack slot n and one kernel call, which streams
+    ``leray``'s Cauchy sum over the stack component by component. So
+    coefficient n is transformed only when grow n + 1 needs it: the
+    look-ahead coefficient that ends a step never takes a slot. Every
+    coefficient's ball is a fresh array: ``taylor_coefficients`` keeps each
+    one.
+
+    The stack starts in float64. ``lower_precision`` may cast it once to
+    float32, each slot m scaled by the exact power of two 2^(e_s + m e_r)
+    held in ``shift`` = (e_s, e_r); every later grow then transforms,
+    contracts and transforms back in float32, and its T_n comes out scaled by
+    2^(2 e_s + n e_r), which the kernel call's input and output are scaled
+    by too. ``shift`` is None while the step may still switch and False once
+    a slot that would not fit has sent the stack back to float64 for good.
 
     The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
     max_order + 1, only if a step grows past it; ``np.empty`` commits pages
@@ -137,62 +179,126 @@ class _SeriesBuilder:
         grid = self.grid = kernel.grid
         self.max_order = max_order
         self.k_max = float(grid.k_1d[grid.ball_radius])  # the dealias radius
-        self.u_hat = u_hat
         # c_0 is read from its ball like every other coefficient: round-off
         # that an admissible u_hat carries outside it enters no result.
         ball = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
-        self.last = gather_ball(grid, u_hat, ball)
-        self.norms = [math.sqrt(parseval_sum(grid, _squares(self.last), ball=True))]
+        self.balls = [gather_ball(grid, u_hat, ball)]
+        self.norms = [math.sqrt(parseval_sum(grid, _squares(ball), ball=True))]
         self.kernel = kernel
         # A stack per step: kept for a whole rand3d-lie run, it raised peak RSS 188 -> 217 MiB.
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
         self.stack = np.empty((capacity, grid.dim, *grid.shape))
+        self.shift: tuple[int, int] | bool | None = None
+        self.float32_grows = 0
+        # max|c(x)| <= this times ||c||: Cauchy-Schwarz over the full-spectrum
+        # modes of the ball, which the volume-weighted Parseval norm counts.
+        self.peak_per_norm = math.sqrt(2 * math.prod(grid.ball_shape) / grid.volume)
+
+    @property
+    def last(self) -> np.ndarray:
+        return self.balls[-1]
+
+    def _exponent(self, m: int, shift) -> int:
+        """log2 of the scale of stack slot m under ``shift`` (0 in float64)."""
+        return shift[0] + m * shift[1] if shift else 0
+
+    def _fits(self, m: int, shift: tuple[int, int]) -> bool:
+        """Whether slot m, scaled by ``shift``, stays below 2^FLOAT32_RANGE,
+        bounding its largest value by its norm (``peak_per_norm``)."""
+        bound = self.norms[m] * self.peak_per_norm
+        return (math.isfinite(bound)
+                and math.frexp(bound)[1] + self._exponent(m, shift) <= FLOAT32_RANGE)
+
+    def _recast(self, shift) -> None:
+        """Rewrite the filled slots for ``shift``: float32 scaled by it, or,
+        for False, float64 unscaled."""
+        old, filled = self.stack, len(self.norms) - 1
+        self.stack = np.empty(old.shape, np.float32 if shift else np.float64)
+        for m in range(filled):
+            # the float64 side is the wider one: ldexp there, exact
+            if shift:
+                np.ldexp(old[m], self._exponent(m, shift), out=self.stack[m], casting="same_kind")
+            else:
+                self.stack[m] = old[m]
+                np.ldexp(self.stack[m], -self._exponent(m, self.shift), out=self.stack[m])
+        self.shift = shift
+
+    def lower_precision(self, n: int, bound: float, dt: float) -> None:
+        """Switch every later grow of the step to float32 if c_n's term,
+        rounded at float32's epsilon, changes no step by more than
+        FLOAT32_BUDGET * ``bound``: eps_32 ||c_n|| H^n <= FLOAT32_BUDGET *
+        bound, H = ``longest(n, dt)``. The scale is 2^e_s ~ 1 / max|c_0(x)|
+        and 2^e_r, the power of two at or below H, per order, so slot m holds
+        about c_m's term at H over max|c_0|. The switch is refused when a
+        filled slot would not fit (``_fits``) or when the budget lies below
+        2^-FLOAT32_RANGE of ||c_0||."""
+        h = self.longest(n, dt)
+        if not (0.0 < h <= _term_reach(self.norms[n], n, FLOAT32_BUDGET * bound / _EPS32)
+                and FLOAT32_BUDGET * bound >= math.ldexp(self.norms[0], -FLOAT32_RANGE)):
+            return
+        shift = (-math.frexp(self.norms[0] * self.peak_per_norm)[1], math.frexp(h)[1] - 1)
+        if all(self._fits(m, shift) for m in range(len(self.norms) - 1)):
+            self._recast(shift)
 
     def _transform_last(self) -> None:
         """Write the physical velocity of the last coefficient, c_n, into
-        stack slot n, doubling the stack first if it is full."""
+        stack slot n, at the stack's precision and scale, doubling the stack
+        first if it is full; a float32 stack that slot n would not fit goes
+        back to float64 first."""
         n = len(self.norms) - 1
         if n == len(self.stack):
-            grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]))
+            grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]),
+                             self.stack.dtype)
             grown[:n] = self.stack
             self.stack = grown
-        self.stack[n] = ifftn_real(self.grid, self.last, ball=True)
+        if self.shift and not self._fits(n, self.shift):
+            self._recast(False)
+        ball = self.last
+        if self.shift:
+            ball = _ldexp(ball, self._exponent(n, self.shift), np.complex64)
+        # component by component: bit for bit the vector's inverse, and
+        # faster (64^3: 6.7 against 7.4 ms, in float32 6.2 against 10.2 ms)
+        for a, component in enumerate(ball):
+            self.stack[n, a] = ifftn_real(self.grid, component, ball=True)
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion, keeping it with
         every mode of magnitude below the round-off floor zeroed; the mask
-        reuses the |c|^2 array that the norm sums."""
+        reuses the |c|^2 array that the norm sums. A float64 grow zeroes
+        single components below SERIES_FLOOR * eps_64 * k_max * max|T_n| /
+        (n+1); a float32 grow zeroes whole modes, every component of a
+        wavevector together, below the bound with eps_32, so that the modes
+        it keeps stay divergence-free."""
         n = len(self.norms) - 1
         self._transform_last()
         new = np.empty_like(self.last)
-        scale = self.kernel.apply(self.stack, n, self.last, new)
+        if self.shift:
+            e = self._exponent(0, self.shift) + self._exponent(n, self.shift)
+            scale = self.kernel.apply(self.stack, n, _ldexp(self.last, e), new)
+            np.ldexp(new.view(np.float64), -e, out=new.view(np.float64))
+            scale = float(np.ldexp(scale, -e))
+            self.float32_grows += 1
+        else:
+            scale = self.kernel.apply(self.stack, n, self.last, new)
         new /= n + 1
-        floor = SERIES_FLOOR * _EPS * self.k_max * scale / (n + 1)
+        eps = _EPS32 if self.shift else _EPS
+        floor = SERIES_FLOOR * eps * self.k_max * scale / (n + 1)
         sq = _squares(new)
         if floor > 0.0:
-            below = sq < floor * floor
-            new[below] = 0.0
-            sq[below] = 0.0
+            below = (sq.sum(axis=0) if self.shift else sq) < floor * floor
+            new[..., below] = 0.0
+            sq[..., below] = 0.0
         self.norms.append(math.sqrt(parseval_sum(self.grid, sq, ball=True)))
-        self.last = new
+        self.balls.append(new)
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:
         """The series truncated after c_order, evaluated at t: Horner on the
-        physical velocities (c_order's is transformed first if no grow has
-        needed it), accumulated in ``stack[order]`` (the builder is spent
-        afterwards), then one forward transform, masked so that every
-        mode outside the 2/3 ball is exactly zero. The transform is whole,
-        not pruned to the ball: the mask writes each zero with the sign of
-        the mode it clears, and the output files record those signs. Order
-        0 wraps c_0's array uncopied: field arrays are read-only."""
-        if order == 0:
-            return SpectralVectorField(self.grid, self.u_hat)
-        if order == len(self.norms) - 1:
-            self._transform_last()
-        v = _horner(self.stack[: order + 1], t, self.stack[order])
-        out = fftn_forward(self.grid, v)
-        out *= self.grid.dealias_keep
-        return SpectralVectorField(self.grid, out)
+        float64 coefficient balls, accumulated in c_order's (the builder is
+        spent afterwards), then scattered into a fresh half spectrum, zero
+        outside the dealias ball. Order 0 returns c_0's ball so scattered."""
+        acc = _horner(self.balls[: order + 1], t, self.balls[order])
+        out = np.empty((self.grid.dim, *self.grid.spectral_shape), dtype=np.complex128)
+        return SpectralVectorField(self.grid, scatter_ball(self.grid, acc, out))
 
     def radius(self, n: int) -> float:
         """The ratio-test radius of c_0..c_max(n, 3), +inf while there are
@@ -201,15 +307,28 @@ class _SeriesBuilder:
             return math.inf
         return _radius_from_norms(self.norms[: max(n, 3) + 1])
 
-    def reach(self, n: int, bound: float, dt: float) -> float:
-        """h_n: the largest step <= dt and <= RADIUS_SAFETY * radius(n) with
-        ||c_m|| h^m <= bound for m = n - 1 and m = n; 0 when there is none
-        (a NaN radius or norm admits no step)."""
+    def longest(self, n: int, dt: float) -> float:
+        """The longest step ``reach(n, ...)`` could grant: min(dt,
+        RADIUS_SAFETY * radius(n)), 0 for a NaN radius."""
         radius = self.radius(n)
-        h = min(dt, RADIUS_SAFETY * radius) if radius >= 0.0 else 0.0
+        return min(dt, RADIUS_SAFETY * radius) if radius >= 0.0 else 0.0
+
+    def reach(self, n: int, bound: float, dt: float) -> float:
+        """h_n: the largest step <= ``longest(n, dt)`` with ||c_m|| h^m <=
+        bound for m = n - 1 and m = n; 0 when there is none (a NaN radius or
+        norm admits no step)."""
+        h = self.longest(n, dt)
         for m in range(max(n - 1, 0), n + 1):
             h = min(h, _term_reach(self.norms[m], m, bound))
         return h
+
+
+def _ldexp(c: np.ndarray, e: int, dtype=np.complex128) -> np.ndarray:
+    """c * 2^e as a new complex array of ``dtype``: exact in float64, then
+    rounded once to ``dtype``."""
+    out = np.empty(c.shape, dtype)
+    np.ldexp(c.view(np.float64), e, out=out.view(out.real.dtype), casting="same_kind")
+    return out
 
 
 def _squares(c: np.ndarray) -> np.ndarray:
@@ -332,7 +451,9 @@ def lie_advance(
     further only while a linear extrapolation of h_N says a higher order
     could still do better, and stops as soon as some h_N reaches dt. Steps
     below COLLAPSE_FLOOR * dt are not admissible: with none left at
-    max_order, ``RadiusCollapseError`` is raised.
+    max_order, ``RadiusCollapseError`` is raised. After each order it reads
+    without stopping, the step may switch its later grows to float32 (the
+    module docstring gives the rule).
 
     The advance checks neither u nor dt. u must be divergence-free and
     dealiased: ``step`` and ``propagate`` check their initial field, and
@@ -360,6 +481,8 @@ def lie_advance(
             if (best >= 0 and n >= best + 2
                     and not _may_improve(reach, best_cost, dt, max_order)):
                 break
+            if builder.shift is None:
+                builder.lower_precision(n, bound, dt)
 
         if best < 0:
             raise RadiusCollapseError(
@@ -376,6 +499,7 @@ def lie_advance(
             truncation_estimate=builder.norms[best] * h**best,
             radius_estimate=builder.radius(best),
             coefficients_built=len(builder.norms) - 1,
+            float32_grows=builder.float32_grows,
         )
         return builder.evaluate(best, h), stats
 

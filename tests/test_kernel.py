@@ -23,6 +23,7 @@ from liens import (
 from liens.grid_spectral import (
     complete_hermitian,
     fftn_forward,
+    gather_ball,
     ifftn_real,
     reflect_modes,
     scatter_ball,
@@ -244,6 +245,38 @@ def test_ball_inverse_fills_a_stack_slot(dim):
     for slot, ball in enumerate(balls):
         half = scatter_ball(grid, ball, np.empty((dim, *grid.spectral_shape), complex))
         assert np.array_equal(stack[slot], ifftn_real(grid, half))
+
+
+# Late series orders run in float32: the transforms keep the precision of
+# their input, pass for pass as the whole float32 transforms, and the kernel
+# forms and transforms T_n of a float32 stack in float32.
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_transforms_keep_float32(dim):
+    grid = Grid(dim=dim, n=32)
+    values = np.random.default_rng(dim).standard_normal((dim, *grid.shape)).astype(np.float32)
+    ball = fftn_forward(grid, values, ball=True)
+    masked = fftn_forward(grid, values)
+    masked *= grid.dealias_keep
+    assert ball.dtype == masked.dtype == np.complex64
+    assert np.array_equal(scatter_ball(grid, ball, np.empty_like(masked)), masked)
+    got = ifftn_real(grid, ball, ball=True)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, ifftn_real(grid, masked))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_apply_takes_a_float32_stack(dim):
+    grid = Grid(dim=dim, n=32)
+    v = random_divfree(seed=13, grid=grid, peak_k=3, amplitude=1.0)
+    c = gather_ball(grid, v.data, np.empty((dim, *grid.ball_shape), complex))
+    stack = ifftn_real(grid, c, ball=True)[None]
+    kernel = Kernel(grid, 0.02)
+    want, got = np.empty_like(c), np.empty_like(c)
+    want_peak = kernel.apply(stack, 0, c, want)
+    got_peak = kernel.apply(stack.astype(np.float32), 0, c, got)
+    assert got.dtype == np.complex128
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    assert abs(got_peak - want_peak) <= 1e-6 * want_peak
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.02])

@@ -27,7 +27,7 @@ from liens import (
 )
 from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
-from liens.grid_spectral import ifftn_real, relative_divergence
+from liens.grid_spectral import SpectralVectorField, ifftn_real, relative_divergence, scatter_ball
 from liens.leray import Kernel
 from liens.lie_propagator import StepStats, fixed_step
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
@@ -427,6 +427,18 @@ class TestSeriesWorkspace:
         assert stats.order_used == 0
         assert np.array_equal(v.data, random_divfree_2d.data)
 
+    # An order-0 step sums the ball of c_0 alone: a fresh field, zero outside
+    # the dealias ball even when its input carries round-off there.
+    def test_order_zero_step_is_masked(self):
+        g = Grid(dim=2, n=32)
+        u = random_divfree(seed=11, grid=g, peak_k=3, amplitude=1.0)
+        noisy = u.with_data(u.data + 1e-12 * ~g.dealias_keep)
+        v, stats = lie_advance(g, 0.05, tol=1.0)(noisy, 1.0)
+        assert stats.order_used == 0
+        assert not np.shares_memory(v.data, noisy.data)
+        assert np.all(v.data[:, ~g.dealias_keep] == 0.0)
+        assert np.array_equal(v.data, u.data)
+
     # The stack holds min(max_order, DEFAULT_MAX_ORDER) + 1 velocities, so a
     # huge max_order allocates nothing more and changes no bit of a step that
     # stops below order 30.
@@ -439,11 +451,11 @@ class TestSeriesWorkspace:
         assert np.array_equal(got.data, want.data)
 
     # One grow transforms the last coefficient from its ball into the stack
-    # (the transform's passes and the velocity it returns, about 1.7
-    # half-spectrum vector fields at its peak), then streams T_n one
-    # component at a time through the kernel's reused buffers into the new
-    # coefficient's ball. Transforming whole half spectra took 3.06; the
-    # whole-tensor kernel took 6.7 (3-D) and 6.5 (2-D).
+    # one component at a time (0.92 half-spectrum vector fields at its peak
+    # at 32^3, 1.54 at 64^2; the whole vector at once took 1.72 and 1.66),
+    # then streams T_n one component at a time through the kernel's reused
+    # buffers into the new coefficient's ball. Transforming whole half
+    # spectra took 3.06; the whole-tensor kernel took 6.7 (3-D) and 6.5 (2-D).
     @pytest.mark.parametrize("dim,n", [(3, 32), (2, 64)])
     def test_grow_transient_is_bounded(self, dim, n):
         grid = Grid(dim=dim, n=n)
@@ -459,12 +471,11 @@ class TestSeriesWorkspace:
             tracemalloc.stop()
         assert peak <= 2.0 * u.data.nbytes
 
-    # Coefficient n is transformed into the stack only when grow n + 1 or
-    # the step's evaluate needs it: one inverse transform per grow, and one
-    # more only when the step keeps its last coefficient. Every one of them,
-    # c_0's included, is the inverse of a ball. At dt 3 the step grows two
-    # look-ahead coefficients past its order; at dt 0.1 it stops on the
-    # order whose reach covers dt.
+    # Coefficient n is transformed into the stack only when grow n + 1
+    # needs it, and the step sums its balls without a transform: one inverse
+    # transform of each component of a ball per grow, c_0's included. At dt
+    # 3 the step grows two look-ahead coefficients past its order; at dt 0.1
+    # it stops on the order whose reach covers dt.
     @pytest.mark.parametrize("dt,look_ahead", [(3.0, True), (0.1, False)])
     def test_no_transform_of_the_look_ahead(self, monkeypatch, dt, look_ahead):
         u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
@@ -479,7 +490,7 @@ class TestSeriesWorkspace:
         built, order = stats.coefficients_built, stats.order_used
         assert (order < built) == look_ahead
         assert (stats.dt == dt) != look_ahead
-        assert len(transforms) == built + (order == built)
+        assert len(transforms) == built * u.grid.dim
         assert transforms == [True] * len(transforms)
 
     def test_stack_growth_keeps_coefficients(self, monkeypatch):
@@ -489,6 +500,120 @@ class TestSeriesWorkspace:
         preallocated = taylor_coefficients(u, 0.02, order=40)
         for a, b in zip(grown, preallocated, strict=True):
             assert np.array_equal(a.data, b.data)
+
+
+def float32_balls(monkeypatch):
+    """The balls that float32 grows make from now on, in order."""
+    made = []
+    grow = lie_propagator._SeriesBuilder.grow
+
+    def recording(builder):
+        grow(builder)
+        if builder.shift:
+            made.append(builder.last)
+
+    monkeypatch.setattr(lie_propagator._SeriesBuilder, "grow", recording)
+    return made
+
+
+def half_spectrum(grid, ball):
+    out = np.empty((grid.dim, *grid.spectral_shape), dtype=np.complex128)
+    return SpectralVectorField(grid, scatter_ball(grid, ball, out))
+
+
+class TestFloat32Grows:
+    # Late orders of a step run in float32 once their rounding fits the
+    # step's error budget; the coefficients and the sum stay complex128. A
+    # float32 grow floors whole modes, so it keeps its ball solenoidal. (The
+    # float64 floor zeroes single components: at 64^3 and 128^2 the balls it
+    # makes, and through the viscous term the later ones, drift to 1e-10 and
+    # beyond; these two fields keep every ball near 2e-16.)
+    @pytest.mark.parametrize("dim,n,peak_k,nu,dt", [(3, 32, 3, 0.02, 3.0), (2, 64, 4, 0.01, 2.0)])
+    def test_float32_balls_are_divergence_free(self, monkeypatch, dim, n, peak_k, nu, dt):
+        made = float32_balls(monkeypatch)
+        u = random_divfree(seed=7, grid=Grid(dim=dim, n=n), peak_k=peak_k, amplitude=1.0)
+        v, stats = lie_advance(u.grid, nu)(u, dt)
+        assert stats.float32_grows == len(made) > 0
+        assert stats.float32_grows < stats.coefficients_built
+        for ball in made:
+            assert relative_divergence(half_spectrum(u.grid, ball)) <= 1e-14
+        assert relative_divergence(v) <= 1e-12
+
+    def test_only_a_step_switches(self, monkeypatch):
+        # taylor_coefficients (criterion 8, the exact generator), ns_rhs and
+        # RK4 stay in float64 bit for bit; a lie step does switch.
+        dtypes = []
+        apply = Kernel.apply
+
+        def recording(kernel, stack, *args):
+            dtypes.append(stack.dtype)
+            return apply(kernel, stack, *args)
+
+        monkeypatch.setattr(Kernel, "apply", recording)
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=16), peak_k=3, amplitude=1.0)
+        taylor_coefficients(u, 0.02, order=20)
+        ns_rhs(u, 0.02)
+        _, rk4_stats = rk4_advance(u.grid, 0.02, 1e-3)(u, 1e-3)
+        assert rk4_stats.float32_grows == 0
+        assert set(dtypes) == {np.dtype(np.float64)}
+        _, stats = step(u, 0.02, 1.0)
+        assert stats.float32_grows > 0 and np.dtype(np.float32) in dtypes
+
+    # (v, t, nu) -> (A v, t / A, A nu) maps solutions onto solutions. The
+    # float32 slots are scaled by powers of two from max|c_0| and the step
+    # length, so a power-of-two A changes no decision and no float32 value;
+    # max_order 7 keeps every float64 norm of c_n ~ A^(n+1) finite.
+    @pytest.mark.parametrize("exponent", [60, -60])
+    def test_navier_stokes_scaling(self, exponent):
+        scale = 2.0**exponent
+        u = random_divfree(seed=11, grid=Grid(dim=2, n=32), peak_k=3, amplitude=1.0)
+        want = list(steps(u, 0.1, lie_advance(u.grid, 0.05, 1e-10, max_order=7)))
+        got = list(steps(u * scale, 0.1 / scale,
+                         lie_advance(u.grid, 0.05 * scale, 1e-10, max_order=7)))
+        assert [(s.order_used, s.dt * scale) for _, _, s in got] == [
+            (s.order_used, s.dt) for _, _, s in want]
+        assert all(s.float32_grows > 0 for _, _, s in got)
+        for (_, a, _), (_, b, _) in zip(got, want):
+            assert rel_l2(a * (1.0 / scale), b) <= 1e-12
+
+    # A float32 slot must stay below 2^FLOAT32_RANGE: with no range at all
+    # the switch is refused and the step is the all-float64 one.
+    def test_switch_refused_when_slots_do_not_fit(self, monkeypatch):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=16), peak_k=3, amplitude=1.0)
+        monkeypatch.setattr(lie_propagator, "FLOAT32_BUDGET", 0.0)
+        want, want_stats = step(u, 0.02, 1.0)
+        monkeypatch.setattr(lie_propagator, "FLOAT32_BUDGET", 0.1)
+        monkeypatch.setattr(lie_propagator, "FLOAT32_RANGE", -200)
+        got, stats = step(u, 0.02, 1.0)
+        assert stats == want_stats and stats.float32_grows == 0
+        assert np.array_equal(got.data, want.data)
+
+    # A later slot that would not fit sends the stack back to float64 for
+    # the rest of the step: no float32 grow follows it.
+    def test_slot_that_does_not_fit_ends_float32(self, monkeypatch):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=16), peak_k=3, amplitude=1.0)
+        fits = lie_propagator._SeriesBuilder._fits
+        monkeypatch.setattr(lie_propagator._SeriesBuilder, "_fits",
+                            lambda builder, m, shift: m < 12 and fits(builder, m, shift))
+        precisions = []
+        grow = lie_propagator._SeriesBuilder.grow
+
+        def recording(builder):
+            grow(builder)
+            precisions.append(32 if builder.shift else 64)
+
+        monkeypatch.setattr(lie_propagator._SeriesBuilder, "grow", recording)
+        want, want_stats = step(u, 0.02, 1.0)
+        # float64 up to the switch after c_8, float32 for grows 8..11, and
+        # float64 again from grow 12, whose slot would not fit
+        rest = len(precisions) - 12
+        assert rest > 0 and precisions == [64] * 8 + [32] * 4 + [64] * rest
+        assert want_stats.float32_grows == 4
+        monkeypatch.undo()
+        got, stats = step(u, 0.02, 1.0)
+        assert stats.float32_grows > want_stats.float32_grows
+        assert stats.order_used == want_stats.order_used and stats.dt == want_stats.dt
+        assert rel_l2(got, want) <= 1e-12
 
 
 class TestControllerDecisions:

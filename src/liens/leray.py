@@ -175,17 +175,19 @@ class Kernel:
         self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
         self.rhs_balls = np.empty((2, grid.dim, *grid.ball_shape), dtype=np.complex128)
 
-    def apply(self, stack: np.ndarray, n: int, c_ball: np.ndarray, out: np.ndarray) -> float:
-        """``out`` = -nu |k|^2 c - P[div T_n] on the dealias ball, with
+    def apply(self, stack: np.ndarray, n: int, c_ball: np.ndarray, out: np.ndarray,
+              e: int = 0) -> float:
+        """``out`` = -nu |k|^2 c - 2^-e P[div T_n] on the dealias ball, with
         (div T)_i = i k_j T_ij for the Cauchy product T_n of the physical
         velocities in ``stack[:n+1]`` (see ``cauchy_component``); ``c_ball``
         and ``out`` are compact balls (trailing shape ``Grid.ball_shape``).
-        Returns max|T_n|. T_n is streamed one component at a time, in the
-        order the module docstring gives, which keeps every sum that of the
-        whole-tensor form. ``out`` must not be ``c_ball``. The stack may be
-        float32: its components are then formed and transformed in float32,
-        and each transformed component enters the complex128 ``out``, where
-        the divergence, the projection and the viscous term act."""
+        Returns 2^-e max|T_n|. T_n is streamed one component at a time, in
+        the order the module docstring gives, which keeps every sum that of
+        the whole-tensor form. ``out`` must not be ``c_ball``. The stack may
+        be float32, its slots scaled so that T_n is 2^e times the true
+        product: T_n is then formed and transformed in float32, and the
+        divergence, the projection, the exact 2^-e and the viscous term act
+        in the complex128 ``out``."""
         grid, k = self.grid, self.grid.ball_k_deriv
         component, term = self.components[stack.dtype], self.term
         out.fill(0.0)
@@ -200,9 +202,10 @@ class Kernel:
                 np.add(out[j], np.multiply(k[i], t_hat, out=term), out=out[j])
         out *= 1j
         _project(out, k, grid.ball_inv_ksq, self.k_dot_w, term)
+        np.ldexp(out.view(np.float64), -e, out=out.view(np.float64))
         for a in range(grid.dim):
             np.subtract(np.multiply(self.viscous, c_ball[a], out=term), out[a], out=out[a])
-        return float(peak)
+        return float(np.ldexp(peak, -e))
 
     def rhs(self, v_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``ns_rhs`` on raw half-spectrum coefficients, written into ``out``

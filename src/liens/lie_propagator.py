@@ -43,11 +43,11 @@ wherever float64's holds; a slot that would not fit refuses the switch, or
 ends it for the rest of the step. ``taylor_coefficients``, ``ns_rhs`` and
 RK4 never switch.
 
-Round-off floor: every mode of a new coefficient c_{n+1} of magnitude below
-SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is zeroed (eps the machine
-epsilon of the precision T_n was formed in, k_max the dealias radius); a
-float64 grow zeroes single components, a float32 grow whole modes, every
-component of a wavevector together, which keeps them solenoidal. The
+Round-off floor: every mode of a new coefficient c_{n+1}, all its components
+together, of magnitude below SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is
+zeroed (eps the machine epsilon of the precision T_n was formed in, k_max the
+dealias radius): one rule in both precisions, which zeroes no single
+component and so keeps every coefficient solenoidal by construction. The
 transform of T_n carries round-off of about eps * max|T_n| in every mode and
 the divergence multiplies it by at most k_max, so a mode below the bound is
 noise. On an exact eigenflow (Taylor-Green, Beltrami) the projected nonlinear
@@ -166,9 +166,9 @@ class _SeriesBuilder:
     float32, each slot m scaled by the exact power of two 2^(e_s + m e_r)
     held in ``shift`` = (e_s, e_r); every later grow then transforms,
     contracts and transforms back in float32, and its T_n comes out scaled by
-    2^(2 e_s + n e_r), which the kernel call's input and output are scaled
-    by too. ``shift`` is None while the step may still switch and False once
-    a slot that would not fit has sent the stack back to float64 for good.
+    2^(2 e_s + n e_r), which the kernel call removes. ``shift`` is None while
+    the step may still switch and False once a slot that would not fit has
+    sent the stack back to float64 for good.
 
     The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
     max_order + 1, only if a step grows past it; ``np.empty`` commits pages
@@ -209,18 +209,15 @@ class _SeriesBuilder:
         return (math.isfinite(bound)
                 and math.frexp(bound)[1] + self._exponent(m, shift) <= FLOAT32_RANGE)
 
-    def _recast(self, shift) -> None:
-        """Rewrite the filled slots for ``shift``: float32 scaled by it, or,
-        for False, float64 unscaled."""
+    def _restack(self, capacity: int, shift) -> None:
+        """Copy the filled slots into a new stack of ``capacity`` slots, float32
+        scaled by ``shift`` or float64 unscaled (None, False): each by one
+        exact power of two in float64, rounded once to the new precision."""
         old, filled = self.stack, len(self.norms) - 1
-        self.stack = np.empty(old.shape, np.float32 if shift else np.float64)
+        self.stack = np.empty((capacity, *old.shape[1:]), np.float32 if shift else np.float64)
         for m in range(filled):
-            # the float64 side is the wider one: ldexp there, exact
-            if shift:
-                np.ldexp(old[m], self._exponent(m, shift), out=self.stack[m], casting="same_kind")
-            else:
-                self.stack[m] = old[m]
-                np.ldexp(self.stack[m], -self._exponent(m, self.shift), out=self.stack[m])
+            np.ldexp(old[m], self._exponent(m, shift) - self._exponent(m, self.shift),
+                     out=self.stack[m], dtype=np.float64, casting="same_kind")
         self.shift = shift
 
     def lower_precision(self, n: int, bound: float, dt: float) -> None:
@@ -238,7 +235,7 @@ class _SeriesBuilder:
             return
         shift = (-math.frexp(self.norms[0] * self.peak_per_norm)[1], math.frexp(h)[1] - 1)
         if all(self._fits(m, shift) for m in range(len(self.norms) - 1)):
-            self._recast(shift)
+            self._restack(len(self.stack), shift)
 
     def _transform_last(self) -> None:
         """Write the physical velocity of the last coefficient, c_n, into
@@ -246,46 +243,38 @@ class _SeriesBuilder:
         first if it is full; a float32 stack that slot n would not fit goes
         back to float64 first."""
         n = len(self.norms) - 1
-        if n == len(self.stack):
-            grown = np.empty((min(2 * n, self.max_order + 1), *self.stack.shape[1:]),
-                             self.stack.dtype)
-            grown[:n] = self.stack
-            self.stack = grown
-        if self.shift and not self._fits(n, self.shift):
-            self._recast(False)
+        capacity = len(self.stack) if n < len(self.stack) else min(2 * n, self.max_order + 1)
+        shift = self.shift if not self.shift or self._fits(n, self.shift) else False
+        if capacity > len(self.stack) or shift != self.shift:
+            self._restack(capacity, shift)
         ball = self.last
-        if self.shift:
-            ball = _ldexp(ball, self._exponent(n, self.shift), np.complex64)
-        # component by component: bit for bit the vector's inverse, and
-        # faster (64^3: 6.7 against 7.4 ms, in float32 6.2 against 10.2 ms)
-        for a, component in enumerate(ball):
-            self.stack[n, a] = ifftn_real(self.grid, component, ball=True)
+        if self.shift:  # c_n times its slot's power of two, rounded once
+            ball = np.empty(ball.shape, np.complex64)
+            np.ldexp(self.last.view(np.float64), self._exponent(n, self.shift),
+                     out=ball.view(np.float32), casting="same_kind")
+        ifftn_real(self.grid, ball, ball=True, out=self.stack[n])
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion, keeping it with
-        every mode of magnitude below the round-off floor zeroed; the mask
-        reuses the |c|^2 array that the norm sums. A float64 grow zeroes
-        single components below SERIES_FLOOR * eps_64 * k_max * max|T_n| /
-        (n+1); a float32 grow zeroes whole modes, every component of a
-        wavevector together, below the bound with eps_32, so that the modes
-        it keeps stay divergence-free."""
+        every mode below the round-off floor zeroed, all its components
+        together (the module docstring), eps that of the stack's precision.
+        The kernel call removes a float32 stack's power of two from T_n; the
+        mask reuses the |c|^2 array that the norm sums."""
         n = len(self.norms) - 1
         self._transform_last()
         new = np.empty_like(self.last)
+        e = self._exponent(0, self.shift) + self._exponent(n, self.shift)
+        scale = self.kernel.apply(self.stack, n, self.last, new, e)
+        new /= n + 1
         if self.shift:
-            e = self._exponent(0, self.shift) + self._exponent(n, self.shift)
-            scale = self.kernel.apply(self.stack, n, _ldexp(self.last, e), new)
-            np.ldexp(new.view(np.float64), -e, out=new.view(np.float64))
-            scale = float(np.ldexp(scale, -e))
+            eps = _EPS32
             self.float32_grows += 1
         else:
-            scale = self.kernel.apply(self.stack, n, self.last, new)
-        new /= n + 1
-        eps = _EPS32 if self.shift else _EPS
+            eps = _EPS
         floor = SERIES_FLOOR * eps * self.k_max * scale / (n + 1)
         sq = _squares(new)
         if floor > 0.0:
-            below = (sq.sum(axis=0) if self.shift else sq) < floor * floor
+            below = sq.sum(axis=0) < floor * floor
             new[..., below] = 0.0
             sq[..., below] = 0.0
         self.norms.append(math.sqrt(parseval_sum(self.grid, sq, ball=True)))
@@ -321,14 +310,6 @@ class _SeriesBuilder:
         for m in range(max(n - 1, 0), n + 1):
             h = min(h, _term_reach(self.norms[m], m, bound))
         return h
-
-
-def _ldexp(c: np.ndarray, e: int, dtype=np.complex128) -> np.ndarray:
-    """c * 2^e as a new complex array of ``dtype``: exact in float64, then
-    rounded once to ``dtype``."""
-    out = np.empty(c.shape, dtype)
-    np.ldexp(c.view(np.float64), e, out=out.view(out.real.dtype), casting="same_kind")
-    return out
 
 
 def _squares(c: np.ndarray) -> np.ndarray:

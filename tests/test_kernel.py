@@ -180,7 +180,8 @@ def half_spectrum_pressure(v):
 
 def half_spectrum_series(u, nu, order):
     """c_0..c_order by the series recursion with ``half_spectrum_kernel``,
-    round-off floor included."""
+    round-off floor included: it zeroes whole modes, every component of a
+    wavevector together."""
     grid = u.grid
     k_max = grid.k_1d[grid.ball_radius]
     eps = float(np.finfo(float).eps)
@@ -196,7 +197,7 @@ def half_spectrum_series(u, nu, order):
         sq = np.abs(new)
         sq *= sq
         if floor > 0.0:
-            new[sq < floor * floor] = 0.0
+            new[:, sq.sum(axis=0) < floor * floor] = 0.0
         stack[n + 1] = ifftn_real(grid, new)
         coeffs.append(new)
     return coeffs
@@ -231,20 +232,22 @@ def test_ball_inverse_is_the_inverse_of_the_scattered_ball(dim, n, leading):
     assert np.array_equal(got, ifftn_real(grid, half))
 
 
-# The series writes the velocity of each coefficient into a slot of a
-# preallocated stack.
+# The series writes the velocity of each coefficient through ``out`` into a
+# slot of a preallocated stack, float64 or float32.
 @pytest.mark.parametrize("dim", [2, 3])
 def test_ball_inverse_fills_a_stack_slot(dim):
     grid = Grid(dim=dim, n=32)
     rng = np.random.default_rng(dim)
-    balls = [fftn_forward(grid, rng.standard_normal((dim, *grid.shape)), ball=True)
-             for _ in range(3)]
-    stack = np.empty((4, dim, *grid.shape))
-    for slot, ball in enumerate(balls):
-        stack[slot] = ifftn_real(grid, ball, ball=True)
-    for slot, ball in enumerate(balls):
-        half = scatter_ball(grid, ball, np.empty((dim, *grid.spectral_shape), complex))
-        assert np.array_equal(stack[slot], ifftn_real(grid, half))
+    for precision in (np.float64, np.float32):
+        balls = [fftn_forward(grid, rng.standard_normal((dim, *grid.shape)).astype(precision),
+                              ball=True) for _ in range(3)]
+        stack = np.empty((4, dim, *grid.shape), precision)
+        for slot, ball in enumerate(balls):
+            got = ifftn_real(grid, ball, ball=True, out=stack[slot])
+            assert np.shares_memory(got, stack[slot]) and got.shape == stack[slot].shape
+        for slot, ball in enumerate(balls):
+            half = scatter_ball(grid, ball, np.empty((dim, *grid.spectral_shape), ball.dtype))
+            assert np.array_equal(stack[slot], ifftn_real(grid, half))
 
 
 # Late series orders run in float32: the transforms keep the precision of

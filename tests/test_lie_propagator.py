@@ -473,7 +473,7 @@ class TestSeriesWorkspace:
 
     # Coefficient n is transformed into the stack only when grow n + 1
     # needs it, and the step sums its balls without a transform: one inverse
-    # transform of each component of a ball per grow, c_0's included. At dt
+    # transform of a ball per grow, c_0's included. At dt
     # 3 the step grows two look-ahead coefficients past its order; at dt 0.1
     # it stops on the order whose reach covers dt.
     @pytest.mark.parametrize("dt,look_ahead", [(3.0, True), (0.1, False)])
@@ -490,7 +490,7 @@ class TestSeriesWorkspace:
         built, order = stats.coefficients_built, stats.order_used
         assert (order < built) == look_ahead
         assert (stats.dt == dt) != look_ahead
-        assert len(transforms) == built * u.grid.dim
+        assert len(transforms) == built
         assert transforms == [True] * len(transforms)
 
     def test_stack_growth_keeps_coefficients(self, monkeypatch):
@@ -502,15 +502,14 @@ class TestSeriesWorkspace:
             assert np.array_equal(a.data, b.data)
 
 
-def float32_balls(monkeypatch):
-    """The balls that float32 grows make from now on, in order."""
+def grown_balls(monkeypatch):
+    """The (float32?, ball) of every grow from now on, in order."""
     made = []
     grow = lie_propagator._SeriesBuilder.grow
 
     def recording(builder):
         grow(builder)
-        if builder.shift:
-            made.append(builder.last)
+        made.append((bool(builder.shift), builder.last))
 
     monkeypatch.setattr(lie_propagator._SeriesBuilder, "grow", recording)
     return made
@@ -523,21 +522,20 @@ def half_spectrum(grid, ball):
 
 class TestFloat32Grows:
     # Late orders of a step run in float32 once their rounding fits the
-    # step's error budget; the coefficients and the sum stay complex128. A
-    # float32 grow floors whole modes, so it keeps its ball solenoidal. (The
-    # float64 floor zeroes single components: at 64^3 and 128^2 the balls it
-    # makes, and through the viscous term the later ones, drift to 1e-10 and
-    # beyond; these two fields keep every ball near 2e-16.)
-    @pytest.mark.parametrize("dim,n,peak_k,nu,dt", [(3, 32, 3, 0.02, 3.0), (2, 64, 4, 0.01, 2.0)])
-    def test_float32_balls_are_divergence_free(self, monkeypatch, dim, n, peak_k, nu, dt):
-        made = float32_balls(monkeypatch)
+    # step's error budget; the coefficients and the sum stay complex128.
+    # Every grow, in either precision, floors whole modes, so every ball a
+    # step makes is solenoidal, and so is the step's output.
+    @pytest.mark.parametrize("dim,n,peak_k,nu,dt", [
+        (3, 32, 3, 0.02, 3.0), (2, 64, 4, 0.01, 2.0), (2, 128, 3, 0.01, 2.0)])
+    def test_balls_are_divergence_free(self, monkeypatch, dim, n, peak_k, nu, dt):
+        made = grown_balls(monkeypatch)
         u = random_divfree(seed=7, grid=Grid(dim=dim, n=n), peak_k=peak_k, amplitude=1.0)
         v, stats = lie_advance(u.grid, nu)(u, dt)
-        assert stats.float32_grows == len(made) > 0
-        assert stats.float32_grows < stats.coefficients_built
-        for ball in made:
+        assert stats.coefficients_built == len(made)
+        assert 0 < stats.float32_grows == sum(float32 for float32, _ in made) < len(made)
+        for _, ball in made:
             assert relative_divergence(half_spectrum(u.grid, ball)) <= 1e-14
-        assert relative_divergence(v) <= 1e-12
+        assert relative_divergence(v) <= 1e-15
 
     def test_only_a_step_switches(self, monkeypatch):
         # taylor_coefficients (criterion 8, the exact generator), ns_rhs and

@@ -42,7 +42,7 @@ def test_problems_name_each_failed_gate(series_accuracy):
     reference = run()
     assert problems(1e-10, reference, run(), run(final=(1.0, 9e-10))) == []
     assert problems(1e-10, reference, run(), run(final=(1.0, 2e-9))) == ["error"]
-    assert problems(1e-10, reference, run(), run(divergence=2e-12)) == ["divergence"]
+    assert problems(1e-10, reference, run(), run(divergence=2e-14)) == ["divergence"]
     assert problems(1e-10, reference, run(), run(pairs=((15, 0.25), (14, 0.25)))) == [
         "pairs moved"]
     assert problems(1e-10, reference, run(), run(final=(np.nan, 0.0), divergence=np.nan)) == [

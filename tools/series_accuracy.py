@@ -18,7 +18,7 @@ One line is printed per case: the relative L2 error of the change's final
 field against the reference (the parent's in brackets), the largest
 relative divergence of any step output of the change, and its (order, dt)
 pairs. The exit status is 1 when on any case the error exceeds 10 tol, a
-divergence exceeds 1e-12, or a pair differs from the parent's.
+divergence exceeds 1e-14, or a pair differs from the parent's.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from liens.grid_spectral import relative_divergence  # noqa: E402
 
 REFERENCE_TOL = 1e-13
 ERROR_FACTOR = 10.0
-DIVERGENCE_BOUND = 1e-12
+DIVERGENCE_BOUND = 1e-14
 
 
 def _random(dim: int, n: int, peak_k: int, nu: float, t_end: float) -> SimSpec:

@@ -32,9 +32,10 @@ Precision: a step's last orders need only a few digits, since order n adds
 ||c_n|| h^n, down to tol * ||u||, to the step. At the first order n with
 eps_32 ||c_n|| H^n <= FLOAT32_BUDGET * tol * ||u|| (eps_32 the float32
 machine epsilon, H = min(dt, RADIUS_SAFETY * radius), the longest step the
-controller could still grant) a step casts its stack once to float32 and
-runs every later inverse transform, Cauchy contraction and forward
-transform of T_n in float32 (Higham & Mary, Acta Numerica 31, 2022). The
+controller could still grant) a step casts its stack once to float32, in
+place, into the first half of its float64 buffer, and runs every later
+inverse transform, Cauchy contraction and forward transform of T_n in
+float32 (Higham & Mary, Acta Numerica 31, 2022). The
 projection, the viscous term, the norms and every coefficient ball stay
 complex128, so no float32 rounding enters the sum except through the
 coefficients it bounds. Each float32 slot is scaled by an exact power of two
@@ -163,7 +164,9 @@ class _SeriesBuilder:
     one.
 
     The stack starts in float64. ``lower_precision`` may cast it once to
-    float32, each slot m scaled by the exact power of two 2^(e_s + m e_r)
+    float32, in place: the float32 stack is a view of the float64 buffer,
+    so a step holds one stack buffer, which ``evaluate`` releases. Each
+    float32 slot m is scaled by the exact power of two 2^(e_s + m e_r)
     held in ``shift`` = (e_s, e_r); every later grow then transforms,
     contracts and transforms back in float32, and its T_n comes out scaled by
     2^(2 e_s + n e_r), which the kernel call removes. ``shift`` is None while
@@ -210,11 +213,19 @@ class _SeriesBuilder:
                 and math.frexp(bound)[1] + self._exponent(m, shift) <= FLOAT32_RANGE)
 
     def _restack(self, capacity: int, shift) -> None:
-        """Copy the filled slots into a new stack of ``capacity`` slots, float32
+        """Write the filled slots into a stack of ``capacity`` slots, float32
         scaled by ``shift`` or float64 unscaled (None, False): each by one
-        exact power of two in float64, rounded once to the new precision."""
+        exact power of two in float64, rounded once to the new precision.
+        The switch to float32 at unchanged capacity writes into a float32
+        view of the float64 buffer, slot by slot in ascending order: float32
+        slot m lies inside float64 slot m // 2, already read for m >= 1, and
+        numpy's overlap check copies slot 0, which overlaps its own source.
+        The way back to float64 and a doubling allocate a new stack."""
         old, filled = self.stack, len(self.norms) - 1
-        self.stack = np.empty((capacity, *old.shape[1:]), np.float32 if shift else np.float64)
+        if shift and not self.shift and capacity == len(old):
+            self.stack = old.view(np.float32).reshape(2 * capacity, *old.shape[1:])[:capacity]
+        else:
+            self.stack = np.empty((capacity, *old.shape[1:]), np.float32 if shift else np.float64)
         for m in range(filled):
             np.ldexp(old[m], self._exponent(m, shift) - self._exponent(m, self.shift),
                      out=self.stack[m], dtype=np.float64, casting="same_kind")
@@ -282,9 +293,11 @@ class _SeriesBuilder:
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:
         """The series truncated after c_order, evaluated at t: Horner on the
-        float64 coefficient balls, accumulated in c_order's (the builder is
-        spent afterwards), then scattered into a fresh half spectrum, zero
-        outside the dealias ball. Order 0 returns c_0's ball so scattered."""
+        float64 coefficient balls, accumulated in c_order's, then scattered
+        into a fresh half spectrum, zero outside the dealias ball. Order 0
+        returns c_0's ball so scattered. The builder is spent afterwards: it
+        releases its stack before the sum allocates."""
+        self.stack = None
         acc = _horner(self.balls[: order + 1], t, self.balls[order])
         out = np.empty((self.grid.dim, *self.grid.spectral_shape), dtype=np.complex128)
         return SpectralVectorField(self.grid, scatter_ball(self.grid, acc, out))

@@ -614,6 +614,54 @@ class TestFloat32Grows:
         assert rel_l2(got, want) <= 1e-12
 
 
+def switched_builder():
+    """A 32^3 builder (seed 7, peak_k 3, nu 0.02) with 8 coefficients grown,
+    then offered the switch at orders 4..8, as a step at dt 0.5 offers it:
+    (builder, its float64 stack's buffer, a copy of its filled slots, the
+    ``tracemalloc`` peak of the offers in float64 slots)."""
+    u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
+    builder = lie_propagator._SeriesBuilder(Kernel(u.grid, 0.02), u.data, 30)
+    for _ in range(8):
+        builder.grow()
+    buffer, filled = builder.stack, len(builder.norms) - 1
+    saved = buffer[:filled].copy()
+    tracemalloc.start()
+    try:
+        for k in range(4, 9):
+            if builder.shift is None:
+                builder.lower_precision(k, 1e-10 * builder.norms[0], 0.5)
+        peak = tracemalloc.get_traced_memory()[1] / buffer[0].nbytes
+    finally:
+        tracemalloc.stop()
+    assert builder.shift and builder.stack.dtype == np.float32
+    return builder, buffer, saved, peak
+
+
+class TestStackBuffer:
+    # The switch to float32 casts the filled slots into a float32 view of
+    # the step's float64 buffer, bit for bit as an allocating cast would,
+    # slot 0 included, which overlaps its own source.
+    def test_in_place_cast_is_the_allocating_cast(self):
+        builder, buffer, saved, _ = switched_builder()
+        assert np.shares_memory(builder.stack, buffer)
+        assert len(saved) == 8
+        for m, slot in enumerate(saved):
+            want = np.ldexp(slot, builder._exponent(m, builder.shift)).astype(np.float32)
+            assert np.array_equal(builder.stack[m], want)
+
+    # The switch allocates one float64 slot, numpy's copy of slot 0, and no
+    # second stack (31 float32 slots, 15.5 float64 ones, at this capacity).
+    def test_switch_allocates_one_slot(self):
+        _, _, _, peak = switched_builder()
+        assert peak <= 1.1
+
+    # A spent builder holds no stack: the step's sum allocates without it.
+    def test_no_stack_after_evaluate(self):
+        builder, _, _, _ = switched_builder()
+        builder.evaluate(6, 0.1)
+        assert builder.stack is None
+
+
 class TestControllerDecisions:
     # The (order_used, dt) that the step controller chooses, recorded when
     # the cost-per-unit-time rule replaced the halving loop; a new step-size

@@ -36,11 +36,11 @@ advection term) or into the pressure -k_i k_j T_ij / |k|^2, and dropped.
 So at most one component of T exists at a time, in either space. The
 projection and the viscous term act on the ball too, with the ball tables
 of ``Grid``: ``Kernel.apply`` takes and returns compact balls, since the
-series keeps its coefficients there. ``Kernel.rhs`` reads only the ball of
-its input, through the inverse of that ball, so no out-of-ball round-off
-of an admissible field enters its result; it and ``compute_pressure``
-scatter their result, zero outside the ball. Each kept mode is bit for bit
-what the whole transform and the mask give (``grid_spectral.fftn_forward``)
+series keeps its coefficients there. ``Kernel.rhs`` and ``compute_pressure``
+read only the ball of their input, through the inverse of that ball, so no
+out-of-ball round-off of an admissible field enters their results, and both
+scatter what they return, zero outside the ball. Each kept mode is bit for
+bit what the whole transform and the mask give (``grid_spectral.fftn_forward``)
 and the ball tables are copies of the whole ones: the ball changes no result.
 
 The stream order, TENSOR_INDEX, is (0,0), (0,1), (1,1), (0,2), (1,2), (2,2):
@@ -76,9 +76,10 @@ from .grid_spectral import (
 
 DIV_FREE_RTOL = 1e-8
 DEALIASED_RTOL = 1e-10
-# Points per pass of ``cauchy_component``; the fastest of 2048..65536 for the
-# 28 grows of an order-28 step at 64^3 on a 2-core x86 VM with 2 MiB of L2
-# per core (0.91 s against 1.96 s for the pair loop it replaced).
+# Points per pass of ``cauchy_component``. At 64^3 and orders 0..15 (2-core
+# x86 VM, 2 MiB L2 per core) 8192 takes 11-17% (float64) and 17-20% (float32)
+# less time than one whole einsum; 65536 took 1-14% less than 8192, and at
+# 32^3 the whole einsum 5-14% less (microbenchmarks, not end to end).
 CAUCHY_CHUNK = 8192
 
 # Stored components (i, j), i <= j, of a symmetric tensor, in the order the
@@ -236,12 +237,13 @@ def compute_pressure(v: SpectralVectorField) -> SpectralScalarField:
 
     The input must be dealiased and divergence-free (the Poisson equation is
     derived from the divergence of the momentum equation under that
-    constraint).
+    constraint); only its dealias ball is read.
     """
     _require_admissible(v, "compute_pressure")
     grid = v.grid
     k = grid.ball_k_deriv
-    velocity = ifftn_real(grid, v.data)[None]
+    ball = gather_ball(grid, v.data, np.empty((grid.dim, *grid.ball_shape), np.complex128))
+    velocity = ifftn_real(grid, ball, ball=True)[None]
     component = np.empty(grid.shape)
     acc = np.zeros(grid.ball_shape, dtype=np.complex128)
     for i, j in TENSOR_INDEX[grid.dim]:

@@ -80,10 +80,9 @@ from .errors import (
     nonnegative_count,
     positive_finite,
 )
-from .grid_spectral import (  # perfbench/tracing.py wraps lie_propagator.fftn_forward
+from .grid_spectral import (
     Grid,
     SpectralVectorField,
-    fftn_forward,  # noqa: F401
     gather_ball,
     ifftn_real,
     parseval_sum,
@@ -197,10 +196,6 @@ class _SeriesBuilder:
         # modes of the ball, which the volume-weighted Parseval norm counts.
         self.peak_per_norm = math.sqrt(2 * math.prod(grid.ball_shape) / grid.volume)
 
-    @property
-    def last(self) -> np.ndarray:
-        return self.balls[-1]
-
     def _exponent(self, m: int, shift) -> int:
         """log2 of the scale of stack slot m under ``shift`` (0 in float64)."""
         return shift[0] + m * shift[1] if shift else 0
@@ -258,10 +253,10 @@ class _SeriesBuilder:
         shift = self.shift if not self.shift or self._fits(n, self.shift) else False
         if capacity > len(self.stack) or shift != self.shift:
             self._restack(capacity, shift)
-        ball = self.last
+        ball = self.balls[n]
         if self.shift:  # c_n times its slot's power of two, rounded once
             ball = np.empty(ball.shape, np.complex64)
-            np.ldexp(self.last.view(np.float64), self._exponent(n, self.shift),
+            np.ldexp(self.balls[n].view(np.float64), self._exponent(n, self.shift),
                      out=ball.view(np.float32), casting="same_kind")
         ifftn_real(self.grid, ball, ball=True, out=self.stack[n])
 
@@ -273,9 +268,9 @@ class _SeriesBuilder:
         mask reuses the |c|^2 array that the norm sums."""
         n = len(self.norms) - 1
         self._transform_last()
-        new = np.empty_like(self.last)
+        new = np.empty_like(self.balls[n])
         e = self._exponent(0, self.shift) + self._exponent(n, self.shift)
-        scale = self.kernel.apply(self.stack, n, self.last, new, e)
+        scale = self.kernel.apply(self.stack, n, self.balls[n], new, e)
         new /= n + 1
         if self.shift:
             eps = _EPS32
@@ -390,7 +385,7 @@ def taylor_coefficients(
     coefficients = [u]
     for _ in range(order):
         builder.grow()
-        half = scatter_ball(u.grid, builder.last, np.empty_like(u.data))
+        half = scatter_ball(u.grid, builder.balls[-1], np.empty_like(u.data))
         coefficients.append(SpectralVectorField(u.grid, half))
     return tuple(coefficients)
 

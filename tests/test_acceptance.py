@@ -9,10 +9,13 @@ import time
 
 import pytest
 
+from liens import verification
+from liens.operator_calculus import DiffPoly, apply_A
 from liens.verification import (
     FULL,
     QUICK,
     criterion_3_dissipativity,
+    criterion_9_exact_laws,
     format_table,
     run_acceptance,
 )
@@ -94,3 +97,12 @@ def test_negative_control_flipped_pressure_sign():
     # solenoidality assertion; gradients are invisible to the inner product).
     rows = criterion_3_dissipativity(QUICK, pressure_sign=-1.0)
     assert any(not r.passed for r in rows)
+
+
+def test_negative_control_affine_generator(monkeypatch):
+    # A generator off by the constant u_0 is no longer linear in g: both
+    # linearity checks fail in each of the 100 draws, and only they see it
+    # (derivation_check calls the unpatched apply_A).
+    monkeypatch.setattr(verification, "apply_A", lambda f, g: apply_A(f, g) + DiffPoly.u(0))
+    [row] = criterion_9_exact_laws()
+    assert row.measured == 200.0 and not row.passed

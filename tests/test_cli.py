@@ -629,6 +629,18 @@ class TestSimulate:
         rows = (tmp_path / "out" / "series.csv").read_text().splitlines()
         assert len(rows) == 1 + 2
 
+    def test_unallocatable_initial_field_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(liens.cli, "random_divfree", no_memory)
+        text = RANDOM_RK4_CONFIG.format(out=tmp_path / "out").replace("n = 32", "n = 16")
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("config error: grid.n: cannot allocate the initial field at"
+                       " n = 16: no room\n")
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_rk4_stability_guard(self, tmp_path, capsys):
         text = RANDOM_RK4_CONFIG.format(out=tmp_path / "stab").replace(
             "rk4_dt = 1e-3", "rk4_dt = 1.0"
@@ -661,10 +673,21 @@ class TestSubcommands:
         truncation = [1e-2, 1e-3, 1e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
         result = ([0.0] * 6, truncation)
         monkeypatch.setattr(burgers1d, "cross_check", lambda order, n: result)
-        monkeypatch.setattr(verification, "cross_check", lambda order, n: result)
         assert main(["burgers-check"]) == 0
         assert " 5     1.000e-04  yes" in capsys.readouterr().out
-        assert all(r.passed for r in verification.criterion_8_linear_representation())
+        assert all(r.passed for r in verification.criterion_8_linear_representation(*result))
+
+    # Errors the cross-check can produce that criterion 8 must reject: a
+    # symbolic error over the bound, and a NaN after the first entry.
+    @pytest.mark.parametrize("bad", [1.0, math.nan], ids=["over-bound", "nan"])
+    def test_burgers_check_fails_on_symbolic_errors(self, monkeypatch, capsys, bad):
+        from liens import burgers1d
+
+        truncation = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
+        monkeypatch.setattr(burgers1d, "cross_check",
+                            lambda order, n: ([0.0] + [bad] * order, truncation))
+        assert main(["burgers-check", "--order", "5", "--n", "64"]) == 1
+        assert capsys.readouterr().err == "FAIL: agreement bounds violated\n"
 
     def test_burgers_check_order_zero(self, capsys):
         assert main(["burgers-check", "--order", "0"]) == 0

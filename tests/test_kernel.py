@@ -392,6 +392,7 @@ def test_a_step_reads_the_ball(dim, n):
     noisy = with_noise_outside_ball(u, 1e-12)
     assert np.any(outside_ball(u.grid, noisy.data))
     assert np.array_equal(ns_rhs(noisy, 0.05).data, ns_rhs(u, 0.05).data)
+    assert np.array_equal(compute_pressure(noisy).data, compute_pressure(u).data)
     for c, want in zip(taylor_coefficients(noisy, 0.05, 4)[1:],
                        taylor_coefficients(u, 0.05, 4)[1:], strict=True):
         assert np.array_equal(c.data, want.data)

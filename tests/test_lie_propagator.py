@@ -509,7 +509,7 @@ def grown_balls(monkeypatch):
 
     def recording(builder):
         grow(builder)
-        made.append((bool(builder.shift), builder.last))
+        made.append((bool(builder.shift), builder.balls[-1]))
 
     monkeypatch.setattr(lie_propagator._SeriesBuilder, "grow", recording)
     return made
@@ -719,6 +719,21 @@ class TestControllerDecisions:
         u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
         got = energy(propagate(u, 0.02, 3.0))
         assert abs(got - 0.046926468229971) <= 1e-11 * 0.046926468229971
+
+    # Covering dt costs at least one step, so no order whose own step costs
+    # the best cover can do better: the search stops there, without pricing
+    # a single cover.
+    def test_search_stops_at_the_best_cost(self, monkeypatch):
+        priced = []
+
+        def cover_cost(order, h, dt):
+            priced.append(order)
+            return math.inf
+
+        monkeypatch.setattr(lie_propagator, "_cover_cost", cover_cost)
+        best = lie_propagator._step_cost(2)
+        assert lie_propagator._may_improve([0.1, 0.2], best, 1.0, 30) is False
+        assert priced == []
 
 
 class TestSteps:

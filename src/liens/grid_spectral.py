@@ -602,7 +602,10 @@ def inner_product(a: SpectralVectorField, b: SpectralVectorField) -> float:
 # complex128, which is the same bytes as the float64 pair (real, imaginary).
 # Spectral data is the full spectrum (n^dim coefficients per component): it
 # is completed from the half spectrum on write, and on read its Hermitian
-# symmetry is checked before it is cut back to the half spectrum.
+# symmetry is checked before it is cut back to the half spectrum. The writer
+# completes, transposes and writes one component at a time, so it holds at
+# most one full-spectrum component and its transposed copy; the bytes are
+# those of the whole field completed and transposed at once.
 
 _SNAPSHOT_DTYPES = {"physical": "<f8", "spectral": "<c16"}
 
@@ -616,11 +619,12 @@ def write_snapshot(path: str | Path, field: RealVectorField | SpectralVectorFiel
     grid = field.grid
     kind = "physical" if isinstance(field, RealVectorField) else "spectral"
     header = f"{SNAPSHOT_MAGIC} {grid.dim} {grid.n} {grid.length:.17g} {grid.dim} {kind}\n"
-    data = field.data if kind == "physical" else complete_hermitian(grid, field.data)
-    payload = np.transpose(data, _x_fastest(grid.dim))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(payload, _SNAPSHOT_DTYPES[kind]).data)
+        for component in field.data:
+            if kind == "spectral":
+                component = complete_hermitian(grid, component)
+            fh.write(np.ascontiguousarray(component.T, _SNAPSHOT_DTYPES[kind]).data)
 
 
 def read_snapshot(path: str | Path) -> RealVectorField | SpectralVectorField:

@@ -10,10 +10,11 @@ which coincides with nu*lap(v) - (v.grad)v - grad(p_v) for divergence-free
 v; ``reference_oracles.ns_rhs_via_pressure`` evaluates the second form so
 tests can assert their agreement.
 
-Every field here is a half spectrum (see ``grid_spectral``), and so is every
-output: the projection, the pressure and the right-hand side act mode by
-mode, and k -> -k maps each of them onto its own conjugate, so none needs
-completing.
+Every field the public operations take is a half spectrum (see
+``grid_spectral``), and so is every output: the projection, the pressure and
+the right-hand side act mode by mode, and k -> -k maps each of them onto its
+own conjugate, so none needs completing. ``Kernel`` works on compact
+dealias balls instead.
 
 The quadratic term is computed in divergence form by one kernel object,
 ``Kernel(grid, nu)``, shared with the series recursion of
@@ -26,20 +27,21 @@ stack of physical velocities v_0..v_n, shaped (orders, dim, *grid shape),
 float64 or float32, one stored component (i <= j: 3 in 2-D, 6 in 3-D) at a
 time, each formed in one reused buffer by ``cauchy_component``, one
 contraction over m.
-``ns_rhs``, the RK4 stages and ``compute_pressure`` (with its own buffer)
-stream a stack of one velocity at n = 0 (T_0 = v v): F(v) is the series'
-first coefficient. One pruned real-to-complex FFT gives the component's
-dealias ball, the block of the half spectrum that the 2/3 rule keeps
+``ns_rhs``, the RK4 stages (``Kernel.rhs``) and ``compute_pressure`` (with
+its own buffer) stream a stack of one velocity at n = 0 (T_0 = v v): F(v) is
+the series' first coefficient. One pruned real-to-complex FFT gives the
+component's dealias ball, the block of the half spectrum that the 2/3 rule keeps
 (``Grid.ball_shape``: 21 x 21 x 11 of 32 x 32 x 17 modes at 32^3), and
 nothing outside it, folded at once into the divergence i k_j T_ij (the
 advection term) or into the pressure -k_i k_j T_ij / |k|^2, and dropped.
 So at most one component of T exists at a time, in either space. The
 projection and the viscous term act on the ball too, with the ball tables
-of ``Grid``: ``Kernel.apply`` takes and returns compact balls, since the
-series keeps its coefficients there. ``Kernel.rhs`` and ``compute_pressure``
-read only the ball of their input, through the inverse of that ball, so no
-out-of-ball round-off of an admissible field enters their results, and both
-scatter what they return, zero outside the ball. Each kept mode is bit for
+of ``Grid``: ``Kernel.apply`` and ``Kernel.rhs`` take and return compact
+balls, since the series and the RK4 stages keep their fields there.
+``ns_rhs`` and ``compute_pressure`` gather the ball of their input once and
+read the velocity from the inverse of that ball, so no out-of-ball
+round-off of an admissible field enters their results, and both scatter
+what they return once, zero outside the ball. Each kept mode is bit for
 bit what the whole transform and the mask give (``grid_spectral.fftn_forward``)
 and the ball tables are copies of the whole ones: the ball changes no result.
 
@@ -158,14 +160,21 @@ def project_half(grid: Grid, w_hat: np.ndarray, scratch: np.ndarray) -> None:
     _project(w_hat, grid.k_deriv, grid.inv_ksq, scratch[0], scratch[1])
 
 
+def project_ball(grid: Grid, w_ball: np.ndarray, scratch: np.ndarray) -> None:
+    """Leray projection of a compact ball vector in place; ``scratch`` holds
+    at least two ball scalars, which it overwrites."""
+    _project(w_ball, grid.ball_k_deriv, grid.ball_inv_ksq, scratch[0], scratch[1])
+
+
 class Kernel:
     """The kernel on one grid with viscosity ``nu``, which it checks by
     ``viscosity_value`` and keeps as ``self.nu``: the viscous factor -nu |k|^2
     on the dealias ball (``Grid.ball_shape``) and the buffers every call
     reuses: one physical tensor component per precision a stack may have
-    (float64 and float32), two ball scalars, one for a product and one for
-    k.w, and the two ball vectors of ``rhs``, its gathered input and its
-    result. ``np.empty`` commits their pages only as they are written."""
+    (float64 and float32) and two ball scalars, one for a product and one
+    for k.w. ``np.empty`` commits their pages only as they are written.
+    Both methods take and return compact balls; ``ns_rhs`` gathers and
+    scatters for its half-spectrum field."""
 
     def __init__(self, grid: Grid, nu: float):
         self.nu = viscosity_value(nu)
@@ -174,7 +183,6 @@ class Kernel:
         self.components = {np.dtype(t): np.empty(grid.shape, t) for t in (np.float64, np.float32)}
         self.term = np.empty(grid.ball_shape, dtype=np.complex128)
         self.k_dot_w = np.empty(grid.ball_shape, dtype=np.complex128)
-        self.rhs_balls = np.empty((2, grid.dim, *grid.ball_shape), dtype=np.complex128)
 
     def apply(self, stack: np.ndarray, n: int, c_ball: np.ndarray, out: np.ndarray,
               e: int = 0) -> float:
@@ -202,21 +210,19 @@ class Kernel:
             if i != j:
                 np.add(out[j], np.multiply(k[i], t_hat, out=term), out=out[j])
         out *= 1j
-        _project(out, k, grid.ball_inv_ksq, self.k_dot_w, term)
+        project_ball(grid, out, (self.k_dot_w, term))
         np.ldexp(out.view(np.float64), -e, out=out.view(np.float64))
         for a in range(grid.dim):
             np.subtract(np.multiply(self.viscous, c_ball[a], out=term), out[a], out=out[a])
         return float(np.ldexp(peak, -e))
 
-    def rhs(self, v_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``ns_rhs`` on raw half-spectrum coefficients, written into ``out``
-        (not ``v_hat``), zero outside the dealias ball, and returned, without
+    def rhs(self, c_ball: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``ns_rhs`` on the compact dealias ball ``c_ball`` of a velocity,
+        written into the ball ``out`` (not ``c_ball``) and returned, without
         its checks: for callers whose input is admissible by construction.
-        It reads the ball of ``v_hat`` alone."""
-        c_ball, f_ball = self.rhs_balls
-        gather_ball(self.grid, v_hat, c_ball)
-        self.apply(ifftn_real(self.grid, c_ball, ball=True)[None], 0, c_ball, f_ball)
-        return scatter_ball(self.grid, f_ball, out)
+        The velocity is the inverse of ``c_ball``, one component at a time."""
+        self.apply(ifftn_real(self.grid, c_ball, ball=True)[None], 0, c_ball, out)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +267,9 @@ def ns_rhs(v: SpectralVectorField, nu: float) -> SpectralVectorField:
 
     Output is divergence-free and dealiased whenever the input is.
     """
-    kernel = Kernel(v.grid, nu)
+    grid = v.grid
+    kernel = Kernel(grid, nu)
     _require_admissible(v, "ns_rhs")
-    out = kernel.rhs(v.data, np.empty_like(v.data))
-    return SpectralVectorField(v.grid, out)
+    c_ball = gather_ball(grid, v.data, np.empty((grid.dim, *grid.ball_shape), np.complex128))
+    f_ball = kernel.rhs(c_ball, np.empty_like(c_ball))
+    return SpectralVectorField(grid, scatter_ball(grid, f_ball, np.empty_like(v.data)))

@@ -7,8 +7,10 @@ dissipativity check's negative control.
 
 The RK4 path shares the right-hand side and the step loop ``steps`` with the
 series propagator, and the update ``rk4_update`` with the 1-D Burgers bench;
-its time-stepping scheme is entirely separate from the series, which is what
-makes the two usable as mutual oracles. ``advection_hat`` computes
+like the series, it runs every stage on the compact dealias ball and
+scatters each step's result once into a half spectrum. Its time-stepping
+scheme is entirely separate from the series, which is what makes the two
+usable as mutual oracles. ``advection_hat`` computes
 (a.grad)b from physical velocity gradients with plain complex FFTs of the
 completed spectra, independently of the divergence-form kernel in ``leray``
 and of its real-to-complex transforms; tests compare the two.
@@ -27,14 +29,16 @@ from .grid_spectral import (
     Grid,
     SpectralVectorField,
     complete_hermitian,
+    gather_ball,
     parseval_sum,
-    reflect_modes,
+    scatter_ball,
 )
 from .leray import (
     Kernel,
     _require_admissible,
     compute_pressure,
     ns_rhs,
+    project_ball,
     project_half,
     viscosity_value,
 )
@@ -171,43 +175,64 @@ def ns_rhs_via_pressure(
     return SpectralVectorField(grid, -nu_val * grid.ksq * v.data - forcing)
 
 
+def _rk4_ball_step(kernel: Kernel, v_hat: np.ndarray, h: float, balls: np.ndarray,
+                   k1_hat: np.ndarray | None = None) -> np.ndarray:
+    """One RK4 step of length ``h`` on the dealias ball, for ``rk4_step`` and
+    ``rk4_advance``: the ball of ``v_hat`` is gathered once into
+    ``balls[0]`` and its slope k1 into ``balls[1]``, from ``k1_hat`` (a half
+    spectrum) when the caller has it and by ``kernel.rhs`` otherwise;
+    ``rk4_update`` runs on the balls, with ``balls[2:]`` as (stage, k2, k3,
+    k4), its result is projected in place through the spent stage buffer
+    and scattered into a fresh half spectrum, +0.0 outside the ball. Every
+    kept mode is what the same steps on half spectra give, bit for bit."""
+    grid = kernel.grid
+    u, k1 = gather_ball(grid, v_hat, balls[0]), balls[1]
+    if k1_hat is None:
+        kernel.rhs(u, k1)
+    else:
+        gather_ball(grid, k1_hat, k1)
+    u_next = rk4_update(u, h, k1, kernel.rhs, balls[2:])
+    project_ball(grid, u_next, balls[2])
+    return scatter_ball(grid, u_next, np.empty((grid.dim, *grid.spectral_shape), np.complex128))
+
+
 def rk4_step(
     v: SpectralVectorField, nu: float, dt: float
 ) -> SpectralVectorField:
-    """One classical 4-stage Runge-Kutta step of ``ns_rhs``, re-projected.
+    """One classical 4-stage Runge-Kutta step of ``ns_rhs``, re-projected,
+    on the dealias ball (``_rk4_ball_step``).
 
     ``ns_rhs`` gives k1 and checks v once. The later stages start from linear
     combinations of v and of right-hand sides, which are projected and
     dealiased, so they are admissible by construction and skip the check."""
     k1 = ns_rhs(v, nu).data
-    buf = np.empty((4, *k1.shape), dtype=np.complex128)
-    u_next = rk4_update(v.data, dt, k1, Kernel(v.grid, nu).rhs, buf)
-    project_half(v.grid, u_next, buf[0])  # the spent stage buffer
-    return SpectralVectorField(v.grid, u_next)
+    grid = v.grid
+    balls = np.empty((6, grid.dim, *grid.ball_shape), dtype=np.complex128)
+    u_next = _rk4_ball_step(Kernel(grid, nu), v.data, dt, balls, k1)
+    return SpectralVectorField(grid, u_next)
 
 
 def rk4_advance(grid: Grid, nu: float, dt: float):
-    """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``, reusing one
-    array of slopes and one ``leray.Kernel`` for the whole run; each update
-    is projected in place, through the spent stage buffer. Enforces the
-    explicit diffusion bound dt <= 0.5*dx^2/nu for nu > 0.
+    """Fixed-step RK4 on ``grid`` as an ``advance`` for ``steps``, reusing six
+    ball vectors and one ``leray.Kernel`` for the whole run: each step runs
+    on the dealias ball (``_rk4_ball_step``) and returns a fresh half
+    spectrum, zero outside the ball. Enforces the explicit diffusion bound
+    dt <= 0.5*dx^2/nu for nu > 0.
 
     ``advance(v, remaining)`` does not check v: v must be divergence-free and
     dealiased, as ``rk4_propagate`` checks its initial field to be and as
-    every step's projected output is."""
+    every step's projected output is. It reads only v's ball."""
     kernel = Kernel(grid, nu)
     positive_finite("rk4 step size dt", dt)
     if kernel.nu > 0.0:
         dt_max = 0.5 * grid.spacing**2 / kernel.nu
         if dt > dt_max:
             raise StabilityError("rk4 step exceeds the explicit stability bound", dt_max)
-    slopes = np.empty((5, grid.dim, *grid.spectral_shape), dtype=np.complex128)
-    rhs = kernel.rhs
+    balls = np.empty((6, grid.dim, *grid.ball_shape), dtype=np.complex128)
 
     def advance(v: SpectralVectorField, remaining: float):
         h = fixed_step(dt, remaining)
-        u_next = rk4_update(v.data, h, rhs(v.data, slopes[0]), rhs, slopes[1:])
-        project_half(grid, u_next, slopes[1])
+        u_next = _rk4_ball_step(kernel, v.data, h, balls)
         return SpectralVectorField(grid, u_next), StepStats(order_used=4, dt=h)
 
     return advance
@@ -249,8 +274,17 @@ def random_divfree(
     draws.real = rng.standard_normal(shape)
     draws.imag = rng.standard_normal(shape)
     # The draws fill the full grid; the half spectrum of their Hermitian part
-    # is the spectrum of a real field, C-ordered (sliced before it is scaled).
-    coef = 0.5 * (draws + np.conj(reflect_modes(grid, draws)))[..., : grid.n // 2 + 1]
+    # (d[k] + conj(d[-k])) / 2 is the spectrum of a real field. Only the half
+    # spectrum of d[-k] is formed, one ``take`` per axis, the last first; each
+    # gives a fresh C-ordered array, so the norm below sums in the same order.
+    half = grid.n // 2 + 1
+    minus = -np.arange(grid.n) % grid.n  # the index of -k along an axis
+    coef = np.take(draws, minus[:half], axis=-1)
+    for axis in range(-2, -grid.dim - 1, -1):
+        coef = np.take(coef, minus, axis=axis)
+    np.conj(coef, out=coef)
+    coef += draws[..., :half]
+    coef *= 0.5
     del draws  # the full grid goes before the weighting allocates
     weight = grid.mode_magnitude**4 * np.exp(-((grid.mode_magnitude / peak_k) ** 2))
     coef *= weight * grid.dealias_keep

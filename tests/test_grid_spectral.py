@@ -1,6 +1,7 @@
 """Transforms, derivatives, dealiasing, and snapshot round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,49 @@ class TestSnapshots:
         # then y (then z), one component after another
         want = np.concatenate([np.ravel(c, order="F") for c in data]).astype("<f8")
         assert payload == want.tobytes()
+
+    # The writer completes, transposes and writes one component at a time;
+    # its bytes are those of the whole field completed and transposed at
+    # once, signed zeros included.
+    @pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+    @pytest.mark.parametrize("kind", ["physical", "spectral"])
+    def test_bytes_match_whole_field_formula(self, tmp_path, rng, dim, kind):
+        g = Grid(dim=dim, n=16)
+        field = to_spectral(random_real_field(g, rng))
+        if kind == "physical":
+            data = to_physical(field).data.copy()
+            data[0, 1] = -0.0
+            data[-1, 2] = 0.0
+            field = RealVectorField(g, data)
+            whole, dtype = data, "<f8"
+        else:
+            data = field.data.copy()
+            data[0, 3, ..., 2] = complex(-0.0, -0.0)
+            data[-1, 5, ..., 4] = complex(0.0, -0.0)
+            data[1, 2, ..., 3] = complex(-0.0, 0.0)
+            field = SpectralVectorField(g, data)
+            whole, dtype = complete_hermitian(g, data), "<c16"
+        path = tmp_path / "field.liens"
+        write_snapshot(path, field)
+        header = f"LIENS1 {dim} 16 {g.length:.17g} {dim} {kind}\n".encode("ascii")
+        payload = np.ascontiguousarray(np.transpose(whole, (0, *range(dim, 0, -1))), dtype)
+        assert path.read_bytes() == header + payload.tobytes()
+
+    # One component completed and its transposed copy at a time: the whole
+    # field completed and transposed at once peaked at 4 (2-D) and 6 (3-D)
+    # full-spectrum components.
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
+    def test_writer_holds_one_component_at_a_time(self, tmp_path, dim, n):
+        g = Grid(dim=dim, n=n)
+        field = to_spectral(random_real_field(g, np.random.default_rng(3)))
+        path = tmp_path / "field.liens"
+        tracemalloc.start()
+        try:
+            write_snapshot(path, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n**dim * 16
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 """Closed-form flows, the RK4 oracle, and the random field generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,40 @@ class TestRk4:
             got = rk4_step(got, nu, dt)
             assert np.array_equal(got.data, textbook.data)
 
+    # The stages run on the dealias ball and the step scatters its result:
+    # every mode outside the ball is +0.0, even where the input carried
+    # round-off there, so no sign of zero depends on the input's.
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_outputs_are_positive_zero_outside_ball(self, dim, n):
+        grid = Grid(dim=dim, n=n)
+        u = random_divfree(seed=5, grid=grid, peak_k=3, amplitude=1.0)
+        data = u.data.copy()
+        cols = slice(grid.ball_radius + 1, n // 2)  # off the self-conjugate planes
+        data[..., cols] = 1e-17 * (1.0 - 1.0j)
+        data[..., -1] = complex(-0.0, -0.0)  # the Nyquist column, outside the ball
+        noisy = SpectralVectorField(grid, data)
+        advance = rk4_advance(grid, 0.02, 1e-3)
+        for out in (rk4_step(noisy, 0.02, 1e-3), advance(noisy, 1.0)[0],
+                    rk4_propagate(noisy, 0.02, 3e-3, 1e-3)):
+            outside = out.data[:, ~grid.dealias_keep]
+            assert not np.any(outside)
+            assert not np.any(np.signbit(outside.real) | np.signbit(outside.imag))
+
+    # rk4_advance keeps six ball vectors for the run and each step allocates
+    # its output half spectrum: at 32^3 a ball vector is 0.28 of a half
+    # spectrum vector, so five slopes on half spectra would not fit.
+    def test_advance_memory_in_half_spectrum_vectors(self):
+        grid = Grid(dim=3, n=32)
+        u = random_divfree(seed=7, grid=grid, peak_k=3, amplitude=1.0)
+        rk4_advance(grid, 0.02, 1e-3)(u, 1.0)  # builds the grid's cached tables
+        tracemalloc.start()
+        try:
+            rk4_advance(grid, 0.02, 1e-3)(u, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * u.data.nbytes
+
     def test_step_preserves_divergence(self, random_divfree_3d):
         out = rk4_step(random_divfree_3d, 0.02, 1e-3)
         assert relative_divergence(out) <= 1e-12
@@ -216,8 +251,9 @@ class TestRandomDivfree:
 
     # The generator forms the Hermitian average on the half spectrum only; it
     # must reproduce, bit for bit, the average over the full grid of draws
-    # and their reflection, cut to the half spectrum afterwards.
-    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 64)])
+    # and their reflection, cut to the half spectrum afterwards. A layout
+    # other than C order would change the order of the norm's sum.
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 32), (3, 64)])
     @pytest.mark.parametrize("seed", [3, 8])
     def test_matches_full_grid_average_bitwise(self, dim, n, seed):
         grid = Grid(dim=dim, n=n)
@@ -230,6 +266,7 @@ class TestRandomDivfree:
         field = leray_project(SpectralVectorField(grid, coef))
         want = (1.0 / field.l2_norm()) * field
         got = random_divfree(seed=seed, grid=grid, peak_k=3, amplitude=1.0)
+        assert got.data.flags.c_contiguous
         assert np.array_equal(got.data, want.data)
 
     def test_determinism(self, grid2d):

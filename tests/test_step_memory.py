@@ -1,4 +1,4 @@
-"""``tools/step_memory.py`` on a small lie run."""
+"""``tools/step_memory.py`` on a small lie run and a small RK4 run."""
 
 import importlib.util
 import sys
@@ -25,6 +25,8 @@ t_end = 1.0
 integrator = lie
 output_dir = out
 """
+RK4_CONFIG = CONFIG.replace("t_end = 1.0\nintegrator = lie", (
+    "t_end = 0.005\nintegrator = rk4\nrk4_dt = 0.001\nsnapshot_cadence = 1"))
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +65,20 @@ def test_one_row_per_event_and_methods_restored(step_memory, tmp_path, capsys):
     assert [getattr(_SeriesBuilder, name)
             for name in ("__init__", "grow", "lower_precision", "evaluate")] == originals
     assert cli._record is record
+
+
+# An RK4 run has records and snapshots only: one snapshot after each of its
+# five steps, then the final field's.
+def test_rk4_rows_are_records_and_snapshots(step_memory, tmp_path, capsys):
+    write_snapshot = cli.write_snapshot
+    config = tmp_path / "run.cfg"
+    config.write_text(RK4_CONFIG, encoding="ascii")
+    assert step_memory.main([str(config)]) == 0
+    assert len(list((tmp_path / "out").glob("snapshot_*.liens"))) == 5
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]
+            if line.split()[0] in ("record", "snapshot")]
+    events = [row[0] for row in rows]
+    assert events == ["record"] + ["record", "snapshot"] * 5 + ["snapshot"]
+    assert [row[2] for row in rows if row[0] == "snapshot"] == [str(i) for i in range(6)]
+    assert all(row[1] == "0" and float(row[3]) > 0.0 and float(row[4]) > 0.0 for row in rows)
+    assert cli.write_snapshot is write_snapshot

@@ -1,14 +1,17 @@
 """Resident memory of one ``liens simulate`` run, event by event: where the
-peak of the series' coefficient cache sits.
+peak of the series' coefficient cache, of the RK4 stages or of the snapshot
+writer sits.
 
     python3 tools/step_memory.py CONFIG
 
 runs ``liens.cli.cmd_simulate(CONFIG)`` in this process and prints one row
 after each event of the run: a ``_SeriesBuilder`` made for a step
 (``init``), a coefficient grown (``grow``), the step switched to float32
-(``switch``), the step's sum (``sum``) and a series record (``record``).
-Each row gives the step, the order (the last coefficient's, the order of
-the switch or of the sum, the record's index), the current resident size
+(``switch``), the step's sum (``sum``), a series record (``record``) and a
+snapshot written (``snapshot``; the final field's too). An RK4 run has only
+the last two. Each row gives the series step (0 for RK4), the order (the
+last coefficient's, the order of the switch or of the sum, the record's or
+the snapshot's index), the current resident size
 from ``/proc/self/statm`` and the peak one, ``ru_maxrss``, both in MiB, so
 Linux only. The methods are wrapped from outside for the run and restored
 afterwards; the package itself holds no hook. The config of a benchmark
@@ -47,11 +50,12 @@ def rss_mib() -> tuple[float, float]:
 
 @contextmanager
 def traced(report):
-    """Wrap the builder's methods and ``cli._record`` so that each event
-    calls ``report(event, step, order)``; restore them on exit."""
-    count = {"step": 0, "record": 0}
+    """Wrap the builder's methods, ``cli._record`` and ``cli.write_snapshot``
+    so that each event calls ``report(event, step, order)``; restore them on
+    exit."""
+    count = {"step": 0, "record": 0, "snapshot": 0}
     init, grow, lower = _SeriesBuilder.__init__, _SeriesBuilder.grow, _SeriesBuilder.lower_precision
-    evaluate, record = _SeriesBuilder.evaluate, cli._record
+    evaluate, record, snapshot = _SeriesBuilder.evaluate, cli._record, cli.write_snapshot
 
     def init_(builder, *args):
         init(builder, *args)
@@ -79,9 +83,14 @@ def traced(report):
         count["record"] += 1
         return out
 
+    def snapshot_(*args):
+        snapshot(*args)
+        report("snapshot", count["step"], count["snapshot"])
+        count["snapshot"] += 1
+
     patches = [(_SeriesBuilder, "__init__", init_), (_SeriesBuilder, "grow", grow_),
                (_SeriesBuilder, "lower_precision", lower_), (_SeriesBuilder, "evaluate", evaluate_),
-               (cli, "_record", record_)]
+               (cli, "_record", record_), (cli, "write_snapshot", snapshot_)]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
         for owner, name, wrapper in patches:
@@ -99,9 +108,9 @@ def main(argv: list[str] | None = None) -> int:
 
     def report(event: str, step: int, order: int) -> None:
         rss, peak = rss_mib()
-        print(f"{event:<7} {step:>4} {order:>5} {rss:>9.1f} {peak:>9.1f}", flush=True)
+        print(f"{event:<8} {step:>4} {order:>5} {rss:>9.1f} {peak:>9.1f}", flush=True)
 
-    print(f"{'event':<7} {'step':>4} {'order':>5} {'rss_mib':>9} {'peak_mib':>9}", flush=True)
+    print(f"{'event':<8} {'step':>4} {'order':>5} {'rss_mib':>9} {'peak_mib':>9}", flush=True)
     with traced(report):
         return cli.cmd_simulate(args.config)
 

@@ -84,7 +84,7 @@ def cross_check(order: int, n: int) -> tuple[list[float], list[float]]:
         symbolic.append(diff / denom if denom else 0.0)
     reference = rk4_burgers(u0, CROSS_CHECK_NU, 0.1, dt=1e-4)
     truncation = [
-        float(np.linalg.norm(_horner(coeffs[: trunc + 1], 0.1, np.empty_like(u0)) - reference)
+        float(np.linalg.norm(_horner(coeffs[trunc::-1], 0.1, np.empty_like(u0)) - reference)
               / np.linalg.norm(reference))
         for trunc in range(2, 11)
     ]

@@ -53,14 +53,17 @@ class StabilityError(LiensError, ValueError):
 class RadiusCollapseError(LiensError, RuntimeError):
     """No series order up to the cap admits a step of at least 2^-20 of the
     one requested (``dt_last``, the shortest step that would count); the
-    analyticity margin has collapsed."""
+    analyticity margin has collapsed. ``reach`` holds the failed step's h_N
+    for every order N it read."""
 
-    def __init__(self, message: str, radius_estimate: float, dt_last: float):
+    def __init__(self, message: str, radius_estimate: float, dt_last: float,
+                 reach: tuple[float, ...]):
         super().__init__(
             f"{message} (last radius estimate {radius_estimate:.6e}, step floor {dt_last:.6e})"
         )
         self.radius_estimate = radius_estimate
         self.dt_last = dt_last
+        self.reach = reach
 
 
 class SnapshotFormatError(LiensError, ValueError):

@@ -16,17 +16,18 @@ n = 0 the stack is c_0 alone and c_1 = F(u): ``leray.ns_rhs`` is that call.
 
 Every c_n past c_0 is zero outside the 2/3-rule dealias ball by
 construction, and c_0, an admissible field, up to round-off, so a step reads
-every coefficient from the ball and keeps each one there, a compact
-complex128 ball; the floor and the norms, the weighted Parseval sum, act on
-the ball. Beside them sits one preallocated stack of physical velocities,
-into which c_n is transformed, by the inverse pruned to the ball, only when
-the Cauchy sum of c_{n+1} needs it, so the look-ahead coefficients that end
-a step are never transformed. The step sums the series by Horner on the balls and
-scatters the sum into a half spectrum, zero outside the ball: the sum takes
-no transform, and every step's output, an order-0 one too, is a fresh field
-masked to the ball. ``taylor_coefficients`` scatters each coefficient into a
-half spectrum as it is made and returns them as a tuple c_0..c_N: a
-truncated Lie series is nothing more than its coefficients c_n = A^n u / n!.
+every coefficient from the ball and keeps each one there, a compact ball,
+complex128 but for the late orders (below); the floor and the norms, the
+weighted Parseval sum, act on the ball. Beside them sits one preallocated
+stack of physical velocities, into which c_n is transformed, by the inverse
+pruned to the ball, only when the Cauchy sum of c_{n+1} needs it, so the
+look-ahead coefficients that end a step are never transformed. The step
+sums the series by Horner on the balls and scatters the sum into a half
+spectrum, zero outside the ball: the sum takes no transform, and every
+step's output, an order-0 one too, is a fresh field masked to the ball.
+``taylor_coefficients`` scatters each coefficient into a half spectrum as
+it is made and returns them as a tuple c_0..c_N: a truncated Lie series is
+nothing more than its coefficients c_n = A^n u / n!.
 
 Precision: a step's last orders need only a few digits, since order n adds
 ||c_n|| h^n, down to tol * ||u||, to the step. At the first order n with
@@ -36,13 +37,21 @@ controller could still grant) a step casts its stack once to float32, in
 place, into the first half of its float64 buffer, and runs every later
 inverse transform, Cauchy contraction and forward transform of T_n in
 float32 (Higham & Mary, Acta Numerica 31, 2022). The
-projection, the viscous term, the norms and every coefficient ball stay
-complex128, so no float32 rounding enters the sum except through the
-coefficients it bounds. Each float32 slot is scaled by an exact power of two
-(``_SeriesBuilder.lower_precision``) that keeps it within float32's range
-wherever float64's holds; a slot that would not fit refuses the switch, or
-ends it for the rest of the step. ``taylor_coefficients``, ``ns_rhs`` and
-RK4 never switch.
+projection, the viscous term and the norms stay complex128, and so does
+every coefficient as its grow makes it, so every coefficient and norm, and
+with them every step decision, is that of complex128 storage. Once the
+next grow has read c_n for its viscous term, only the step's sum reads it,
+so a c_n transformed into a float32 slot is kept as that slot's input, the
+complex64 ball of c_n times the slot's power of two, in half the bytes; the
+switch rule bounds its rounding as it bounds the slot's. The sum runs
+Horner in complex128, un-scales each complex64 ball exactly, and
+Leray-projects the result on the ball, because rounding each component on
+its own leaves k.c nonzero at float32's epsilon; a sum of complex128 balls
+alone, a step that never switched, is not projected. Each float32 slot is
+scaled by an exact power of two (``_SeriesBuilder.lower_precision``) that
+keeps it within float32's range wherever float64's holds; a slot that
+would not fit refuses the switch, or ends it for the rest of the step.
+``taylor_coefficients``, ``ns_rhs`` and RK4 never switch.
 
 Round-off floor: every mode of a new coefficient c_{n+1}, all its components
 together, of magnitude below SERIES_FLOOR * eps * k_max * max|T_n| / (n+1) is
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -88,7 +97,7 @@ from .grid_spectral import (
     parseval_sum,
     scatter_ball,
 )
-from .leray import Kernel, _require_admissible
+from .leray import Kernel, _require_admissible, project_ball
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ORDER = 30
@@ -150,17 +159,18 @@ class _SeriesBuilder:
     """Incrementally grows the series.
 
     The builder reads every coefficient, c_0 included, from the dealias ball
-    and keeps each one there (``Grid.ball_shape``, complex128), with the
-    round-off floor and the Parseval norm applied there; beside them sit the
-    norms, the run's ``leray.Kernel``, which holds the viscous table and the
-    reusable buffers, and one stack of physical velocities, shaped
-    (capacity, dim, *grid.shape). Producing c_{n+1} is one inverse transform
-    of c_n's ball into stack slot n and one kernel call, which streams
-    ``leray``'s Cauchy sum over the stack component by component. So
-    coefficient n is transformed only when grow n + 1 needs it: the
-    look-ahead coefficient that ends a step never takes a slot. Every
-    coefficient's ball is a fresh array: ``taylor_coefficients`` keeps each
-    one.
+    and keeps each one there (``Grid.ball_shape``), complex128 as it is made,
+    with the round-off floor and the Parseval norm applied there, and
+    complex64 once it has been transformed into a float32 slot (``grow``);
+    beside them sit the norms, the run's ``leray.Kernel``, which holds the
+    viscous table and the reusable buffers, and one stack of physical
+    velocities, shaped (capacity, dim, *grid.shape). Producing c_{n+1} is one
+    inverse transform of c_n's ball into stack slot n and one kernel call,
+    which streams ``leray``'s Cauchy sum over the stack component by
+    component. So coefficient n is transformed only when grow n + 1 needs
+    it: the look-ahead coefficient that ends a step never takes a slot. Every
+    coefficient's ball is a fresh array: ``taylor_coefficients``, which
+    never switches, keeps each one.
 
     The stack starts in float64. ``lower_precision`` may cast it once to
     float32, in place: the float32 stack is a view of the float64 buffer,
@@ -191,6 +201,7 @@ class _SeriesBuilder:
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
         self.stack = np.empty((capacity, grid.dim, *grid.shape))
         self.shift: tuple[int, int] | bool | None = None
+        self.exponents: dict[int, int] = {}  # n -> e of each complex64 ball, c_n times 2^e
         self.float32_grows = 0
         # max|c(x)| <= this times ||c||: Cauchy-Schwarz over the full-spectrum
         # modes of the ball, which the volume-weighted Parseval norm counts.
@@ -243,11 +254,13 @@ class _SeriesBuilder:
         if all(self._fits(m, shift) for m in range(len(self.norms) - 1)):
             self._restack(len(self.stack), shift)
 
-    def _transform_last(self) -> None:
+    def _transform_last(self) -> np.ndarray:
         """Write the physical velocity of the last coefficient, c_n, into
         stack slot n, at the stack's precision and scale, doubling the stack
         first if it is full; a float32 stack that slot n would not fit goes
-        back to float64 first."""
+        back to float64 first. Returns the ball transformed: c_n's own in
+        float64, or in float32 a new complex64 ball, c_n times 2^e with e =
+        ``_exponent(n, shift)``, rounded once."""
         n = len(self.norms) - 1
         capacity = len(self.stack) if n < len(self.stack) else min(2 * n, self.max_order + 1)
         shift = self.shift if not self.shift or self._fits(n, self.shift) else False
@@ -259,20 +272,26 @@ class _SeriesBuilder:
             np.ldexp(self.balls[n].view(np.float64), self._exponent(n, self.shift),
                      out=ball.view(np.float32), casting="same_kind")
         ifftn_real(self.grid, ball, ball=True, out=self.stack[n])
+        return ball
 
     def grow(self) -> None:
         """Compute the next coefficient from the recursion, keeping it with
         every mode below the round-off floor zeroed, all its components
         together (the module docstring), eps that of the stack's precision.
         The kernel call removes a float32 stack's power of two from T_n; the
-        mask reuses the |c|^2 array that the norm sums."""
+        mask reuses the |c|^2 array that the norm sums. The new ball is
+        complex128. Once the kernel has read c_n's ball for the viscous
+        term, only the sum reads c_n, so in float32 the grow keeps slot n's
+        complex64 input in its place, with its exponent in ``exponents``:
+        ``shift`` may later turn False, and ``_exponent`` with it."""
         n = len(self.norms) - 1
-        self._transform_last()
+        slot_input = self._transform_last()
         new = np.empty_like(self.balls[n])
         e = self._exponent(0, self.shift) + self._exponent(n, self.shift)
         scale = self.kernel.apply(self.stack, n, self.balls[n], new, e)
         new /= n + 1
-        if self.shift:
+        if self.shift:  # only the sum reads c_n from here on
+            self.balls[n], self.exponents[n] = slot_input, self._exponent(n, self.shift)
             eps = _EPS32
             self.float32_grows += 1
         else:
@@ -288,14 +307,33 @@ class _SeriesBuilder:
 
     def evaluate(self, order: int, t: float) -> SpectralVectorField:
         """The series truncated after c_order, evaluated at t: Horner on the
-        float64 coefficient balls, accumulated in c_order's, then scattered
-        into a fresh half spectrum, zero outside the dealias ball. Order 0
-        returns c_0's ball so scattered. The builder is spent afterwards: it
-        releases its stack before the sum allocates."""
+        coefficient balls in a fresh complex128 ball, then scattered into a
+        fresh half spectrum, zero outside the dealias ball. Order 0 returns
+        c_0's ball so scattered. Each complex64 ball is un-scaled exactly by
+        its 2^-e into one reused complex128 ball before it is added; a sum
+        that holds one is Leray-projected on the ball, through the kernel's
+        two scratch balls, because each component was rounded on its own.
+        A sum of complex128 balls alone is not projected. The builder is
+        spent afterwards: it releases its stack before the sum allocates."""
         self.stack = None
-        acc = _horner(self.balls[: order + 1], t, self.balls[order])
-        out = np.empty((self.grid.dim, *self.grid.spectral_shape), dtype=np.complex128)
-        return SpectralVectorField(self.grid, scatter_ball(self.grid, acc, out))
+        grid = self.grid
+        acc = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
+        switched = any(n <= order for n in self.exponents)
+        term = np.empty_like(acc) if switched else None
+
+        def exact(n: int) -> np.ndarray:
+            """c_n in complex128: a complex64 ball is un-scaled into ``term``."""
+            if n not in self.exponents:
+                return self.balls[n]
+            np.ldexp(self.balls[n].view(np.float32), -self.exponents[n],
+                     out=term.view(np.float64), dtype=np.float64)
+            return term
+
+        _horner((exact(n) for n in range(order, -1, -1)), t, acc)
+        if switched:
+            project_ball(grid, acc, (self.kernel.k_dot_w, self.kernel.term))
+        out = np.empty((grid.dim, *grid.spectral_shape), dtype=np.complex128)
+        return SpectralVectorField(grid, scatter_ball(grid, acc, out))
 
     def radius(self, n: int) -> float:
         """The ratio-test radius of c_0..c_max(n, 3), +inf while there are
@@ -394,15 +432,17 @@ def evaluate(coefficients: Sequence[SpectralVectorField], t: float) -> SpectralV
     """Horner evaluation sum_n c_n t^n; t = 0 returns c_0 unchanged."""
     if t == 0.0:
         return coefficients[0]
-    data = [c.data for c in coefficients]
-    return coefficients[0].with_data(_horner(data, t, np.empty_like(data[-1])))
+    acc = np.empty_like(coefficients[-1].data)
+    return coefficients[0].with_data(_horner((c.data for c in reversed(coefficients)), t, acc))
 
 
-def _horner(coeffs: Sequence[np.ndarray], t: float, acc: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] t^n, accumulated in ``acc`` (coeffs[-1] itself or an
-    array not among the coefficients)."""
-    acc[...] = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+def _horner(descending: Iterable[np.ndarray], t: float, acc: np.ndarray) -> np.ndarray:
+    """sum_n c_n t^n of the coefficients c_N, ..., c_0 in ``descending``,
+    accumulated in ``acc``, an array not among them; each is read once,
+    before the next is drawn."""
+    descending = iter(descending)
+    acc[...] = next(descending)
+    for c in descending:
         acc *= t
         acc += c
     return acc
@@ -446,9 +486,9 @@ def lie_advance(
 
     The advance checks neither u nor dt. u must be divergence-free and
     dealiased: ``step`` and ``propagate`` check their initial field, and
-    every step's output, a sum of projected coefficients masked to the
-    dealias ball, is so by construction. ``steps`` passes a positive finite
-    dt."""
+    every step's output, a sum of projected coefficients (projected once
+    more when it holds complex64 ones) masked to the dealias ball, is so by
+    construction. ``steps`` passes a positive finite dt."""
     positive_finite("tol", tol)
     nonnegative_count("max_order", max_order)
     kernel = Kernel(grid, nu)
@@ -480,6 +520,7 @@ def lie_advance(
                 " the request",
                 radius_estimate=builder.radius(len(builder.norms) - 1),
                 dt_last=dt * COLLAPSE_FLOOR,
+                reach=tuple(reach),
             )
         h = dt / math.ceil(dt / reach[best])
         stats = StepStats(

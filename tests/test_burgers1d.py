@@ -66,7 +66,7 @@ class TestSeriesVsRk4:
         coeffs = taylor_coefficients_burgers(u0, nu, 10)
         errors = []
         for order in range(2, 11):
-            approx = _horner(coeffs[: order + 1], t, np.empty_like(u0))
+            approx = _horner(coeffs[order::-1], t, np.empty_like(u0))
             errors.append(np.linalg.norm(approx - ref) / np.linalg.norm(ref))
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] <= 1e-8
@@ -93,7 +93,7 @@ class TestSeriesVsRk4:
         coeffs = taylor_coefficients_burgers(u0, 0.1, 4)
         t = 0.03
         direct = sum(c * t**k for k, c in enumerate(coeffs))
-        assert np.max(np.abs(_horner(coeffs, t, np.empty_like(u0)) - direct)) < 1e-14
+        assert np.max(np.abs(_horner(coeffs[::-1], t, np.empty_like(u0)) - direct)) < 1e-14
 
     def test_under_resolution_is_detectable(self):
         # On n=32 the order-8 coefficients exceed the resolvable bandwidth;

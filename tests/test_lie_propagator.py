@@ -27,7 +27,13 @@ from liens import (
 )
 from liens.burgers1d import rk4_burgers
 from liens.errors import RadiusCollapseError, SolenoidalError
-from liens.grid_spectral import SpectralVectorField, ifftn_real, relative_divergence, scatter_ball
+from liens.grid_spectral import (
+    SpectralVectorField,
+    gather_ball,
+    ifftn_real,
+    relative_divergence,
+    scatter_ball,
+)
 from liens.leray import Kernel
 from liens.lie_propagator import StepStats, fixed_step
 from liens.reference_oracles import random_divfree, rk4_advance, rk4_step
@@ -248,6 +254,16 @@ class TestStep:
         # as StepStats reports it
         assert err.value.radius_estimate == math.inf
 
+    # The error carries the failed step's h_N for every order it read: at a
+    # request of 1e6, every order's step lies below the floor of 0.95.
+    def test_radius_collapse_carries_the_reach(self, random_divfree_2d):
+        with pytest.raises(RadiusCollapseError) as err:
+            step(random_divfree_2d, 0.0, dt=1e6, tol=1e-14, max_order=8)
+        reach = err.value.reach
+        assert isinstance(reach, tuple) and len(reach) == 9
+        assert all(0.0 <= h < err.value.dt_last for h in reach)
+        assert reach[:2] == (0.0, 0.0) and all(a < b for a, b in zip(reach[2:], reach[3:]))
+
     def test_radius_collapse_message_says_what_to_change(self, random_divfree_2d):
         with pytest.raises(RadiusCollapseError) as err:
             step(random_divfree_2d, 0.0, dt=1.0, tol=1e-14, max_order=1)
@@ -355,6 +371,23 @@ class TestRoundoffFloor:
         out, seen = run_observed(analytic_field(flow, 0.0, 0.05, g), 0.05, 0.5)
         assert len(seen) == 1
         assert rel_l2(out, analytic_field(flow, 0.5, 0.05, g)) <= 5e-13
+
+    # The 16^3 eigenflows at nu 0.1 take one step to t 1, whose late orders
+    # are summed from complex64 balls and projected: every mode outside the
+    # flow's support stays exactly +0.0, and the sum stays within 1e-12 of
+    # the closed form (5.5e-14 and 8.8e-13; 3.1e-15 and 3.4e-14 with every
+    # ball complex128).
+    @pytest.mark.parametrize("kind", ["beltrami_abc", "taylor_green_3d_embedded"])
+    def test_3d_eigenflow_zeros_stay_positive(self, kind):
+        g = Grid(dim=3, n=16)
+        flow = AnalyticFlow(kind)
+        out, seen = run_observed(analytic_field(flow, 0.0, 0.1, g), 0.1, 1.0)
+        assert len(seen) == 1 and seen[0][2].float32_grows > 0
+        want = analytic_field(flow, 1.0, 0.1, g)
+        outside = out.data[want.data == 0.0]
+        assert np.count_nonzero(outside) == 0
+        assert not np.signbit(outside.real).any() and not np.signbit(outside.imag).any()
+        assert rel_l2(out, want) <= 1e-12
 
     def test_floor_off_takes_more_steps(self, monkeypatch):
         monkeypatch.setattr(lie_propagator, "SERIES_FLOOR", 0.0)
@@ -502,17 +535,23 @@ class TestSeriesWorkspace:
             assert np.array_equal(a.data, b.data)
 
 
-def grown_balls(monkeypatch):
-    """The (float32?, ball) of every grow from now on, in order."""
-    made = []
+def recorded_step(monkeypatch, u, nu, dt):
+    """One lie step from ``u`` with its grows recorded: (output, stats, the
+    builder, the complex128 ball of each of c_0..c_N as it was made, the
+    builder's ``shift`` after each grow, so entry n is that of slot n's)."""
+    grid, made, shifts, builders = u.grid, [], [], []
+    made.append(gather_ball(grid, u.data, np.empty((grid.dim, *grid.ball_shape), complex)))
     grow = lie_propagator._SeriesBuilder.grow
 
     def recording(builder):
         grow(builder)
-        made.append((bool(builder.shift), builder.balls[-1]))
+        builders.append(builder)
+        made.append(builder.balls[-1])
+        shifts.append(builder.shift)
 
     monkeypatch.setattr(lie_propagator._SeriesBuilder, "grow", recording)
-    return made
+    v, stats = lie_advance(grid, nu)(u, dt)
+    return v, stats, builders[-1], made, shifts
 
 
 def half_spectrum(grid, ball):
@@ -522,18 +561,19 @@ def half_spectrum(grid, ball):
 
 class TestFloat32Grows:
     # Late orders of a step run in float32 once their rounding fits the
-    # step's error budget; the coefficients and the sum stay complex128.
-    # Every grow, in either precision, floors whole modes, so every ball a
-    # step makes is solenoidal, and so is the step's output.
+    # step's error budget; every grow's output and the sum stay complex128,
+    # and a ball transformed into a float32 slot is then kept as that
+    # slot's complex64 input (TestComplex64Balls). Every grow, in either
+    # precision, floors whole modes, so every ball a step makes is
+    # solenoidal, and the sum of a switched step is projected.
     @pytest.mark.parametrize("dim,n,peak_k,nu,dt", [
         (3, 32, 3, 0.02, 3.0), (2, 64, 4, 0.01, 2.0), (2, 128, 3, 0.01, 2.0)])
     def test_balls_are_divergence_free(self, monkeypatch, dim, n, peak_k, nu, dt):
-        made = grown_balls(monkeypatch)
         u = random_divfree(seed=7, grid=Grid(dim=dim, n=n), peak_k=peak_k, amplitude=1.0)
-        v, stats = lie_advance(u.grid, nu)(u, dt)
-        assert stats.coefficients_built == len(made)
-        assert 0 < stats.float32_grows == sum(float32 for float32, _ in made) < len(made)
-        for _, ball in made:
+        v, stats, _, made, shifts = recorded_step(monkeypatch, u, nu, dt)
+        assert stats.coefficients_built == len(shifts)
+        assert 0 < stats.float32_grows == sum(bool(shift) for shift in shifts) < len(shifts)
+        for ball in made[1:]:
             assert relative_divergence(half_spectrum(u.grid, ball)) <= 1e-14
         assert relative_divergence(v) <= 1e-15
 
@@ -612,6 +652,113 @@ class TestFloat32Grows:
         assert stats.float32_grows > want_stats.float32_grows
         assert stats.order_used == want_stats.order_used and stats.dt == want_stats.dt
         assert rel_l2(got, want) <= 1e-12
+
+
+# The switch rule's budget for the float32 rounding of a step, relative to
+# ||u||, at the default tol.
+FLOAT32_BUDGET_TOL = lie_propagator.FLOAT32_BUDGET * lie_propagator.DEFAULT_TOL
+
+
+def complex128_sum(grid, made, order, t):
+    """The step's sum from the grows' complex128 balls: the output of every
+    step when all balls stayed complex128."""
+    acc = lie_propagator._horner(made[order::-1], t, np.empty_like(made[0]))
+    return half_spectrum(grid, acc)
+
+
+class TestComplex64Balls:
+    # A 32^3 step (seed 7, peak_k 3, nu 0.02, dt 0.5) of order 17 whose last
+    # 10 grows run in float32; its norms and stats as recorded with every
+    # ball complex128.
+    NORMS = [
+        "0x1.0000000000000p+0", "0x1.1d8938f3cba07p-1", "0x1.ee3dfbe3e28b9p-3",
+        "0x1.ef9cf7cf971fdp-4", "0x1.10c957049fc72p-4", "0x1.25b4237a08d8dp-5",
+        "0x1.32c213eeff36ap-6", "0x1.378b296ed091bp-7", "0x1.314c60ebfa0c3p-8",
+        "0x1.1e937285db091p-9", "0x1.00fe8da258400p-10", "0x1.b86db561a88cfp-12",
+        "0x1.6908d37b016bfp-13", "0x1.1bdc545113b21p-14", "0x1.aeb7b3c5187acp-16",
+        "0x1.3f0c7e9633c45p-17", "0x1.d5ed240214221p-19", "0x1.5f27d983c1cbbp-20",
+    ]
+    STATS = StepStats(order_used=17, dt=0.5, truncation_estimate=9.98044421182148e-12,
+                      radius_estimate=2.676455945469021, coefficients_built=17,
+                      float32_grows=10)
+
+    @staticmethod
+    def switched_step(monkeypatch):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
+        return recorded_step(monkeypatch, u, 0.02, 0.5)
+
+    # Each ball transformed into a float32 slot is kept as the slot's input,
+    # c_n times its power of two rounded once; every other ball, the last
+    # one included, is the complex128 ball its grow made.
+    def test_float32_slots_keep_their_input(self, monkeypatch):
+        _, _, builder, made, shifts = self.switched_step(monkeypatch)
+        slots = [n for n, shift in enumerate(shifts) if shift]
+        assert slots == list(range(7, 17))
+        assert builder.exponents == {n: builder._exponent(n, shifts[n]) for n in slots}
+        for n, (ball, c) in enumerate(zip(builder.balls, made, strict=True)):
+            if n in slots:
+                want = np.ldexp(c.view(np.float64), builder.exponents[n]).astype(np.float32)
+                assert ball.dtype == np.complex64
+                assert np.array_equal(ball.view(np.float32), want)
+            else:
+                assert ball.dtype == np.complex128 and np.array_equal(ball, c)
+
+    # Every grow reads the complex128 ball of c_n, so every norm and every
+    # step decision is that of complex128 storage, bit for bit.
+    def test_norms_and_stats_are_those_of_complex128_balls(self, monkeypatch):
+        _, stats, builder, _, _ = self.switched_step(monkeypatch)
+        assert [norm.hex() for norm in builder.norms] == self.NORMS
+        assert stats == self.STATS
+
+    # Rounding each component on its own leaves k.c nonzero; the sum is
+    # projected (3.6e-17; 3.6e-12 unprojected) and moves from the complex128
+    # sum (by 2.0e-12) within the switch rule's budget.
+    def test_sum_is_projected(self, monkeypatch):
+        v, stats, _, made, _ = self.switched_step(monkeypatch)
+        assert relative_divergence(v) <= 1e-15
+        want = complex128_sum(v.grid, made, stats.order_used, stats.dt)
+        assert 0.0 < rel_l2(v, want) <= FLOAT32_BUDGET_TOL
+
+    # Under test_slot_that_does_not_fit_ends_float32's patch, the balls of
+    # slots 8..11 stay complex64 with the exponents of the switch after the
+    # stack has gone back to float64, and the sum un-scales them by those:
+    # it lies 1.1e-12 from the complex128 sum, within the switch's budget.
+    def test_return_to_float64_keeps_exponents(self, monkeypatch):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=16), peak_k=3, amplitude=1.0)
+        fits = lie_propagator._SeriesBuilder._fits
+        monkeypatch.setattr(lie_propagator._SeriesBuilder, "_fits",
+                            lambda builder, m, shift: m < 12 and fits(builder, m, shift))
+        v, stats, builder, made, shifts = recorded_step(monkeypatch, u, 0.02, 1.0)
+        assert builder.shift is False
+        assert builder.exponents == {n: builder._exponent(n, shifts[n]) for n in range(8, 12)}
+        assert {n for n, ball in enumerate(builder.balls) if ball.dtype == np.complex64} == set(
+            range(8, 12))
+        want = complex128_sum(u.grid, made, stats.order_used, stats.dt)
+        assert rel_l2(v, want) <= FLOAT32_BUDGET_TOL
+
+    # A float64 grow adds its complex128 ball; a float32 grow adds its own
+    # and puts the complex64 input of its slot in place of the previous
+    # ball's complex128 one: half a complex128 ball less.
+    def test_float32_grow_keeps_half_a_ball_less(self):
+        u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
+        ball = 3 * math.prod(u.grid.ball_shape) * 16
+        builder = lie_propagator._SeriesBuilder(Kernel(u.grid, 0.02), u.data, 30)
+        builder.grow()  # the first grow also allocates once-only buffers
+        sizes, float32 = [], []
+        tracemalloc.start()
+        try:
+            for _ in range(12):
+                if len(builder.norms) > 4 and builder.shift is None:
+                    builder.lower_precision(len(builder.norms) - 1, 1e-10 * builder.norms[0], 0.5)
+                before = tracemalloc.get_traced_memory()[0]
+                builder.grow()
+                sizes.append(tracemalloc.get_traced_memory()[0] - before)
+                float32.append(bool(builder.shift))
+        finally:
+            tracemalloc.stop()
+        assert 0 < sum(float32) < len(float32)
+        for added, low in zip(sizes, float32):
+            assert abs(added - (0.5 if low else 1.0) * ball) <= 0.01 * ball
 
 
 def switched_builder():

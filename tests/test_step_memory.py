@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liens import cli
@@ -48,7 +49,7 @@ def test_one_row_per_event_and_methods_restored(step_memory, tmp_path, capsys):
     assert step_memory.main([str(config)]) == 0
     assert (tmp_path / "out" / "series.csv").is_file()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["event", "step", "order", "rss_mib", "peak_mib"]
+    assert lines[0].split() == ["event", "step", "order", "rss_mib", "peak_mib", "balls_mib"]
     rows = [line.split() for line in lines[1:] if line.split()[0] in (
         "init", "grow", "switch", "sum", "record")]
     assert rows[0][:3] == ["record", "0", "0"] and rows[1][:3] == ["init", "1", "0"]
@@ -62,6 +63,17 @@ def test_one_row_per_event_and_methods_restored(step_memory, tmp_path, capsys):
     for row in rows:
         rss, peak = float(row[3]), float(row[4])
         assert 0.0 < rss and 0.0 < peak
+        assert (row[5] == "-") == (row[0] == "record")
+    # Each grow of step 1 adds its complex128 ball; from the switch on it
+    # also keeps the previous ball as its float32 slot's complex64 input,
+    # in place of that ball's complex128 one: half a ball more in all.
+    ball = 3 * 11 * 11 * 6 * 16 / 2.0**20  # 16^3: (2m + 1)^2 (m + 1) modes, m = 5
+    step_1 = [row for row in rows if row[1] == "1"]
+    switch = [row[0] for row in step_1].index("switch")
+    sizes = [float(row[5]) for row in step_1 if row[0] in ("init", "grow")]
+    added = np.diff(sizes)
+    assert np.allclose(added[: switch - 1], ball, atol=1.1e-3)
+    assert np.allclose(added[switch - 1:], ball / 2, atol=1.1e-3)
     assert [getattr(_SeriesBuilder, name)
             for name in ("__init__", "grow", "lower_precision", "evaluate")] == originals
     assert cli._record is record

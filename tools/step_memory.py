@@ -13,8 +13,11 @@ the last two. Each row gives the series step (0 for RK4), the order (the
 last coefficient's, the order of the switch or of the sum, the record's or
 the snapshot's index), the current resident size
 from ``/proc/self/statm`` and the peak one, ``ru_maxrss``, both in MiB, so
-Linux only. The methods are wrapped from outside for the run and restored
-afterwards; the package itself holds no hook. The config of a benchmark
+Linux only, and on the series rows the bytes of the builder's coefficient
+balls in MiB (``-`` on record and snapshot rows): the coefficient cache
+itself, free of the noise of resident sizes. The methods are wrapped from
+outside for the run and restored afterwards; the package itself holds no
+hook. The config of a benchmark
 workload, e.g. ``rand3d-lie`` at seed 7, is written by
 
     python3 -c "import sys; sys.path.insert(0, 'perfbench'); from workloads import WORKLOADS; \\
@@ -51,8 +54,8 @@ def rss_mib() -> tuple[float, float]:
 @contextmanager
 def traced(report):
     """Wrap the builder's methods, ``cli._record`` and ``cli.write_snapshot``
-    so that each event calls ``report(event, step, order)``; restore them on
-    exit."""
+    so that each event calls ``report(event, step, order, builder)``, the
+    builder None on record and snapshot rows; restore them on exit."""
     count = {"step": 0, "record": 0, "snapshot": 0}
     init, grow, lower = _SeriesBuilder.__init__, _SeriesBuilder.grow, _SeriesBuilder.lower_precision
     evaluate, record, snapshot = _SeriesBuilder.evaluate, cli._record, cli.write_snapshot
@@ -60,32 +63,32 @@ def traced(report):
     def init_(builder, *args):
         init(builder, *args)
         count["step"] += 1
-        report("init", count["step"], 0)
+        report("init", count["step"], 0, builder)
 
     def grow_(builder):
         grow(builder)
-        report("grow", count["step"], len(builder.norms) - 1)
+        report("grow", count["step"], len(builder.norms) - 1, builder)
 
     def lower_(builder, n, *args):
         before = builder.shift
         lower(builder, n, *args)
         if builder.shift != before:
-            report("switch", count["step"], n)
+            report("switch", count["step"], n, builder)
 
     def evaluate_(builder, order, t):
         out = evaluate(builder, order, t)
-        report("sum", count["step"], order)
+        report("sum", count["step"], order, builder)
         return out
 
     def record_(*args):
         out = record(*args)
-        report("record", count["step"], count["record"])
+        report("record", count["step"], count["record"], None)
         count["record"] += 1
         return out
 
     def snapshot_(*args):
         snapshot(*args)
-        report("snapshot", count["step"], count["snapshot"])
+        report("snapshot", count["step"], count["snapshot"], None)
         count["snapshot"] += 1
 
     patches = [(_SeriesBuilder, "__init__", init_), (_SeriesBuilder, "grow", grow_),
@@ -106,11 +109,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("config", type=Path)
     args = parser.parse_args(argv)
 
-    def report(event: str, step: int, order: int) -> None:
+    def report(event: str, step: int, order: int, builder) -> None:
         rss, peak = rss_mib()
-        print(f"{event:<8} {step:>4} {order:>5} {rss:>9.1f} {peak:>9.1f}", flush=True)
+        balls = "-" if builder is None else f"{sum(b.nbytes for b in builder.balls) / MIB:.3f}"
+        print(f"{event:<8} {step:>4} {order:>5} {rss:>9.1f} {peak:>9.1f} {balls:>9}", flush=True)
 
-    print(f"{'event':<8} {'step':>4} {'order':>5} {'rss_mib':>9} {'peak_mib':>9}", flush=True)
+    print(f"{'event':<8} {'step':>4} {'order':>5} {'rss_mib':>9} {'peak_mib':>9} {'balls_mib':>9}",
+          flush=True)
     with traced(report):
         return cli.cmd_simulate(args.config)
 

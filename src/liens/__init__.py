@@ -1,123 +1,76 @@
 """Pseudospectral incompressible Navier-Stokes on a periodic box, advanced in
 time by a restarted Taylor (Lie) series propagator, with an exact
 functional-derivative calculus for 1-D evolution equations and the
-verification tooling that ties the two together."""
+verification tooling that ties the two together.
 
-from .diagnostics import (
-    TimeSeriesRecord,
-    dissipativity_residual,
-    energy,
-    energy_balance,
-    enstrophy_norm,
-    shell_spectrum,
-)
-from .errors import (
-    ConfigError,
-    FieldError,
-    LiensError,
-    RadiusCollapseError,
-    SnapshotFormatError,
-    SolenoidalError,
-    StabilityError,
-)
-from .grid_spectral import (
-    Grid,
-    RealVectorField,
-    SpectralScalarField,
-    SpectralVectorField,
-    dealias,
-    derivative,
-    divergence,
-    read_snapshot,
-    to_physical,
-    to_spectral,
-    write_snapshot,
-)
-from .leray import compute_pressure, leray_project, ns_rhs
-from .lie_propagator import (
-    StepStats,
-    estimate_radius,
-    evaluate,
-    lie_advance,
-    propagate,
-    step,
-    steps,
-    taylor_coefficients,
-)
-from .reference_oracles import (
-    AnalyticFlow,
-    analytic_field,
-    random_divfree,
-    rk4_propagate,
-)
+Every public name loads its module on first use (PEP 562), through the one
+table ``_EXPORTS``: ``from liens import a_power_u`` loads the symbolic
+calculus and none of the solver, and the CLI loads only what it imports."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The symbolic calculus loads on first use, so that the solver and the CLI do
-# not import it.
-_SYMBOLIC = frozenset({
-    "DiffMonomial",
-    "DiffPoly",
-    "a_power_u",
-    "apply_A",
-    "derivation_check",
-    "eval_diffpoly",
-    "parse_diffpoly",
-})
+# Public name -> the module of the package that defines it.
+_EXPORTS = {
+    "AnalyticFlow": "reference_oracles",
+    "ConfigError": "errors",
+    "DiffMonomial": "operator_calculus",
+    "DiffPoly": "operator_calculus",
+    "FieldError": "errors",
+    "Grid": "grid_spectral",
+    "LiensError": "errors",
+    "RadiusCollapseError": "errors",
+    "RealVectorField": "grid_spectral",
+    "SnapshotFormatError": "errors",
+    "SolenoidalError": "errors",
+    "SpectralScalarField": "grid_spectral",
+    "SpectralVectorField": "grid_spectral",
+    "StabilityError": "errors",
+    "StepStats": "lie_propagator",
+    "TimeSeriesRecord": "diagnostics",
+    "a_power_u": "operator_calculus",
+    "analytic_field": "reference_oracles",
+    "apply_A": "operator_calculus",
+    "compute_pressure": "leray",
+    "dealias": "grid_spectral",
+    "derivation_check": "operator_calculus",
+    "derivative": "grid_spectral",
+    "dissipativity_residual": "diagnostics",
+    "divergence": "grid_spectral",
+    "energy": "diagnostics",
+    "energy_balance": "diagnostics",
+    "enstrophy_norm": "diagnostics",
+    "estimate_radius": "lie_propagator",
+    "eval_diffpoly": "operator_calculus",
+    "evaluate": "lie_propagator",
+    "leray_project": "leray",
+    "lie_advance": "lie_propagator",
+    "ns_rhs": "leray",
+    "parse_diffpoly": "operator_calculus",
+    "propagate": "lie_propagator",
+    "random_divfree": "reference_oracles",
+    "read_snapshot": "grid_spectral",
+    "rk4_propagate": "reference_oracles",
+    "shell_spectrum": "diagnostics",
+    "step": "lie_propagator",
+    "steps": "lie_propagator",
+    "taylor_coefficients": "lie_propagator",
+    "to_physical": "grid_spectral",
+    "to_spectral": "grid_spectral",
+    "write_snapshot": "grid_spectral",
+}
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _SYMBOLIC:
-        from . import operator_calculus
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
-        return getattr(operator_calculus, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "AnalyticFlow",
-    "ConfigError",
-    "DiffMonomial",
-    "DiffPoly",
-    "FieldError",
-    "Grid",
-    "LiensError",
-    "RadiusCollapseError",
-    "RealVectorField",
-    "SnapshotFormatError",
-    "SolenoidalError",
-    "SpectralScalarField",
-    "SpectralVectorField",
-    "StabilityError",
-    "StepStats",
-    "TimeSeriesRecord",
-    "a_power_u",
-    "analytic_field",
-    "apply_A",
-    "compute_pressure",
-    "dealias",
-    "derivation_check",
-    "derivative",
-    "dissipativity_residual",
-    "divergence",
-    "energy",
-    "energy_balance",
-    "enstrophy_norm",
-    "estimate_radius",
-    "eval_diffpoly",
-    "evaluate",
-    "leray_project",
-    "lie_advance",
-    "ns_rhs",
-    "parse_diffpoly",
-    "propagate",
-    "random_divfree",
-    "read_snapshot",
-    "rk4_propagate",
-    "shell_spectrum",
-    "step",
-    "steps",
-    "taylor_coefficients",
-    "to_physical",
-    "to_spectral",
-    "write_snapshot",
-]
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _EXPORTS.keys())

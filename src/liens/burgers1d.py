@@ -21,7 +21,7 @@ from .lie_propagator import StepStats, _horner, final_state, fixed_step, rk4_upd
 from .operator_calculus import (
     DiffPoly,
     _check_samples,
-    apply_A,
+    a_power_u,
     eval_diffpoly,
     spectral_derivatives,
 )
@@ -74,13 +74,10 @@ def cross_check(order: int, n: int) -> tuple[list[float], list[float]]:
     f = DiffPoly.u(2) * Fraction(1, 10) - DiffPoly.u(0) * DiffPoly.u(1)  # nu = 1/10
     coeffs = taylor_coefficients_burgers(u0, CROSS_CHECK_NU, max(order, 10))
     symbolic = []
-    power = DiffPoly.u()
     for k in range(order + 1):
-        if k:
-            power = apply_A(f, power)  # A^k u from A^(k-1) u
         numeric = math.factorial(k) * coeffs[k]
         denom = float(np.linalg.norm(numeric))
-        diff = float(np.linalg.norm(eval_diffpoly(power, u0) - numeric))
+        diff = float(np.linalg.norm(eval_diffpoly(a_power_u(f, k), u0) - numeric))
         symbolic.append(diff / denom if denom else 0.0)
     reference = rk4_burgers(u0, CROSS_CHECK_NU, 0.1, dt=1e-4)
     truncation = [

@@ -27,6 +27,18 @@ coefficients. ``a_power_u(f, n)`` packs f once, scales it by the lcm D of its
 coefficient denominators and iterates on Python ints (the action is linear in
 f, so A_f^n u = A_{Df}^n u / D^n), then divides by D^n and unpacks once; the
 result is the exact ``Fraction`` polynomial that n ``apply_A`` calls give.
+Each generator keeps that recursion in a private slot: D, the width,
+D_x^k(D f) for the orders used so far, and only the last power computed. A
+call at or above that order continues from it, so asking for n = 0, 1, ...,
+N in turn costs N actions; a lower order restarts from u. When the terms of
+order n need wider slots than the kept width, the kept terms are repacked at
+the width for order 2n, so a rising sequence of orders repacks O(log N)
+times.
+
+``eval_diffpoly`` raises each distinct factor u_k^e once and forms the terms
+a fixed block of monomials at a time, with the running sum as the block's
+first row; the sum stays sequential from 0.0 in monomial order, so the values
+are the bits that adding one term at a time gives.
 
 A plain-text syntax (``u_k``, ``+``, ``-``, ``*``, ``^``, rationals ``p/q``)
 round-trips through ``parse_diffpoly`` / ``str``.
@@ -169,7 +181,7 @@ class DiffMonomial:
 class DiffPoly:
     """Immutable canonical sum of differential monomials."""
 
-    __slots__ = ("_terms", "_monomials")
+    __slots__ = ("_terms", "_monomials", "_powers")
 
     def __init__(self, terms: Mapping[PowersKey, RationalLike] | None = None):
         clean: Terms = {}
@@ -183,6 +195,7 @@ class DiffPoly:
             clean[key] = clean.get(key, 0) + Fraction(coeff)
         object.__setattr__(self, "_terms", _nonzero(clean))
         object.__setattr__(self, "_monomials", None)
+        object.__setattr__(self, "_powers", None)
 
     @staticmethod
     def _of(terms: Terms) -> "DiffPoly":
@@ -190,6 +203,7 @@ class DiffPoly:
         poly = object.__new__(DiffPoly)
         object.__setattr__(poly, "_terms", terms)
         object.__setattr__(poly, "_monomials", None)
+        object.__setattr__(poly, "_powers", None)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -290,18 +304,17 @@ class DiffPoly:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for i, mono in enumerate(self.monomials()):
-            mag = abs(mono.coeff)
-            factors: list[str] = []
-            if mag != 1 or not mono.powers:
-                factors.append(str(mag))
-            for order, exp in mono.powers:
-                factors.append(f"u_{order}" + (f"^{exp}" if exp > 1 else ""))
-            body = "*".join(factors)
-            if i == 0:
-                parts.append(f"-{body}" if mono.coeff < 0 else body)
-            else:
-                parts.append(f" - {body}" if mono.coeff < 0 else f" + {body}")
+        for mono in self.monomials():
+            num, den = mono.coeff.numerator, mono.coeff.denominator
+            factors = [f"u_{order}^{exp}" if exp > 1 else f"u_{order}"
+                       for order, exp in mono.powers]
+            mag = -num if num < 0 else num
+            if den != 1:
+                factors.insert(0, f"{mag}/{den}")
+            elif mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            parts += (" - " if num < 0 else " + ", "*".join(factors))
+        parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -321,24 +334,60 @@ def apply_A(f: DiffPoly, g: DiffPoly) -> DiffPoly:
     return DiffPoly._of(_unpack(packed, width))
 
 
+@dataclass
+class _Powers:
+    """``a_power_u``'s integer recursion on one generator f: the lcm D of f's
+    denominators, the slot width, D_x^k(D f) for the orders used so far, and
+    the last power A_{Df}^order u, the only one kept."""
+
+    scale: int
+    width: int
+    dxf: list[Packed]
+    order: int
+    power: Packed
+
+
+# u_0 packed at any width: exponent 1 in slot 0.
+_U0: Packed = {1: 1}
+
+
+def _power_width(deg: int, n: int) -> int:
+    """Slot width for A_f^m u, m <= n, f of total degree ``deg``: a term of
+    A_f^m u has total degree at most max(deg - 1, 0) m + 1."""
+    return max(deg, max(deg - 1, 0) * n + 1).bit_length()
+
+
 def a_power_u(f: DiffPoly, n: int) -> DiffPoly:
     """n-fold generator action starting from g = u (n = 0 gives u itself).
 
     The action is linear in f, so A_f^n u = A_{Df}^n u / D^n: with D the lcm
     of f's denominators the recursion runs on Python ints, and the result is
-    divided by D^n once at the end. A term of A_f^m u has total degree at most
-    max(deg f - 1, 0) m + 1, which sets the width of the packed keys."""
+    divided by D^n once at the end. f keeps the recursion's last power, so a
+    call at or above that order continues from it and a lower one restarts
+    from u. When order n needs wider slots than the kept ones, the kept terms
+    are repacked at the width for order 2n."""
     nonnegative_count("n", n)
     deg = _degree(f._terms)
-    width = max(deg, max(deg - 1, 0) * n + 1).bit_length()
-    scale = math.lcm(*(c.denominator for c in f._terms.values()))
-    scaled = {key: c.numerator * (scale // c.denominator) for key, c in f._terms.items()}
-    dxf = [_pack(scaled, width)]
-    g: Packed = {1: 1}  # u_0: exponent 1 in slot 0
-    for _ in range(n):
-        g = _act(dxf, g, width)
-    den = scale**n
-    return DiffPoly._of(_unpack({key: Fraction(c, den) for key, c in g.items()}, width))
+    state = f._powers
+    if state is None:
+        scale = math.lcm(*(c.denominator for c in f._terms.values()))
+        width = _power_width(deg, 2 * n)
+        scaled = {key: c.numerator * (scale // c.denominator) for key, c in f._terms.items()}
+        state = _Powers(scale, width, [_pack(scaled, width)], 0, _U0)
+        object.__setattr__(f, "_powers", state)
+    if n < state.order:
+        state.order, state.power = 0, _U0
+    if _power_width(deg, n) > state.width:
+        old, width = state.width, _power_width(deg, 2 * n)
+        state.dxf = [_pack(_unpack(d, old), width) for d in state.dxf]
+        state.power = _pack(_unpack(state.power, old), width)
+        state.width = width
+    g = state.power
+    for _ in range(n - state.order):
+        g = _act(state.dxf, g, state.width)
+    state.order, state.power = n, g
+    den = state.scale**n
+    return DiffPoly._of(_unpack({key: Fraction(c, den) for key, c in g.items()}, state.width))
 
 
 def derivation_check(
@@ -365,6 +414,9 @@ def derivation_check(
 # 8 sits 4x above the lowest value that works.
 DERIVATIVE_FLOOR = 8.0
 _EPS = float(np.finfo(float).eps)
+# Monomials per block of ``eval_diffpoly``: a block holds (EVAL_BLOCK + 1) x
+# samples floats, 33 KiB at 64 samples.
+EVAL_BLOCK = 64
 
 
 def _check_samples(u: np.ndarray) -> np.ndarray:
@@ -404,21 +456,36 @@ def spectral_derivatives(u: np.ndarray, order: int) -> list[np.ndarray]:
 
 def eval_diffpoly(p: DiffPoly, u_samples: np.ndarray) -> np.ndarray:
     """Evaluate ``p`` on 1-D periodic samples of u, with the derivatives of
-    ``spectral_derivatives``."""
+    ``spectral_derivatives``.
+
+    Each distinct factor u_k^e is raised once, into a table whose row 0 is
+    ones. The monomials are taken EVAL_BLOCK at a time: row i of a block is
+    coeff_i times its factors, in the order of ``powers`` (shorter monomials
+    are padded with the ones row, an exact product), and row 0 carries the
+    running sum, which ``np.add.accumulate`` extends one row at a time. The
+    sum is therefore sequential from 0.0 in the order of ``monomials()``.
+    ``np.add.reduce`` would not do: on a single sample it sums pairwise."""
     u = _check_samples(u_samples)
-    n = u.size
     derivs = spectral_derivatives(u, p.max_order)
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    out = np.zeros(n)
-    for mono in p.monomials():
-        term = np.full(n, float(mono.coeff))
-        for factor in mono.powers:
-            if factor not in powers:
-                order, exp = factor
-                powers[factor] = derivs[order] ** exp
-            term *= powers[factor]
-        out += term
-    return out
+    monos = p.monomials()
+    rows = {factor: i for i, factor in
+            enumerate(dict.fromkeys(f for mono in monos for f in mono.powers), 1)}
+    table = np.ones((len(rows) + 1, u.size))
+    for (order, exp), i in rows.items():
+        table[i] = derivs[order] ** exp
+    index = np.zeros((len(monos), max((len(m.powers) for m in monos), default=0)), np.intp)
+    for i, mono in enumerate(monos):
+        index[i, : len(mono.powers)] = [rows[factor] for factor in mono.powers]
+    coeffs = np.array([float(mono.coeff) for mono in monos])
+    block = np.zeros((EVAL_BLOCK + 1, u.size))
+    for start in range(0, len(monos), EVAL_BLOCK):
+        terms = block[: min(len(monos) - start, EVAL_BLOCK) + 1]
+        terms[1:] = coeffs[start : start + EVAL_BLOCK, None]
+        for column in index[start : start + EVAL_BLOCK].T:
+            terms[1:] *= table[column]
+        np.add.accumulate(terms, axis=0, out=terms)
+        block[0] = terms[-1]
+    return block[0].copy()
 
 
 # ---------------------------------------------------------------------------

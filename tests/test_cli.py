@@ -1063,3 +1063,28 @@ def test_simulate_imports_neither_verification_nor_burgers(tmp_path):
     done = run_python(tmp_path, ["-c", SIMULATE_IMPORTS_SCRIPT, str(tmp_path / "run.cfg")])
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# Imports the three names of the symbolic benchmark, then lists the package's
+# modules it loaded.
+SYMBOLIC_IMPORTS_SCRIPT = """
+import sys
+from liens import a_power_u, eval_diffpoly, parse_diffpoly
+print(sorted(m for m in sys.modules if m.startswith("liens")))
+"""
+
+
+def test_symbolic_names_load_no_solver(tmp_path):
+    """The package resolves its names on first use: the symbolic calculus
+    loads with its error types only, and none of the solver, the acceptance
+    checks, the Burgers bench or the CLI."""
+    done = run_python(tmp_path, ["-c", SYMBOLIC_IMPORTS_SCRIPT])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(
+        ["liens", "liens.errors", "liens.operator_calculus"])
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        liens.no_such_name  # noqa: B018
+    assert set(liens.__all__) <= set(dir(liens))

@@ -4,6 +4,7 @@ The independent oracle here is a little sympy prolongation engine: same
 mathematics, entirely different term representation and arithmetic.
 """
 
+import dataclasses
 import hashlib
 import time
 from fractions import Fraction
@@ -22,8 +23,9 @@ from liens import (
     eval_diffpoly,
     parse_diffpoly,
 )
+import liens.operator_calculus as operator_calculus
 from liens.errors import FieldError
-from liens.operator_calculus import MAX_EXPONENT, MAX_TERMS
+from liens.operator_calculus import EVAL_BLOCK, MAX_EXPONENT, MAX_TERMS, spectral_derivatives
 
 U = DiffPoly.u
 
@@ -345,6 +347,100 @@ class TestPowerEdgeCases:
         assert_matches_sympy(a_power_u(f, 3), sympy_power_u(f, 3))
 
 
+# -- the power each generator keeps -------------------------------------------
+#
+# a_power_u keeps its integer recursion on the generator: a call at or above
+# the kept order continues from the kept power, a lower one restarts from u,
+# and one whose terms need wider slots repacks what is kept.
+
+CACHE_GENERATORS = {
+    "zero": DiffPoly.zero,
+    "constant": lambda: DiffPoly.constant(Fraction(-7, 4)),
+    "linear": lambda: parse_diffpoly("u_3 - 2/3*u_1 + 5*u_0"),
+    "quadratic": viscous_burgers,
+    # degree 3: the terms of order n have degree 2n + 1, so the width grows
+    "cubic": lambda: parse_diffpoly("u_0^2*u_1 - 1/3*u_2"),
+}
+ORDER_PATTERNS = {
+    "ascending": (0, 1, 2, 3, 4, 5),
+    "repeated": (3, 3, 3),
+    "lower after higher": (5, 2, 4, 1),
+    "jump past the width": (1, 6),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(ORDER_PATTERNS))
+@pytest.mark.parametrize("generator", sorted(CACHE_GENERATORS))
+def test_kept_power_gives_the_apply_chain(generator, pattern):
+    f = CACHE_GENERATORS[generator]()
+    orders = ORDER_PATTERNS[pattern]
+    chain = [U(0)]
+    for _ in range(max(orders)):
+        chain.append(apply_A(f, chain[-1]))
+    for n in orders:
+        power = a_power_u(f, n)
+        assert power == chain[n]
+        assert_canonical(power)
+        assert f._powers.order == n
+
+
+def count_actions(monkeypatch) -> list:
+    """Patch the action kernel to record each call; returns the record."""
+    calls = []
+    act = operator_calculus._act
+
+    def counted(*args):
+        calls.append(args)
+        return act(*args)
+
+    monkeypatch.setattr(operator_calculus, "_act", counted)
+    return calls
+
+
+def test_one_action_per_order(monkeypatch):
+    calls = count_actions(monkeypatch)
+    f = viscous_burgers()
+    for k in range(12):
+        a_power_u(f, k)
+    assert len(calls) == 11  # the width grew at orders 3 and 7 without a restart
+    a_power_u(f, 11)
+    assert len(calls) == 11
+    assert a_power_u(f, 3) == a_power_u(viscous_burgers(), 3)
+    assert len(calls) == 14 + 3  # a restart from u, and the fresh generator's 3
+
+
+def test_jump_past_the_width_repacks(monkeypatch):
+    f = CACHE_GENERATORS["cubic"]()
+    a_power_u(f, 1)
+    width = f._powers.width  # order 2 fits: degree 5
+    calls = count_actions(monkeypatch)
+    power = a_power_u(f, 6)  # degree 13 needs a wider slot
+    assert f._powers.width > width
+    assert len(calls) == 5
+    assert_matches_sympy(power, sympy_power_u(f, 6))
+
+
+def test_slot_holds_one_power():
+    f = viscous_burgers()
+    for k in range(12):
+        power = a_power_u(f, k)
+    state = f._powers
+    assert list(vars(state)) == [field.name for field in dataclasses.fields(state)] == [
+        "scale", "width", "dxf", "order", "power"]
+    assert (state.scale, state.order) == (10, 11)
+    width = state.width
+
+    def unpacked(packed, den=1):
+        return DiffPoly({key: Fraction(c, den)
+                         for key, c in operator_calculus._unpack(packed, width).items()})
+
+    assert unpacked(state.power, 10**11) == power
+    derivative = 10 * f  # D f, then its x-derivatives: f's alone, no power
+    for packed in state.dxf:
+        assert unpacked(packed) == derivative
+        derivative = derivative.total_derivative()
+
+
 # -- the width of the packed keys ---------------------------------------------
 #
 # The kernels pack a monomial into one int with a slot of d.bit_length() bits
@@ -573,3 +669,119 @@ def test_parse_diffpoly_returns_a_poly_or_value_error(text):
     except ValueError:
         return
     assert isinstance(result, DiffPoly)
+
+
+# -- the integer text and the blocked sum against the former formulas --------
+
+
+def fraction_str(p: DiffPoly) -> str:
+    """``str`` as it was written with Fraction ``abs``, ``<`` and ``str``."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for i, mono in enumerate(p.monomials()):
+        mag = abs(mono.coeff)
+        factors = []
+        if mag != 1 or not mono.powers:
+            factors.append(str(mag))
+        for order, exp in mono.powers:
+            factors.append(f"u_{order}" + (f"^{exp}" if exp > 1 else ""))
+        body = "*".join(factors)
+        if i == 0:
+            parts.append(f"-{body}" if mono.coeff < 0 else body)
+        else:
+            parts.append(f" - {body}" if mono.coeff < 0 else f" + {body}")
+    return "".join(parts)
+
+
+def termwise_eval(p: DiffPoly, samples: np.ndarray) -> np.ndarray:
+    """``eval_diffpoly`` as it was written: one term at a time, added to a
+    sum that starts at 0.0."""
+    derivs = spectral_derivatives(samples, p.max_order)
+    out = np.zeros(samples.size)
+    for mono in p.monomials():
+        term = np.full(samples.size, float(mono.coeff))
+        for order, exp in mono.powers:
+            term *= derivs[order] ** exp
+        out += term
+    return out
+
+
+TEXT_COEFFS = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-1000, 1000),
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 60)),
+)
+
+
+@st.composite
+def text_polys(draw):
+    """Zero, constants, and sums of up to four terms whose coefficients are
+    +-1, integers or p/q."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        orders = draw(st.lists(st.integers(0, 3), max_size=3, unique=True))
+        key = tuple((order, draw(st.integers(1, 3))) for order in sorted(orders))
+        terms[key] = draw(TEXT_COEFFS)
+    return DiffPoly(terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=text_polys())
+def test_str_is_the_fraction_text(p):
+    assert str(p) == fraction_str(p)
+
+
+def test_str_edge_cases_are_the_fraction_text():
+    for p in (DiffPoly.zero(), DiffPoly.constant(1), DiffPoly.constant(-1),
+              DiffPoly.constant(Fraction(-3, 7)), -U(0), U(0) - DiffPoly.constant(1),
+              DiffPoly.constant(1) - U(0) * U(1) ** 2,
+              Fraction(-1, 2) * U(2) + DiffPoly.constant(Fraction(3, 2))):
+        assert str(p) == fraction_str(p)
+
+
+def assert_same_bits(p: DiffPoly, samples: np.ndarray):
+    assert eval_diffpoly(p, samples).tobytes() == termwise_eval(p, samples).tobytes()
+
+
+def smooth_samples(seed: int, points: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = 2 * np.pi * np.arange(points) / points
+    return rng.uniform(0.5, 1.0) * np.sin(x + rng.uniform(0, 6)) + 0.2 * np.cos(2 * x)
+
+
+@pytest.mark.parametrize("text", sorted(BENCHMARK_DIGESTS))
+def test_eval_is_the_termwise_sum_on_the_benchmark(text):
+    """Both benchmark generators to order 11 (up to 2517 terms, 40 blocks)
+    on the benchmark's 64 samples."""
+    f = parse_diffpoly(text)
+    for k in range(12):
+        power = a_power_u(f, k)
+        for seed in (1, 7):
+            assert_same_bits(power, smooth_samples(seed, 64))
+
+
+def test_eval_is_the_termwise_sum_across_blocks():
+    """More than two blocks of terms that cancel, so that any other order of
+    the sum would change the last bits, also on a single sample (whose
+    derivatives vanish), where ``np.add.reduce`` would sum pairwise; the zero
+    polynomial; and terms that evaluate to -0.0, which the sum from 0.0 turns
+    into +0.0."""
+    rng = np.random.default_rng(5)
+
+    def coeff():
+        return Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 999)))
+
+    terms = {key: coeff() for e in range(1, EVAL_BLOCK + 4)
+             for key in (((0, e),), ((0, e), (1, 1)))}
+    wide = DiffPoly(terms)
+    assert len(wide.monomials()) > 2 * EVAL_BLOCK
+    for seed, points in ((2, 64), (4, 1), (6, 3)):
+        assert_same_bits(wide, 1.3 * smooth_samples(seed, points))
+    assert_same_bits(DiffPoly.zero(), smooth_samples(1, 16))
+    zeros = np.zeros(8)
+    for p in (-U(0), -U(0) * U(1) - U(0) ** 2, -U(0) + DiffPoly.constant(0)):
+        out = eval_diffpoly(p, zeros)
+        assert out.tobytes() == termwise_eval(p, zeros).tobytes() == np.zeros(8).tobytes()
+    assert eval_diffpoly(DiffPoly.constant(Fraction(-2, 3)), zeros).tobytes() == \
+        termwise_eval(DiffPoly.constant(Fraction(-2, 3)), zeros).tobytes()

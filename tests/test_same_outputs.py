@@ -33,7 +33,7 @@ def test_cases_cover_every_listed_run(same_outputs):
     integrator, a radius collapse, an RK4 overflow); a lie run with a
     snapshot per step, and two on exact 3-D eigenflows, whose snapshots
     record the signs of exact zeros; ``spectrum`` and two ``burgers-check``
-    runs."""
+    runs; the symbolic benchmark's child at two seeds."""
     names = [case.name for case in same_outputs.cases()]
     assert names == [
         "tg2d-lie seed 1", "tg2d-lie seed 7", "rand3d-lie seed 1", "rand3d-lie seed 7",
@@ -42,7 +42,11 @@ def test_cases_cover_every_listed_run(same_outputs):
         "rk4 blow-up", "lie snapshot cadence", "beltrami_abc snapshots",
         "taylor_green_3d_embedded snapshots",
         "spectrum physical", "burgers-check", "burgers-check 8 32",
+        "symbolic-powers seed 1", "symbolic-powers seed 7",
     ]
+    symbolic = [case for case in same_outputs.cases() if case.script]
+    assert [case.name for case in symbolic] == names[-2:]
+    assert all(case.script == "perfbench/symbolic_child.py" for case in symbolic)
 
 
 def test_differences_name_each_part_that_differs(same_outputs):
@@ -104,3 +108,14 @@ def test_real_run_of_the_spectrum_case(same_outputs, tmp_path):
     rows = result["stdout"].decode("ascii").splitlines()
     assert rows[0] == "k,energy" and len(rows) == 1 + 12  # shells 0..round(sqrt(2) * 8)
     assert list(result["files"]) == ["seed.liens"]
+
+
+def test_real_run_of_a_symbolic_case(same_outputs, tmp_path):
+    """The child runs from the checkout, leaves ``result.json`` in the case's
+    directory and writes nothing into ``perfbench``."""
+    case = next(c for c in same_outputs.cases() if c.name == "symbolic-powers seed 1")
+    before = sorted((ROOT / "perfbench").rglob("*"))
+    result = same_outputs.run_case(ROOT, case, tmp_path)
+    assert result["exit"] == 0 and result["stderr"] == b""
+    assert sorted(result["files"]) == ["input.json", "out/result.json"]
+    assert sorted((ROOT / "perfbench").rglob("*")) == before

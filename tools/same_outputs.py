@@ -1,5 +1,6 @@
-"""Run ``python -m liens.cli`` in two checkouts on the same cases and say,
-case by case, whether the two runs agree byte for byte.
+"""Run ``python -m liens.cli`` and the symbolic benchmark's child in two
+checkouts on the same cases and say, case by case, whether the two runs agree
+byte for byte.
 
     python3 tools/same_outputs.py --parent DIR --change DIR
 
@@ -23,7 +24,9 @@ directory are equal. The cases:
   ``taylor_green_3d_embedded`` at 16^3 with a snapshot after each step:
   their spectra hold exact zeros, whose signs the snapshots record;
 - ``spectrum`` of the physical snapshot;
-- ``burgers-check`` with its defaults and with ``--order 8 --n 32`` (exit 1).
+- ``burgers-check`` with its defaults and with ``--order 8 --n 32`` (exit 1);
+- each checkout's own ``perfbench/symbolic_child.py``, which it only reads,
+  on the ``symbolic-powers`` input at seeds 1 and 7 (``result.json``).
 
 One line is printed per case, and a last one with the line count of
 ``src/liens/*.py`` in each checkout and their difference, the net size of
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -47,7 +51,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, symbolic_input  # noqa: E402
 
 SEEDS = (1, 7)
 
@@ -57,6 +61,7 @@ class Case:
     name: str
     args: tuple[str, ...]
     files: dict[str, bytes] = field(default_factory=dict)  # written before the run
+    script: str = ""  # a file of the checkout to run instead of ``-m liens.cli``
 
 
 def physical_snapshot(n: int = 16) -> bytes:
@@ -113,6 +118,11 @@ def cases() -> list[Case]:
         Case("spectrum physical", ("spectrum", "seed.liens"), {"seed.liens": snapshot}),
         Case("burgers-check", ("burgers-check",)),
         Case("burgers-check 8 32", ("burgers-check", "--order", "8", "--n", "32")),
+        *(Case(f"symbolic-powers seed {seed}", ("input.json", "out"),
+               {"input.json": json.dumps(symbolic_input(WORKLOADS["symbolic-powers"],
+                                                        seed)).encode("ascii")},
+               script="perfbench/symbolic_child.py")
+          for seed in SEEDS),
     ]
     return out
 
@@ -123,7 +133,8 @@ def run_case(checkout: Path, case: Case, workdir: Path) -> dict:
     for name, data in case.files.items():
         (workdir / name).write_bytes(data)
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    done = subprocess.run([sys.executable, "-m", "liens.cli", *case.args],
+    program = [str(checkout.resolve() / case.script)] if case.script else ["-m", "liens.cli"]
+    done = subprocess.run([sys.executable, *program, *case.args],
                           cwd=workdir, env=env, capture_output=True)
     files = {str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(workdir.rglob("*")) if p.is_file()}

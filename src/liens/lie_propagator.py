@@ -137,10 +137,11 @@ State = TypeVar("State")  # what ``steps`` advances: a field, or 1-D samples
 @dataclass(frozen=True)
 class StepStats:
     """Bookkeeping for one accepted step. ``coefficients_built`` counts the
-    grows the step made, look-ahead included, and ``float32_grows`` those of
-    them made in float32. RK4 reports order 4, builds no coefficient and
-    leaves the truncation and radius estimates NaN: it does not estimate
-    them."""
+    grows the step made, look-ahead included, ``float32_grows`` those of
+    them made in float32, and ``reach`` holds h_0..h_N of every order N the
+    step read (``lie_advance``). RK4 reports order 4, builds no coefficient,
+    reads no order and leaves the truncation and radius estimates NaN: it
+    does not estimate them."""
 
     order_used: int
     dt: float
@@ -148,6 +149,7 @@ class StepStats:
     radius_estimate: float = math.nan
     coefficients_built: int = 0
     float32_grows: int = 0
+    reach: tuple[float, ...] = ()
 
     def __post_init__(self):
         positive_finite("step dt", self.dt)
@@ -357,6 +359,16 @@ class _SeriesBuilder:
             h = min(h, _term_reach(self.norms[m], m, bound))
         return h
 
+    def ceilings(self, n: int, bound: float, dt: float) -> tuple[float, float]:
+        """The bounds on h_{n+1} and h_{n+2} that the norms of c_0..c_n give
+        (``lie_advance`` states them): a ratio r_k with k < 0 bounds nothing,
+        and no ratio bounds a series of fewer than four coefficients, whose
+        radius is +inf."""
+        r = [_ratio(self.norms, k) if len(self.norms) >= 4 else math.inf
+             for k in (n - 2, n - 1)]
+        return (min(dt, RADIUS_SAFETY * min(r), _term_reach(self.norms[n], n, bound)),
+                min(dt, RADIUS_SAFETY * r[1]))
+
 
 def _squares(c: np.ndarray) -> np.ndarray:
     """|c|^2 as a new real array."""
@@ -387,17 +399,23 @@ def _cover_cost(order: int, h: float, dt: float) -> float:
     return _step_cost(order) * math.ceil(dt / h)
 
 
-def _may_improve(reach: list[float], best_cost: float, dt: float, max_order: int) -> bool:
-    """Whether an order above the last one could still cover dt for less than
-    ``best_cost``, extrapolating h_n linearly from its last two values."""
+def _may_improve(reach: list[float], known: tuple[float, ...], cap: float, best_cost: float,
+                 dt: float, max_order: int) -> bool:
+    """Whether an order above the last one read, n, could still cover dt for
+    less than ``best_cost``: h_{n+1}, h_{n+2}, ... is ``known`` in turn, and
+    past it extrapolated linearly from the last two h_n, up to ``cap``."""
     n = len(reach) - 1
     slope = reach[n] - reach[n - 1]
-    if not slope > 0.0:
-        return False
     for order in range(n + 1, max_order + 1):
         if _step_cost(order) >= best_cost:
             break
-        if _cover_cost(order, min(dt, reach[n] + slope * (order - n)), dt) < best_cost:
+        if order - n <= len(known):
+            h = known[order - n - 1]
+        elif slope > 0.0:
+            h = min(cap, reach[n] + slope * (order - n))
+        else:
+            break
+        if _cover_cost(order, h, dt) < best_cost:
             return True
     return False
 
@@ -406,11 +424,14 @@ def _radius_from_norms(norms: list[float]) -> float:
     """Ratio-test radius: min of the last three ||c_n||/||c_{n+1}||."""
     if len(norms) < 4:
         raise ValueError("radius estimate needs at least 4 coefficients")
-    ratios = []
-    for n in range(len(norms) - 4, len(norms) - 1):
-        lo, hi = norms[n], norms[n + 1]
-        ratios.append(math.inf if hi == 0.0 else lo / hi)
-    return min(ratios)
+    return min(_ratio(norms, n) for n in range(len(norms) - 4, len(norms) - 1))
+
+
+def _ratio(norms: list[float], n: int) -> float:
+    """r_n = ||c_n|| / ||c_{n+1}||: +inf when c_{n+1} vanishes or n < 0."""
+    if n < 0 or norms[n + 1] == 0.0:
+        return math.inf
+    return norms[n] / norms[n + 1]
 
 
 def taylor_coefficients(
@@ -476,13 +497,19 @@ def lie_advance(
     steps, and evens its length to dt / ceil(dt / h_N) so that no sliver is
     left. Before it reads order N the series holds
     c_0..c_min(max(N, 3), max_order), so the four coefficients the radius
-    needs come first. It reads at most two orders past the best so far,
-    further only while a linear extrapolation of h_N says a higher order
-    could still do better, and stops as soon as some h_N reaches dt. Steps
-    below COLLAPSE_FLOOR * dt are not admissible: with none left at
-    max_order, ``RadiusCollapseError`` is raised. After each order it reads
-    without stopping, the step may switch its later grows to float32 (the
-    module docstring gives the rule).
+    needs come first. It stops as soon as some h_N reaches dt, and after
+    any order n once no higher order could cover dt for less than the best
+    so far (``_may_improve``). With r_k = ||c_k|| / ||c_{k+1}||, the norms of
+    c_0..c_n bound the next two orders (``_SeriesBuilder.ceilings``): h_{n+1}
+    <= min(dt, 0.5 * min(r_{n-2}, r_{n-1})) and passes the test of ||c_n||,
+    and h_{n+2} <= min(dt, 0.5 * r_{n-1}), two of the three ratios of
+    radius(n+1) and one of radius(n+2). Beyond them h_N is extrapolated
+    linearly from h_{n-1} and h_n, up to min(dt, 0.5 * radius(n)). A step
+    whose bounds rule the next orders out at its best order grows no
+    coefficient past it. Steps below COLLAPSE_FLOOR * dt are not
+    admissible: with none left at max_order, ``RadiusCollapseError`` is
+    raised. After each order it reads without stopping, the step may switch
+    its later grows to float32 (the module docstring gives the rule).
 
     The advance checks neither u nor dt. u must be divergence-free and
     dealiased: ``step`` and ``propagate`` check their initial field, and
@@ -505,10 +532,9 @@ def lie_advance(
             cost = _cover_cost(n, reach[n], dt)
             if cost < best_cost:
                 best, best_cost = n, cost
-            if reach[n] >= dt:
-                break
-            if (best >= 0 and n >= best + 2
-                    and not _may_improve(reach, best_cost, dt, max_order)):
+            if reach[n] >= dt or best >= 0 and not _may_improve(
+                    reach, builder.ceilings(n, bound, dt), builder.longest(n, dt), best_cost,
+                    dt, max_order):
                 break
             if builder.shift is None:
                 builder.lower_precision(n, bound, dt)
@@ -530,6 +556,7 @@ def lie_advance(
             radius_estimate=builder.radius(best),
             coefficients_built=len(builder.norms) - 1,
             float32_grows=builder.float32_grows,
+            reach=tuple(reach),
         )
         return builder.evaluate(best, h), stats
 

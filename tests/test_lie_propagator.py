@@ -507,8 +507,8 @@ class TestSeriesWorkspace:
     # Coefficient n is transformed into the stack only when grow n + 1
     # needs it, and the step sums its balls without a transform: one inverse
     # transform of a ball per grow, c_0's included. At dt
-    # 3 the step grows two look-ahead coefficients past its order; at dt 0.1
-    # it stops on the order whose reach covers dt.
+    # 3 the step grows look-ahead coefficients past its order; at dt 0.1 it
+    # stops on the order whose reach covers dt.
     @pytest.mark.parametrize("dt,look_ahead", [(3.0, True), (0.1, False)])
     def test_no_transform_of_the_look_ahead(self, monkeypatch, dt, look_ahead):
         u = random_divfree(seed=7, grid=Grid(dim=3, n=32), peak_k=3, amplitude=1.0)
@@ -680,7 +680,13 @@ class TestComplex64Balls:
     ]
     STATS = StepStats(order_used=17, dt=0.5, truncation_estimate=9.98044421182148e-12,
                       radius_estimate=2.676455945469021, coefficients_built=17,
-                      float32_grows=10)
+                      float32_grows=10, reach=(
+                          0.0, 0.0, 1.793118747483909e-10, 2.0356124440979815e-05,
+                          0.0009384382634320766, 0.006224927173947731, 0.01945790663335978,
+                          0.0418090833686739, 0.07248962805181443, 0.11001944086997688,
+                          0.15292358206245046, 0.19992248201554805, 0.24996778448202317,
+                          0.30223176172524946, 0.35604443920216594, 0.4107798123799558,
+                          0.4657213894483531, 0.5))
 
     @staticmethod
     def switched_step(monkeypatch):
@@ -847,18 +853,58 @@ class TestControllerDecisions:
         assert (stats.order_used, stats.dt) == want
 
     # The 2-D benchmark-sized run: the halving controller made 233 grows
-    # for 154 retained orders. Each step now grows at most two past its
-    # order, beyond the four coefficients the radius needs, unless a higher
-    # order is predicted to cover the interval for less.
+    # for 154 retained orders, and growing two past each step's best order
+    # 168 for 142. Each step now stops at its best order once the norms it
+    # holds rule out every higher one (test_skipped_orders_cost_more): 158.
     def test_grows_track_retained_orders(self):
         u = random_divfree(seed=7, grid=Grid(dim=2, n=128), peak_k=4, amplitude=1.0)
         _, seen = run_observed(u, 0.01, 2.0)
         built = sum(s.coefficients_built for _, _, s in seen)
         retained = sum(s.order_used for _, _, s in seen)
         assert built <= retained + 2 * len(seen) + 3
-        assert built < 233
+        assert built <= 158
         _, rk4_stats = rk4_advance(u.grid, 0.01, 1e-3)(u, 1e-3)
-        assert rk4_stats.coefficients_built == 0
+        assert rk4_stats.coefficients_built == 0 and rk4_stats.reach == ()
+
+    # The 2-D 64^2 run keeps its steps, and each stops at its order: 46
+    # grows, where growing two past the best order made 48.
+    def test_steps_stop_at_their_order(self):
+        u = random_divfree(seed=7, grid=Grid(dim=2, n=64), peak_k=4, amplitude=1.0)
+        _, seen = run_observed(u, 0.01, 1.0)
+        assert [(s.order_used, s.dt) for _, _, s in seen] == [(25, 0.5), (21, 0.5)]
+        assert [s.coefficients_built for _, _, s in seen] == [25, 21]
+        assert [len(s.reach) for _, _, s in seen] == [26, 22]
+
+    # A step stops after order n once h_{n+1} and h_{n+2}, bounded by the
+    # norms of c_0..c_n (``_SeriesBuilder.ceilings``), and h_N extrapolated
+    # past them cannot beat its best cover. A fresh builder repeats each
+    # step's grows and switch, which gives its ``reach`` bit for bit, then
+    # grows on to max_order: h_{n+1} and h_{n+2} lie within their bounds,
+    # and no skipped order covers the request for less than the chosen one.
+    @pytest.mark.parametrize("dim,n,peak_k,nu,t_end", [
+        (2, 64, 4, 0.01, 1.0), (3, 32, 3, 0.02, 3.0)])
+    def test_skipped_orders_cost_more(self, dim, n, peak_k, nu, t_end):
+        u = random_divfree(seed=7, grid=Grid(dim=dim, n=n), peak_k=peak_k, amplitude=1.0)
+        tol, max_order = lie_propagator.DEFAULT_TOL, lie_propagator.DEFAULT_MAX_ORDER
+        kernel, v, dt = Kernel(u.grid, nu), u, t_end
+        for _, after, stats in run_observed(u, nu, t_end)[1]:
+            builder = lie_propagator._SeriesBuilder(kernel, v.data, max_order)
+            bound, last = tol * builder.norms[0], len(stats.reach) - 1
+            reach = []
+            for order in range(max_order + 1):
+                while len(builder.norms) <= max(order, 3):
+                    builder.grow()
+                reach.append(builder.reach(order, bound, dt))
+                if order == last:
+                    ceilings = builder.ceilings(order, bound, dt)
+                if builder.shift is None:
+                    builder.lower_precision(order, bound, dt)
+            assert tuple(reach[: last + 1]) == stats.reach
+            assert all(h <= ceiling for h, ceiling in zip(reach[last + 1:], ceilings))
+            best_cost = lie_propagator._cover_cost(stats.order_used, reach[stats.order_used], dt)
+            for order in range(last + 1, max_order + 1):
+                assert lie_propagator._cover_cost(order, reach[order], dt) >= best_cost
+            v, dt = after, dt - stats.dt
 
     # RK4 at dt 2.5e-3 ends at this energy; dt 5e-3 agrees to 4e-13. The
     # series run ends 3.2e-14 off, the halving controller's 5.4e-13.
@@ -879,7 +925,7 @@ class TestControllerDecisions:
 
         monkeypatch.setattr(lie_propagator, "_cover_cost", cover_cost)
         best = lie_propagator._step_cost(2)
-        assert lie_propagator._may_improve([0.1, 0.2], best, 1.0, 30) is False
+        assert lie_propagator._may_improve([0.1, 0.2], (1.0, 1.0), 1.0, best, 1.0, 30) is False
         assert priced == []
 
 

@@ -39,8 +39,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -50,7 +48,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tools"))
 
+from child_run import run_checkout  # noqa: E402
 from workloads import WORKLOADS, symbolic_input  # noqa: E402
 
 SEEDS = (1, 7)
@@ -130,15 +130,10 @@ def cases() -> list[Case]:
 def run_case(checkout: Path, case: Case, workdir: Path) -> dict:
     """The exit code, stdout, stderr and the sha256 of each file (by path
     relative to ``workdir``) of one run of ``case`` in ``workdir``."""
-    for name, data in case.files.items():
-        (workdir / name).write_bytes(data)
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    program = [str(checkout.resolve() / case.script)] if case.script else ["-m", "liens.cli"]
-    done = subprocess.run([sys.executable, *program, *case.args],
-                          cwd=workdir, env=env, capture_output=True)
+    done = run_checkout(checkout, case.args, workdir, case.files, case.script)
     files = {str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(workdir.rglob("*")) if p.is_file()}
-    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr,
+    return {"exit": done.exit, "stdout": done.stdout, "stderr": done.stderr,
             "files": files}
 
 

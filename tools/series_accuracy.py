@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import os
 import subprocess
 import sys
 import tempfile
@@ -37,7 +36,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tools"))
 
+from child_run import run_checkout  # noqa: E402
 from workloads import WORKLOADS, SimSpec  # noqa: E402
 
 from liens import read_snapshot  # noqa: E402
@@ -67,11 +68,11 @@ def run_case(checkout: Path, spec: SimSpec, seed: int, workdir: Path) -> dict:
     its (order, dt) pairs, its final field's data and the largest relative
     divergence of its step outputs."""
     spec = dataclasses.replace(spec, snapshot_cadence=1)
-    (workdir / "run.cfg").write_text(spec.config_text(seed, spec.t_end, "out"),
-                                     encoding="ascii")
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    subprocess.run([sys.executable, "-m", "liens.cli", "simulate", "run.cfg"],
-                   cwd=workdir, env=env, capture_output=True, check=True)
+    config = spec.config_text(seed, spec.t_end, "out").encode("ascii")
+    done = run_checkout(checkout, ("simulate", "run.cfg"), workdir, {"run.cfg": config})
+    if done.exit:
+        raise subprocess.CalledProcessError(done.exit, "liens simulate", done.stdout,
+                                            done.stderr)
     out = workdir / "out"
     with open(out / "series.csv", newline="", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))[1:]  # the first row is t = 0

@@ -49,9 +49,11 @@ Conventions
   (64^3: 6.7 against 7.4 ms, in float32 6.2 against 10.2 ms). The kernel
   transforms forward that way, and back every velocity a step reads: each
   series coefficient, c_0 included, and the input of ``Kernel.rhs``. Every
-  other transform is whole. Every transform keeps its input's precision:
+  other transform is whole. Every transform returns its input's precision:
   float32 samples give complex64 modes and back, which the late orders of a
-  series step use (``lie_propagator``).
+  series step use (``lie_propagator``); only the forward passes run in
+  float32, since numpy's inverse passes under ``norm="forward"`` run
+  complex64 modes in complex128 and round each pass.
 """
 
 from __future__ import annotations
@@ -316,7 +318,8 @@ def scatter_ball(grid: Grid, ball: np.ndarray, out: np.ndarray) -> np.ndarray:
 def ifftn_real(grid: Grid, coefficients: np.ndarray, *, ball: bool = False,
                out: np.ndarray | None = None) -> np.ndarray:
     """Real values of a half spectrum on the trailing grid axes, the
-    unnormalized inverse sum, float32 for complex64 coefficients and float64
+    unnormalized inverse sum, float32 for complex64 coefficients (each pass
+    computed in complex128 and rounded, the module docstring) and float64
     otherwise. With ``ball``, of a compact dealias ball
     (trailing shape ``grid.ball_shape``) that stands for the half spectrum
     zero outside it: the 1-D passes of ``irfftn``, in its order, each run

@@ -34,11 +34,13 @@ Precision: a step's last orders need only a few digits, since order n adds
 eps_32 ||c_n|| H^n <= FLOAT32_BUDGET * tol * ||u|| (eps_32 the float32
 machine epsilon, H = min(dt, RADIUS_SAFETY * radius), the longest step the
 controller could still grant) a step casts its stack once to float32, in
-place, into the first half of its float64 buffer, and runs every later
-inverse transform, Cauchy contraction and forward transform of T_n in
-float32 (Higham & Mary, Acta Numerica 31, 2022). The
-projection, the viscous term and the norms stay complex128, and so does
-every coefficient as its grow makes it, so every coefficient and norm, and
+place, into the first half of its float64 buffer, gives back the pages
+that held only float64 slots, and runs every later Cauchy contraction and
+forward transform of T_n in float32 (Higham & Mary, Acta Numerica 31,
+2022); every later inverse transform writes float32 slots, each pass of it
+computed in complex128 and rounded (``grid_spectral``). The projection,
+the viscous term and the norms stay complex128, and so does every
+coefficient as its grow makes it, so every coefficient and norm, and
 with them every step decision, is that of complex128 storage. Once the
 next grow has read c_n for its viscous term, only the step's sum reads it,
 so a c_n transformed into a float32 slot is kept as that slot's input, the
@@ -78,6 +80,7 @@ T(dt_k)...T(dt_1), for this and every integrator.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -176,17 +179,25 @@ class _SeriesBuilder:
 
     The stack starts in float64. ``lower_precision`` may cast it once to
     float32, in place: the float32 stack is a view of the float64 buffer,
-    so a step holds one stack buffer, which ``evaluate`` releases. Each
-    float32 slot m is scaled by the exact power of two 2^(e_s + m e_r)
-    held in ``shift`` = (e_s, e_r); every later grow then transforms,
-    contracts and transforms back in float32, and its T_n comes out scaled by
-    2^(2 e_s + n e_r), which the kernel call removes. ``shift`` is None while
-    the step may still switch and False once a slot that would not fit has
-    sent the stack back to float64 for good.
+    so a step holds one stack buffer, which ``evaluate`` releases, and the
+    switch gives back the buffer's pages that held only float64 slots
+    (``_restack``). Each float32 slot m is scaled by the exact power of two
+    2^(e_s + m e_r) held in ``shift`` = (e_s, e_r); every later grow then
+    writes its velocity into a float32 slot, contracts and transforms back
+    in float32, and its T_n comes out scaled by 2^(2 e_s + n e_r), which
+    the kernel call removes. ``shift`` is None while the step may still
+    switch and False once a slot that would not fit has sent the stack back
+    to float64 for good.
 
     The capacity is min(max_order, DEFAULT_MAX_ORDER) + 1 and doubles, up to
-    max_order + 1, only if a step grows past it; ``np.empty`` commits pages
-    as slots are written, so a low-order step touches only what it uses.
+    max_order + 1, only if a step grows past it. Every stack is a private
+    anonymous mapping of its own (``_mapped_stack``), whose pages are
+    committed as slots are written, so a low-order step touches only what
+    it uses. With the switch giving pages back, the float64 slots before it
+    set a step's peak: ``rand3d-lie`` (64^3) peaks after step 1's last
+    float64 grow, its 9th, at 131.0 MiB in ``tools/step_memory.py``'s seed-7
+    trace and 130.7 MiB in ``BENCH_37.json`` (136.5 MiB, after the step's
+    last grow, when the switch kept the float64 pages).
     """
 
     def __init__(self, kernel: Kernel, u_hat: np.ndarray, max_order: int):
@@ -201,7 +212,7 @@ class _SeriesBuilder:
         self.kernel = kernel
         # A stack per step: kept for a whole rand3d-lie run, it raised peak RSS 188 -> 217 MiB.
         capacity = min(max_order, DEFAULT_MAX_ORDER) + 1
-        self.stack = np.empty((capacity, grid.dim, *grid.shape))
+        self.stack = _mapped_stack((capacity, grid.dim, *grid.shape), np.float64)
         self.shift: tuple[int, int] | bool | None = None
         self.exponents: dict[int, int] = {}  # n -> e of each complex64 ball, c_n times 2^e
         self.float32_grows = 0
@@ -227,16 +238,31 @@ class _SeriesBuilder:
         The switch to float32 at unchanged capacity writes into a float32
         view of the float64 buffer, slot by slot in ascending order: float32
         slot m lies inside float64 slot m // 2, already read for m >= 1, and
-        numpy's overlap check copies slot 0, which overlaps its own source.
-        The way back to float64 and a doubling allocate a new stack."""
+        slot 0, which overlaps its own source, is cast in pieces that each
+        lie below what they read (``_pieces_below``), so numpy copies one
+        element of it. The switch then gives back, by
+        ``madvise(MADV_DONTNEED)``, the whole pages between the end of the
+        float32 slots and the end of the float64 ones, which later float32
+        slots commit again as they are written. The way back to float64 and
+        a doubling allocate a new mapping (``_mapped_stack``)."""
         old, filled = self.stack, len(self.norms) - 1
-        if shift and not self.shift and capacity == len(old):
+        in_place = shift and not self.shift and capacity == len(old)
+        if in_place:
             self.stack = old.view(np.float32).reshape(2 * capacity, *old.shape[1:])[:capacity]
         else:
-            self.stack = np.empty((capacity, *old.shape[1:]), np.float32 if shift else np.float64)
+            self.stack = _mapped_stack((capacity, *old.shape[1:]),
+                                       np.float32 if shift else np.float64)
         for m in range(filled):
-            np.ldexp(old[m], self._exponent(m, shift) - self._exponent(m, self.shift),
-                     out=self.stack[m], dtype=np.float64, casting="same_kind")
+            source, target = old[m].reshape(-1), self.stack[m].reshape(-1)
+            e = self._exponent(m, shift) - self._exponent(m, self.shift)
+            for a, b in _pieces_below(target.size) if in_place and m == 0 else [(0, target.size)]:
+                np.ldexp(source[a:b], e, out=target[a:b], dtype=np.float64, casting="same_kind")
+        if in_place:  # give back the pages that held only cast float64 slots
+            page = mmap.PAGESIZE
+            start = -(-self.stack[:filled].nbytes // page) * page
+            end = old[:filled].nbytes // page * page
+            if end > start:
+                old.base.madvise(mmap.MADV_DONTNEED, start, end - start)
         self.shift = shift
 
     def lower_precision(self, n: int, bound: float, dt: float) -> None:
@@ -316,7 +342,8 @@ class _SeriesBuilder:
         that holds one is Leray-projected on the ball, through the kernel's
         two scratch balls, because each component was rounded on its own.
         A sum of complex128 balls alone is not projected. The builder is
-        spent afterwards: it releases its stack before the sum allocates."""
+        spent afterwards: it releases its stack, and with it the stack's
+        mapping, before the sum allocates."""
         self.stack = None
         grid = self.grid
         acc = np.empty((grid.dim, *grid.ball_shape), dtype=np.complex128)
@@ -368,6 +395,28 @@ class _SeriesBuilder:
              for k in (n - 2, n - 1)]
         return (min(dt, RADIUS_SAFETY * min(r), _term_reach(self.norms[n], n, bound)),
                 min(dt, RADIUS_SAFETY * r[1]))
+
+
+def _mapped_stack(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` in a private anonymous mapping of
+    its own, its ``base``: pages are committed as they are written, and
+    ``madvise`` can give them back. A shared mapping would keep what it
+    gives back, as shared memory that RSS no longer counts."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.ndarray(shape, dtype, buffer=mapping)
+
+
+def _pieces_below(size: int) -> list[tuple[int, int]]:
+    """Element ranges [0, 1), [1, 2), [2, 4), ... covering ``size``: cast in
+    this order from float64 into a float32 view of the same buffer, every
+    piece after the first is written below the float64 elements it reads,
+    so numpy's overlap check copies one element, the first piece's."""
+    pieces, a = [(0, 1)], 1
+    while a < size:
+        pieces.append((a, min(2 * a, size)))
+        a *= 2
+    return pieces
 
 
 def _squares(c: np.ndarray) -> np.ndarray:

@@ -232,6 +232,22 @@ def test_ball_inverse_is_the_inverse_of_the_scattered_ball(dim, n, leading):
     assert np.array_equal(got, ifftn_real(grid, half))
 
 
+# numpy's inverse passes under norm="forward" take their scale as the int 1,
+# so a complex64 ball runs the complex128 loops and is rounded after each
+# pass. The float32 inverse still lies within one float32 rounding of the
+# largest value, eps_32 max|v|, of the complex128 inverse of the same ball
+# (0.44-0.59 of it here): the rounding the switch rule budgets for a slot.
+@pytest.mark.parametrize("dim,n", [(3, 32), (3, 64), (2, 128)])
+def test_float32_ball_inverse_is_rounded_once(dim, n):
+    grid = Grid(dim=dim, n=n)
+    u = random_divfree(seed=7, grid=grid, peak_k=3, amplitude=1.0)
+    ball = gather_ball(grid, u.data, np.empty((dim, *grid.ball_shape), np.complex64))
+    want = ifftn_real(grid, ball.astype(np.complex128), ball=True)
+    got = ifftn_real(grid, ball, ball=True)
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - want)) <= np.finfo(np.float32).eps * np.max(np.abs(want))
+
+
 # The series writes the velocity of each coefficient through ``out`` into a
 # slot of a preallocated stack, float64 or float32.
 @pytest.mark.parametrize("dim", [2, 3])

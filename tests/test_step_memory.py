@@ -49,7 +49,8 @@ def test_one_row_per_event_and_methods_restored(step_memory, tmp_path, capsys):
     assert step_memory.main([str(config)]) == 0
     assert (tmp_path / "out" / "series.csv").is_file()
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["event", "step", "order", "rss_mib", "peak_mib", "balls_mib"]
+    assert lines[0].split() == [
+        "event", "step", "order", "rss_mib", "peak_mib", "balls_mib", "stack_mib"]
     rows = [line.split() for line in lines[1:] if line.split()[0] in (
         "init", "grow", "switch", "sum", "record")]
     assert rows[0][:3] == ["record", "0", "0"] and rows[1][:3] == ["init", "1", "0"]
@@ -77,6 +78,29 @@ def test_one_row_per_event_and_methods_restored(step_memory, tmp_path, capsys):
     assert [getattr(_SeriesBuilder, name)
             for name in ("__init__", "grow", "lower_precision", "evaluate")] == originals
     assert cli._record is record
+
+
+# The stack column reads the resident pages of the step's stack buffer:
+# one float64 slot per grow up to the switch, which keeps the float32 casts
+# of the filled slots and gives the rest back, then one float32 slot per
+# grow. Slots at 16^3 are whole pages, so the column is exact.
+def test_stack_column_follows_the_slots(step_memory, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG, encoding="ascii")
+    assert step_memory.main([str(config)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]
+            if line.split()[0] in ("init", "grow", "switch", "sum", "record")]
+    for row in rows:
+        assert (row[6] == "-") == (row[0] in ("sum", "record"))
+    slot = 3 * 16**3 * 8 / 2.0**20
+    step_1 = [row for row in rows if row[1] == "1" and row[0] in ("init", "grow", "switch")]
+    switch = [row[0] for row in step_1].index("switch")
+    # init and grow rows hold as many slots as their order, the switch row
+    # as many as the grow before it
+    filled = [int(row[2]) for row in step_1]
+    filled[switch] = filled[switch - 1]
+    want = [k * slot / (1 if i < switch else 2) for i, k in enumerate(filled)]
+    assert np.allclose([float(row[6]) for row in step_1], want, rtol=0.0, atol=1e-3)
 
 
 # An RK4 run has records and snapshots only: one snapshot after each of its

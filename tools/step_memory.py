@@ -15,10 +15,13 @@ the snapshot's index), the current resident size
 from ``/proc/self/statm`` and the peak one, ``ru_maxrss``, both in MiB, so
 Linux only, and on the series rows the bytes of the builder's coefficient
 balls in MiB (``-`` on record and snapshot rows): the coefficient cache
-itself, free of the noise of resident sizes. The methods are wrapped from
-outside for the run and restored afterwards; the package itself holds no
-hook. The config of a benchmark
-workload, e.g. ``rand3d-lie`` at seed 7, is written by
+itself, free of the noise of resident sizes. On the init, grow and switch
+rows the last column gives the resident MiB of the builder's stack buffer,
+the float64 one under a float32 view, from the present bits of its pages
+in ``/proc/self/pagemap`` (``-`` elsewhere: the sum releases the stack).
+The methods are wrapped from outside for the run and restored afterwards;
+the package itself holds no hook. The config of a benchmark workload, e.g.
+``rand3d-lie`` at seed 7, is written by
 
     python3 -c "import sys; sys.path.insert(0, 'perfbench'); from workloads import WORKLOADS; \\
     s = WORKLOADS['rand3d-lie']; print(s.config_text(7, s.t_end, 'out'), end='')" > run.cfg
@@ -36,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 import liens.cli as cli  # noqa: E402
 from liens.lie_propagator import _SeriesBuilder  # noqa: E402
 
@@ -49,6 +54,20 @@ def rss_mib() -> tuple[float, float]:
         resident = int(statm.read().split()[1])
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     return resident * PAGE / MIB, peak_kib * 1024 / MIB
+
+
+def resident_mib(stack: np.ndarray) -> float:
+    """The resident MiB of the buffer that holds ``stack``, the array up its
+    ``base`` chain whose base is no array: the present bit, bit 63, of each
+    of its pages' ``/proc/self/pagemap`` entries."""
+    while isinstance(stack.base, np.ndarray):
+        stack = stack.base
+    first = stack.ctypes.data // PAGE
+    end = -(-(stack.ctypes.data + stack.nbytes) // PAGE)
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        pagemap.seek(8 * first)
+        entries = np.frombuffer(pagemap.read(8 * (end - first)), np.uint64)
+    return np.count_nonzero(entries >> np.uint64(63)) * PAGE / MIB
 
 
 @contextmanager
@@ -112,10 +131,12 @@ def main(argv: list[str] | None = None) -> int:
     def report(event: str, step: int, order: int, builder) -> None:
         rss, peak = rss_mib()
         balls = "-" if builder is None else f"{sum(b.nbytes for b in builder.balls) / MIB:.3f}"
-        print(f"{event:<8} {step:>4} {order:>5} {rss:>9.1f} {peak:>9.1f} {balls:>9}", flush=True)
+        stack = f"{resident_mib(builder.stack):.3f}" if event in ("init", "grow", "switch") else "-"
+        print(f"{event:<8} {step:>4} {order:>5} {rss:>9.1f} {peak:>9.1f} {balls:>9} {stack:>9}",
+              flush=True)
 
-    print(f"{'event':<8} {'step':>4} {'order':>5} {'rss_mib':>9} {'peak_mib':>9} {'balls_mib':>9}",
-          flush=True)
+    print(f"{'event':<8} {'step':>4} {'order':>5} {'rss_mib':>9} {'peak_mib':>9} {'balls_mib':>9}"
+          f" {'stack_mib':>9}", flush=True)
     with traced(report):
         return cli.cmd_simulate(args.config)
 
